@@ -8,12 +8,11 @@ land back in the powers of a source ideal.
 """
 
 from .closures import (
+    SCHEDULES,
     NewtonPolyhedron,
     NonMonomialIdealError,
-    bs_harness,
-    monomial_closure_bruteforce_oracle,
     monomial_integral_closure,
-    symb_harness,
+    shift_search,
     symbolic_power,
 )
 from .diffops import (
@@ -28,13 +27,11 @@ from .groebner import (
     RingSpec,
     buchberger,
     eliminate,
-    ideal_contains,
     ideal_equal,
     ideal_intersect,
     ideal_power,
     ideal_sum,
     normal_form,
-    polynomial_ring,
     saturate,
     standard_monomials,
 )
@@ -60,11 +57,12 @@ from .poly import (
 )
 from .uniformity import (
     ConstantReport,
+    OperatorSetRefutedError,
     TruncatedSubspace,
-    artin_rees_experiment,
     check_reverse,
     diff_colon,
     find_min_c,
+    run_constant_experiment,
     separating_operator,
     subspace_in_ideal,
     verify_filtration,

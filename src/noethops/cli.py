@@ -35,6 +35,7 @@ from .noetherian import (
 )
 from .poly import PolyParseError
 from .uniformity import (
+    OperatorSetRefutedError,
     PsiInconsistencyError,
     check_reverse,
     diff_colon,
@@ -141,7 +142,7 @@ def _run_experiment(args, forced_mode: str | None = None) -> int:
         cfg.c_max = args.c_max
     if args.degree is not None:
         cfg.degree = args.degree
-    bundle = run_experiment_config(cfg, jobs=args.jobs)
+    bundle = run_experiment_config(cfg)
     if args.format == "csv":
         _emit(_csv_text(bundle.csv_rows(cfg.ring.var_names)), args.out)
     else:
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         s = subs.add_parser(name, help=help_text)
         s.add_argument("config")
-        s.add_argument("--jobs", type=int, default=1)
+        s.add_argument("--jobs", type=int, default=1, help="accepted and ignored: experiments run serially")
         s.add_argument("--seed", type=int, default=None)
         s.add_argument("--n-max", type=int, default=None, help="override the config value")
         s.add_argument("--c-max", type=int, default=None, help="override the config value")
@@ -320,7 +321,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ComponentMismatchError, PsiInconsistencyError) as exc:
+    except (ComponentMismatchError, PsiInconsistencyError, OperatorSetRefutedError) as exc:
         sys.stderr.write(f"refuted: {exc}\n")
         return EXIT_REFUTED
     except (PolyParseError, ConfigError, NonMonomialIdealError, NonRationalPointError, ValueError) as exc:

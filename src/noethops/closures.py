@@ -1,6 +1,6 @@
 """Integral closures of monomial ideal powers via Newton polyhedra, symbolic
-powers of primes via saturation, and the two harnesses that feed them into
-the minimal-shift search.
+powers of primes via saturation, and the power schedules that feed plain,
+integrally closed or symbolic powers into the one minimal-shift search.
 
 Integral closure is supported for monomial ideals only, with at most three
 active variables; the facet enumeration is exact over the rationals.
@@ -8,15 +8,16 @@ active variables; the facet enumeration is exact over the rationals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .diffops import OperatorSet
 from .groebner import IdealHandle, RingSpec, ideal_power, ideal_sum, saturate
 from .poly import GrevLex, Mono, Poly, mono_degree, mono_divides
-from .uniformity import ConstantReport, find_min_c
+from .uniformity import ConstantReport, PowerSchedule, find_min_c
 
 
 class NonMonomialIdealError(ValueError):
@@ -142,22 +143,6 @@ def monomial_integral_closure(I: IdealHandle, m: int) -> IdealHandle:
     return IdealHandle(nvars, [Poly.monomial(nvars, e) for e in minimal], I.order)
 
 
-def monomial_closure_bruteforce_oracle(I: IdealHandle, candidate: Mono, k_max: int) -> bool:
-    """Valuation-criterion oracle: x^a is integral over I iff x^(k*a) lies in
-    I^k for some k <= k_max.  Test use only, independent of the polyhedron."""
-    exps = _monomial_exponents(I)
-    for k in range(1, k_max + 1):
-        target = tuple(k * a for a in candidate)
-        for combo in itertools.combinations_with_replacement(exps, k):
-            total = [0] * len(candidate)
-            for e in combo:
-                for i, x in enumerate(e):
-                    total[i] += x
-            if mono_divides(tuple(total), target):
-                return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # symbolic powers
 
@@ -173,7 +158,11 @@ def symbolic_power(p: IdealHandle, n: int, witness: Poly) -> IdealHandle:
 
 
 # ---------------------------------------------------------------------------
-# harnesses
+# power schedules and the shift search
+#
+# Every mode searches the same way (`find_min_c`); only the source ideal fed
+# to the colon for (n, c) changes.  A factory checks its inputs once per ideal
+# and returns the schedule plus any extra report fields.
 
 
 def _monomial_image(J: IdealHandle, ring: RingSpec) -> IdealHandle:
@@ -187,63 +176,67 @@ def _monomial_image(J: IdealHandle, ring: RingSpec) -> IdealHandle:
     return I
 
 
-def bs_harness(
-    J: IdealHandle,
-    ops: OperatorSet,
-    ring: RingSpec,
-    n_max: int,
-    c_max: int,
-    D: int,
-    *,
-    ideal_name: str = "J",
-) -> ConstantReport:
-    """Minimal-shift search with the colon fed the integral closure of
-    I^(n+c) instead of the plain power; requires the image of J to be a
-    monomial ideal in a polynomial reduced ring."""
+def _ordinary_schedule(
+    J: IdealHandle, ring: RingSpec, dimension: int | None, witness: Poly | None
+) -> tuple[PowerSchedule, dict]:
+    """The plain power I^(n+c) (differential Artin-Rees)."""
+    return (lambda I, n, c: ideal_power(I, n + c)), {}
+
+
+def _closure_schedule(
+    J: IdealHandle, ring: RingSpec, dimension: int | None, witness: Poly | None
+) -> tuple[PowerSchedule, dict]:
+    """The integral closure of I^(n+c) (Briancon-Skoda); requires the image
+    of J to be a monomial ideal in a polynomial reduced ring."""
     image = _monomial_image(J, ring)
-    cache: dict[int, IdealHandle] = {}
-
-    def schedule(I: IdealHandle, n: int, c: int) -> IdealHandle:
-        m = n + c
-        if m not in cache:
-            cache[m] = monomial_integral_closure(I, m)
-        return cache[m]
-
+    closure = functools.cache(monomial_integral_closure)
     extras = {"image_monomials": sorted(list(next(iter(g.terms))) for g in image.gens)}
-    return find_min_c(
-        J, ops, ring, n_max, c_max, D, schedule=schedule, ideal_name=ideal_name, extras=extras
-    )
+    return (lambda I, n, c: closure(I, n + c)), extras
 
 
-def symb_harness(
-    J: IdealHandle,
-    ops: OperatorSet,
-    ring: RingSpec,
-    d: int,
-    witness: Poly,
-    n_max: int,
-    c_max: int,
-    D: int,
-    *,
-    ideal_name: str = "J",
-) -> ConstantReport:
-    """Minimal-shift search under the schedule m = n*d + c with the colon fed
-    the symbolic power I^(m), computed by saturating I^m + rad at the
-    supplied witness; d is the (user-asserted) dimension of the regular
-    reduced ring."""
-    if d < 1:
+def _symbolic_schedule(
+    J: IdealHandle, ring: RingSpec, dimension: int | None, witness: Poly | None
+) -> tuple[PowerSchedule, dict]:
+    """The symbolic power I^(m), m = n*d + c, computed by saturating
+    I^m + rad at the witness (default 1); d is the (user-asserted) dimension
+    of the regular reduced ring."""
+    if dimension is None or dimension < 1:
         raise ValueError("dimension must be at least 1")
     I = ring.image_in_reduced(J)
     if not I.gens:
         raise ValueError("image of J in the reduced ring is zero")
+    if witness is None:
+        witness = Poly.one(ring.nvars)
     if ideal_sum(I, ring.rad).contains(witness):
         raise ValueError("saturation witness lies in the image prime")
-    cache: dict[int, IdealHandle] = {}
+    power = functools.cache(lambda I, m: saturate(ideal_sum(ideal_power(I, m), ring.rad), witness))
+    return (lambda I, n, c: power(I, n * dimension + c)), {}
 
-    def schedule(I_: IdealHandle, n: int, c: int) -> IdealHandle:
-        m = n * d + c
-        if m not in cache:
-            cache[m] = saturate(ideal_sum(ideal_power(I_, m), ring.rad), witness)
-        return cache[m]
 
-    return find_min_c(J, ops, ring, n_max, c_max, D, schedule=schedule, ideal_name=ideal_name)
+SCHEDULES: dict[str, Callable[..., tuple[PowerSchedule, dict]]] = {
+    "artin_rees": _ordinary_schedule,
+    "briancon_skoda": _closure_schedule,
+    "symbolic": _symbolic_schedule,
+}
+
+
+def shift_search(
+    mode: str,
+    J: IdealHandle,
+    ops: OperatorSet,
+    ring: RingSpec,
+    n_max: int,
+    c_max: int,
+    D: int,
+    *,
+    dimension: int | None = None,
+    witness: Poly | None = None,
+    ideal_name: str = "J",
+) -> ConstantReport:
+    """Minimal-shift search for J under the power schedule of `mode` (a key
+    of SCHEDULES).  `dimension` and `witness` are read by the symbolic
+    schedule only."""
+    schedule, extras = SCHEDULES[mode](J, ring, dimension, witness)
+    return find_min_c(
+        J, ops, ring, n_max, c_max, D, schedule=schedule, ideal_name=ideal_name, extras=extras
+    )

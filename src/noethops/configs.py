@@ -18,30 +18,17 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .closures import SCHEDULES
 from .diffops import OperatorSet, parse_operator_set
-from .groebner import IdealHandle, RingSpec, ideal_sum
+from .groebner import IdealHandle, RingSpec, ideal_sum, split_poly_list
 from .noetherian import PrimaryComponent, combine_components, noetherian_ops_primary
 from .poly import Poly, parse_polynomial
+from .uniformity import run_constant_experiment
 
 
 class ConfigError(ValueError):
     pass
 
-
-def _split_top_level(text: str, sep: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
 
 def _strip_wrapper(text: str, open_ch: str, close_ch: str) -> str:
     text = text.strip()
@@ -50,12 +37,23 @@ def _strip_wrapper(text: str, open_ch: str, close_ch: str) -> str:
     return text[1:-1]
 
 
+def _encloses(text: str) -> bool:
+    """Does the opening parenthesis of `text` close at its last character?"""
+    depth = 0
+    for i, ch in enumerate(text):
+        depth += ch == "("
+        depth -= ch == ")"
+        if depth == 0:
+            return i == len(text) - 1
+    return False
+
+
 def parse_ideal_list(text: str, var_names: Sequence[str]) -> list[Poly]:
     """Semicolon-separated polynomials, optionally wrapped in parentheses."""
     text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = _strip_wrapper(text, "(", ")")
-    return [parse_polynomial(part, var_names) for part in _split_top_level(text, ";")]
+    if text.startswith("(") and _encloses(text):
+        text = text[1:-1]
+    return [parse_polynomial(part, var_names) for part in split_poly_list(text)]
 
 
 def parse_ring_text(text: str) -> RingSpec:
@@ -96,7 +94,7 @@ def parse_ring_text(text: str) -> RingSpec:
     primes: tuple[IdealHandle, ...] = ()
     if primes_line is not None:
         inner = _strip_wrapper(primes_line, "[", "]")
-        primes = tuple(ideal_from(part) for part in _split_top_level(inner, ";"))
+        primes = tuple(ideal_from(part) for part in split_poly_list(inner))
     return RingSpec(var_names, N, rad, primes)
 
 
@@ -124,8 +122,6 @@ class ExperimentConfig:
     seed: int
     dimension: int | None = None
     witnesses: dict[str, Poly] = field(default_factory=dict)
-    t_max: int = 3
-    coeff_deg: int = 2
 
 
 def _build_operators(spec, ring: RingSpec) -> OperatorSet:
@@ -177,51 +173,19 @@ def load_experiment_config(source: str | dict) -> ExperimentConfig:
             seed=int(params.get("seed", 0)),
             dimension=int(data["dimension"]) if "dimension" in data else None,
             witnesses=witnesses,
-            t_max=int(params.get("t_max", 3)),
-            coeff_deg=int(params.get("coeff_deg", 2)),
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from exc
 
 
-def run_experiment_config(cfg: ExperimentConfig, jobs: int = 1):
-    """Dispatch a loaded config to the engine for its mode and return the
-    report bundle."""
-    from .uniformity import run_constant_experiment
-
-    if cfg.mode == "artin_rees":
-        return run_constant_experiment(
-            cfg.ring, cfg.operators, cfg.ideals, cfg.n_max, cfg.c_max, cfg.degree,
-            mode=cfg.mode, seed=cfg.seed, jobs=jobs,
-        )
-    if cfg.mode == "briancon_skoda":
-        from .closures import bs_harness
-
-        def report_fn(name, J):
-            return bs_harness(
-                J, cfg.operators, cfg.ring, cfg.n_max, cfg.c_max, cfg.degree, ideal_name=name
-            )
-
-        return run_constant_experiment(
-            cfg.ring, cfg.operators, cfg.ideals, cfg.n_max, cfg.c_max, cfg.degree,
-            mode=cfg.mode, seed=cfg.seed, jobs=jobs, report_fn=report_fn,
-            include_reverse=False,
-        )
-    if cfg.mode == "symbolic":
-        if cfg.dimension is None:
-            raise ConfigError("symbolic mode requires a 'dimension' entry")
-        from .closures import symb_harness
-
-        def report_fn(name, J):
-            witness = cfg.witnesses.get(name, Poly.one(cfg.ring.nvars))
-            return symb_harness(
-                J, cfg.operators, cfg.ring, cfg.dimension, witness,
-                cfg.n_max, cfg.c_max, cfg.degree, ideal_name=name,
-            )
-
-        return run_constant_experiment(
-            cfg.ring, cfg.operators, cfg.ideals, cfg.n_max, cfg.c_max, cfg.degree,
-            mode=cfg.mode, seed=cfg.seed, jobs=jobs, report_fn=report_fn,
-            include_reverse=False,
-        )
-    raise ConfigError(f"unknown mode {cfg.mode!r}")
+def run_experiment_config(cfg: ExperimentConfig):
+    """Run a loaded config under the power schedule of its mode and return
+    the report bundle."""
+    if cfg.mode not in SCHEDULES:
+        raise ConfigError(f"unknown mode {cfg.mode!r}")
+    if cfg.mode == "symbolic" and cfg.dimension is None:
+        raise ConfigError("symbolic mode requires a 'dimension' entry")
+    return run_constant_experiment(
+        cfg.ring, cfg.operators, cfg.ideals, cfg.n_max, cfg.c_max, cfg.degree,
+        mode=cfg.mode, seed=cfg.seed, dimension=cfg.dimension, witnesses=cfg.witnesses,
+    )

@@ -14,7 +14,6 @@ explicitly at the call site.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -170,7 +169,7 @@ def _reduce_basis(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
 class IdealHandle:
     """Generator list plus a lazily computed, cached reduced Groebner basis."""
 
-    __slots__ = ("nvars", "gens", "order", "_gb", "_lock")
+    __slots__ = ("nvars", "gens", "order", "_gb")
 
     def __init__(self, nvars: int, gens: Iterable[Poly], order: MonomialOrder = GrevLex()):
         self.nvars = nvars
@@ -180,19 +179,11 @@ class IdealHandle:
                 raise ValueError("generator has wrong number of variables")
         self.order = order
         self._gb: list[Poly] | None = None
-        self._lock = threading.Lock()
-
-    @classmethod
-    def from_text(cls, text: str, var_names: Sequence[str], order: MonomialOrder = GrevLex()) -> "IdealHandle":
-        gens = [parse_polynomial(part, var_names) for part in split_poly_list(text)]
-        return cls(len(var_names), gens, order)
 
     @property
     def gb(self) -> list[Poly]:
         if self._gb is None:
-            with self._lock:
-                if self._gb is None:
-                    self._gb = buchberger(self.gens, self.order)
+            self._gb = buchberger(self.gens, self.order)
         return self._gb
 
     def normal_form(self, f: Poly) -> Poly:
@@ -215,8 +206,19 @@ class IdealHandle:
 
 
 def split_poly_list(text: str) -> list[str]:
-    """Split a semicolon-separated polynomial list, dropping empty entries."""
-    return [part.strip() for part in text.split(";") if part.strip()]
+    """Split a semicolon-separated list at the semicolons outside brackets,
+    dropping empty entries."""
+    parts, depth, cur = [], 0, []
+    for ch in text:
+        depth += ch in "(["
+        depth -= ch in ")]"
+        if ch == ";" and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    parts.append("".join(cur))
+    return [part.strip() for part in parts if part.strip()]
 
 
 def ideal_sum(I: IdealHandle, J: IdealHandle) -> IdealHandle:
@@ -240,10 +242,6 @@ def ideal_power(I: IdealHandle, n: int) -> IdealHandle:
             seen.add(key)
             gens.append(p)
     return IdealHandle(I.nvars, gens, I.order)
-
-
-def ideal_contains(I: IdealHandle, f: Poly) -> bool:
-    return I.contains(f)
 
 
 def is_subideal(I: IdealHandle, J: IdealHandle) -> bool:
@@ -369,9 +367,6 @@ class RingSpec:
     def ideal(self, gens: Iterable[Poly]) -> IdealHandle:
         return IdealHandle(self.nvars, gens, self.order)
 
-    def ideal_from_text(self, text: str) -> IdealHandle:
-        return IdealHandle.from_text(text, self.var_names, self.order)
-
     def reduce_mod_rad(self, f: Poly) -> Poly:
         return self.rad.normal_form(f)
 
@@ -382,9 +377,3 @@ class RingSpec:
     def format(self, f: Poly) -> str:
         return f.format(self.var_names)
 
-
-def polynomial_ring(var_names: Sequence[str], order: MonomialOrder = GrevLex()) -> RingSpec:
-    """RingSpec for the plain polynomial ring (N = rad = 0)."""
-    n = len(var_names)
-    zero = IdealHandle(n, [], order)
-    return RingSpec(tuple(var_names), zero, IdealHandle(n, [], order), ())

@@ -149,17 +149,16 @@ def _truncated_dual_vectors(shifted_gens: list[Poly], colength: int, nvars: int,
     raise RuntimeError("dual space truncation failed to stabilize at the colength")
 
 
-def _normalize_integer_primitive(op: DiffOp) -> DiffOp:
-    """Scale an operator with constant rational coefficients to coprime
-    integers with a positive coefficient on the highest derivative term."""
-    coeffs = []
-    for c in op.terms.values():
-        coeffs.extend(c.terms.values())
+def _normalize_op(op: DiffOp) -> DiffOp:
+    """Scale an operator's rational coefficients (constants or polynomials)
+    to coprime integers with a positive leading coefficient on the highest
+    derivative term."""
     num = 0
     den = 1
-    for c in coeffs:
-        num = math.gcd(num, c.numerator)
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    for c in op.terms.values():
+        for coeff in c.terms.values():
+            num = math.gcd(num, coeff.numerator)
+            den = den * coeff.denominator // math.gcd(den, coeff.denominator)
     if num == 0:
         return op
     scale = Fraction(den, num)
@@ -202,7 +201,7 @@ def dual_space(Q: IdealHandle, point: Sequence[Fraction]) -> list[DiffOp]:
             for alpha, c in zip(monos, v)
             if c
         }
-        ops.append(_normalize_integer_primitive(DiffOp(nvars, terms, maximal)))
+        ops.append(_normalize_op(DiffOp(nvars, terms, maximal)))
     assert len(ops) == colength
     return ops
 
@@ -317,28 +316,9 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
             for pos, e in zip(dep, alpha_dep):
                 alpha_full[pos] = e
             terms[tuple(alpha_full)] = _embed_indep_poly(cleared, indep, nvars)
-        ops.append(_normalize_poly_op(DiffOp(nvars, terms, comp.p)))
+        ops.append(_normalize_op(DiffOp(nvars, terms, comp.p)))
     assert len(ops) == colength
     return OperatorSet(ops, comp.p, meta=ComponentMeta(comp, colength))
-
-
-def _normalize_poly_op(op: DiffOp) -> DiffOp:
-    """Content-normalize polynomial coefficients to coprime integers."""
-    num = 0
-    den = 1
-    for c in op.terms.values():
-        for coeff in c.terms.values():
-            num = math.gcd(num, coeff.numerator)
-            den = den * coeff.denominator // math.gcd(den, coeff.denominator)
-    if num == 0:
-        return op
-    scale = Fraction(den, num)
-    top_alpha = max(op.terms, key=lambda a: (mono_degree(a), GrevLex().key(a)))
-    top = op.terms[top_alpha]
-    lead = top.terms[max(top.terms, key=GrevLex().key)]
-    if lead * scale < 0:
-        scale = -scale
-    return op.scale(scale)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ certified only up to the degree bound, and every report records that bound.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -248,6 +247,7 @@ class ReverseReport:
     n: int
     passed: bool
     witness: Poly | None = None
+    ideal_name: str = "J"
 
 
 def check_reverse(J: IdealHandle, ops: OperatorSet, ring: RingSpec, n: int, D: int) -> ReverseReport:
@@ -457,6 +457,15 @@ def verify_filtration(chain: Sequence[IdealHandle], primes: Sequence[IdealHandle
 # experiment orchestration
 
 
+class OperatorSetRefutedError(ValueError):
+    """The operator set fails its check against the defining ideal; the
+    refuting certificate (with its witness) is kept on the error."""
+
+    def __init__(self, certificate: NoetherianCertificate):
+        super().__init__("operator set refuted against the defining ideal; not a Noetherian set for R")
+        self.certificate = certificate
+
+
 @dataclass
 class ExperimentBundle:
     mode: str
@@ -479,23 +488,10 @@ class ExperimentBundle:
             "operator_certificate": self.certificate.to_dict(var_names),
             "max_operator_order": self.max_op_order,
             "reports": [r.to_dict(var_names) for r in self.reports],
-            "reverse_checks": [
-                {"ideal": name, "n": r.n, "passed": r.passed} for name, r in self.reverse_named()
-            ],
+            "reverse_checks": [{"ideal": r.ideal_name, "n": r.n, "passed": r.passed} for r in self.reverse],
             "aggregate_c": self.aggregate_c if self.aggregate_c is not None else "NOT_FOUND",
             "verdict": self.verdict,
         }
-
-    def reverse_named(self):
-        # reverse checks are stored flat in report order, n ascending
-        out = []
-        idx = 0
-        per = len(self.reverse) // len(self.reports) if self.reports else 0
-        for rep in self.reports:
-            for _ in range(per):
-                out.append((rep.ideal_name, self.reverse[idx]))
-                idx += 1
-        return out
 
     def csv_rows(self, var_names: Sequence[str]) -> list[list[str]]:
         rows = [["J_id", "n", "c_min", "witness", "degree_bound"]]
@@ -523,64 +519,41 @@ def run_constant_experiment(
     *,
     mode: str = "artin_rees",
     seed: int = 0,
-    jobs: int = 1,
-    report_fn: Callable[[str, IdealHandle], ConstantReport] | None = None,
-    include_reverse: bool = True,
-    verify_degree: int | None = None,
+    dimension: int | None = None,
+    witnesses: dict[str, Poly] | None = None,
 ) -> ExperimentBundle:
-    """Verify the operator set against the defining ideal, run the per-ideal
-    minimal-shift searches (optionally on a thread pool; results merge in
-    input order), optionally run the reverse containment checks, and report
-    the aggregate empirical constant (the max over the family)."""
-    cert = verify_noetherian_ops(ring.N, ops, verify_degree or D)
+    """Verify the operator set against the defining ideal, run the
+    minimal-shift search under the power schedule of `mode` for each ideal in
+    input order (plus the reverse containment checks for "artin_rees"), and
+    report the aggregate empirical constant (the max over the family).
+
+    `dimension` and `witnesses` (ideal name -> saturation witness, default 1)
+    feed the symbolic schedule."""
+    from .closures import shift_search  # closures imports this module
+
+    cert = verify_noetherian_ops(ring.N, ops, D)
     if not cert.ok:
-        raise ValueError("operator set refuted against the defining ideal; not a Noetherian set for R")
-
-    def run_one(item: tuple[str, IdealHandle]) -> tuple[ConstantReport, list[ReverseReport]]:
-        name, J = item
-        if report_fn is not None:
-            rep = report_fn(name, J)
-        else:
-            rep = find_min_c(J, ops, ring, n_max, c_max, D, ideal_name=name)
-        rev = []
-        if include_reverse:
-            rev = [check_reverse(J, ops, ring, n, D) for n in range(1, n_max + 1)]
-        return rep, rev
-
-    if jobs > 1 and len(named_ideals) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, named_ideals))
-    else:
-        results = [run_one(item) for item in named_ideals]
-
-    reports = [r for r, _ in results]
-    reverse = [x for _, rv in results for x in rv]
+        raise OperatorSetRefutedError(cert)
+    witnesses = witnesses or {}
+    reports: list[ConstantReport] = []
+    reverse: list[ReverseReport] = []
+    for name, J in named_ideals:
+        reports.append(
+            shift_search(
+                mode, J, ops, ring, n_max, c_max, D,
+                dimension=dimension, witness=witnesses.get(name), ideal_name=name,
+            )
+        )
+        if mode == "artin_rees":
+            reverse += [replace(check_reverse(J, ops, ring, n, D), ideal_name=name) for n in range(1, n_max + 1)]
     if any(rep.max_c is None for rep in reports):
         aggregate = None
         verdict = "exhausted: some rows hit c_max without containment"
     else:
         aggregate = max((rep.max_c for rep in reports), default=0)
         verdict = f"aggregate c = {aggregate} over {len(reports)} ideal(s), degree bound {D}"
-    if include_reverse and any(not r.passed for r in reverse):
+    if any(not r.passed for r in reverse):
         verdict += "; REVERSE CHECK FAILED (arithmetic bug)"
     return ExperimentBundle(
         mode, seed, D, n_max, c_max, cert, reports, reverse, aggregate, verdict, ops.max_order
-    )
-
-
-def artin_rees_experiment(
-    ring: RingSpec,
-    ops: OperatorSet,
-    named_ideals: Sequence[tuple[str, IdealHandle]],
-    n_max: int,
-    c_max: int,
-    D: int,
-    *,
-    seed: int = 0,
-    jobs: int = 1,
-) -> ExperimentBundle:
-    """Ordinary-powers experiment: per-ideal minimal shifts, reverse checks,
-    aggregate constant."""
-    return run_constant_experiment(
-        ring, ops, named_ideals, n_max, c_max, D, mode="artin_rees", seed=seed, jobs=jobs
     )

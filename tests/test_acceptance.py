@@ -13,13 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from noethops.closures import (
-    bs_harness,
-    monomial_closure_bruteforce_oracle,
-    monomial_integral_closure,
-    symb_harness,
-    symbolic_power,
-)
+from noethops.closures import monomial_integral_closure, shift_search, symbolic_power
 from noethops.cli import main
 from noethops.diffops import DiffOp, OperatorSet, check_order_lemma
 from noethops.groebner import (
@@ -41,6 +35,7 @@ from noethops.poly import Poly, monomials_up_to, parse_polynomial
 from noethops.uniformity import check_reverse, find_min_c, separating_operator
 
 from conftest import P, ideal
+from oracles import monomial_closure_bruteforce_oracle
 
 XY = ["x", "y"]
 
@@ -149,7 +144,7 @@ def test_criterion_06_separating_operators(ring_x2):
 
 def test_criterion_07_integral_closure_harness(ring_x2, ops_pi_dx):
     start = time.monotonic()
-    rep = bs_harness(ideal("y^2", "x*y"), ops_pi_dx, ring_x2, 3, 3, 12, ideal_name="J")
+    rep = shift_search("briancon_skoda", ideal("y^2", "x*y"), ops_pi_dx, ring_x2, 3, 3, 12, ideal_name="J")
     ok = [r.c_min for r in rep.rows] == [0, 0, 0]
     yz = IdealHandle(2, [Poly.monomial(2, (3, 0)), Poly.monomial(2, (0, 3))])
     closure = monomial_integral_closure(yz, 1)
@@ -162,7 +157,9 @@ def test_criterion_07_integral_closure_harness(ring_x2, ops_pi_dx):
 
 def test_criterion_08_symbolic_power_harness(ring_x2, ops_pi_dx):
     start = time.monotonic()
-    rep = symb_harness(ideal("x - y"), ops_pi_dx, ring_x2, 1, Poly.one(2), 3, 3, 12)
+    rep = shift_search(
+        "symbolic", ideal("x - y"), ops_pi_dx, ring_x2, 3, 3, 12, dimension=1, witness=Poly.one(2)
+    )
     ok = [r.c_min for r in rep.rows] == [1, 1, 1]
     abc = ["a", "b", "c"]
     p = IdealHandle(3, [parse_polynomial(t, abc) for t in ("b^2 - a*c", "b*c - a^3", "c^2 - a^2*b")])

@@ -202,6 +202,16 @@ def test_sep_op_exhaustion_exit_3(tmp_path, capsys):
     assert rc == 3
 
 
+def test_experiment_refuted_operators_exit_2(tmp_path, capsys):
+    cfg = dict(CONFIG)
+    cfg["operators"] = "1"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["experiment", str(path)])
+    assert rc == 2
+    assert "refuted" in capsys.readouterr().err
+
+
 def test_verify_filtration_cmd(ring_file, capsys):
     rc = main(["verify-filtration", ring_file, "--chain", "(x^2) | (x) | (1)", "--primes", "(x) | (x)"])
     out = capsys.readouterr().out

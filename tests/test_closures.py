@@ -4,12 +4,11 @@ import random
 import pytest
 
 from noethops.closures import (
+    SCHEDULES,
     NewtonPolyhedron,
     NonMonomialIdealError,
-    bs_harness,
-    monomial_closure_bruteforce_oracle,
     monomial_integral_closure,
-    symb_harness,
+    shift_search,
     symbolic_power,
 )
 from noethops.groebner import (
@@ -17,12 +16,14 @@ from noethops.groebner import (
     RingSpec,
     ideal_equal,
     ideal_power,
+    ideal_sum,
     is_subideal,
 )
 from noethops.poly import Poly
 from noethops.uniformity import find_min_c
 
 from conftest import P, ideal
+from oracles import monomial_closure_bruteforce_oracle
 
 YZ = ["y", "z"]
 
@@ -141,35 +142,37 @@ def test_monomial_curve_prime_symbolic_square_is_strict():
     assert not ideal_equal(sp, sq)
 
 
-# --- harnesses ------------------------------------------------------------------------
+# --- power schedules ------------------------------------------------------------------
 
 
 def test_bs_harness_fixture(ring_x2, ops_pi_dx):
-    rep = bs_harness(ideal("y^2", "x*y"), ops_pi_dx, ring_x2, 3, 3, 12, ideal_name="J")
+    rep = shift_search("briancon_skoda", ideal("y^2", "x*y"), ops_pi_dx, ring_x2, 3, 3, 12, ideal_name="J")
     assert [r.c_min for r in rep.rows] == [0, 0, 0]
 
 
 def test_bs_harness_closed_image_matches_plain_search(ring_x2, ops_pi_dx):
     plain = find_min_c(ideal("y"), ops_pi_dx, ring_x2, 3, 3, 10)
-    closed = bs_harness(ideal("y"), ops_pi_dx, ring_x2, 3, 3, 10)
+    closed = shift_search("briancon_skoda", ideal("y"), ops_pi_dx, ring_x2, 3, 3, 10)
     assert [r.c_min for r in plain.rows] == [r.c_min for r in closed.rows] == [0, 0, 0]
 
 
 def test_bs_harness_dominates_plain_search(ring_x2, ops_pi_dx):
     for J in (ideal("y^2", "x*y"), ideal("y")):
         plain = find_min_c(J, ops_pi_dx, ring_x2, 3, 3, 10)
-        closed = bs_harness(J, ops_pi_dx, ring_x2, 3, 3, 10)
+        closed = shift_search("briancon_skoda", J, ops_pi_dx, ring_x2, 3, 3, 10)
         for a, b in zip(plain.rows, closed.rows):
             assert b.c_min >= a.c_min
 
 
 def test_bs_harness_rejects_nonmonomial_image(ring_x2, ops_pi_dx):
     with pytest.raises(NonMonomialIdealError):
-        bs_harness(ideal("y^2 + y"), ops_pi_dx, ring_x2, 2, 2, 8)
+        shift_search("briancon_skoda", ideal("y^2 + y"), ops_pi_dx, ring_x2, 2, 2, 8)
 
 
 def test_symb_harness_dimension_one_matches_plain(ring_x2, ops_pi_dx):
-    rep = symb_harness(ideal("x - y"), ops_pi_dx, ring_x2, 1, Poly.one(2), 3, 3, 12)
+    rep = shift_search(
+        "symbolic", ideal("x - y"), ops_pi_dx, ring_x2, 3, 3, 12, dimension=1, witness=Poly.one(2)
+    )
     assert [r.c_min for r in rep.rows] == [1, 1, 1]
     assert rep.rows[0].witness == P("y")
 
@@ -182,10 +185,23 @@ def test_symb_harness_two_dimensional_reduced_ring():
 
     ops = OperatorSet([DiffOp.identity(3), DiffOp.partial(3, (1, 0, 0))], rad)
     J = IdealHandle(3, [P("x - y", xyz), P("z", xyz)])
-    rep = symb_harness(J, ops, ring, 2, Poly.one(3), 2, 4, 8)
+    rep = shift_search("symbolic", J, ops, ring, 2, 4, 8, dimension=2, witness=Poly.one(3))
     assert all(r.c_min is not None for r in rep.rows)
 
 
 def test_symb_harness_rejects_witness_in_image(ring_x2, ops_pi_dx):
     with pytest.raises(ValueError):
-        symb_harness(ideal("x - y"), ops_pi_dx, ring_x2, 1, P("y"), 2, 2, 8)
+        shift_search("symbolic", ideal("x - y"), ops_pi_dx, ring_x2, 2, 2, 8, dimension=1, witness=P("y"))
+
+
+def test_symbolic_schedule_keeps_the_radical_with_two_minimal_primes():
+    # Q[x,y]/(x^2*y), rad (x*y): the source for (n, c, d) = (1, 1, 1) is
+    # (x^2, x*y) : y^infinity = (x).  symbolic_power((x) + rad, 2, y) + rad
+    # would be (x^2, x*y) instead.
+    rad = ideal("x*y")
+    ring = RingSpec(("x", "y"), ideal("x^2*y"), rad, (ideal("x"), ideal("y")))
+    J = ideal("x")
+    schedule, extras = SCHEDULES["symbolic"](J, ring, 1, P("y"))
+    source = schedule(ring.image_in_reduced(J), 1, 1)
+    assert extras == {}
+    assert ideal_equal(ideal_sum(source, rad), ideal("x"))

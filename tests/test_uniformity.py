@@ -6,10 +6,10 @@ from noethops.poly import Poly, monomials_up_to
 from noethops.uniformity import (
     PsiInconsistencyError,
     TruncatedSubspace,
-    artin_rees_experiment,
     check_reverse,
     diff_colon,
     find_min_c,
+    run_constant_experiment,
     separating_operator,
     subspace_in_ideal,
     verify_filtration,
@@ -241,7 +241,7 @@ def _family():
 
 
 def test_experiment_bundle(ring_x2, ops_pi_dx):
-    bundle = artin_rees_experiment(ring_x2, ops_pi_dx, _family(), 3, 3, 12, seed=0)
+    bundle = run_constant_experiment(ring_x2, ops_pi_dx, _family(), 3, 3, 12, seed=0)
     assert bundle.aggregate_c == 1
     assert all(r.passed for r in bundle.reverse)
     assert bundle.certificate.ok
@@ -251,20 +251,14 @@ def test_experiment_bundle(ring_x2, ops_pi_dx):
 
 
 def test_experiment_empty_family(ring_x2, ops_pi_dx):
-    bundle = artin_rees_experiment(ring_x2, ops_pi_dx, [], 3, 3, 8, seed=0)
+    bundle = run_constant_experiment(ring_x2, ops_pi_dx, [], 3, 3, 8, seed=0)
     assert bundle.aggregate_c == 0
     assert bundle.reports == []
 
 
 def test_experiment_single_maximal(ring_x2, ops_pi_dx):
-    bundle = artin_rees_experiment(ring_x2, ops_pi_dx, [("J", ideal("x", "y"))], 3, 3, 10, seed=0)
+    bundle = run_constant_experiment(ring_x2, ops_pi_dx, [("J", ideal("x", "y"))], 3, 3, 10, seed=0)
     assert bundle.aggregate_c == 0
-
-
-def test_experiment_jobs_independent(ring_x2, ops_pi_dx):
-    one = artin_rees_experiment(ring_x2, ops_pi_dx, _family(), 2, 2, 10, seed=0, jobs=1)
-    four = artin_rees_experiment(ring_x2, ops_pi_dx, _family(), 2, 2, 10, seed=0, jobs=4)
-    assert one.to_dict(XY) == four.to_dict(XY)
 
 
 def test_higher_nilpotency_raises_the_shift(ring_x3):
@@ -291,7 +285,7 @@ def test_two_minimal_primes_experiment():
     merged = combine_components(
         ideal("x^2*y"), [(c1, noetherian_ops_primary(c1)), (c2, noetherian_ops_primary(c2))], ring
     )
-    bundle = artin_rees_experiment(
+    bundle = run_constant_experiment(
         ring, merged, [("J1", ideal("x - y")), ("J2", ideal("x", "y"))], 2, 4, 10, seed=0
     )
     assert bundle.aggregate_c == 2
