@@ -36,6 +36,7 @@ from .groebner import (
     standard_monomials,
 )
 from .noetherian import (
+    ArithmeticBugError,
     ComponentMismatchError,
     NoetherianCertificate,
     NonRationalPointError,

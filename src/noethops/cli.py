@@ -26,6 +26,7 @@ from .configs import (
 from .diffops import OperatorSet, parse_operator_set
 from .groebner import ideal_sum
 from .noetherian import (
+    ArithmeticBugError,
     ComponentMismatchError,
     NonRationalPointError,
     PrimaryComponent,
@@ -323,6 +324,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ComponentMismatchError, PsiInconsistencyError, OperatorSetRefutedError) as exc:
         sys.stderr.write(f"refuted: {exc}\n")
+        return EXIT_REFUTED
+    except ArithmeticBugError as exc:
+        sys.stderr.write(f"arithmetic bug: {exc}\n")
         return EXIT_REFUTED
     except (PolyParseError, ConfigError, NonMonomialIdealError, NonRationalPointError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from . import linalg
 from .groebner import IdealHandle, ideal_power, ideal_sum, split_poly_list
 from .poly import GrevLex, Mono, Poly, mono_degree, monomials_up_to, parse_polynomial
 
@@ -183,6 +184,8 @@ class OperatorSet:
     ops: list[DiffOp]
     modulus: IdealHandle | None
     meta: object = None
+    # degree bound -> (monomials, per monomial [op(x^m) for each op])
+    _on_monomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.ops = [op.with_modulus(self.modulus) for op in self.ops]
@@ -190,6 +193,24 @@ class OperatorSet:
     @property
     def max_order(self) -> int:
         return max((op.order for op in self.ops), default=0)
+
+    def on_monomials(self, D: int) -> tuple[list[Mono], list[list[Poly]]]:
+        """The monomials of degree at most D in ascending order, and for each
+        one the values [op(x^m) for op in the set], reduced by the modulus.
+
+        Computed once per degree bound and kept: every truncated kernel of
+        this set at that bound starts from the same values.
+        """
+        cached = self._on_monomials.get(D)
+        if cached is None:
+            nvars = self.modulus.nvars if self.modulus is not None else self.ops[0].nvars
+            monos = monomials_up_to(nvars, D)
+            values = []
+            for m in monos:
+                basis_poly = Poly.monomial(nvars, m)
+                values.append([op.apply(basis_poly) for op in self.ops])
+            cached = self._on_monomials[D] = (monos, values)
+        return cached
 
     def __iter__(self):
         return iter(self.ops)
@@ -226,38 +247,28 @@ def parse_operator_set(text: str, var_names: Sequence[str], modulus: IdealHandle
 # truncated kernels
 
 
-def operator_kernel(
-    ops: Sequence[DiffOp], cond: IdealHandle, D: int
-) -> tuple[list[Mono], list[list[Fraction]]]:
-    """Basis vectors of {f in P_<=D : NF(op(f), cond) = 0 for every op},
-    over the ascending monomial enumeration of P_<=D.
+def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> tuple[list[Mono], list[dict]]:
+    """Basis vectors of {f in P_<=D : NF(op(f), cond) = 0 for every op}, as
+    sparse vectors over the ascending monomial enumeration of P_<=D.
 
-    `cond` must contain each operator's own modulus so that reducing the
-    applied value by `cond` is the intended condition.
+    `cond` must contain the set's modulus: the values op(x^m) are shared by
+    every call at this D (`OperatorSet.on_monomials`) and already reduced by
+    the modulus, so only their normal forms by `cond` are taken here.
     """
-    from . import linalg
-
-    nvars = cond.nvars
-    monos = monomials_up_to(nvars, D)
-    col_index = {m: j for j, m in enumerate(monos)}
-    rows: dict[tuple[int, Mono], list[Fraction]] = {}
-    for j, m in enumerate(monos):
-        basis_poly = Poly.monomial(nvars, m)
-        for i, op in enumerate(ops):
-            value = cond.normal_form(op.apply(basis_poly))
-            for out_mono, c in value.terms.items():
-                row = rows.get((i, out_mono))
-                if row is None:
-                    row = [Fraction(0)] * len(monos)
-                    rows[(i, out_mono)] = row
-                row[j] += c
+    monos, values = ops.on_monomials(D)
+    rows: dict[tuple[int, Mono], dict] = {}
+    for j, per_op in enumerate(values):
+        for i, value in enumerate(per_op):
+            for out_mono, c in cond.normal_form(value).terms.items():
+                rows.setdefault((i, out_mono), {})[j] = c
     ordered = [rows[k] for k in sorted(rows, key=lambda k: (k[0], _alpha_key(k[1])))]
-    vectors = linalg.kernel_basis(ordered, len(monos))
-    return monos, vectors
+    return monos, linalg.kernel_basis(ordered, len(monos))
 
 
-def kernel_polynomials(monos: list[Mono], vectors: list[list[Fraction]], nvars: int) -> list[Poly]:
-    return [Poly(nvars, {m: c for m, c in zip(monos, v) if c}) for v in vectors]
+def kernel_polynomials(monos: list[Mono], vectors: list[dict], nvars: int) -> list[Poly]:
+    """The polynomials of sparse vectors over `monos`, terms in ascending
+    column order."""
+    return [Poly(nvars, {monos[j]: c for j, c in sorted(v.items())}) for v in vectors]
 
 
 # ---------------------------------------------------------------------------

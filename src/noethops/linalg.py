@@ -1,80 +1,98 @@
-"""Exact dense row reduction over any exact field.
+"""Exact sparse row reduction over any exact field.
 
-Entries only need +, -, *, /, bool and ==; `fractions.Fraction` and
-`poly.RationalFunction` both qualify.  Pivoting takes the first nonzero
-entry in column order, never by magnitude, so results are deterministic.
+A row (or vector) is a dict from column index to its nonzero entry; absent
+columns are zero.  Entries only need +, -, *, /, bool and ==;
+`fractions.Fraction` and `poly.RationalFunction` both qualify.  Pivoting
+takes the first nonzero column, never by magnitude, so the reduced row
+echelon form is the unique one and results are deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+
+Row = dict  # column index -> nonzero entry
 
 
-def rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form (in place on a shallow copy of `rows`).
+def _subtract_multiple(row: Row, factor, other: Row) -> None:
+    """row -= factor * other, in place, dropping entries that cancel."""
+    for col, y in other.items():
+        x = row.get(col)
+        value = -(factor * y) if x is None else x - factor * y
+        if value:
+            row[col] = value
+        else:
+            del row[col]
 
-    Returns (nonzero rows, pivot column per row).
+
+def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form of the rows (which are not modified).
+
+    Returns (nonzero rows in ascending pivot order, pivot column per row).
+    Every column index must lie below `ncols`.
     """
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot_row = r
+    by_pivot: dict[int, Row] = {}
+    for source in rows:
+        row = {col: x for col, x in source.items() if x}
+        # forward elimination: clear the leading entry while an earlier row
+        # has its pivot there; the first surviving column becomes a pivot
+        while row:
+            col = min(row)
+            pivot_row = by_pivot.get(col)
+            if pivot_row is None:
+                inv = 1 / row[col]
+                by_pivot[col] = {c: x * inv for c, x in row.items()}
                 break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    return mat[:rank], pivots
+            _subtract_multiple(row, row[col], pivot_row)
+    pivots = sorted(by_pivot)
+    if pivots and pivots[-1] >= ncols:
+        raise ValueError("column index beyond ncols")
+    # back substitution, last pivot first: a row's entries at later pivot
+    # columns are cleared by rows already fully reduced, which have no entry
+    # at any other pivot column and so bring in none
+    for pc in reversed(pivots):
+        row = by_pivot[pc]
+        for col in [c for c in row if c != pc and c in by_pivot]:
+            _subtract_multiple(row, row[col], by_pivot[col])
+    return [by_pivot[pc] for pc in pivots], pivots
 
 
-def rank(rows: list[list], ncols: int) -> int:
+def rank(rows: list[Row], ncols: int) -> int:
     reduced, pivots = rref(rows, ncols)
     return len(pivots)
 
 
-def kernel_basis(rows: list[list], ncols: int, one=Fraction(1), zero=Fraction(0)) -> list[list]:
+def kernel_basis(rows: list[Row], ncols: int, one=Fraction(1)) -> list[Row]:
     """Basis of {v : M v = 0}, one vector per free column, in column order.
 
     The basis is the canonical one read off the RREF: vector j has `one` at
-    its free column and the negated pivot-column entries elsewhere.
+    its free column and the negated pivot-row entries of column j at the
+    pivot columns.  Each vector's keys ascend.
     """
     reduced, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
+    at_pivots: dict[int, list] = {}  # free column -> [(pivot column, entry)]
+    for row, pc in zip(reduced, pivots):
+        for col, x in row.items():
+            if col != pc:
+                at_pivots.setdefault(col, []).append((pc, -x))
     basis = []
     for col in range(ncols):
         if col in pivot_set:
             continue
-        v = [zero] * ncols
-        v[col] = one
-        for r, pc in enumerate(pivots):
-            if reduced[r][col]:
-                v[pc] = -reduced[r][col]
-        basis.append(v)
+        # pivots ascend, and a row has entries only right of its pivot
+        entries = at_pivots.get(col, [])
+        entries.append((col, one))
+        basis.append(dict(entries))
     return basis
 
 
-def reduce_vector(reduced: list[list], pivots: list[int], v: Sequence) -> list:
-    """Residual of v after elimination by RREF rows; zero iff v is in the row
-    space."""
-    out = list(v)
+def in_row_space(reduced: list[Row], pivots: list[int], v: Row) -> bool:
+    """Is v a combination of the RREF rows?  Eliminating v's entry at each
+    pivot column leaves nothing exactly when it is."""
+    residual = {col: x for col, x in v.items() if x}
     for row, pc in zip(reduced, pivots):
-        if out[pc]:
-            factor = out[pc]
-            out = [x - factor * y for x, y in zip(out, row)]
-    return out
-
-
-def in_row_space(reduced: list[list], pivots: list[int], v: Sequence) -> bool:
-    return not any(reduce_vector(reduced, pivots, v))
+        factor = residual.get(pc)
+        if factor is not None:
+            _subtract_multiple(residual, factor, row)
+    return not residual

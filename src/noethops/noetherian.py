@@ -41,6 +41,11 @@ from .poly import (
 )
 
 
+class ArithmeticBugError(RuntimeError):
+    """A theorem-backed check failed: the arithmetic, not the input, is at
+    fault.  Raised explicitly, so it survives `python -O`."""
+
+
 class NonRationalPointError(ValueError):
     """The prime does not cut out a rational point over the fraction field of
     the declared independent variables."""
@@ -125,9 +130,9 @@ def _alpha_factorial(alpha: Mono) -> int:
     return out
 
 
-def _truncated_dual_vectors(shifted_gens: list[Poly], colength: int, nvars: int, one, zero):
-    """Kernel vectors of the truncation matrices at the origin, stopping when
-    the kernel dimension reaches the colength.
+def _truncated_dual_vectors(shifted_gens: list[Poly], colength: int, nvars: int, one):
+    """Sparse kernel vectors of the truncation matrices at the origin,
+    stopping when the kernel dimension reaches the colength.
 
     Row (j, beta): coefficient vector of x^beta * g_j on monomials of degree
     <= t; the kernel of the stack is the t-truncated dual space.
@@ -135,15 +140,15 @@ def _truncated_dual_vectors(shifted_gens: list[Poly], colength: int, nvars: int,
     max_degree = max((g.degree() for g in shifted_gens), default=0)
     for t in range(colength + max_degree + 2):
         monos = monomials_up_to(nvars, t)
-        betas = monomials_up_to(nvars, t)
+        index = {m: j for j, m in enumerate(monos)}
         rows = []
         for g in shifted_gens:
-            for beta in betas:
+            for beta in monos:
                 shifted = g.scale_term(beta, one)
-                row = [shifted.terms.get(m, zero) for m in monos]
-                if any(row):
+                row = {index[m]: c for m, c in shifted.terms.items() if m in index and c}
+                if row:
                     rows.append(row)
-        vectors = linalg.kernel_basis(rows, len(monos), one=one, zero=zero)
+        vectors = linalg.kernel_basis(rows, len(monos), one=one)
         if len(vectors) == colength:
             return monos, vectors
     raise RuntimeError("dual space truncation failed to stabilize at the colength")
@@ -188,7 +193,7 @@ def dual_space(Q: IdealHandle, point: Sequence[Fraction]) -> list[DiffOp]:
             raise ValueError("point is not a root of the ideal")
     colength = len(standard_monomials(Q))
     shifted = [g.shift(point) for g in Q.gens]
-    monos, vectors = _truncated_dual_vectors(shifted, colength, nvars, Fraction(1), Fraction(0))
+    monos, vectors = _truncated_dual_vectors(shifted, colength, nvars, Fraction(1))
     maximal = IdealHandle(
         nvars,
         [Poly.variable(nvars, i) - Poly.constant(nvars, point[i]) for i in range(nvars)],
@@ -196,14 +201,16 @@ def dual_space(Q: IdealHandle, point: Sequence[Fraction]) -> list[DiffOp]:
     )
     ops = []
     for v in vectors:
-        terms = {
-            alpha: Poly.constant(nvars, c / _alpha_factorial(alpha))
-            for alpha, c in zip(monos, v)
-            if c
-        }
+        terms = {monos[j]: Poly.constant(nvars, c / _alpha_factorial(monos[j])) for j, c in v.items()}
         ops.append(_normalize_op(DiffOp(nvars, terms, maximal)))
-    assert len(ops) == colength
+    _check_colength(ops, colength)
     return ops
+
+
+def _check_colength(ops: list[DiffOp], colength: int) -> None:
+    """Dual-space bases have exactly colength elements (Macaulay)."""
+    if len(ops) != colength:
+        raise ArithmeticBugError(f"{len(ops)} dual operators for colength {colength}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +300,13 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
     colength = _field_colength(gens_f, ndep)
     shifted = _shift_field_polys(gens_f, point, ndep, nindep)
     rf_one = RationalFunction(Poly.one(nindep))
-    rf_zero = RationalFunction(Poly.zero(nindep))
-    monos, vectors = _truncated_dual_vectors(shifted, colength, ndep, rf_one, rf_zero)
+    monos, vectors = _truncated_dual_vectors(shifted, colength, ndep, rf_one)
 
     ops = []
     for v in vectors:
         coeffs: dict[Mono, RationalFunction] = {}
-        for alpha_dep, c in zip(monos, v):
-            if c:
-                coeffs[alpha_dep] = c * Fraction(1, _alpha_factorial(alpha_dep))
+        for j, c in v.items():
+            coeffs[monos[j]] = c * Fraction(1, _alpha_factorial(monos[j]))
         dens = []
         for c in coeffs.values():
             if not any(c.den == d for d in dens):
@@ -317,7 +322,7 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
                 alpha_full[pos] = e
             terms[tuple(alpha_full)] = _embed_indep_poly(cleared, indep, nvars)
         ops.append(_normalize_op(DiffOp(nvars, terms, comp.p)))
-    assert len(ops) == colength
+    _check_colength(ops, colength)
     return OperatorSet(ops, comp.p, meta=ComponentMeta(comp, colength))
 
 
@@ -453,8 +458,8 @@ def verify_noetherian_ops(a: IdealHandle, ops: OperatorSet, D: int) -> Noetheria
             betas = monomials_up_to(nvars, e_max)
             rows = []
             for op in ops:
-                row = [modulus.normal_form(op.apply(Poly.monomial(nvars, b))).constant_term() for b in betas]
-                rows.append(row)
+                values = (modulus.normal_form(op.apply(Poly.monomial(nvars, b))).constant_term() for b in betas)
+                rows.append({j: c for j, c in enumerate(values) if c})
             if linalg.rank(rows, len(betas)) == colength:
                 return NoetherianCertificate("exact", D, ops)
 
@@ -463,7 +468,7 @@ def verify_noetherian_ops(a: IdealHandle, ops: OperatorSet, D: int) -> Noetheria
         if cert is not None:
             return cert
 
-    monos, vectors = operator_kernel(list(ops), modulus, D)
+    monos, vectors = operator_kernel(ops, modulus, D)
     for f in kernel_polynomials(monos, vectors, nvars):
         if a.normal_form(f):
             return NoetherianCertificate(
@@ -482,7 +487,6 @@ def _verify_exact_over_field(a: IdealHandle, ops: OperatorSet, D: int) -> Noethe
     except (NonRationalPointError, NotZeroDimensionalError):
         return None
     rf_zero = RationalFunction(Poly.zero(nindep))
-    rf_one = RationalFunction(Poly.one(nindep))
     values = {}
     for j in range(ndep):
         terms = {}
@@ -494,8 +498,8 @@ def _verify_exact_over_field(a: IdealHandle, ops: OperatorSet, D: int) -> Noethe
     rows = []
     for op in ops:
         raw = op.with_modulus(None)
-        row = []
-        for beta in betas:
+        row = {}
+        for j, beta in enumerate(betas):
             full = [0] * a.nvars
             for pos, e in zip(dep, beta):
                 full[pos] = e
@@ -503,7 +507,8 @@ def _verify_exact_over_field(a: IdealHandle, ops: OperatorSet, D: int) -> Noethe
             vf = _to_field_poly(value, dep, indep).substitute(values)
             assert isinstance(vf, Poly)
             const = vf.constant_term()
-            row.append(const if isinstance(const, RationalFunction) else rf_zero + const)
+            if const:
+                row[j] = const if isinstance(const, RationalFunction) else rf_zero + const
         rows.append(row)
     if linalg.rank(rows, len(betas)) == colength:
         return NoetherianCertificate("exact", D, ops)

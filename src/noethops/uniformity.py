@@ -32,7 +32,7 @@ from .groebner import (
     ideal_sum,
     is_subideal,
 )
-from .noetherian import NoetherianCertificate, verify_noetherian_ops
+from .noetherian import ArithmeticBugError, NoetherianCertificate, verify_noetherian_ops
 from .poly import Mono, Poly, RationalFunction, monomials_up_to
 
 
@@ -41,14 +41,16 @@ from .poly import Mono, Poly, RationalFunction, monomials_up_to
 
 
 class TruncatedSubspace:
-    """Linear subspace of P_<=D, held as a row-reduced basis over the fixed
-    ascending monomial enumeration."""
+    """Linear subspace of P_<=D, held as a row-reduced basis of sparse
+    vectors over the fixed ascending monomial enumeration."""
 
-    def __init__(self, nvars: int, degree_bound: int, vectors: list[list[Fraction]], monos: list[Mono] | None = None):
+    def __init__(self, nvars: int, degree_bound: int, vectors: list[dict], monos: list[Mono] | None = None):
         self.nvars = nvars
         self.degree_bound = degree_bound
         self.monos = monos if monos is not None else monomials_up_to(nvars, degree_bound)
         self._index = {m: j for j, m in enumerate(self.monos)}
+        # reduced, so that the basis (and the first witness read off it) does
+        # not depend on which spanning vectors were passed in
         self._rref, self._pivots = linalg.rref(vectors, len(self.monos))
         self.basis = kernel_polynomials(self.monos, self._rref, nvars)
 
@@ -56,27 +58,18 @@ class TruncatedSubspace:
     def from_polynomials(cls, nvars: int, degree_bound: int, polys: Sequence[Poly]) -> "TruncatedSubspace":
         monos = monomials_up_to(nvars, degree_bound)
         index = {m: j for j, m in enumerate(monos)}
-        vectors = []
-        for p in polys:
-            v = [Fraction(0)] * len(monos)
-            for m, c in p.terms.items():
-                if m not in index:
-                    raise ValueError("polynomial exceeds the degree bound")
-                v[index[m]] = c
-            vectors.append(v)
-        return cls(nvars, degree_bound, vectors, monos)
+        if any(m not in index for p in polys for m in p.terms):
+            raise ValueError("polynomial exceeds the degree bound")
+        return cls(nvars, degree_bound, [{index[m]: c for m, c in p.terms.items()} for p in polys], monos)
 
     @property
     def dim(self) -> int:
         return len(self._rref)
 
     def contains_poly(self, f: Poly) -> bool:
-        v = [Fraction(0)] * len(self.monos)
-        for m, c in f.terms.items():
-            j = self._index.get(m)
-            if j is None:
-                return False
-            v[j] = c
+        if any(m not in self._index for m in f.terms):
+            return False
+        v = {self._index[m]: c for m, c in f.terms.items()}
         return linalg.in_row_space(self._rref, self._pivots, v)
 
     def contains_subspace(self, other: "TruncatedSubspace") -> bool:
@@ -90,18 +83,24 @@ class TruncatedSubspace:
 def diff_colon_of_ideal(source: IdealHandle, ops: OperatorSet, ring: RingSpec, D: int) -> TruncatedSubspace:
     """{f in P_<=D : op(f) = 0 mod (source + rad) for every op}."""
     cond = ideal_sum(source, ring.rad)
-    monos, vectors = operator_kernel(list(ops), cond, D)
+    monos, vectors = operator_kernel(ops, cond, D)
     return TruncatedSubspace(ring.nvars, D, vectors, monos)
 
 
 def diff_colon(I: IdealHandle, m: int, ops: OperatorSet, ring: RingSpec, D: int) -> TruncatedSubspace:
     """The degree-truncated differential colon of I^m by the operator set:
     all f of degree <= D with every op(f) in I^m + rad."""
-    if ops.modulus is None or not ideal_equal(ops.modulus, ring.rad):
-        raise ValueError("operator set modulus differs from the ring radical")
+    _require_radical_modulus(ops, ring)
     if D < 1:
         raise ValueError("degree bound must be at least 1")
     return diff_colon_of_ideal(ideal_power(I, m), ops, ring, D)
+
+
+def _require_radical_modulus(ops: OperatorSet, ring: RingSpec) -> None:
+    """The colon reduces the shared values op(x^m) by (source + rad), which
+    reads them correctly only when they were reduced by rad itself."""
+    if ops.modulus is None or not ideal_equal(ops.modulus, ring.rad):
+        raise ValueError("operator set modulus differs from the ring radical")
 
 
 @dataclass
@@ -206,7 +205,10 @@ def find_min_c(
 
     Each recorded witness is re-verified: it is killed into schedule(I,n,c-1)
     by every operator yet lies outside J^n, independent of the search path.
+    Every (n, c) colon shares the operators' values on monomials, read
+    modulo the set's modulus, which must therefore be the ring's radical.
     """
+    _require_radical_modulus(ops, ring)
     I = ring.image_in_reduced(J)
     rows = []
     for n in range(1, n_max + 1):
@@ -233,9 +235,9 @@ def _assert_exact_witness(f: Poly, source: IdealHandle, Jn: IdealHandle, ops: Op
     cond = ideal_sum(source, ring.rad)
     for op in ops:
         if cond.normal_form(op.apply(f)):
-            raise AssertionError("recorded witness is not killed into the colon source")
+            raise ArithmeticBugError("recorded witness is not killed into the colon source")
     if not ideal_sum(Jn, ring.N).normal_form(f):
-        raise AssertionError("recorded witness lies in the target power after all")
+        raise ArithmeticBugError("recorded witness lies in the target power after all")
 
 
 # ---------------------------------------------------------------------------
@@ -325,23 +327,20 @@ def separating_operator(
             alphas = monomials_up_to(nvars, t)
             unknowns = [(alpha, mu) for alpha in alphas for mu in coeff_monos]
             columns = {u: j for j, u in enumerate(unknowns)}
-            rows: dict[tuple[int, Mono, Mono], list[Fraction]] = {}
+            rows: dict[tuple[int, Mono, Mono], dict[int, Fraction]] = {}
             for gi, g in enumerate(a_full.gens):
                 for beta in monomials_up_to(nvars, t):
                     shifted = Poly.monomial(nvars, beta) * g
                     for (alpha, mu), j in columns.items():
                         contrib = ring.rad.normal_form(Poly.monomial(nvars, mu) * shifted.derivative(alpha))
                         for m, c in contrib.terms.items():
-                            key = (gi, beta, m)
-                            if key not in rows:
-                                rows[key] = [Fraction(0)] * len(unknowns)
-                            rows[key][j] += c
+                            rows.setdefault((gi, beta, m), {})[j] = c
             ordered = [rows[k] for k in sorted(rows)]
             vectors = linalg.kernel_basis(ordered, len(unknowns))
             for v in vectors:
                 terms: dict[Mono, Poly] = {}
                 for (alpha, mu), j in columns.items():
-                    if v[j]:
+                    if j in v:
                         prev = terms.get(alpha, Poly.zero(nvars))
                         terms[alpha] = prev + Poly.monomial(nvars, mu, v[j])
                 delta = DiffOp(nvars, terms, ring.rad)
@@ -370,7 +369,7 @@ def _finish_separating(
         lhs = delta.apply(f * g)
         rhs = f * delta.apply(g)
         if p.normal_form(lhs - rhs):
-            raise AssertionError("restricted linearity failed; separating operator search is buggy")
+            raise ArithmeticBugError("restricted linearity failed; separating operator search is buggy")
 
     pivot = None
     for h, psi_h in zip(b.gens, psi):

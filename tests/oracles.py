@@ -1,6 +1,7 @@
 """Reference implementations the tests compare the package against."""
 
 import itertools
+from fractions import Fraction
 
 from noethops.closures import _monomial_exponents
 from noethops.groebner import IdealHandle
@@ -21,3 +22,61 @@ def monomial_closure_bruteforce_oracle(I: IdealHandle, candidate: Mono, k_max: i
             if mono_divides(tuple(total), target):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# dense row reduction: the list-of-lists elimination the sparse `linalg`
+# replaced, kept as the reference it is tested against
+
+
+def dense_rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan elimination on full rows,
+    pivoting on the first nonzero column; returns (nonzero rows, pivots)."""
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for r in range(rank, len(mat)):
+            if mat[r][col]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
+        pivots.append(col)
+        rank += 1
+    return mat[:rank], pivots
+
+
+def dense_kernel_basis(rows: list[list], ncols: int, one=Fraction(1), zero=Fraction(0)) -> list[list]:
+    """One kernel vector per free column, in column order: `one` at the free
+    column and the negated pivot-row entries at the pivot columns."""
+    reduced, pivots = dense_rref(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for col in range(ncols):
+        if col in pivot_set:
+            continue
+        v = [zero] * ncols
+        v[col] = one
+        for r, pc in enumerate(pivots):
+            if reduced[r][col]:
+                v[pc] = -reduced[r][col]
+        basis.append(v)
+    return basis
+
+
+def dense_in_row_space(reduced: list[list], pivots: list[int], v: list) -> bool:
+    out = list(v)
+    for row, pc in zip(reduced, pivots):
+        if out[pc]:
+            factor = out[pc]
+            out = [x - factor * y for x, y in zip(out, row)]
+    return not any(out)

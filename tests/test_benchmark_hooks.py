@@ -1,7 +1,9 @@
 """The benchmark wraps named functions of the package from outside `src/`
 (`perfbench/tracer.py`); a refactor that moves or rebinds one of them breaks
 the traced runs.  This runs the benchmark's own wrapper test in the suite,
-without copying its assertions, and leaves the process as it found it."""
+without copying its assertions, and checks one pass of three workloads
+against the benchmark's goldens.  Each test leaves the process as it found
+it."""
 
 import sys
 from pathlib import Path
@@ -33,3 +35,13 @@ def perfbench_tests():
 
 def test_benchmark_wrappers_reach_names_imported_elsewhere(perfbench_tests):
     perfbench_tests.test_wrappers_reach_names_imported_elsewhere()
+
+
+@pytest.mark.parametrize("name", ["paper_suite", "colon_3var", "dual_ops"])
+def test_benchmark_pass_matches_goldens(perfbench_tests, name):
+    # one untraced pass at seed 0 (the inputs as written): every witness,
+    # shift and certificate equals the one captured in perfbench/goldens.json
+    workload = perfbench_tests.WORKLOADS[name]
+    p = perfbench_tests.run.one_pass(workload, 0, perfbench_tests.GOLDENS[name], traced=False)
+    assert p.attempted > 0
+    assert p.failed == []

@@ -10,7 +10,7 @@ from noethops.cli import main
 from noethops.groebner import ideal_power, ideal_sum
 from noethops.poly import parse_polynomial
 
-from conftest import ideal
+from conftest import P, ideal
 
 RING_X2 = "ring: Q[x,y] / (x^2)\nradical: (x)\nminimal-primes: [(x)]\n"
 RING_X3 = "ring: Q[x,y] / (x^3)\nradical: (x)\nminimal-primes: [(x)]\n"
@@ -81,6 +81,44 @@ def test_malformed_polynomial_exit_1(ring_file, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "position" in err
+
+
+def _drop_one_dual_vector(monkeypatch):
+    from noethops import noetherian
+
+    truncated = noetherian._truncated_dual_vectors
+
+    def short(*args):
+        monos, vectors = truncated(*args)
+        return monos, vectors[:-1]
+
+    monkeypatch.setattr(noetherian, "_truncated_dual_vectors", short)
+
+
+@pytest.mark.parametrize(
+    "where",
+    [["--point", "0,0"], ["--prime", "x", "--independent", "y"]],
+    ids=["dual_space", "positive_dimensional"],
+)
+def test_noeth_ops_colength_mismatch_exit_2(ring_file, monkeypatch, capsys, where):
+    _drop_one_dual_vector(monkeypatch)
+    ideal_text = "x^2; y" if where[0] == "--point" else "x^2"
+    rc = main(["noeth-ops", ring_file, "--ideal", ideal_text] + where)
+    assert rc == 2
+    assert capsys.readouterr().err == "arithmetic bug: 1 dual operators for colength 2\n"
+
+
+def test_find_c_false_witness_exit_2(config_file, monkeypatch, capsys):
+    # a containment test that wrongly refutes with the witness 1: its exact
+    # re-verification fails, which is an arithmetic bug, not an input error
+    from noethops import uniformity
+
+    monkeypatch.setattr(
+        uniformity, "subspace_in_ideal", lambda S, J, ring: uniformity.ContainmentResult(False, P("1"))
+    )
+    rc = main(["find-c", config_file, "--format", "csv"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("arithmetic bug: ")
 
 
 def test_verify_ops_refuted(ring_file, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from noethops.diffops import (
     DiffOp,
+    OperatorSet,
     check_order_lemma,
     operator_kernel,
     parse_operator,
@@ -122,10 +123,23 @@ def test_parse_operator_set_roundtrip(ring_x2):
 
 
 def test_operator_kernel_of_projection(ring_x2):
-    ops = [DiffOp.identity(2, ring_x2.rad)]
+    ops = OperatorSet([DiffOp.identity(2)], ring_x2.rad)
     monos, vectors = operator_kernel(ops, ring_x2.rad, 2)
     # kernel of the projection: multiples of x, of degree <= 2
     assert len(vectors) == 3
+
+
+def test_operator_kernel_shares_values_across_conditions(ring_x2):
+    # one set serves kernels under several conditions: each equals the
+    # kernel computed by a fresh set, and the conditions do change it
+    text = "1; dx; y*dx^2 + x*dy"
+    shared = parse_operator_set(text, XY, ring_x2.rad)
+    dims = []
+    for cond in (ideal("x", "y^2"), ring_x2.rad, ideal("x", "y^3")):
+        fresh = parse_operator_set(text, XY, ring_x2.rad)
+        assert operator_kernel(shared, cond, 5) == operator_kernel(fresh, cond, 5)
+        dims.append(len(operator_kernel(shared, cond, 5)[1]))
+    assert len(set(dims)) == 3
 
 
 # --- order lemma regression ------------------------------------------------------

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import noethops
 
 from noethops.diffops import DiffOp, OperatorSet
 from noethops.groebner import IdealHandle, RingSpec, standard_monomials
@@ -32,13 +37,17 @@ def _span_equal(ops_a, ops_b, degree):
             out.append([op.apply(Poly.monomial(2, m)) for m in monomials_up_to(2, degree)])
         return out
 
+    frame = monomials_up_to(2, degree + 2)
+
     def vectorize(rows_):
-        # polynomials -> coefficient lists over a common monomial frame
-        frame = monomials_up_to(2, degree + 2)
-        return [[p.terms.get(m, Fraction(0)) for p in row for m in frame] for row in rows_]
+        # polynomials -> sparse coefficient vectors over a common monomial frame
+        return [
+            {k: c for k, c in enumerate(p.terms.get(m, Fraction(0)) for p in row for m in frame) if c}
+            for row in rows_
+        ]
 
     va, vb = vectorize(rows(ops_a)), vectorize(rows(ops_b))
-    ncols = len(va[0])
+    ncols = len(monomials_up_to(2, degree)) * len(frame)
     ra, _ = linalg.rref(va, ncols)
     rb, _ = linalg.rref(vb, ncols)
     return ra == rb
@@ -232,3 +241,47 @@ def test_certificate_serialization(ring_x2, ops_pi_dx):
     data = cert.to_dict(XY)
     assert data["status"] == "verified_up_to_degree"
     assert data["operators"] == ["1", "dx"]
+
+
+# --- theorem-backed checks under python -O ----------------------------------------
+
+_COLENGTH_UNDER_O = """
+import sys
+from noethops import noetherian
+from noethops.groebner import IdealHandle
+from noethops.poly import parse_polynomial
+
+assert False, "assert statements run: not optimized"
+truncated = noetherian._truncated_dual_vectors
+noetherian._truncated_dual_vectors = lambda *a: (lambda mv: (mv[0], mv[1][:-1]))(truncated(*a))
+P = lambda t: parse_polynomial(t, ["x", "y"])
+calls = [
+    lambda: noetherian.dual_space(IdealHandle(2, [P("x^2"), P("y")]), (0, 0)),
+    lambda: noetherian.noetherian_ops_primary(
+        noetherian.PrimaryComponent(IdealHandle(2, [P("x^2")]), IdealHandle(2, [P("x")]), (1,))
+    ),
+]
+for call in calls:
+    try:
+        call()
+        print("not caught")
+    except noetherian.ArithmeticBugError as exc:
+        print(f"caught: {exc}")
+print(f"optimize={sys.flags.optimize}")
+"""
+
+
+def test_colength_check_survives_python_O():
+    src_root = os.path.dirname(os.path.dirname(noethops.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _COLENGTH_UNDER_O],
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_root},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "caught: 1 dual operators for colength 2",
+        "caught: 1 dual operators for colength 2",
+        "optimize=1",
+    ]

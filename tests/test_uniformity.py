@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from noethops.diffops import DiffOp, OperatorSet
@@ -48,6 +50,18 @@ def test_diff_colon_requires_radical_modulus(ring_x2):
     ops = OperatorSet([DiffOp.identity(2)], ideal("y"))
     with pytest.raises(ValueError):
         diff_colon(ideal("y"), 1, ops, ring_x2, 2)
+
+
+def test_find_min_c_requires_radical_modulus(ring_x2):
+    # the shared values op(x^m) are reduced by the set's modulus, so a colon
+    # read from them is the intended one only when that modulus is rad
+    ops = OperatorSet([DiffOp.identity(2)], ideal("y"))
+    with pytest.raises(ValueError) as colon_error:
+        diff_colon(ideal("y"), 1, ops, ring_x2, 2)
+    with pytest.raises(ValueError) as search_error:
+        find_min_c(ideal("x - y"), ops, ring_x2, 1, 1, 2)
+    assert type(search_error.value) is type(colon_error.value)
+    assert str(search_error.value) == str(colon_error.value)
 
 
 def test_diff_colon_monotone_in_power(ring_x2, ops_pi_dx):
@@ -113,6 +127,26 @@ def test_find_min_c_witness_reverified_independently(ring_x2, ops_pi_dx):
             assert not source.normal_form(op.apply(f))
         target = ideal_sum(ideal_power(ideal("x - y"), row.n), ring_x2.N)
         assert target.normal_form(f)
+
+
+def test_find_min_c_applies_each_operator_to_each_monomial_once(ring_x2, ops_pi_dx, monkeypatch):
+    calls = Counter()
+    apply = DiffOp.apply
+
+    def counted(op, f):
+        calls[(id(op), f)] += 1
+        return apply(op, f)
+
+    monkeypatch.setattr(DiffOp, "apply", counted)
+    D = 8
+    rep = find_min_c(ideal("x - y"), ops_pi_dx, ring_x2, 2, 3, D)
+    assert [r.c_min for r in rep.rows] == [1, 1]  # two colons for each n
+    witnesses = [r.witness for r in rep.rows]
+    for op in ops_pi_dx:
+        for m in monomials_up_to(2, D):
+            x_m = Poly.monomial(2, m)
+            # once for all four colons, plus each re-verification of a witness
+            assert calls[(id(op), x_m)] == 1 + witnesses.count(x_m)
 
 
 def test_find_min_c_exhaustion(ring_x2, ops_pi_dx):
