@@ -178,7 +178,7 @@ def cmd_check_ar_reverse(args) -> int:
     ok = True
     for name, J in cfg.ideals:
         for n in range(1, n_max + 1):
-            rep = check_reverse(J, cfg.operators, cfg.ring, n, cfg.degree)
+            rep = check_reverse(J, cfg.operators, cfg.ring, n)
             lines.append(f"{name} n={n}: {'pass' if rep.passed else 'FAIL'}")
             ok = ok and rep.passed
     _emit("\n".join(lines) + "\n", args.out)

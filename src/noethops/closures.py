@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from .diffops import OperatorSet
 from .groebner import IdealHandle, RingSpec, ideal_power, ideal_sum, saturate
 from .poly import GrevLex, Mono, Poly, mono_degree, mono_divides
-from .uniformity import ConstantReport, PowerSchedule, find_min_c
+from .uniformity import ConstantReport, PowerSchedule, _ordinary_powers, find_min_c
 
 
 class NonMonomialIdealError(ValueError):
@@ -180,7 +180,7 @@ def _ordinary_schedule(
     J: IdealHandle, ring: RingSpec, dimension: int | None, witness: Poly | None
 ) -> tuple[PowerSchedule, dict]:
     """The plain power I^(n+c) (differential Artin-Rees)."""
-    return (lambda I, n, c: ideal_power(I, n + c)), {}
+    return _ordinary_powers, {}
 
 
 def _closure_schedule(

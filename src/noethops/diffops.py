@@ -271,6 +271,28 @@ def kernel_polynomials(monos: list[Mono], vectors: list[dict], nvars: int) -> li
     return [Poly(nvars, {monos[j]: c for j, c in sorted(v.items())}) for v in vectors]
 
 
+def first_not_killed(ops: OperatorSet, gens: Sequence[Poly], target: IdealHandle | None = None) -> Poly | None:
+    """The first h = x^beta * g, iterating operators, then generators g, then
+    monomials x^beta of degree at most the operator's order, with op(h)
+    outside `target` (the set's own modulus when None); None when there is
+    none.
+
+    None is exact: an operator of order d composed with multiplication by g
+    is again an operator of order at most d, hence carries every multiple of
+    g into `target` once it carries the monomials of degree at most d there.
+    """
+    for op in ops:
+        for g in gens:
+            for beta in monomials_up_to(g.nvars, op.order):
+                h = Poly.monomial(g.nvars, beta) * g
+                value = op.apply(h)
+                if target is not None:
+                    value = target.normal_form(value)
+                if value:
+                    return h
+    return None
+
+
 # ---------------------------------------------------------------------------
 # order lemma regression
 

@@ -1,12 +1,14 @@
 """Noetherian operators describing primary ideals, and their verification.
 
-Zero-dimensional primary ideals are described through the classical Macaulay
-dual space at the point; positive-dimensional primary ideals are reduced to
-that case over the fraction field F = Q(u) of a user-declared independent
-variable set, then denominators are cleared back to polynomial coefficients.
-`verify_noetherian_ops` certifies a claimed operator set exactly where a
-dual-dimension count is available and degree-truncated otherwise, and
-refutes with an explicit witness when the claim is wrong.
+One engine serves every primary component: the Macaulay dual space at the
+rational point that the prime cuts out over F = Q(u), u a user-declared
+independent variable set, with denominators cleared back to polynomial
+coefficients.  With no u, F = Q (plain `Fraction` coefficients) and this is
+the dual space at a point (`dual_space`).  `verify_noetherian_ops`
+certifies a claimed operator set exactly where a dual-dimension count over
+F is available (the modulus is the rational point of the ideal over F) and
+degree-truncated otherwise, and refutes with an explicit witness when the
+claim is wrong.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .diffops import DiffOp, OperatorSet, kernel_polynomials, operator_kernel
+from .diffops import DiffOp, OperatorSet, first_not_killed, kernel_polynomials, operator_kernel
 from .groebner import (
     IdealHandle,
     NotZeroDimensionalError,
@@ -27,7 +29,6 @@ from .groebner import (
     eliminate,
     ideal_equal,
     ideal_intersect,
-    standard_monomials,
 )
 from .poly import (
     GrevLex,
@@ -177,7 +178,8 @@ def _normalize_op(op: DiffOp) -> DiffOp:
 
 def dual_space(Q: IdealHandle, point: Sequence[Fraction]) -> list[DiffOp]:
     """Macaulay dual space basis of a zero-dimensional ideal primary to the
-    maximal ideal at `point`.
+    maximal ideal at `point`: the component case with no independent
+    variables, so F = Q.
 
     Returns operators whose evaluation at the point (realized as reduction by
     the maximal ideal, set as the operator modulus) spans the dual; their
@@ -191,20 +193,12 @@ def dual_space(Q: IdealHandle, point: Sequence[Fraction]) -> list[DiffOp]:
     for g in Q.gens:
         if g.evaluate(point):
             raise ValueError("point is not a root of the ideal")
-    colength = len(standard_monomials(Q))
-    shifted = [g.shift(point) for g in Q.gens]
-    monos, vectors = _truncated_dual_vectors(shifted, colength, nvars, Fraction(1))
     maximal = IdealHandle(
         nvars,
         [Poly.variable(nvars, i) - Poly.constant(nvars, point[i]) for i in range(nvars)],
         Q.order,
     )
-    ops = []
-    for v in vectors:
-        terms = {monos[j]: Poly.constant(nvars, c / _alpha_factorial(monos[j])) for j, c in v.items()}
-        ops.append(_normalize_op(DiffOp(nvars, terms, maximal)))
-    _check_colength(ops, colength)
-    return ops
+    return noetherian_ops_primary(PrimaryComponent(Q, maximal)).ops
 
 
 def _check_colength(ops: list[DiffOp], colength: int) -> None:
@@ -214,30 +208,36 @@ def _check_colength(ops: list[DiffOp], colength: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# positive-dimensional components over F = Q(u)
+# components over F = Q(u)
+
+
+def _field_element(q: Poly):
+    """A polynomial in the independent variables u as an element of F:
+    a `Fraction` when there are none (F = Q), else a `RationalFunction`."""
+    return RationalFunction(q) if q.nvars else q.constant_term()
 
 
 def _to_field_poly(f: Poly, dep: tuple[int, ...], indep: tuple[int, ...]) -> Poly:
     """Rewrite an ambient polynomial as a polynomial in the dependent
-    variables with rational-function coefficients in the independent ones."""
+    variables with coefficients in F."""
     acc: dict[Mono, dict[Mono, Fraction]] = {}
     for m, c in f.terms.items():
         dm = tuple(m[i] for i in dep)
         im = tuple(m[i] for i in indep)
         bucket = acc.setdefault(dm, {})
         bucket[im] = bucket.get(im, Fraction(0)) + c
-    terms = {dm: RationalFunction(Poly(len(indep), co)) for dm, co in acc.items()}
+    terms = {dm: _field_element(Poly(len(indep), co)) for dm, co in acc.items()}
     return Poly(len(dep), terms)
 
 
-def _rational_point_of_prime(p: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...]) -> list[RationalFunction]:
+def _rational_point_of_prime(p: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...]) -> list:
     """Solve the prime for the dependent variables over F; errors unless its
     Groebner basis over F has the linear form {x_j - r_j(u)}."""
     ndep = len(dep)
     gens_f = [_to_field_poly(g, dep, indep) for g in p.gens]
     gb = buchberger(gens_f, GrevLex())
-    point: dict[int, RationalFunction] = {}
-    rf_zero = RationalFunction(Poly.zero(len(indep)))
+    point = {}
+    zero = _field_element(Poly.zero(len(indep)))
     if len(gb) != ndep:
         raise NonRationalPointError("prime is not maximal with a rational point over the independent variables")
     for g in gb:
@@ -248,7 +248,7 @@ def _rational_point_of_prime(p: IdealHandle, dep: tuple[int, ...], indep: tuple[
         tail_monos = [m for m in g.terms if m != lead]
         if any(mono_degree(m) != 0 for m in tail_monos):
             raise NonRationalPointError("prime does not solve linearly for the dependent variables")
-        const = g.terms.get(mono_zero(ndep), rf_zero)
+        const = g.terms.get(mono_zero(ndep), zero)
         point[slot] = -const
     if sorted(point) != list(range(ndep)):
         raise NonRationalPointError("prime does not determine every dependent variable")
@@ -260,11 +260,11 @@ def _field_colength(gens: list[Poly], ndep: int) -> int:
     return len(_standard_monomials_from_gb(gb, GrevLex(), ndep))
 
 
-def _shift_field_polys(gens_f: list[Poly], point: list[RationalFunction], ndep: int, nindep: int) -> list[Poly]:
-    rf_one = RationalFunction(Poly.one(nindep))
+def _shift_field_polys(gens_f: list[Poly], point: list, ndep: int, nindep: int) -> list[Poly]:
+    one = _field_element(Poly.one(nindep))
     values = {}
     for j in range(ndep):
-        terms = {mono_unit(ndep, j): rf_one}
+        terms = {mono_unit(ndep, j): one}
         if point[j]:
             terms[mono_zero(ndep)] = point[j]
         values[j] = Poly(ndep, terms)
@@ -290,7 +290,8 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
     """Noetherian operators for a primary component, computed through the
     Macaulay dual space over F = Q(independent variables) at the rational
     point cut out by the prime, with denominators cleared to polynomial
-    coefficients (harmless: they avoid the prime)."""
+    coefficients (harmless: they avoid the prime).  With no independent
+    variables F = Q and this is the dual space at a point."""
     dep = comp.dependent
     indep = comp.independent
     nvars = comp.Q.nvars
@@ -299,14 +300,13 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
     gens_f = [_to_field_poly(g, dep, indep) for g in comp.Q.gens]
     colength = _field_colength(gens_f, ndep)
     shifted = _shift_field_polys(gens_f, point, ndep, nindep)
-    rf_one = RationalFunction(Poly.one(nindep))
-    monos, vectors = _truncated_dual_vectors(shifted, colength, ndep, rf_one)
+    monos, vectors = _truncated_dual_vectors(shifted, colength, ndep, _field_element(Poly.one(nindep)))
 
     ops = []
     for v in vectors:
         coeffs: dict[Mono, RationalFunction] = {}
         for j, c in v.items():
-            coeffs[monos[j]] = c * Fraction(1, _alpha_factorial(monos[j]))
+            coeffs[monos[j]] = RationalFunction.lift(c * Fraction(1, _alpha_factorial(monos[j])), nindep)
         dens = []
         for c in coeffs.values():
             if not any(c.den == d for d in dens):
@@ -394,82 +394,31 @@ def _prime_separator(p: IdealHandle, ring: RingSpec) -> Poly | None:
 # verification
 
 
-def _evaluation_point(modulus: IdealHandle) -> list[Fraction] | None:
-    """Coordinates when the modulus is the maximal ideal of a rational point."""
-    gb = modulus.gb
-    if len(gb) != modulus.nvars:
-        return None
-    point: dict[int, Fraction] = {}
-    zero = mono_zero(modulus.nvars)
-    for g in gb:
-        lead, lc = g.leading(modulus.order)
-        if mono_degree(lead) != 1 or lc != 1:
-            return None
-        slot = next(i for i, e in enumerate(lead) if e)
-        for m in g.terms:
-            if m != lead and m != zero:
-                return None
-        if slot in point:
-            return None
-        point[slot] = -g.terms.get(zero, Fraction(0))
-    if sorted(point) != list(range(modulus.nvars)):
-        return None
-    return [point[i] for i in range(modulus.nvars)]
-
-
 def verify_noetherian_ops(a: IdealHandle, ops: OperatorSet, D: int) -> NoetherianCertificate:
     """Certify or refute that the common kernel of `ops` (read modulo the set's
     modulus) equals the ideal `a`.
 
-    The containment "a is killed" is checked exactly: an operator of order d
-    composed with multiplication by a generator is again an operator of order
-    at most d, hence zero once it vanishes on all monomials of degree at most
-    d.  The reverse containment is certified exactly through a dual-dimension
-    count when one is available (evaluation operators at a rational point, or
-    component provenance over a declared independent set), and otherwise
-    degree-truncated at D.
+    The containment "a is killed" is checked exactly (`first_not_killed`).
+    The reverse containment is certified exactly through a dual-dimension
+    count when the modulus is the rational point of a over F = Q(u), u the
+    independent variables of the set's component provenance (none without
+    provenance, so F = Q), and otherwise degree-truncated at D.
     """
     if ops.modulus is None:
         raise ValueError("operator set has no target modulus")
     if any(g.degree() > D for g in a.gens):
         raise ValueError("degree bound is below the ideal's generator degrees")
-    modulus = ops.modulus
-    nvars = a.nvars
 
-    for op in ops:
-        d = op.order
-        for g in a.gens:
-            for beta in monomials_up_to(nvars, d):
-                value = op.apply(Poly.monomial(nvars, beta) * g)
-                if modulus.normal_form(value):
-                    return NoetherianCertificate(
-                        "refuted", D, ops, witness=Poly.monomial(nvars, beta) * g,
-                        witness_side="in_ideal_not_killed",
-                    )
+    witness = first_not_killed(ops, a.gens)
+    if witness is not None:
+        return NoetherianCertificate("refuted", D, ops, witness=witness, witness_side="in_ideal_not_killed")
 
-    e_max = ops.max_order
-    point = _evaluation_point(modulus)
-    if point is not None:
-        try:
-            colength = len(standard_monomials(a))
-        except NotZeroDimensionalError:
-            colength = None
-        if colength is not None:
-            betas = monomials_up_to(nvars, e_max)
-            rows = []
-            for op in ops:
-                values = (modulus.normal_form(op.apply(Poly.monomial(nvars, b))).constant_term() for b in betas)
-                rows.append({j: c for j, c in enumerate(values) if c})
-            if linalg.rank(rows, len(betas)) == colength:
-                return NoetherianCertificate("exact", D, ops)
+    cert = _verify_exact_over_field(a, ops, D)
+    if cert is not None:
+        return cert
 
-    if isinstance(ops.meta, ComponentMeta) and ops.meta.component.independent:
-        cert = _verify_exact_over_field(a, ops, D)
-        if cert is not None:
-            return cert
-
-    monos, vectors = operator_kernel(ops, modulus, D)
-    for f in kernel_polynomials(monos, vectors, nvars):
+    monos, vectors = operator_kernel(ops, ops.modulus, D)
+    for f in kernel_polynomials(monos, vectors, a.nvars):
         if a.normal_form(f):
             return NoetherianCertificate(
                 "refuted", D, ops, witness=f, witness_side="killed_not_in_ideal"
@@ -478,23 +427,20 @@ def verify_noetherian_ops(a: IdealHandle, ops: OperatorSet, D: int) -> Noetheria
 
 
 def _verify_exact_over_field(a: IdealHandle, ops: OperatorSet, D: int) -> NoetherianCertificate | None:
-    comp = ops.meta.component
-    dep, indep = comp.dependent, comp.independent
-    ndep, nindep = len(dep), len(indep)
+    """The "exact" certificate when the operators' values at the rational
+    point of the modulus over F span a space of dimension colength(a) over
+    F: with a already killed, their common kernel is then exactly a.  None
+    when the count falls short or is unavailable (no rational point, or a
+    not zero-dimensional over F)."""
+    indep = ops.meta.component.independent if isinstance(ops.meta, ComponentMeta) else ()
+    dep = tuple(i for i in range(a.nvars) if i not in indep)
     try:
         point = _rational_point_of_prime(ops.modulus, dep, indep)
-        colength = _field_colength([_to_field_poly(g, dep, indep) for g in a.gens], ndep)
+        colength = _field_colength([_to_field_poly(g, dep, indep) for g in a.gens], len(dep))
     except (NonRationalPointError, NotZeroDimensionalError):
         return None
-    rf_zero = RationalFunction(Poly.zero(nindep))
-    values = {}
-    for j in range(ndep):
-        terms = {}
-        if point[j]:
-            terms[mono_zero(ndep)] = point[j]
-        values[j] = Poly(ndep, terms)
 
-    betas = monomials_up_to(ndep, ops.max_order)
+    betas = monomials_up_to(len(dep), ops.max_order)
     rows = []
     for op in ops:
         raw = op.with_modulus(None)
@@ -503,12 +449,9 @@ def _verify_exact_over_field(a: IdealHandle, ops: OperatorSet, D: int) -> Noethe
             full = [0] * a.nvars
             for pos, e in zip(dep, beta):
                 full[pos] = e
-            value = raw.apply(Poly.monomial(a.nvars, tuple(full)))
-            vf = _to_field_poly(value, dep, indep).substitute(values)
-            assert isinstance(vf, Poly)
-            const = vf.constant_term()
-            if const:
-                row[j] = const if isinstance(const, RationalFunction) else rf_zero + const
+            value = _to_field_poly(raw.apply(Poly.monomial(a.nvars, tuple(full))), dep, indep).evaluate(point)
+            if value:
+                row[j] = value
         rows.append(row)
     if linalg.rank(rows, len(betas)) == colength:
         return NoetherianCertificate("exact", D, ops)

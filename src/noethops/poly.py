@@ -181,9 +181,6 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_constant(self) -> bool:
-        return all(mono_degree(m) == 0 for m in self.terms)
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -286,14 +283,20 @@ class Poly:
             out[mono_div(m, alpha)] = c * factor
         return Poly(self.nvars, out)
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
+    def evaluate(self, point: Sequence):
+        """Value at `point`, whose coordinates lie in the coefficient field
+        (`Fraction`, or `RationalFunction` for Q(u)); terms that a zero
+        coordinate kills are skipped."""
         total = Fraction(0)
         for m, c in self.terms.items():
             v = c
             for e, p in zip(m, point):
                 if e:
+                    if not p:
+                        break
                     v = v * p**e
-            total += v
+            else:
+                total = total + v
         return total
 
     def substitute(self, values: Mapping[int, "Poly | RationalFunction"]):
@@ -323,17 +326,6 @@ class Poly:
         if acc is None:
             return Poly.zero(self.nvars)
         return acc
-
-    def shift(self, point: Sequence[Fraction]) -> "Poly":
-        """f(x + point), used to translate a point to the origin."""
-        values = {
-            i: Poly(self.nvars, {mono_unit(self.nvars, i): Fraction(1), mono_zero(self.nvars): Fraction(p)})
-            for i, p in enumerate(point)
-            if p
-        }
-        out = self.substitute(values) if values else self
-        assert isinstance(out, Poly)
-        return out
 
     # variable bookkeeping ------------------------------------------------
 
@@ -543,6 +535,9 @@ class RationalFunction:
         if o is None:
             return NotImplemented
         return o / self
+
+    def __pow__(self, n: int):
+        return RationalFunction(self.num**n, self.den**n)
 
     def is_polynomial(self) -> bool:
         return self.den == Poly.one(self.den.nvars)

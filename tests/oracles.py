@@ -3,9 +3,11 @@
 import itertools
 from fractions import Fraction
 
+from noethops import linalg
 from noethops.closures import _monomial_exponents
-from noethops.groebner import IdealHandle
-from noethops.poly import Mono, mono_divides
+from noethops.diffops import OperatorSet
+from noethops.groebner import IdealHandle, NotZeroDimensionalError, standard_monomials
+from noethops.poly import Mono, Poly, mono_degree, mono_divides, mono_zero, monomials_up_to
 
 
 def monomial_closure_bruteforce_oracle(I: IdealHandle, candidate: Mono, k_max: int) -> bool:
@@ -80,3 +82,56 @@ def dense_in_row_space(reduced: list[list], pivots: list[int], v: list) -> bool:
             factor = out[pc]
             out = [x - factor * y for x, y in zip(out, row)]
     return not any(out)
+
+
+# ---------------------------------------------------------------------------
+# exact certification at a rational point over Q: the evaluation-functional
+# path the one certifier over F = Q(u) replaced, kept as its reference
+
+
+def _evaluation_point(modulus: IdealHandle) -> list[Fraction] | None:
+    """Coordinates when the modulus is the maximal ideal of a rational point."""
+    gb = modulus.gb
+    if len(gb) != modulus.nvars:
+        return None
+    point: dict[int, Fraction] = {}
+    zero = mono_zero(modulus.nvars)
+    for g in gb:
+        lead, lc = g.leading(modulus.order)
+        if mono_degree(lead) != 1 or lc != 1:
+            return None
+        slot = next(i for i, e in enumerate(lead) if e)
+        for m in g.terms:
+            if m != lead and m != zero:
+                return None
+        if slot in point:
+            return None
+        point[slot] = -g.terms.get(zero, Fraction(0))
+    if sorted(point) != list(range(modulus.nvars)):
+        return None
+    return [point[i] for i in range(modulus.nvars)]
+
+
+def point_exact_oracle(a: IdealHandle, ops: OperatorSet) -> bool:
+    """True when `ops` provably describes `a` at a rational point: every op
+    kills x^beta * g for each generator g and |beta| <= order(op), and the
+    values at the point, read as constant terms of normal forms by the
+    maximal ideal, have rank colength(a) over Q."""
+    modulus, nvars = ops.modulus, a.nvars
+    for op in ops:
+        for g in a.gens:
+            for beta in monomials_up_to(nvars, op.order):
+                if modulus.normal_form(op.apply(Poly.monomial(nvars, beta) * g)):
+                    return False
+    if _evaluation_point(modulus) is None:
+        return False
+    try:
+        colength = len(standard_monomials(a))
+    except NotZeroDimensionalError:
+        return False
+    betas = monomials_up_to(nvars, ops.max_order)
+    rows = []
+    for op in ops:
+        values = (modulus.normal_form(op.apply(Poly.monomial(nvars, b))).constant_term() for b in betas)
+        rows.append({j: c for j, c in enumerate(values) if c})
+    return linalg.rank(rows, len(betas)) == colength

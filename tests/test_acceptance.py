@@ -106,7 +106,7 @@ def test_criterion_04_reverse_containment(ring_x2, ops_pi_dx):
     ok = ops_pi_dx.max_order == 1
     for J in (ideal("x - y"), ideal("x", "y"), ideal("y")):
         for n in range(1, 6):
-            ok = ok and check_reverse(J, ops_pi_dx, ring_x2, n, 12).passed
+            ok = ok and check_reverse(J, ops_pi_dx, ring_x2, n).passed
     _report(4, "reverse containment", ok)
 
 

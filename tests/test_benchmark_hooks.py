@@ -1,7 +1,7 @@
 """The benchmark wraps named functions of the package from outside `src/`
 (`perfbench/tracer.py`); a refactor that moves or rebinds one of them breaks
 the traced runs.  This runs the benchmark's own wrapper test in the suite,
-without copying its assertions, and checks one pass of three workloads
+without copying its assertions, and checks one pass of each workload
 against the benchmark's goldens.  Each test leaves the process as it found
 it."""
 
@@ -37,7 +37,7 @@ def test_benchmark_wrappers_reach_names_imported_elsewhere(perfbench_tests):
     perfbench_tests.test_wrappers_reach_names_imported_elsewhere()
 
 
-@pytest.mark.parametrize("name", ["paper_suite", "colon_3var", "dual_ops"])
+@pytest.mark.parametrize("name", ["paper_suite", "colon_3var", "groebner_powers", "dual_ops"])
 def test_benchmark_pass_matches_goldens(perfbench_tests, name):
     # one untraced pass at seed 0 (the inputs as written): every witness,
     # shift and certificate equals the one captured in perfbench/goldens.json

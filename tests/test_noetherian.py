@@ -8,7 +8,7 @@ import pytest
 
 import noethops
 
-from noethops.diffops import DiffOp, OperatorSet
+from noethops.diffops import DiffOp, OperatorSet, parse_operator_set
 from noethops.groebner import IdealHandle, RingSpec, standard_monomials
 from noethops.noetherian import (
     ComponentMismatchError,
@@ -22,6 +22,7 @@ from noethops.noetherian import (
 from noethops.poly import Poly, monomials_up_to
 
 from conftest import P, ideal
+from oracles import point_exact_oracle
 
 XY = ["x", "y"]
 
@@ -241,6 +242,59 @@ def test_certificate_serialization(ring_x2, ops_pi_dx):
     data = cert.to_dict(XY)
     assert data["status"] == "verified_up_to_degree"
     assert data["operators"] == ["1", "dx"]
+
+
+def _random_point_ideal(rng, nvars):
+    """An ideal primary to the maximal ideal of a random rational point: a
+    power of each shifted variable plus a random element vanishing there."""
+    point = [Fraction(rng.choice([0, 0, 1, -2, 3])) / rng.choice([1, 2]) for _ in range(nvars)]
+    shifted = [Poly.variable(nvars, i) - Poly.constant(nvars, point[i]) for i in range(nvars)]
+    gens = [shifted[i] ** rng.randint(1, 3) for i in range(nvars)]
+    extra = Poly.zero(nvars)
+    for _ in range(rng.randint(1, 3)):
+        term = Poly.constant(nvars, Fraction(rng.randint(-3, 3)))
+        for _ in range(rng.randint(1, 2)):
+            term = term * shifted[rng.randrange(nvars)]
+        extra = extra + term
+    return IdealHandle(nvars, gens + [extra]), point
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_exact_certifier_matches_point_oracle(nvars):
+    # the certifier over F = Q(u) with no u against the evaluation-functional
+    # path at a rational point over Q that it replaced
+    names = ["x", "y", "z"][:nvars]
+    rng = random.Random(20 + nvars)
+    for _ in range(6):
+        a, point = _random_point_ideal(rng, nvars)
+        D = max(g.degree() for g in a.gens) + 1
+        ops = dual_space(a, point)
+        maximal = ops[0].modulus
+        shifted = [Poly.variable(nvars, i) - Poly.constant(nvars, point[i]) for i in range(nvars)]
+        # coefficients that are units at the point, plus terms vanishing there:
+        # the same functionals, read off non-constant coefficients
+        recombined = [
+            DiffOp(nvars, [(al, c * (Poly.one(nvars) + shifted[0])) for al, c in op.terms.items()]
+                   + [(al, c * shifted[-1]) for al, c in ops[0].terms.items()], maximal)
+            for op in ops
+        ]
+        text = "; ".join(op.format(names) for op in ops)
+        modulus_text = "; ".join(f"{v} - ({c})" for v, c in zip(names, point))
+        cases = {
+            "dual_space": OperatorSet(ops, maximal),
+            "with_meta": noetherian_ops_primary(PrimaryComponent(a, maximal)),
+            "parsed": parse_operator_set(text, names, IdealHandle(nvars, [P(t, names) for t in modulus_text.split(";")])),
+            "recombined": OperatorSet(recombined, maximal),
+            "undersized": OperatorSet(ops[:-1], maximal),
+            "extra_derivative": OperatorSet(ops + [DiffOp.partial(nvars, (0,) * (nvars - 1) + (3,))], maximal),
+        }
+        for name, claimed in cases.items():
+            status = verify_noetherian_ops(a, claimed, D).status
+            assert (status == "exact") == point_exact_oracle(a, claimed), (name, a.gens, point)
+            if name in ("dual_space", "with_meta", "parsed", "recombined"):
+                assert status == "exact", (name, a.gens, point)
+            if name == "undersized":
+                assert status != "exact", (a.gens, point)
 
 
 # --- theorem-backed checks under python -O ----------------------------------------

@@ -122,6 +122,25 @@ def test_substitute_rational_function_value():
     assert out == inv_y
 
 
+def test_evaluate_over_rational_functions_matches_substitution():
+    # coordinates in Q(u), some of them zero: evaluate agrees with
+    # substituting the constants and reading the constant term
+    rng = random.Random(5)
+    u = Poly.variable(1, 0)
+
+    def rf():
+        num = Poly.constant(1, Fraction(rng.randint(-3, 3))) + u * rng.randint(-2, 2)
+        den = Poly.one(1) + u * rng.randint(0, 2)
+        return RationalFunction(num, den)
+
+    zero = RationalFunction(Poly.zero(1))
+    for _ in range(25):
+        point = [rf() if rng.random() < 0.6 else zero for _ in range(3)]
+        f = Poly(3, {m: rf() for m in rng.sample(monomials_up_to(3, 3), 6)})
+        by_substitution = f.substitute({j: Poly.constant(3, p) for j, p in enumerate(point)}).constant_term()
+        assert f.evaluate(point) == by_substitution
+
+
 def test_derivative_plain_iterated():
     f = parse_polynomial("x^3*y", XY)
     assert f.derivative((2, 0)) == parse_polynomial("6*x*y", XY)

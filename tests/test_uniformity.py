@@ -174,13 +174,22 @@ def test_search_determinism(ring_x2, ops_pi_dx):
 def test_check_reverse_family(ring_x2, ops_pi_dx):
     for J in (ideal("x - y"), ideal("x", "y"), ideal("y")):
         for n in range(1, 6):
-            assert check_reverse(J, ops_pi_dx, ring_x2, n, 12).passed
+            assert check_reverse(J, ops_pi_dx, ring_x2, n).passed
 
 
 def test_check_reverse_trivial_cases(ring_x2, ops_pi_dx):
-    assert check_reverse(ideal("x - y"), ops_pi_dx, ring_x2, 0, 8).passed
+    assert check_reverse(ideal("x - y"), ops_pi_dx, ring_x2, 0).passed
     proj_only = OperatorSet([DiffOp.identity(2)], ring_x2.rad)
-    assert check_reverse(ideal("x - y"), proj_only, ring_x2, 3, 8).passed
+    assert check_reverse(ideal("x - y"), proj_only, ring_x2, 3).passed
+
+
+def test_check_reverse_examines_high_degree_generators(ring_x2, ops_pi_dx, monkeypatch):
+    # J^4 = (x - y)^4 has degree 4: a check cut off at a lower degree would
+    # pass without applying an operator; with every image nonzero it must fail
+    monkeypatch.setattr(DiffOp, "apply", lambda self, f: Poly.one(f.nvars))
+    rep = check_reverse(ideal("x - y"), ops_pi_dx, ring_x2, 3)
+    assert not rep.passed
+    assert rep.witness == P("x - y") ** 4
 
 
 # --- separating operators ---------------------------------------------------------
@@ -306,7 +315,7 @@ def test_higher_nilpotency_raises_the_shift(ring_x3):
     rep_max = find_min_c(ideal("x", "y"), ops, ring_x3, 3, 4, 12)
     assert [r.c_min for r in rep_max.rows] == [0, 0, 0]
     for n in range(1, 4):
-        assert check_reverse(ideal("x - y"), ops, ring_x3, n, 12).passed
+        assert check_reverse(ideal("x - y"), ops, ring_x3, n).passed
 
 
 def test_two_minimal_primes_experiment():
