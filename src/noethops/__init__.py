@@ -18,7 +18,6 @@ from .closures import (
 from .diffops import (
     DiffOp,
     OperatorSet,
-    check_order_lemma,
     parse_operator,
     parse_operator_set,
 )
@@ -30,7 +29,6 @@ from .groebner import (
     ideal_equal,
     ideal_intersect,
     ideal_power,
-    ideal_sum,
     normal_form,
     saturate,
     standard_monomials,
@@ -53,7 +51,6 @@ from .poly import (
     Poly,
     PolyParseError,
     RationalFunction,
-    monomial_compare,
     parse_polynomial,
 )
 from .uniformity import (

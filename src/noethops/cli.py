@@ -24,7 +24,6 @@ from .configs import (
     run_experiment_config,
 )
 from .diffops import OperatorSet, parse_operator_set
-from .groebner import ideal_sum
 from .noetherian import (
     ArithmeticBugError,
     ComponentMismatchError,
@@ -100,7 +99,7 @@ def cmd_noeth_ops(args) -> int:
 
 def cmd_verify_ops(args) -> int:
     ring = load_ring(args.ring)
-    a = ideal_sum(ring.ideal(parse_ideal_list(args.ideal, ring.var_names)), ring.N)
+    a = ring.plus_N(ring.ideal(parse_ideal_list(args.ideal, ring.var_names)))
     modulus = (
         ring.ideal(parse_ideal_list(args.modulus, ring.var_names)) if args.modulus else ring.rad
     )

@@ -15,7 +15,7 @@ from math import gcd
 from typing import Callable, Sequence
 
 from .diffops import OperatorSet
-from .groebner import IdealHandle, RingSpec, ideal_power, ideal_sum, saturate
+from .groebner import IdealHandle, RingSpec, ideal_power, saturate
 from .poly import GrevLex, Mono, Poly, mono_degree, mono_divides
 from .uniformity import ConstantReport, PowerSchedule, _ordinary_powers, find_min_c
 
@@ -131,7 +131,7 @@ def monomial_integral_closure(I: IdealHandle, m: int) -> IdealHandle:
     members: list[Mono] = []
     if poly is None:
         # ideal generated by 1
-        return IdealHandle(nvars, [Poly.one(nvars)], I.order)
+        return IdealHandle(nvars, [Poly.one(nvars)])
     for combo in itertools.product(*[range(bounds[i] + 1) for i in active]):
         if poly.contains(combo, m):
             full = [0] * nvars
@@ -140,7 +140,7 @@ def monomial_integral_closure(I: IdealHandle, m: int) -> IdealHandle:
             members.append(tuple(full))
     minimal = [e for e in members if not any(other != e and mono_divides(other, e) for other in members)]
     minimal.sort(key=GrevLex().key)
-    return IdealHandle(nvars, [Poly.monomial(nvars, e) for e in minimal], I.order)
+    return IdealHandle(nvars, [Poly.monomial(nvars, e) for e in minimal])
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +207,9 @@ def _symbolic_schedule(
         raise ValueError("image of J in the reduced ring is zero")
     if witness is None:
         witness = Poly.one(ring.nvars)
-    if ideal_sum(I, ring.rad).contains(witness):
+    if ring.plus_rad(I).contains(witness):
         raise ValueError("saturation witness lies in the image prime")
-    power = functools.cache(lambda I, m: saturate(ideal_sum(ideal_power(I, m), ring.rad), witness))
+    power = functools.cache(lambda I, m: saturate(ring.plus_rad(ideal_power(I, m)), witness))
     return (lambda I, n, c: power(I, n * dimension + c)), {}
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .closures import SCHEDULES
 from .diffops import OperatorSet, parse_operator_set
-from .groebner import IdealHandle, RingSpec, ideal_sum, split_poly_list
+from .groebner import IdealHandle, RingSpec, split_poly_list
 from .noetherian import PrimaryComponent, combine_components, noetherian_ops_primary
 from .poly import Poly, parse_polynomial
 from .uniformity import run_constant_experiment
@@ -89,7 +89,7 @@ def parse_ring_text(text: str) -> RingSpec:
     def ideal_from(text_part: str) -> IdealHandle:
         return IdealHandle(n, parse_ideal_list(text_part, var_names))
 
-    N = ideal_from(quotient) if quotient.strip() else IdealHandle(n, [])
+    N = ideal_from(quotient)
     rad = ideal_from(radical_line) if radical_line is not None else N
     primes: tuple[IdealHandle, ...] = ()
     if primes_line is not None:
@@ -138,9 +138,7 @@ def _build_operators(spec, ring: RingSpec) -> OperatorSet:
             indep = tuple(ring.var_names.index(v) for v in indep_names)
             comp = PrimaryComponent(Q, p, indep)
             comps.append((comp, noetherian_ops_primary(comp)))
-        target_text = spec.get("target")
-        target = ring.ideal(parse_ideal_list(target_text, ring.var_names)) if target_text else ring.N
-        target = ideal_sum(target, ring.N)
+        target = ring.plus_N(ring.ideal(parse_ideal_list(spec.get("target") or "", ring.var_names)))
         return combine_components(target, comps, ring)
     raise ConfigError("operators must be an operator text or a {'compute': [...]} object")
 

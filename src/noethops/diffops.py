@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .groebner import IdealHandle, ideal_power, ideal_sum, split_poly_list
+from .groebner import IdealHandle, split_poly_list
 from .poly import GrevLex, Mono, Poly, mono_degree, monomials_up_to, parse_polynomial
 
 
@@ -294,14 +294,7 @@ def first_not_killed(ops: OperatorSet, gens: Sequence[Poly], target: IdealHandle
 
 
 # ---------------------------------------------------------------------------
-# order lemma regression
-
-
-@dataclass
-class OrderLemmaReport:
-    passed: bool
-    samples: int
-    witness: Poly | None = None
+# random elements
 
 
 def random_polynomial(rng: random.Random, nvars: int, max_degree: int, max_terms: int = 4) -> Poly:
@@ -321,28 +314,3 @@ def random_ideal_element(rng: random.Random, I: IdealHandle, coeff_degree: int =
     for g in I.gens:
         out = out + random_polynomial(rng, I.nvars, coeff_degree) * g
     return out
-
-
-def check_order_lemma(
-    delta: DiffOp,
-    J: IdealHandle,
-    I: IdealHandle,
-    t: int,
-    samples: int,
-    seed: int = 0,
-) -> OrderLemmaReport:
-    """Sample elements f of J^(e+t), e = order(delta), and verify that
-    delta(f) lands in I^t (modulo the operator's target modulus).  The
-    containment is a theorem, so any counterexample is an arithmetic bug.
-    """
-    rng = random.Random(seed)
-    e = delta.order
-    source = ideal_power(J, e + t)
-    target = ideal_power(I, t)
-    if delta.modulus is not None:
-        target = ideal_sum(target, delta.modulus)
-    for _ in range(samples):
-        f = random_ideal_element(rng, source)
-        if target.normal_form(delta.apply(f)):
-            return OrderLemmaReport(False, samples, f)
-    return OrderLemmaReport(True, samples, None)

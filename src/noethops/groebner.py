@@ -7,14 +7,16 @@ The returned basis is the reduced Groebner basis, which is unique for a
 given ideal and order, so output never depends on traversal details.
 
 Ideals of a quotient ring R = P/N are represented by generator lists in the
-ambient polynomial ring P; operations that are membership "in R" adjoin N
-explicitly at the call site.
+ambient polynomial ring P.  Membership "in R" or "in R_red = P/rad" goes
+through `RingSpec.plus_N` / `RingSpec.plus_rad`, which adjoin N or rad and
+keep one handle, hence one basis, per generator tuple.  Ideal handles use
+grevlex; only elimination runs Buchberger under a block order.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -167,27 +169,28 @@ def _reduce_basis(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
 
 
 class IdealHandle:
-    """Generator list plus a lazily computed, cached reduced Groebner basis."""
+    """Generator list plus a lazily computed, cached reduced grevlex Groebner
+    basis."""
 
-    __slots__ = ("nvars", "gens", "order", "_gb")
+    __slots__ = ("nvars", "gens", "_gb")
+    ORDER = GrevLex()
 
-    def __init__(self, nvars: int, gens: Iterable[Poly], order: MonomialOrder = GrevLex()):
+    def __init__(self, nvars: int, gens: Iterable[Poly]):
         self.nvars = nvars
         self.gens = tuple(g for g in gens if g)
         for g in self.gens:
             if g.nvars != nvars:
                 raise ValueError("generator has wrong number of variables")
-        self.order = order
         self._gb: list[Poly] | None = None
 
     @property
     def gb(self) -> list[Poly]:
         if self._gb is None:
-            self._gb = buchberger(self.gens, self.order)
+            self._gb = buchberger(self.gens, self.ORDER)
         return self._gb
 
     def normal_form(self, f: Poly) -> Poly:
-        return normal_form(f, self.gb, self.order)
+        return normal_form(f, self.gb, self.ORDER)
 
     def contains(self, f: Poly) -> bool:
         return not self.normal_form(f)
@@ -221,16 +224,12 @@ def split_poly_list(text: str) -> list[str]:
     return [part.strip() for part in parts if part.strip()]
 
 
-def ideal_sum(I: IdealHandle, J: IdealHandle) -> IdealHandle:
-    return IdealHandle(I.nvars, list(I.gens) + list(J.gens), I.order)
-
-
 def ideal_power(I: IdealHandle, n: int) -> IdealHandle:
     """I^n, generated by all n-fold products of generators; I^0 = (1)."""
     if n < 0:
         raise ValueError("negative ideal power")
     if n == 0:
-        return IdealHandle(I.nvars, [Poly.one(I.nvars)], I.order)
+        return IdealHandle(I.nvars, [Poly.one(I.nvars)])
     gens = []
     seen = set()
     for combo in itertools.combinations_with_replacement(I.gens, n):
@@ -241,7 +240,7 @@ def ideal_power(I: IdealHandle, n: int) -> IdealHandle:
         if p and key not in seen:
             seen.add(key)
             gens.append(p)
-    return IdealHandle(I.nvars, gens, I.order)
+    return IdealHandle(I.nvars, gens)
 
 
 def is_subideal(I: IdealHandle, J: IdealHandle) -> bool:
@@ -259,11 +258,10 @@ def eliminate(I: IdealHandle, drop: Iterable[int]) -> IdealHandle:
     drop = tuple(sorted(set(drop)))
     if not drop:
         return I
-    block = Block(eliminated=drop, inner=I.order if not isinstance(I.order, Block) else GrevLex())
-    gb = buchberger(I.gens, block)
+    gb = buchberger(I.gens, Block(eliminated=drop, inner=IdealHandle.ORDER))
     dropped = set(drop)
     kept = [g for g in gb if not (g.variables_used() & dropped)]
-    return IdealHandle(I.nvars, kept, I.order)
+    return IdealHandle(I.nvars, kept)
 
 
 def saturate(I: IdealHandle, g: Poly) -> IdealHandle:
@@ -275,10 +273,10 @@ def saturate(I: IdealHandle, g: Poly) -> IdealHandle:
     extended = [p.extend(1) for p in I.gens]
     t = Poly.variable(n + 1, n)
     extended.append(Poly.one(n + 1) - t * g.extend(1))
-    big = IdealHandle(n + 1, extended, I.order)
+    big = IdealHandle(n + 1, extended)
     elim = eliminate(big, [n])
     gens = [p.restrict(range(n)) for p in elim.gens]
-    return IdealHandle(n, gens, I.order)
+    return IdealHandle(n, gens)
 
 
 def ideal_intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
@@ -288,16 +286,16 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     one_minus_t = Poly.one(n + 1) - t
     gens = [t * p.extend(1) for p in I.gens]
     gens += [one_minus_t * p.extend(1) for p in J.gens]
-    big = IdealHandle(n + 1, gens, I.order)
+    big = IdealHandle(n + 1, gens)
     elim = eliminate(big, [n])
-    return IdealHandle(n, [p.restrict(range(n)) for p in elim.gens], I.order)
+    return IdealHandle(n, [p.restrict(range(n)) for p in elim.gens])
 
 
 def standard_monomials(Q: IdealHandle) -> list[Mono]:
     """Monomials outside the leading-term ideal of Q, ascending in the active
     order.  Requires Q zero-dimensional (a pure power of every variable among
     the leading terms)."""
-    return _standard_monomials_from_gb(Q.gb, Q.order, Q.nvars)
+    return _standard_monomials_from_gb(Q.gb, Q.ORDER, Q.nvars)
 
 
 def _standard_monomials_from_gb(gb: list[Poly], order: MonomialOrder, nvars: int) -> list[Mono]:
@@ -332,12 +330,16 @@ class RingSpec:
     `minimal_primes` the user-asserted associated primes of R.  Construction
     checks N inside rad, and that rad equals the intersection of the claimed
     minimal primes when they are given; primality itself is taken on trust.
+
+    The ring keeps one handle per generator tuple (`ideal`), so an ideal that
+    several steps of a search test against has its basis computed once.
     """
 
     var_names: tuple[str, ...]
     N: IdealHandle
     rad: IdealHandle
     minimal_primes: tuple[IdealHandle, ...] = ()
+    _handles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.var_names = tuple(self.var_names)
@@ -352,28 +354,32 @@ class RingSpec:
                 inter = ideal_intersect(inter, p)
             if not ideal_equal(inter, self.rad):
                 raise ValueError("claimed radical differs from the intersection of the minimal primes")
+        for handle in (self.rad, self.N):
+            self._handles.setdefault(handle.gens, handle)
 
     @property
     def nvars(self) -> int:
         return len(self.var_names)
 
-    @property
-    def order(self) -> MonomialOrder:
-        return self.N.order
-
     def parse(self, text: str) -> Poly:
         return parse_polynomial(text, self.var_names)
 
     def ideal(self, gens: Iterable[Poly]) -> IdealHandle:
-        return IdealHandle(self.nvars, gens, self.order)
+        """The ring's handle for this generator tuple (zeros dropped)."""
+        handle = IdealHandle(self.nvars, gens)
+        return self._handles.setdefault(handle.gens, handle)
 
-    def reduce_mod_rad(self, f: Poly) -> Poly:
-        return self.rad.normal_form(f)
+    def plus_N(self, J: IdealHandle) -> IdealHandle:
+        """J + N: membership in J as an ideal of R."""
+        return self.ideal(J.gens + self.N.gens)
+
+    def plus_rad(self, J: IdealHandle) -> IdealHandle:
+        """J + rad: membership in the image of J in R_red."""
+        return self.ideal(J.gens + self.rad.gens)
 
     def image_in_reduced(self, J: IdealHandle) -> IdealHandle:
         """Generators of J reduced mod rad: the image ideal in R_red."""
-        return self.ideal([self.reduce_mod_rad(g) for g in J.gens])
+        return self.ideal([self.rad.normal_form(g) for g in J.gens])
 
     def format(self, f: Poly) -> str:
         return f.format(self.var_names)
-

@@ -29,6 +29,7 @@ from .groebner import (
     eliminate,
     ideal_equal,
     ideal_intersect,
+    normal_form,
 )
 from .poly import (
     GrevLex,
@@ -152,7 +153,7 @@ def _truncated_dual_vectors(shifted_gens: list[Poly], colength: int, nvars: int,
         vectors = linalg.kernel_basis(rows, len(monos), one=one)
         if len(vectors) == colength:
             return monos, vectors
-    raise RuntimeError("dual space truncation failed to stabilize at the colength")
+    raise ArithmeticBugError("dual space truncation failed to stabilize at the colength")
 
 
 def _normalize_op(op: DiffOp) -> DiffOp:
@@ -193,11 +194,7 @@ def dual_space(Q: IdealHandle, point: Sequence[Fraction]) -> list[DiffOp]:
     for g in Q.gens:
         if g.evaluate(point):
             raise ValueError("point is not a root of the ideal")
-    maximal = IdealHandle(
-        nvars,
-        [Poly.variable(nvars, i) - Poly.constant(nvars, point[i]) for i in range(nvars)],
-        Q.order,
-    )
+    maximal = IdealHandle(nvars, [Poly.variable(nvars, i) - Poly.constant(nvars, point[i]) for i in range(nvars)])
     return noetherian_ops_primary(PrimaryComponent(Q, maximal)).ops
 
 
@@ -255,19 +252,37 @@ def _rational_point_of_prime(p: IdealHandle, dep: tuple[int, ...], indep: tuple[
     return [point[i] for i in range(ndep)]
 
 
-def _field_colength(gens: list[Poly], ndep: int) -> int:
+def _field_basis(gens: list[Poly], ndep: int) -> tuple[list[Poly], int]:
+    """The Groebner basis over F of the ideal of `gens`, and its colength."""
     gb = buchberger(gens, GrevLex())
-    return len(_standard_monomials_from_gb(gb, GrevLex(), ndep))
+    return gb, len(_standard_monomials_from_gb(gb, GrevLex(), ndep))
 
 
-def _shift_field_polys(gens_f: list[Poly], point: list, ndep: int, nindep: int) -> list[Poly]:
-    one = _field_element(Poly.one(nindep))
-    values = {}
-    for j in range(ndep):
-        terms = {mono_unit(ndep, j): one}
-        if point[j]:
-            terms[mono_zero(ndep)] = point[j]
-        values[j] = Poly(ndep, terms)
+def _linear(j: int, c, one, ndep: int) -> Poly:
+    """x_j + c over F."""
+    terms = {mono_unit(ndep, j): one}
+    if c:
+        terms[mono_zero(ndep)] = c
+    return Poly(ndep, terms)
+
+
+def _require_primary(gb: list[Poly], colength: int, point: list, one) -> None:
+    """Q (basis `gb` over F) is primary to the point exactly when every
+    x_j - r_j is nilpotent modulo Q; its index is then at most the colength,
+    since the maximal ideal's L-th power lies in Q for L = colength."""
+    for j in range(len(point)):
+        linear = _linear(j, -point[j], one, len(point))
+        power = normal_form(linear, gb, GrevLex())
+        for _ in range(colength - 1):
+            if not power:
+                break
+            power = normal_form(power * linear, gb, GrevLex())
+        if power:
+            raise ValueError("claimed primary ideal is not primary to its prime")
+
+
+def _shift_field_polys(gens_f: list[Poly], point: list, one) -> list[Poly]:
+    values = {j: _linear(j, point[j], one, len(point)) for j in range(len(point))}
     out = []
     for g in gens_f:
         shifted = g.substitute(values)
@@ -291,16 +306,19 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
     Macaulay dual space over F = Q(independent variables) at the rational
     point cut out by the prime, with denominators cleared to polynomial
     coefficients (harmless: they avoid the prime).  With no independent
-    variables F = Q and this is the dual space at a point."""
+    variables F = Q and this is the dual space at a point.  Raises
+    ValueError when Q is not primary to that point over F."""
     dep = comp.dependent
     indep = comp.independent
     nvars = comp.Q.nvars
     ndep, nindep = len(dep), len(indep)
     point = _rational_point_of_prime(comp.p, dep, indep)
     gens_f = [_to_field_poly(g, dep, indep) for g in comp.Q.gens]
-    colength = _field_colength(gens_f, ndep)
-    shifted = _shift_field_polys(gens_f, point, ndep, nindep)
-    monos, vectors = _truncated_dual_vectors(shifted, colength, ndep, _field_element(Poly.one(nindep)))
+    gb, colength = _field_basis(gens_f, ndep)
+    one = _field_element(Poly.one(nindep))
+    _require_primary(gb, colength, point, one)
+    shifted = _shift_field_polys(gens_f, point, one)
+    monos, vectors = _truncated_dual_vectors(shifted, colength, ndep, one)
 
     ops = []
     for v in vectors:
@@ -436,7 +454,7 @@ def _verify_exact_over_field(a: IdealHandle, ops: OperatorSet, D: int) -> Noethe
     dep = tuple(i for i in range(a.nvars) if i not in indep)
     try:
         point = _rational_point_of_prime(ops.modulus, dep, indep)
-        colength = _field_colength([_to_field_poly(g, dep, indep) for g in a.gens], len(dep))
+        _, colength = _field_basis([_to_field_poly(g, dep, indep) for g in a.gens], len(dep))
     except (NonRationalPointError, NotZeroDimensionalError):
         return None
 

@@ -20,9 +20,6 @@ from typing import Mapping, Sequence, Union
 
 Mono = tuple[int, ...]
 
-# Result values of monomial_compare.
-LT, EQ, GT = -1, 0, 1
-
 
 # ---------------------------------------------------------------------------
 # monomials
@@ -113,18 +110,6 @@ class Block:
 
 
 MonomialOrder = Union[GrevLex, Lex, Block]
-
-
-def monomial_compare(a: Mono, b: Mono, order: MonomialOrder) -> int:
-    """-1 (LT), 0 (EQ) or 1 (GT) comparing a against b under `order`."""
-    if len(a) != len(b):
-        raise ValueError(f"exponent length mismatch: {len(a)} vs {len(b)}")
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return LT
-    if ka > kb:
-        return GT
-    return EQ
 
 
 # ---------------------------------------------------------------------------

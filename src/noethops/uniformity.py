@@ -30,7 +30,6 @@ from .groebner import (
     RingSpec,
     ideal_equal,
     ideal_power,
-    ideal_sum,
     is_subideal,
 )
 from .noetherian import ArithmeticBugError, NoetherianCertificate, verify_noetherian_ops
@@ -83,8 +82,7 @@ class TruncatedSubspace:
 
 def diff_colon_of_ideal(source: IdealHandle, ops: OperatorSet, ring: RingSpec, D: int) -> TruncatedSubspace:
     """{f in P_<=D : op(f) = 0 mod (source + rad) for every op}."""
-    cond = ideal_sum(source, ring.rad)
-    monos, vectors = operator_kernel(ops, cond, D)
+    monos, vectors = operator_kernel(ops, ring.plus_rad(source), D)
     return TruncatedSubspace(ring.nvars, D, vectors, monos)
 
 
@@ -116,7 +114,7 @@ def subspace_in_ideal(S: TruncatedSubspace, J: IdealHandle, ring: RingSpec) -> C
     A witness refutes containment absolutely; `contained` certifies it only
     for elements of degree <= S.degree_bound.
     """
-    T = ideal_sum(J, ring.N)
+    T = ring.plus_N(J)
     for f in S.basis:
         if T.normal_form(f):
             return ContainmentResult(False, f)
@@ -233,11 +231,11 @@ def find_min_c(
 
 
 def _assert_exact_witness(f: Poly, source: IdealHandle, Jn: IdealHandle, ops: OperatorSet, ring: RingSpec) -> None:
-    cond = ideal_sum(source, ring.rad)
+    cond = ring.plus_rad(source)
     for op in ops:
         if cond.normal_form(op.apply(f)):
             raise ArithmeticBugError("recorded witness is not killed into the colon source")
-    if not ideal_sum(Jn, ring.N).normal_form(f):
+    if not ring.plus_N(Jn).normal_form(f):
         raise ArithmeticBugError("recorded witness lies in the target power after all")
 
 
@@ -259,7 +257,7 @@ def check_reverse(J: IdealHandle, ops: OperatorSet, ring: RingSpec, n: int) -> R
     I^n + rad; exact per generator (`first_not_killed`).  Failure signals an
     arithmetic bug, not a math fact."""
     I = ring.image_in_reduced(J)
-    target = ideal_sum(ideal_power(I, n), ring.rad)
+    target = ring.plus_rad(ideal_power(I, n))
     witness = first_not_killed(ops, ideal_power(J, n + ops.max_order).gens, target)
     return ReverseReport(n, witness is None, witness)
 
@@ -305,8 +303,8 @@ def separating_operator(
     delta(f*g) = f*delta(g) mod p is sampled on random pairs.
     """
     nvars = ring.nvars
-    a_full = ideal_sum(a, ring.N)
-    b_full = ideal_sum(b, ring.N)
+    a_full = ring.plus_N(a)
+    b_full = ring.plus_N(b)
     if not is_subideal(a_full, b_full) or ideal_equal(a_full, b_full):
         raise ValueError("need a strictly inside b")
     if len(psi) != len(b.gens):

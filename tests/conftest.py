@@ -1,7 +1,7 @@
 import pytest
 
-from noethops.diffops import DiffOp, OperatorSet
-from noethops.groebner import IdealHandle, RingSpec
+from noethops.diffops import DiffOp, OperatorSet, first_not_killed
+from noethops.groebner import IdealHandle, RingSpec, ideal_power
 from noethops.poly import Poly
 
 XY = ["x", "y"]
@@ -15,6 +15,17 @@ def P(text: str, names=XY) -> Poly:
 
 def ideal(*texts: str, names=XY) -> IdealHandle:
     return IdealHandle(len(names), [P(t, names) for t in texts])
+
+
+def order_lemma_witness(delta: DiffOp, J: IdealHandle, I: IdealHandle, t: int) -> Poly | None:
+    """The order lemma delta(J^(e+t)) in I^t + modulus, e = order(delta),
+    decided exactly by `first_not_killed`: None when it holds, else the
+    first multiple of a generator of J^(e+t) carried outside."""
+    target = ideal_power(I, t)
+    if delta.modulus is not None:
+        target = IdealHandle(target.nvars, target.gens + delta.modulus.gens)
+    ops = OperatorSet([delta], delta.modulus)
+    return first_not_killed(ops, ideal_power(J, delta.order + t).gens, target)
 
 
 @pytest.fixture

@@ -97,7 +97,7 @@ def _evaluation_point(modulus: IdealHandle) -> list[Fraction] | None:
     point: dict[int, Fraction] = {}
     zero = mono_zero(modulus.nvars)
     for g in gb:
-        lead, lc = g.leading(modulus.order)
+        lead, lc = g.leading(modulus.ORDER)
         if mono_degree(lead) != 1 or lc != 1:
             return None
         slot = next(i for i, e in enumerate(lead) if e)

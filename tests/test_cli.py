@@ -7,7 +7,7 @@ import pytest
 
 import noethops
 from noethops.cli import main
-from noethops.groebner import ideal_power, ideal_sum
+from noethops.groebner import IdealHandle, ideal_power
 from noethops.poly import parse_polynomial
 
 from conftest import P, ideal
@@ -108,6 +108,33 @@ def test_noeth_ops_colength_mismatch_exit_2(ring_file, monkeypatch, capsys, wher
     assert capsys.readouterr().err == "arithmetic bug: 1 dual operators for colength 2\n"
 
 
+NOT_PRIMARY = pytest.mark.parametrize(
+    "args",
+    [["--ideal", "x*(x-1); y", "--point", "0,0"], ["--ideal", "y*(y-1)", "--prime", "y", "--independent", "x"]],
+    ids=["dual_space", "positive_dimensional"],
+)
+
+
+@NOT_PRIMARY
+def test_noeth_ops_not_primary_exit_1(capsys, args):
+    # each ideal has a second point, (1, 0) or y = 1, besides the claimed one
+    rc = main(["noeth-ops", "ring: Q[x,y]"] + args)
+    assert rc == 1
+    assert capsys.readouterr().err == "error: claimed primary ideal is not primary to its prime\n"
+
+
+@NOT_PRIMARY
+def test_noeth_ops_unstable_truncation_exit_2(monkeypatch, capsys, args):
+    # past the primaryness check the truncation must stabilize; if it does
+    # not, the arithmetic is at fault
+    from noethops import noetherian
+
+    monkeypatch.setattr(noetherian, "_require_primary", lambda *a: None)
+    rc = main(["noeth-ops", "ring: Q[x,y]"] + args)
+    assert rc == 2
+    assert capsys.readouterr().err == "arithmetic bug: dual space truncation failed to stabilize at the colength\n"
+
+
 def test_find_c_false_witness_exit_2(config_file, monkeypatch, capsys):
     # a containment test that wrongly refutes with the witness 1: its exact
     # re-verification fails, which is an arithmetic bug, not an input error
@@ -187,7 +214,7 @@ def test_csv_witness_roundtrip(config_file, capsys):
             continue
         f = parse_polynomial(witness, ["x", "y"])
         J = {"J1": ideal("x - y"), "J2": ideal("x", "y"), "J3": ideal("y")}[j_id]
-        target = ideal_sum(ideal_power(J, int(n)), ring_N)
+        target = IdealHandle(2, ideal_power(J, int(n)).gens + ring_N.gens)
         assert target.normal_form(f)  # witness really avoids J^n in R
 
 

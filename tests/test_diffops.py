@@ -7,14 +7,13 @@ import pytest
 from noethops.diffops import (
     DiffOp,
     OperatorSet,
-    check_order_lemma,
     operator_kernel,
     parse_operator,
     parse_operator_set,
 )
 from noethops.poly import Poly, monomials_up_to
 
-from conftest import P, ideal
+from conftest import P, ideal, order_lemma_witness
 
 XY = ["x", "y"]
 
@@ -142,7 +141,7 @@ def test_operator_kernel_shares_values_across_conditions(ring_x2):
     assert len(set(dims)) == 3
 
 
-# --- order lemma regression ------------------------------------------------------
+# --- order lemma ---------------------------------------------------------------
 
 
 def test_order_lemma_fixtures(ring_x2):
@@ -153,12 +152,15 @@ def test_order_lemma_fixtures(ring_x2):
         (DiffOp.partial(2, (2, 0)), ideal("x"), ideal("x"), 1),
     ]
     for delta, J, I, t in fixtures:
-        report = check_order_lemma(delta, J, I, t, samples=30, seed=1)
-        assert report.passed, report.witness
+        assert order_lemma_witness(delta, J, I, t) is None
 
 
 def test_order_lemma_with_polynomial_coefficients(ring_x2):
     delta = parse_operator("y*dx^2 + x*dy + 3", XY).with_modulus(ring_x2.rad)
     for J in (ideal("x - y"), ideal("x", "y")):
-        report = check_order_lemma(delta, J, ideal("y"), 2, samples=25, seed=3)
-        assert report.passed, report.witness
+        assert order_lemma_witness(delta, J, ideal("y"), 2) is None
+
+
+def test_order_lemma_refuted_without_the_modulus():
+    # dx(x^2) = 2x lies outside (y): J^(e+t) = (x^2) is not carried into I^t
+    assert order_lemma_witness(dx(), ideal("x"), ideal("y"), 1) == P("x^2")

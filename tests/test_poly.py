@@ -5,9 +5,6 @@ from fractions import Fraction
 import pytest
 
 from noethops.poly import (
-    EQ,
-    GT,
-    LT,
     Block,
     GrevLex,
     Lex,
@@ -15,7 +12,6 @@ from noethops.poly import (
     PolyParseError,
     RationalFunction,
     mono_mul,
-    monomial_compare,
     monomials_up_to,
     parse_polynomial,
 )
@@ -52,27 +48,22 @@ def test_parse_errors_carry_position():
 
 
 def test_grevlex_examples():
-    g = GrevLex()
-    assert monomial_compare((2, 0), (1, 1), g) == GT
-    assert monomial_compare((1, 0), (0, 2), g) == LT
-    assert monomial_compare((1, 1), (1, 1), g) == EQ
-
-
-def test_compare_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        monomial_compare((1,), (1, 0), GrevLex())
+    key = GrevLex().key
+    assert key((2, 0)) > key((1, 1))
+    assert key((1, 0)) < key((0, 2))
 
 
 @pytest.mark.parametrize("order", [GrevLex(), Lex(), Block((0,), GrevLex())])
 def test_orders_total_multiplicative_with_minimal_one(order):
+    key = order.key
     monos = monomials_up_to(3, 4)
     one = (0, 0, 0)
     for a, b in itertools.combinations(monos, 2):
-        cmp = monomial_compare(a, b, order)
-        assert cmp in (LT, GT)  # total on distinct monomials
+        assert key(a) != key(b)  # total on distinct monomials
+        less = key(a) < key(b)
         for c in monos:
-            assert monomial_compare(mono_mul(a, c), mono_mul(b, c), order) == cmp
-    assert all(monomial_compare(one, m, order) == LT for m in monos if m != one)
+            assert (key(mono_mul(a, c)) < key(mono_mul(b, c))) == less
+    assert all(key(one) < key(m) for m in monos if m != one)
 
 
 def _random_poly(rng, nvars, deg):

@@ -1,9 +1,13 @@
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from noethops import groebner
+from noethops.closures import shift_search
+from noethops.configs import load_experiment_config
 from noethops.diffops import DiffOp, OperatorSet
-from noethops.groebner import IdealHandle, RingSpec, ideal_power, ideal_sum
+from noethops.groebner import IdealHandle, RingSpec, ideal_power
 from noethops.poly import Poly, monomials_up_to
 from noethops.uniformity import (
     PsiInconsistencyError,
@@ -122,10 +126,10 @@ def test_find_min_c_witness_reverified_independently(ring_x2, ops_pi_dx):
     for row in rep.rows:
         assert row.c_min == 1 and row.witness is not None
         f = row.witness
-        source = ideal_sum(ideal_power(ring_x2.image_in_reduced(ideal("x - y")), row.n), ring_x2.rad)
+        source = IdealHandle(2, ideal_power(ring_x2.image_in_reduced(ideal("x - y")), row.n).gens + ring_x2.rad.gens)
         for op in ops_pi_dx:
             assert not source.normal_form(op.apply(f))
-        target = ideal_sum(ideal_power(ideal("x - y"), row.n), ring_x2.N)
+        target = IdealHandle(2, ideal_power(ideal("x - y"), row.n).gens + ring_x2.N.gens)
         assert target.normal_form(f)
 
 
@@ -190,6 +194,28 @@ def test_check_reverse_examines_high_degree_generators(ring_x2, ops_pi_dx, monke
     rep = check_reverse(ideal("x - y"), ops_pi_dx, ring_x2, 3)
     assert not rep.passed
     assert rep.witness == P("x - y") ** 4
+
+
+def test_one_buchberger_run_per_generator_list_in_a_search(monkeypatch):
+    # the search and the reverse checks test against the same ideals
+    # (I^(n+c) + rad for several (n, c), J^n + N for every c); the ring keeps
+    # one handle per generator tuple, so each basis is computed once
+    cfg = load_experiment_config(str(Path(__file__).parents[1] / "configs" / "artin_rees_x2.json"))
+    runs = Counter()
+    buchberger = groebner.buchberger
+
+    def counting(gens, order):
+        gens = tuple(gens)
+        runs[gens, order] += 1
+        return buchberger(gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    for name, J in cfg.ideals:
+        shift_search(cfg.mode, J, cfg.operators, cfg.ring, cfg.n_max, cfg.c_max, cfg.degree, ideal_name=name)
+        for n in range(1, cfg.n_max + 1):
+            check_reverse(J, cfg.operators, cfg.ring, n)
+    assert runs
+    assert max(runs.values()) == 1, [(len(gens), k) for (gens, _), k in runs.items() if k > 1]
 
 
 # --- separating operators ---------------------------------------------------------
