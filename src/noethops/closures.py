@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from .diffops import OperatorSet
 from .groebner import IdealHandle, RingSpec, ideal_power, saturate
 from .poly import GrevLex, Mono, Poly, mono_degree, mono_divides
-from .uniformity import ConstantReport, PowerSchedule, _ordinary_powers, find_min_c
+from .uniformity import ConstantReport, PowerSchedule, find_min_c, ordinary_powers
 
 
 class NonMonomialIdealError(ValueError):
@@ -160,9 +160,9 @@ def symbolic_power(p: IdealHandle, n: int, witness: Poly) -> IdealHandle:
 # ---------------------------------------------------------------------------
 # power schedules and the shift search
 #
-# Every mode searches the same way (`find_min_c`); only the source ideal fed
-# to the colon for (n, c) changes.  A factory checks its inputs once per ideal
-# and returns the schedule plus any extra report fields.
+# Every mode searches the same way (`find_min_c`); only the condition ideal
+# (source plus rad) fed to the colon for (n, c) changes.  A factory checks its
+# inputs once per ideal and returns the schedule plus any extra report fields.
 
 
 def _monomial_image(J: IdealHandle, ring: RingSpec) -> IdealHandle:
@@ -180,7 +180,7 @@ def _ordinary_schedule(
     J: IdealHandle, ring: RingSpec, dimension: int | None, witness: Poly | None
 ) -> tuple[PowerSchedule, dict]:
     """The plain power I^(n+c) (differential Artin-Rees)."""
-    return _ordinary_powers, {}
+    return ordinary_powers(ring), {}
 
 
 def _closure_schedule(
@@ -191,7 +191,7 @@ def _closure_schedule(
     image = _monomial_image(J, ring)
     closure = functools.cache(monomial_integral_closure)
     extras = {"image_monomials": sorted(list(next(iter(g.terms))) for g in image.gens)}
-    return (lambda I, n, c: closure(I, n + c)), extras
+    return (lambda I, n, c: ring.plus_rad(closure(I, n + c))), extras
 
 
 def _symbolic_schedule(
@@ -199,7 +199,7 @@ def _symbolic_schedule(
 ) -> tuple[PowerSchedule, dict]:
     """The symbolic power I^(m), m = n*d + c, computed by saturating
     I^m + rad at the witness (default 1); d is the (user-asserted) dimension
-    of the regular reduced ring."""
+    of the regular reduced ring.  The saturation contains rad already."""
     if dimension is None or dimension < 1:
         raise ValueError("dimension must be at least 1")
     I = ring.image_in_reduced(J)
@@ -209,7 +209,7 @@ def _symbolic_schedule(
         witness = Poly.one(ring.nvars)
     if ring.plus_rad(I).contains(witness):
         raise ValueError("saturation witness lies in the image prime")
-    power = functools.cache(lambda I, m: saturate(ring.plus_rad(ideal_power(I, m)), witness))
+    power = functools.cache(lambda I, m: saturate(ring.power_plus(I, m, ring.rad), witness))
     return (lambda I, n, c: power(I, n * dimension + c)), {}
 
 

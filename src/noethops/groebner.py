@@ -3,18 +3,28 @@
 The pair strategy is the normal one (no sugar): pick the pair whose lcm has
 minimal total degree, ties broken by the active order on the lcm and then by
 pair indices.  New pairs pass through the usual product and chain filters.
+Pending pairs sit in a heap under that key (Gebauer and Moeller 1988); the
+key is a total order on leads that never change once added, so the heap
+pops the same pairs in the same order as a scan for the least key would.
 The returned basis is the reduced Groebner basis, which is unique for a
-given ideal and order, so output never depends on traversal details.
+given ideal and order, so output never depends on traversal details.  An
+ideal handle keeps its basis and the basis' leading terms.
 
 Ideals of a quotient ring R = P/N are represented by generator lists in the
 ambient polynomial ring P.  Membership "in R" or "in R_red = P/rad" goes
 through `RingSpec.plus_N` / `RingSpec.plus_rad`, which adjoin N or rad and
-keep one handle, hence one basis, per generator tuple.  Ideal handles use
-grevlex; only elimination runs Buchberger under a block order.
+keep one handle, hence one basis, per generator tuple.  Powers plus a
+modulus come from `RingSpec.power_plus`: J^n + M is generated by the basis
+of J^(n-1) + M times the generators of J, reduced modulo M, plus M.  That is
+the same ideal as J^n + M from all n-fold products (M*J lies in M), so its
+reduced basis, and every report read from it, is the same, from a much
+smaller Buchberger input.  Ideal handles use grevlex; only elimination runs
+Buchberger under a block order.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -52,7 +62,11 @@ def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder) -> Poly:
     but NF(f) = 0 iff f is in the ideal only when it is)."""
     if not basis:
         return f
-    leads = [g.leading(order) for g in basis]
+    return _reduce(f, basis, [g.leading(order) for g in basis], order)
+
+
+def _reduce(f: Poly, basis: Sequence[Poly], leads: Sequence[tuple[Mono, object]], order: MonomialOrder) -> Poly:
+    """`normal_form` with the basis' leading terms already known."""
     work = dict(f.terms)
     remainder: dict[Mono, object] = {}
     key = order.key
@@ -108,15 +122,23 @@ def buchberger(gens: Iterable[Poly], order: MonomialOrder = GrevLex()) -> list[P
     if not basis:
         return []
     leads = [g.leading(order)[0] for g in basis]
+    # `pairs` holds the pending pairs, which the chain criterion reads, and
+    # `queue` the same pairs keyed by (deg lcm, order key of lcm, i, j): a
+    # total order on leads that never change, so the heap pops exactly the
+    # pair a scan for the least key would pick
+    pairs: set[tuple[int, int]] = set()
+    queue: list = []
 
-    def pair_key(pair):
-        i, j = pair
-        lcm = mono_lcm(leads[i], leads[j])
-        return (mono_degree(lcm), order.key(lcm), i, j)
+    def add_pairs(k: int) -> None:
+        for i in range(k):
+            lcm = mono_lcm(leads[i], leads[k])
+            pairs.add((i, k))
+            heapq.heappush(queue, (mono_degree(lcm), order.key(lcm), i, k))
 
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
-    while pairs:
-        i, j = min(pairs, key=pair_key)
+    for k in range(1, len(basis)):
+        add_pairs(k)
+    while queue:
+        _, _, i, j = heapq.heappop(queue)
         pairs.discard((i, j))
         lcm = mono_lcm(leads[i], leads[j])
         if lcm == mono_mul(leads[i], leads[j]):
@@ -129,8 +151,7 @@ def buchberger(gens: Iterable[Poly], order: MonomialOrder = GrevLex()) -> list[P
             continue
         basis.append(_monic(r, order))
         leads.append(basis[-1].leading(order)[0])
-        k = len(basis) - 1
-        pairs.update((i2, k) for i2 in range(k))
+        add_pairs(len(basis) - 1)
 
     return _reduce_basis(basis, order)
 
@@ -170,9 +191,9 @@ def _reduce_basis(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
 
 class IdealHandle:
     """Generator list plus a lazily computed, cached reduced grevlex Groebner
-    basis."""
+    basis and its leading terms."""
 
-    __slots__ = ("nvars", "gens", "_gb")
+    __slots__ = ("nvars", "gens", "_gb", "_leads")
     ORDER = GrevLex()
 
     def __init__(self, nvars: int, gens: Iterable[Poly]):
@@ -182,15 +203,18 @@ class IdealHandle:
             if g.nvars != nvars:
                 raise ValueError("generator has wrong number of variables")
         self._gb: list[Poly] | None = None
+        self._leads: list[tuple[Mono, object]] = []
 
     @property
     def gb(self) -> list[Poly]:
         if self._gb is None:
             self._gb = buchberger(self.gens, self.ORDER)
+            self._leads = [g.leading(self.ORDER) for g in self._gb]
         return self._gb
 
     def normal_form(self, f: Poly) -> Poly:
-        return normal_form(f, self.gb, self.ORDER)
+        gb = self.gb
+        return _reduce(f, gb, self._leads, self.ORDER)
 
     def contains(self, f: Poly) -> bool:
         return not self.normal_form(f)
@@ -269,6 +293,8 @@ def saturate(I: IdealHandle, g: Poly) -> IdealHandle:
     I + (1 - t*g)."""
     if not g:
         raise ValueError("saturation by the zero polynomial")
+    if g.degree() == 0:
+        return I  # a unit: nothing to saturate
     n = I.nvars
     extended = [p.extend(1) for p in I.gens]
     t = Poly.variable(n + 1, n)
@@ -332,7 +358,8 @@ class RingSpec:
     minimal primes when they are given; primality itself is taken on trust.
 
     The ring keeps one handle per generator tuple (`ideal`), so an ideal that
-    several steps of a search test against has its basis computed once.
+    several steps of a search test against has its basis computed once, and
+    one handle per power plus modulus (`power_plus`).
     """
 
     var_names: tuple[str, ...]
@@ -340,6 +367,7 @@ class RingSpec:
     rad: IdealHandle
     minimal_primes: tuple[IdealHandle, ...] = ()
     _handles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.var_names = tuple(self.var_names)
@@ -365,8 +393,9 @@ class RingSpec:
         return parse_polynomial(text, self.var_names)
 
     def ideal(self, gens: Iterable[Poly]) -> IdealHandle:
-        """The ring's handle for this generator tuple (zeros dropped)."""
-        handle = IdealHandle(self.nvars, gens)
+        """The ring's handle for this generator tuple (zeros and repeats
+        dropped, so adjoining N or rad twice gives the same handle)."""
+        handle = IdealHandle(self.nvars, dict.fromkeys(gens))
         return self._handles.setdefault(handle.gens, handle)
 
     def plus_N(self, J: IdealHandle) -> IdealHandle:
@@ -376,6 +405,33 @@ class RingSpec:
     def plus_rad(self, J: IdealHandle) -> IdealHandle:
         """J + rad: membership in the image of J in R_red."""
         return self.ideal(J.gens + self.rad.gens)
+
+    def power_plus(self, J: IdealHandle, n: int, M: IdealHandle) -> IdealHandle:
+        """J^n + M, M being N or rad; J^0 = (1).
+
+        J^1 + M is `plus_N` / `plus_rad`; for n >= 2 the generators are
+        NF_M(g * h), g in the basis of J^(n-1) + M and h a generator of J,
+        followed by those of M.  The ideals agree because M*J lies in M, and
+        the products of a reduced basis are far fewer and smaller than the
+        n-fold products of J's generators.
+        """
+        if n < 0:
+            raise ValueError("negative ideal power")
+        key = (J.gens, n, M.gens)
+        handle = self._powers.get(key)
+        if handle is None:
+            if n == 0:
+                handle = self.ideal([Poly.one(self.nvars)])
+            elif n == 1:
+                handle = self.ideal(J.gens + M.gens)
+            else:
+                below = self.power_plus(J, n - 1, M).gb
+                products = [M.normal_form(g * h) for g in below for h in J.gens]
+                # monic, so that powers of ideals equal up to scaling share handles
+                monic = [_monic(p, IdealHandle.ORDER) for p in products if p]
+                handle = self.ideal(monic + list(M.gens))
+            self._powers[key] = handle
+        return handle
 
     def image_in_reduced(self, J: IdealHandle) -> IdealHandle:
         """Generators of J reduced mod rad: the image ideal in R_red."""

@@ -29,9 +29,12 @@ from .groebner import (
     eliminate,
     ideal_equal,
     ideal_intersect,
+    is_subideal,
     normal_form,
+    saturate,
 )
 from .poly import (
+    Block,
     GrevLex,
     Mono,
     Poly,
@@ -281,6 +284,33 @@ def _require_primary(gb: list[Poly], colength: int, point: list, one) -> None:
             raise ValueError("claimed primary ideal is not primary to its prime")
 
 
+def _is_contracted(Q: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...]) -> bool:
+    """Q equals its contraction Q*F[x] meet Q[x], F = Q(u): no associated
+    prime of Q contains a nonzero polynomial in u, so what holds for Q over
+    F holds for Q itself.
+
+    The contraction is Q : h^infinity, h the product of the leading
+    coefficients in Q[u] of Q's basis under the block order eliminating the
+    dependent variables (Gianni, Trager and Zacharias 1988)."""
+    if not indep:
+        return True
+    order = Block(eliminated=dep, inner=IdealHandle.ORDER)
+    coeffs = set()
+    for g in buchberger(Q.gens, order):
+        lead, _ = g.leading(order)
+        top = [lead[i] for i in dep]
+        coeffs.add(Poly(Q.nvars, {
+            tuple(0 if i in dep else e for i, e in enumerate(m)): c
+            for m, c in g.terms.items()
+            if [m[i] for i in dep] == top
+        }))
+    h = Poly.one(Q.nvars)
+    for coeff in coeffs:
+        if coeff.degree() > 0:
+            h = h * coeff
+    return h.degree() == 0 or is_subideal(saturate(Q, h), Q)
+
+
 def _shift_field_polys(gens_f: list[Poly], point: list, one) -> list[Poly]:
     values = {j: _linear(j, point[j], one, len(point)) for j in range(len(point))}
     out = []
@@ -307,7 +337,8 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
     point cut out by the prime, with denominators cleared to polynomial
     coefficients (harmless: they avoid the prime).  With no independent
     variables F = Q and this is the dual space at a point.  Raises
-    ValueError when Q is not primary to that point over F."""
+    ValueError when Q is not primary to that point over F, or is primary
+    only over F (a component of Q meets the independent variables)."""
     dep = comp.dependent
     indep = comp.independent
     nvars = comp.Q.nvars
@@ -317,6 +348,8 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
     gb, colength = _field_basis(gens_f, ndep)
     one = _field_element(Poly.one(nindep))
     _require_primary(gb, colength, point, one)
+    if not _is_contracted(comp.Q, dep, indep):
+        raise ValueError("claimed primary ideal is not primary to its prime")
     shifted = _shift_field_polys(gens_f, point, one)
     monos, vectors = _truncated_dual_vectors(shifted, colength, ndep, one)
 
@@ -448,14 +481,16 @@ def _verify_exact_over_field(a: IdealHandle, ops: OperatorSet, D: int) -> Noethe
     """The "exact" certificate when the operators' values at the rational
     point of the modulus over F span a space of dimension colength(a) over
     F: with a already killed, their common kernel is then exactly a.  None
-    when the count falls short or is unavailable (no rational point, or a
-    not zero-dimensional over F)."""
+    when the count falls short or is unavailable (no rational point, a not
+    zero-dimensional over F, or a not equal to its contraction from F)."""
     indep = ops.meta.component.independent if isinstance(ops.meta, ComponentMeta) else ()
     dep = tuple(i for i in range(a.nvars) if i not in indep)
     try:
         point = _rational_point_of_prime(ops.modulus, dep, indep)
         _, colength = _field_basis([_to_field_poly(g, dep, indep) for g in a.gens], len(dep))
     except (NonRationalPointError, NotZeroDimensionalError):
+        return None
+    if not _is_contracted(a, dep, indep):
         return None
 
     betas = monomials_up_to(len(dep), ops.max_order)

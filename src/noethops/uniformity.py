@@ -80,9 +80,10 @@ class TruncatedSubspace:
 # differential colon
 
 
-def diff_colon_of_ideal(source: IdealHandle, ops: OperatorSet, ring: RingSpec, D: int) -> TruncatedSubspace:
-    """{f in P_<=D : op(f) = 0 mod (source + rad) for every op}."""
-    monos, vectors = operator_kernel(ops, ring.plus_rad(source), D)
+def diff_colon_of_ideal(cond: IdealHandle, ops: OperatorSet, ring: RingSpec, D: int) -> TruncatedSubspace:
+    """{f in P_<=D : op(f) = 0 mod cond for every op}; `cond` must contain
+    rad (a power schedule's value, or some ideal plus rad)."""
+    monos, vectors = operator_kernel(ops, cond, D)
     return TruncatedSubspace(ring.nvars, D, vectors, monos)
 
 
@@ -92,7 +93,7 @@ def diff_colon(I: IdealHandle, m: int, ops: OperatorSet, ring: RingSpec, D: int)
     _require_radical_modulus(ops, ring)
     if D < 1:
         raise ValueError("degree bound must be at least 1")
-    return diff_colon_of_ideal(ideal_power(I, m), ops, ring, D)
+    return diff_colon_of_ideal(ring.power_plus(I, m, ring.rad), ops, ring, D)
 
 
 def _require_radical_modulus(ops: OperatorSet, ring: RingSpec) -> None:
@@ -112,7 +113,8 @@ def subspace_in_ideal(S: TruncatedSubspace, J: IdealHandle, ring: RingSpec) -> C
     """Is every basis element of S in J (as an ideal of R, so modulo N too)?
 
     A witness refutes containment absolutely; `contained` certifies it only
-    for elements of degree <= S.degree_bound.
+    for elements of degree <= S.degree_bound.  When J already lists N's
+    generators (`RingSpec.power_plus`), J + N is J's own handle.
     """
     T = ring.plus_N(J)
     for f in S.basis:
@@ -179,11 +181,13 @@ class ConstantReport:
         return out
 
 
+# (I, n, c) -> the condition ideal of the colon for (n, c), rad included
 PowerSchedule = Callable[[IdealHandle, int, int], IdealHandle]
 
 
-def _ordinary_powers(I: IdealHandle, n: int, c: int) -> IdealHandle:
-    return ideal_power(I, n + c)
+def ordinary_powers(ring: RingSpec) -> PowerSchedule:
+    """The plain power: I^(n+c) + rad, built from the power below it."""
+    return lambda I, n, c: ring.power_plus(I, n + c, ring.rad)
 
 
 def find_min_c(
@@ -194,29 +198,31 @@ def find_min_c(
     c_max: int,
     D: int,
     *,
-    schedule: PowerSchedule = _ordinary_powers,
+    schedule: PowerSchedule | None = None,
     ideal_name: str = "J",
     extras: dict | None = None,
 ) -> ConstantReport:
     """Least c (per n <= n_max, searching upward from 0) with the colon of
-    schedule(I, n, c) contained in J^n at degree D; the default schedule is
-    the ordinary power I^(n+c).
+    schedule(I, n, c) contained in J^n + N at degree D; the default schedule
+    is the ordinary power I^(n+c) + rad.
 
     Each recorded witness is re-verified: it is killed into schedule(I,n,c-1)
-    by every operator yet lies outside J^n, independent of the search path.
-    Every (n, c) colon shares the operators' values on monomials, read
+    by every operator yet lies outside J^n + N, independent of the search
+    path.  Every (n, c) colon shares the operators' values on monomials, read
     modulo the set's modulus, which must therefore be the ring's radical.
     """
     _require_radical_modulus(ops, ring)
+    if schedule is None:
+        schedule = ordinary_powers(ring)
     I = ring.image_in_reduced(J)
     rows = []
     for n in range(1, n_max + 1):
-        Jn = ideal_power(J, n)
+        target = ring.power_plus(J, n, ring.N)
         c_min = None
         last_witness = None
         for c in range(c_max + 1):
             S = diff_colon_of_ideal(schedule(I, n, c), ops, ring, D)
-            res = subspace_in_ideal(S, Jn, ring)
+            res = subspace_in_ideal(S, target, ring)
             if res.contained:
                 c_min = c
                 break
@@ -224,18 +230,17 @@ def find_min_c(
         witness = None
         if last_witness is not None:
             witness_c, witness_poly = last_witness
-            _assert_exact_witness(witness_poly, schedule(I, n, witness_c), Jn, ops, ring)
+            _assert_exact_witness(witness_poly, schedule(I, n, witness_c), target, ops)
             witness = witness_poly
         rows.append(ConstantRow(n, c_min, c_max, witness))
     return ConstantReport(ideal_name, rows, D, n_max, c_max, extras=extras or {})
 
 
-def _assert_exact_witness(f: Poly, source: IdealHandle, Jn: IdealHandle, ops: OperatorSet, ring: RingSpec) -> None:
-    cond = ring.plus_rad(source)
+def _assert_exact_witness(f: Poly, cond: IdealHandle, target: IdealHandle, ops: OperatorSet) -> None:
     for op in ops:
         if cond.normal_form(op.apply(f)):
             raise ArithmeticBugError("recorded witness is not killed into the colon source")
-    if not ring.plus_N(Jn).normal_form(f):
+    if not target.normal_form(f):
         raise ArithmeticBugError("recorded witness lies in the target power after all")
 
 
@@ -257,7 +262,7 @@ def check_reverse(J: IdealHandle, ops: OperatorSet, ring: RingSpec, n: int) -> R
     I^n + rad; exact per generator (`first_not_killed`).  Failure signals an
     arithmetic bug, not a math fact."""
     I = ring.image_in_reduced(J)
-    target = ring.plus_rad(ideal_power(I, n))
+    target = ring.power_plus(I, n, ring.rad)
     witness = first_not_killed(ops, ideal_power(J, n + ops.max_order).gens, target)
     return ReverseReport(n, witness is None, witness)
 

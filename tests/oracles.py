@@ -3,11 +3,22 @@
 import itertools
 from fractions import Fraction
 
-from noethops import linalg
+from noethops import groebner, linalg
 from noethops.closures import _monomial_exponents
 from noethops.diffops import OperatorSet
 from noethops.groebner import IdealHandle, NotZeroDimensionalError, standard_monomials
-from noethops.poly import Mono, Poly, mono_degree, mono_divides, mono_zero, monomials_up_to
+from noethops.poly import (
+    GrevLex,
+    Mono,
+    MonomialOrder,
+    Poly,
+    mono_degree,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    mono_zero,
+    monomials_up_to,
+)
 
 
 def monomial_closure_bruteforce_oracle(I: IdealHandle, candidate: Mono, k_max: int) -> bool:
@@ -24,6 +35,47 @@ def monomial_closure_bruteforce_oracle(I: IdealHandle, candidate: Mono, k_max: i
             if mono_divides(tuple(total), target):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Buchberger with the pair picked by a scan: the loop the heap pair queue
+# replaced, kept as the reference it is tested against.  It reads
+# `groebner._s_polynomial` through the module, so a test can record the
+# pairs it reduces.
+
+
+def scan_buchberger(gens, order: MonomialOrder = GrevLex()) -> list[Poly]:
+    """Reduced Groebner basis, each step reducing the pending pair of least
+    (deg lcm, order key of lcm, i, j), found by a scan of every pair."""
+    basis = groebner._interreduce(list(gens), order)
+    if not basis:
+        return []
+    leads = [g.leading(order)[0] for g in basis]
+
+    def pair_key(pair):
+        i, j = pair
+        lcm = mono_lcm(leads[i], leads[j])
+        return (mono_degree(lcm), order.key(lcm), i, j)
+
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    while pairs:
+        i, j = min(pairs, key=pair_key)
+        pairs.discard((i, j))
+        lcm = mono_lcm(leads[i], leads[j])
+        if lcm == mono_mul(leads[i], leads[j]):
+            continue  # product criterion
+        if groebner._chain_criterion(i, j, lcm, leads, pairs):
+            continue
+        s = groebner._s_polynomial(basis[i], basis[j], order)
+        r = groebner.normal_form(s, basis, order)
+        if not r:
+            continue
+        basis.append(groebner._monic(r, order))
+        leads.append(basis[-1].leading(order)[0])
+        k = len(basis) - 1
+        pairs.update((i2, k) for i2 in range(k))
+
+    return groebner._reduce_basis(basis, order)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,17 @@ def test_noeth_ops_unstable_truncation_exit_2(monkeypatch, capsys, args):
     assert capsys.readouterr().err == "arithmetic bug: dual space truncation failed to stabilize at the colength\n"
 
 
+@pytest.mark.parametrize("ideal_text", ["x^2; x*y", "x^2*y", "x^2; x*(y-1)"])
+def test_noeth_ops_primary_only_over_the_fraction_field_exit_1(capsys, ideal_text):
+    # each ideal is (x)- or (x^2)-primary over Q(y) but has a component on
+    # y = 0 or y = 1 besides, so no operator set describes it
+    rc = main(["noeth-ops", "ring: Q[x,y]", "--ideal", ideal_text, "--prime", "x", "--independent", "y"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: claimed primary ideal is not primary to its prime\n"
+
+
 def test_find_c_false_witness_exit_2(config_file, monkeypatch, capsys):
     # a containment test that wrongly refutes with the witness 1: its exact
     # re-verification fails, which is an arithmetic bug, not an input error

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from noethops import groebner
+from noethops.configs import load_experiment_config
 from noethops.groebner import (
     IdealHandle,
     NotZeroDimensionalError,
@@ -17,9 +20,10 @@ from noethops.groebner import (
     saturate,
     standard_monomials,
 )
-from noethops.poly import GrevLex, Poly, monomials_up_to
+from noethops.poly import Block, GrevLex, Lex, Poly, monomials_up_to
 
 from conftest import P, ideal
+from oracles import scan_buchberger
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -87,6 +91,54 @@ def test_gb_agrees_with_naive_buchberger():
         assert buchberger(gens, order) == _naive_groebner(gens, order)
 
 
+def _seeded_ideals(seed, count):
+    """Random generator lists in 2 and 3 variables, degree at most 3."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        nvars = 2 + k % 2
+        monos = monomials_up_to(nvars, 3)
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            terms = {monos[rng.randrange(len(monos))]: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)}
+            gens.append(Poly(nvars, terms))
+        out.append(gens)
+    return out
+
+
+ORDERS = [GrevLex(), Lex(), Block(eliminated=(0,), inner=GrevLex())]
+
+
+def test_gb_agrees_with_scan_oracle_under_every_order():
+    for gens in _seeded_ideals(71, 16):
+        for order in ORDERS:
+            assert buchberger(gens, order) == scan_buchberger(gens, order)
+
+
+def test_heap_queue_reduces_the_scan_pairs_in_scan_order(monkeypatch):
+    # the pair key is a total order on fixed leads, so the heap must pop the
+    # very pairs the scan picks, in the same order
+    s_polynomial = groebner._s_polynomial
+    reduced = []
+
+    def recording(f, g, order):
+        reduced.append((f, g))
+        return s_polynomial(f, g, order)
+
+    monkeypatch.setattr(groebner, "_s_polynomial", recording)
+    total = 0
+    for gens in _seeded_ideals(72, 16):
+        for order in ORDERS:
+            reduced.clear()
+            buchberger(gens, order)
+            heap_pairs = list(reduced)
+            reduced.clear()
+            scan_buchberger(gens, order)
+            assert heap_pairs == reduced
+            total += len(heap_pairs)
+    assert total > 100
+
+
 # --- normal form ----------------------------------------------------------
 
 
@@ -147,6 +199,44 @@ def test_power_products_land_in_power_sums():
             assert all(target.contains(g) for g in prod_gens)
 
 
+def _shipped_rings():
+    rings = {}
+    for path in sorted((Path(__file__).parents[1] / "configs").glob("*.json")):
+        ring = load_experiment_config(str(path)).ring
+        rings.setdefault((ring.N.gens, ring.rad.gens), ring)
+    return list(rings.values())
+
+
+def test_power_plus_matches_a_basis_of_all_products():
+    # J^n + M built from the basis of J^(n-1) + M against a fresh Buchberger
+    # run on the n-fold products of J's generators plus M's
+    rng = random.Random(73)
+    rings = _shipped_rings()
+    assert len(rings) == 3
+    monos = monomials_up_to(2, 2)[1:]
+    for ring in rings:
+        for _ in range(3):
+            gens = []
+            for _ in range(2):
+                terms = {monos[rng.randrange(len(monos))]: Fraction(rng.randint(-3, 3)) for _ in range(2)}
+                gens.append(Poly(2, terms))
+            J = ring.ideal(gens)
+            for M in (ring.N, ring.rad):
+                for n in range(1, 5):
+                    expected = buchberger(ideal_power(J, n).gens + M.gens)
+                    assert ring.power_plus(J, n, M).gb == expected, (J, n, M)
+
+
+def test_power_plus_keeps_one_handle_and_zeroth_power_is_unit(ring_x2):
+    J = ideal("x - y", "y^2")
+    assert ring_x2.power_plus(J, 3, ring_x2.N) is ring_x2.power_plus(J, 3, ring_x2.N)
+    assert ring_x2.power_plus(J, 1, ring_x2.N) is ring_x2.plus_N(J)
+    assert ring_x2.plus_N(ring_x2.power_plus(J, 2, ring_x2.N)) is ring_x2.power_plus(J, 2, ring_x2.N)
+    assert ring_x2.power_plus(J, 0, ring_x2.rad).contains_one()
+    with pytest.raises(ValueError):
+        ring_x2.power_plus(J, -1, ring_x2.rad)
+
+
 def test_eliminate_examples():
     E = eliminate(IdealHandle(3, [P("t*x - 1", ["t", "x", "y"]), P("y", ["t", "x", "y"])]), [0])
     assert len(E.gens) == 1 and E.gens[0] == P("y", ["t", "x", "y"])
@@ -159,6 +249,8 @@ def test_saturate_examples():
     assert ideal_equal(saturate(ideal("x^2*y"), P("x")), ideal("y"))
     assert ideal_equal(saturate(ideal("x"), P("y")), ideal("x"))
     assert saturate(IdealHandle(2, []), P("y")).is_zero()
+    unit_saturated = ideal("x^2*y")
+    assert saturate(unit_saturated, Poly.constant(2, 3)) is unit_saturated
     with pytest.raises(ValueError):
         saturate(ideal("x"), Poly.zero(2))
 

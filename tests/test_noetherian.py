@@ -231,6 +231,16 @@ def test_verify_refutes_oversized_set(ring_x2):
     assert cert.witness_side == "in_ideal_not_killed"
 
 
+def test_verify_not_exact_for_an_ideal_primary_only_over_the_fraction_field():
+    # the operators of (x^2) over Q(y) kill (x^2*y) and count right over
+    # Q(y), but their kernel is (x^2): the truncated check must refute
+    ops = noetherian_ops_primary(PrimaryComponent(ideal("x^2"), ideal("x"), independent=(1,)))
+    cert = verify_noetherian_ops(ideal("x^2*y"), ops, 6)
+    assert cert.status == "refuted"
+    assert cert.witness == P("x^2")
+    assert cert.witness_side == "killed_not_in_ideal"
+
+
 def test_verify_truncated_branch(ring_x2, ops_pi_dx):
     cert = verify_noetherian_ops(ideal("x^2"), ops_pi_dx, 6)
     assert cert.status == "verified_up_to_degree"

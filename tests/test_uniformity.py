@@ -5,7 +5,7 @@ import pytest
 
 from noethops import groebner
 from noethops.closures import shift_search
-from noethops.configs import load_experiment_config
+from noethops.configs import load_experiment_config, run_experiment_config
 from noethops.diffops import DiffOp, OperatorSet
 from noethops.groebner import IdealHandle, RingSpec, ideal_power
 from noethops.poly import Poly, monomials_up_to
@@ -216,6 +216,31 @@ def test_one_buchberger_run_per_generator_list_in_a_search(monkeypatch):
             check_reverse(J, cfg.operators, cfg.ring, n)
     assert runs
     assert max(runs.values()) == 1, [(len(gens), k) for (gens, _), k in runs.items() if k > 1]
+
+
+def test_groebner_inputs_of_a_power_search_stay_small(monkeypatch):
+    # J^n + N and I^m + rad are built from the basis one power below, not
+    # from all n-fold products of the generators (127 terms for J^4 + N here)
+    cfg = load_experiment_config({
+        "ring": "ring: Q[x,y,z] / (x^2)\nradical: (x)\nminimal-primes: [(x)]",
+        "ideals": {"G1": "y^2 - x*z; z^2 - y; x*y - z"},
+        "operators": "1; dx",
+        "mode": "artin_rees",
+        "parameters": {"n_max": 4, "c_max": 3, "degree": 6, "seed": 0},
+    })
+    sizes = []
+    buchberger = groebner.buchberger
+
+    def counting(gens, order):
+        gens = list(gens)
+        sizes.append(sum(len(g.terms) for g in gens))
+        return buchberger(gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    bundle = run_experiment_config(cfg)
+    assert [r.c_min for r in bundle.reports[0].rows] == [0, 0, 0, 0]
+    assert all(r.passed for r in bundle.reverse)
+    assert sizes and max(sizes) <= 30, sorted(sizes)
 
 
 # --- separating operators ---------------------------------------------------------
