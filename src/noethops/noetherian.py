@@ -8,7 +8,9 @@ the dual space at a point (`dual_space`).  `verify_noetherian_ops`
 certifies a claimed operator set exactly where a dual-dimension count over
 F is available (the modulus is the rational point of the ideal over F) and
 degree-truncated otherwise, and refutes with an explicit witness when the
-claim is wrong.
+claim is wrong.  Where the operators' span at the point is closed under
+brackets with the variables, it proves the ideal is killed from its
+generators alone (the Macaulay inverse-system criterion).
 """
 
 from __future__ import annotations
@@ -93,11 +95,15 @@ class PrimaryComponent:
 
 @dataclass
 class ComponentMeta:
-    """Provenance attached to an operator set built from a primary component;
-    enables the exact verification branch over the fraction field."""
+    """Provenance attached to an operator set built from a primary component,
+    with what `noetherian_ops_primary` established over F = Q(u): the
+    rational point of the prime and the colength of Q.  Q also equals its
+    contraction from F, since no set is built otherwise.  The exact
+    verification branch reuses these for the component's own Q and prime."""
 
     component: PrimaryComponent
     colength: int
+    point: list
 
 
 @dataclass
@@ -374,7 +380,7 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
             terms[tuple(alpha_full)] = _embed_indep_poly(cleared, indep, nvars)
         ops.append(_normalize_op(DiffOp(nvars, terms, comp.p)))
     _check_colength(ops, colength)
-    return OperatorSet(ops, comp.p, meta=ComponentMeta(comp, colength))
+    return OperatorSet(ops, comp.p, meta=ComponentMeta(comp, colength, point))
 
 
 # ---------------------------------------------------------------------------
@@ -449,24 +455,32 @@ def verify_noetherian_ops(a: IdealHandle, ops: OperatorSet, D: int) -> Noetheria
     """Certify or refute that the common kernel of `ops` (read modulo the set's
     modulus) equals the ideal `a`.
 
-    The containment "a is killed" is checked exactly (`first_not_killed`).
-    The reverse containment is certified exactly through a dual-dimension
-    count when the modulus is the rational point of a over F = Q(u), u the
-    independent variables of the set's component provenance (none without
-    provenance, so F = Q), and otherwise degree-truncated at D.
+    The exact branch works at the rational point of the modulus over
+    F = Q(u), u the independent variables of the set's component provenance
+    (none without provenance, so F = Q), when `a` is zero-dimensional over F
+    and equals its contraction from F.  There the reverse containment is a
+    dual-dimension count: the rank of the operators' coefficient rows at the
+    point against colength(a).  Otherwise it is degree-truncated at D.
+
+    The containment "a is killed" is proven from the generators alone when
+    the span of those rows is closed under brackets (`_kills_by_closure`),
+    and is otherwise checked exactly by `first_not_killed`, whose first
+    witness refutes.
     """
     if ops.modulus is None:
         raise ValueError("operator set has no target modulus")
     if any(g.degree() > D for g in a.gens):
         raise ValueError("degree bound is below the ideal's generator degrees")
 
-    witness = first_not_killed(ops, a.gens)
-    if witness is not None:
-        return NoetherianCertificate("refuted", D, ops, witness=witness, witness_side="in_ideal_not_killed")
+    space = _exact_space(a, ops)
+    if space is None or not _kills_by_closure(a, ops, space):
+        witness = first_not_killed(ops, a.gens)
+        if witness is not None:
+            return NoetherianCertificate("refuted", D, ops, witness=witness, witness_side="in_ideal_not_killed")
 
-    cert = _verify_exact_over_field(a, ops, D)
-    if cert is not None:
-        return cert
+    # with a killed, a full-rank span has exactly a as its kernel
+    if space is not None and space.rank == space.colength:
+        return NoetherianCertificate("exact", D, ops)
 
     monos, vectors = operator_kernel(ops, ops.modulus, D)
     for f in kernel_polynomials(monos, vectors, a.nvars):
@@ -477,14 +491,18 @@ def verify_noetherian_ops(a: IdealHandle, ops: OperatorSet, D: int) -> Noetheria
     return NoetherianCertificate("verified_up_to_degree", D, ops)
 
 
-def _verify_exact_over_field(a: IdealHandle, ops: OperatorSet, D: int) -> NoetherianCertificate | None:
-    """The "exact" certificate when the operators' values at the rational
-    point of the modulus over F span a space of dimension colength(a) over
-    F: with a already killed, their common kernel is then exactly a.  None
-    when the count falls short or is unavailable (no rational point, a not
-    zero-dimensional over F, or a not equal to its contraction from F)."""
-    indep = ops.meta.component.independent if isinstance(ops.meta, ComponentMeta) else ()
+def _exact_space(a: IdealHandle, ops: OperatorSet) -> _CoefficientSpace | None:
+    """The operators' coefficient space at the rational point of the modulus
+    over F, with the colength of a over F; None when the exact branch is
+    unavailable: no rational point, a not zero-dimensional over F, or a not
+    equal to its contraction from F.  The point and colength are taken from
+    the set's `ComponentMeta` when a is the component's Q and the modulus
+    its prime."""
+    meta = ops.meta if isinstance(ops.meta, ComponentMeta) else None
+    indep = meta.component.independent if meta is not None else ()
     dep = tuple(i for i in range(a.nvars) if i not in indep)
+    if meta is not None and _same_ideal(a, meta.component.Q) and _same_ideal(ops.modulus, meta.component.p):
+        return _CoefficientSpace(ops, dep, indep, meta.point, meta.colength)
     try:
         point = _rational_point_of_prime(ops.modulus, dep, indep)
         _, colength = _field_basis([_to_field_poly(g, dep, indep) for g in a.gens], len(dep))
@@ -492,20 +510,73 @@ def _verify_exact_over_field(a: IdealHandle, ops: OperatorSet, D: int) -> Noethe
         return None
     if not _is_contracted(a, dep, indep):
         return None
+    return _CoefficientSpace(ops, dep, indep, point, colength)
 
-    betas = monomials_up_to(len(dep), ops.max_order)
-    rows = []
-    for op in ops:
-        raw = op.with_modulus(None)
-        row = {}
-        for j, beta in enumerate(betas):
-            full = [0] * a.nvars
-            for pos, e in zip(dep, beta):
-                full[pos] = e
-            value = _to_field_poly(raw.apply(Poly.monomial(a.nvars, tuple(full))), dep, indep).evaluate(point)
+
+def _same_ideal(a: IdealHandle, b: IdealHandle) -> bool:
+    return a is b or ideal_equal(a, b)
+
+
+class _CoefficientSpace:
+    """The span over F of the operators' coefficient rows at the point, and
+    the colength over F of the ideal they are checked against.
+
+    Row i is (c_i,alpha(point))_alpha over the dependent multi-indices alpha
+    of order at most the set's maximal order; a term with a derivative in an
+    independent variable has no column, as it kills every polynomial in the
+    dependent variables.  The values op(x^beta) at the point are the row
+    times an invertible triangular matrix (alpha! on the diagonal), so the
+    rank is that of the value rows.
+    """
+
+    def __init__(self, ops: OperatorSet, dep: tuple[int, ...], indep: tuple[int, ...], point: list, colength: int):
+        self.dep, self.indep, self.point, self.colength = dep, indep, point, colength
+        self.columns = {alpha: j for j, alpha in enumerate(monomials_up_to(len(dep), ops.max_order))}
+        self.reduced, self.pivots = linalg.rref([self.row(op) for op in ops], len(self.columns))
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def row(self, op: DiffOp) -> dict:
+        out = {}
+        for alpha, coeff in op.terms.items():
+            if any(alpha[i] for i in self.indep):
+                continue
+            value = _to_field_poly(coeff, self.dep, self.indep).evaluate(self.point)
             if value:
-                row[j] = value
-        rows.append(row)
-    if linalg.rank(rows, len(betas)) == colength:
-        return NoetherianCertificate("exact", D, ops)
-    return None
+                out[self.columns[tuple(alpha[i] for i in self.dep)]] = value
+        return out
+
+    def closed_under_brackets(self, ops: OperatorSet) -> bool:
+        """The row of [op, x_j] lies in the span for every op and dependent
+        x_j.  The bracket never differentiates a coefficient (its row is
+        alpha_j * c_alpha(point) at alpha - e_j), so closure of the span
+        follows from closure on the operators."""
+        for op in ops:
+            for j in self.dep:
+                row = self.row(op.bracket(Poly.variable(op.nvars, j)))
+                if not linalg.in_row_space(self.reduced, self.pivots, row):
+                    return False
+        return True
+
+
+def _kills_by_closure(a: IdealHandle, ops: OperatorSet, space: _CoefficientSpace) -> bool:
+    """True when a provably lies in the operators' common kernel without
+    testing any multiple of its generators.
+
+    Reading modulo the modulus is the ring map to F when the modulus equals
+    its contraction from F, so the kernel is {f : op(f)(point) = 0 for
+    every op}.  With no derivative in an independent variable and the span
+    closed under [., x_j], op(x_j*h) = x_j*op(h) + [op, x_j](h) keeps that
+    kernel closed under multiplication, so it is an ideal and contains a
+    once it contains a's generators.  A plain `if` chain: the decision must
+    hold under `python -O`.
+    """
+    if any(alpha[i] for op in ops for alpha in op.terms for i in space.indep):
+        return False
+    if not space.closed_under_brackets(ops):
+        return False
+    if any(op.apply(g) for op in ops for g in a.gens):
+        return False
+    return _is_contracted(ops.modulus, space.dep, space.indep)

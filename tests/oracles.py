@@ -3,10 +3,11 @@
 import itertools
 from fractions import Fraction
 
-from noethops import groebner, linalg
+from noethops import groebner, linalg, noetherian
 from noethops.closures import _monomial_exponents
-from noethops.diffops import OperatorSet
+from noethops.diffops import OperatorSet, first_not_killed, kernel_polynomials, operator_kernel
 from noethops.groebner import IdealHandle, NotZeroDimensionalError, standard_monomials
+from noethops.noetherian import ComponentMeta, NoetherianCertificate
 from noethops.poly import (
     GrevLex,
     Mono,
@@ -186,4 +187,57 @@ def point_exact_oracle(a: IdealHandle, ops: OperatorSet) -> bool:
     for op in ops:
         values = (modulus.normal_form(op.apply(Poly.monomial(nvars, b))).constant_term() for b in betas)
         rows.append({j: c for j, c in enumerate(values) if c})
+    return linalg.rank(rows, len(betas)) == colength
+
+
+# ---------------------------------------------------------------------------
+# the kill-check certifier: Noetherian-operator verification as it ran before
+# the bracket-closure shortcut, kept as its reference.  Every operator is
+# applied to x^beta * g for each generator g and |beta| up to its order, and
+# the exact count is the rank of the values op(x^beta) at the point.
+
+
+def kill_check_certifier(a: IdealHandle, ops: OperatorSet, D: int) -> NoetherianCertificate:
+    """The certificate of `verify_noetherian_ops`, from `first_not_killed`,
+    then the rank of the value rows at the rational point of the modulus
+    over F = Q(u), then the truncated kernel at D."""
+    if any(g.degree() > D for g in a.gens):
+        raise ValueError("degree bound is below the ideal's generator degrees")
+    witness = first_not_killed(ops, a.gens)
+    if witness is not None:
+        return NoetherianCertificate("refuted", D, ops, witness=witness, witness_side="in_ideal_not_killed")
+    if _value_rank_is_colength(a, ops):
+        return NoetherianCertificate("exact", D, ops)
+    monos, vectors = operator_kernel(ops, ops.modulus, D)
+    for f in kernel_polynomials(monos, vectors, a.nvars):
+        if a.normal_form(f):
+            return NoetherianCertificate("refuted", D, ops, witness=f, witness_side="killed_not_in_ideal")
+    return NoetherianCertificate("verified_up_to_degree", D, ops)
+
+
+def _value_rank_is_colength(a: IdealHandle, ops: OperatorSet) -> bool:
+    indep = ops.meta.component.independent if isinstance(ops.meta, ComponentMeta) else ()
+    dep = tuple(i for i in range(a.nvars) if i not in indep)
+    try:
+        point = noetherian._rational_point_of_prime(ops.modulus, dep, indep)
+        field_gens = [noetherian._to_field_poly(g, dep, indep) for g in a.gens]
+        _, colength = noetherian._field_basis(field_gens, len(dep))
+    except (noetherian.NonRationalPointError, NotZeroDimensionalError):
+        return False
+    if not noetherian._is_contracted(a, dep, indep):
+        return False
+    betas = monomials_up_to(len(dep), ops.max_order)
+    rows = []
+    for op in ops:
+        raw = op.with_modulus(None)
+        row = {}
+        for j, beta in enumerate(betas):
+            full = [0] * a.nvars
+            for pos, e in zip(dep, beta):
+                full[pos] = e
+            value = raw.apply(Poly.monomial(a.nvars, tuple(full)))
+            value = noetherian._to_field_poly(value, dep, indep).evaluate(point)
+            if value:
+                row[j] = value
+        rows.append(row)
     return linalg.rank(rows, len(betas)) == colength

@@ -8,7 +8,8 @@ import pytest
 
 import noethops
 
-from noethops.diffops import DiffOp, OperatorSet, parse_operator_set
+from noethops import noetherian
+from noethops.diffops import DiffOp, OperatorSet, first_not_killed, parse_operator_set
 from noethops.groebner import IdealHandle, RingSpec, standard_monomials
 from noethops.noetherian import (
     ComponentMismatchError,
@@ -22,7 +23,7 @@ from noethops.noetherian import (
 from noethops.poly import Poly, monomials_up_to
 
 from conftest import P, ideal
-from oracles import point_exact_oracle
+from oracles import kill_check_certifier, point_exact_oracle
 
 XY = ["x", "y"]
 
@@ -272,7 +273,8 @@ def _random_point_ideal(rng, nvars):
 @pytest.mark.parametrize("nvars", [2, 3])
 def test_exact_certifier_matches_point_oracle(nvars):
     # the certifier over F = Q(u) with no u against the evaluation-functional
-    # path at a rational point over Q that it replaced
+    # path at a rational point over Q that it replaced, and against the kill
+    # check that the bracket-closure shortcut skips
     names = ["x", "y", "z"][:nvars]
     rng = random.Random(20 + nvars)
     for _ in range(6):
@@ -299,7 +301,7 @@ def test_exact_certifier_matches_point_oracle(nvars):
             "extra_derivative": OperatorSet(ops + [DiffOp.partial(nvars, (0,) * (nvars - 1) + (3,))], maximal),
         }
         for name, claimed in cases.items():
-            status = verify_noetherian_ops(a, claimed, D).status
+            status = _certificate_as_kill_check(a, claimed, D).status
             assert (status == "exact") == point_exact_oracle(a, claimed), (name, a.gens, point)
             if name in ("dual_space", "with_meta", "parsed", "recombined"):
                 assert status == "exact", (name, a.gens, point)
@@ -307,11 +309,118 @@ def test_exact_certifier_matches_point_oracle(nvars):
                 assert status != "exact", (a.gens, point)
 
 
+# --- the bracket-closure shortcut against the kill check it skips ------------------
+
+
+def _certificate_as_kill_check(a, ops, D):
+    """The certificate of `verify_noetherian_ops`, once its status, witness
+    and witness side are checked against the kill-check certifier's."""
+    cert = verify_noetherian_ops(a, ops, D)
+    want = kill_check_certifier(a, ops, D)
+    assert (cert.status, cert.witness, cert.witness_side) == (want.status, want.witness, want.witness_side)
+    return cert
+
+
+# the inputs of the benchmark's dual_ops workload: (variables, ideal, prime,
+# independent variables) or (variables, ideal, point)
+DUAL_OPS_ITEMS = [
+    ("x,y,z", "x^3 - z*y; y^4", "x; y", "z"),
+    ("x,y,z", "x^4 - z*y^3; y^5", "x; y", "z"),
+    ("x,y,z", "x^3 - z*y^2; y^5", "x; y", "z"),
+    ("x,y", "x^6", "x", "y"),
+    ("x,y,z", "(x-1)^3; (y-2)^3; z^3 - (x-1)*(y-2)", (1, 2, 0)),
+]
+
+
+def _dual_ops_sets():
+    """(ideal, certified operator set) per dual_ops item, built the way the
+    workload builds them."""
+    for var_text, ideal_text, *rest in DUAL_OPS_ITEMS:
+        names = var_text.split(",")
+        Q = ideal(*ideal_text.split(";"), names=names)
+        if isinstance(rest[0], tuple):
+            point = rest[0]
+            maximal = ideal(*(f"{v} - {c}" for v, c in zip(names, point)), names=names)
+            yield Q, OperatorSet(dual_space(Q, point), maximal)
+        else:
+            prime_text, indep_text = rest
+            indep = tuple(names.index(v) for v in indep_text.split(","))
+            prime = ideal(*prime_text.split(";"), names=names)
+            yield Q, noetherian_ops_primary(PrimaryComponent(Q, prime, indep))
+
+
+def test_certificates_match_the_kill_check_oracle_on_dual_ops_items():
+    for Q, ops in _dual_ops_sets():
+        assert _certificate_as_kill_check(Q, ops, 10).status == "exact"
+
+
+def test_exact_certification_applies_operators_to_generators_only(monkeypatch):
+    # closure at the point replaces every x^beta * g with beta != 0
+    sets = list(_dual_ops_sets())
+    apply = DiffOp.apply
+    calls = []
+
+    def recording(op, f):
+        calls.append(f)
+        return apply(op, f)
+
+    monkeypatch.setattr(DiffOp, "apply", recording)
+    for Q, ops in sets:
+        calls.clear()
+        assert verify_noetherian_ops(Q, ops, 10).status == "exact"
+        assert len(calls) == len(ops) * len(Q.gens)
+        assert all(f in Q.gens for f in calls)
+
+
+def _x2_at_origin_with_dx3():
+    """{1, dx^3} for (x^2) in Q[x] at the origin: not closed, since
+    [dx^3, x] = 3*dx^2, and dx^3(x^3) = 6."""
+    a = IdealHandle(1, [P("x^2", ["x"])])
+    return a, parse_operator_set("1; dx^3", ["x"], IdealHandle(1, [P("x", ["x"])])), P("x^3", ["x"])
+
+
+def _over_y(text, modulus):
+    """(x) and the operators of `text`, with the provenance of (x) over
+    Q(y), read modulo `modulus`."""
+    meta = noetherian_ops_primary(PrimaryComponent(ideal("x"), ideal("x"), independent=(1,))).meta
+    return meta.component.Q, OperatorSet(parse_operator_set(text, XY).ops, modulus, meta=meta)
+
+
+def _with_dy():
+    """{1, dx*dy} for (x) over Q(y): dy is a derivative in the independent
+    variable, and dx*dy(x*y) = 1."""
+    return (*_over_y("1; dx*dy", ideal("x")), P("x*y"))
+
+
+def _uncontracted_modulus():
+    """y + x*dx^2 modulo (x^2, x*y), which is (x) over Q(y) but not over Q:
+    it carries x^2 to 2*x."""
+    return (*_over_y("y + x*dx^2", ideal("x^2", "x*y")), P("x^2"))
+
+
+@pytest.mark.parametrize("case", [_x2_at_origin_with_dx3, _with_dy, _uncontracted_modulus])
+def test_sets_that_must_not_take_the_shortcut_are_refuted(case, monkeypatch):
+    # each set kills the generators and has the rank of the ideal's dual
+    # space; only the failed closure, dy or the modulus keeps the shortcut
+    # from certifying it, and the kill check then finds the witness
+    a, ops, witness = case()
+    space = noetherian._exact_space(a, ops)
+    assert space.rank == space.colength
+    assert space.closed_under_brackets(ops) == (case is not _x2_at_origin_with_dx3)
+    assert not any(op.apply(g) for op in ops for g in a.gens)
+    calls = []
+    monkeypatch.setattr(noetherian, "first_not_killed", lambda *args: calls.append(args) or first_not_killed(*args))
+    cert = _certificate_as_kill_check(a, ops, 4)
+    assert (cert.status, cert.witness, cert.witness_side) == ("refuted", witness, "in_ideal_not_killed")
+    assert len(calls) == 1
+
+
 # --- theorem-backed checks under python -O ----------------------------------------
 
-_COLENGTH_UNDER_O = """
+_CHECKS_UNDER_O = """
 import sys
 from noethops import noetherian
+from noethops.diffops import parse_operator_set
 from noethops.groebner import IdealHandle
 from noethops.poly import parse_polynomial
 
@@ -331,6 +440,12 @@ for call in calls:
         print("not caught")
     except noetherian.ArithmeticBugError as exc:
         print(f"caught: {exc}")
+# {1, dx^3} kills x^2 and has the rank of (x^2) at the origin, but is not
+# closed under brackets: the kill check must still run and refute
+X = lambda t: parse_polynomial(t, ["x"])
+ops = parse_operator_set("1; dx^3", ["x"], IdealHandle(1, [X("x")]))
+cert = noetherian.verify_noetherian_ops(IdealHandle(1, [X("x^2")]), ops, 4)
+print(cert.status, cert.witness.format(["x"]), cert.witness_side)
 print(f"optimize={sys.flags.optimize}")
 """
 
@@ -338,7 +453,7 @@ print(f"optimize={sys.flags.optimize}")
 def test_colength_check_survives_python_O():
     src_root = os.path.dirname(os.path.dirname(noethops.__file__))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _COLENGTH_UNDER_O],
+        [sys.executable, "-O", "-c", _CHECKS_UNDER_O],
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_root},
         capture_output=True,
         text=True,
@@ -347,5 +462,6 @@ def test_colength_check_survives_python_O():
     assert proc.stdout.splitlines() == [
         "caught: 1 dual operators for colength 2",
         "caught: 1 dual operators for colength 2",
+        "refuted x^3 in_ideal_not_killed",
         "optimize=1",
     ]
