@@ -434,8 +434,10 @@ class RingSpec:
         return handle
 
     def image_in_reduced(self, J: IdealHandle) -> IdealHandle:
-        """Generators of J reduced mod rad: the image ideal in R_red."""
-        return self.ideal([self.rad.normal_form(g) for g in J.gens])
+        """Generators of J reduced mod rad, made monic: the image ideal in
+        R_red, one handle for images equal up to scaling."""
+        images = (self.rad.normal_form(g) for g in J.gens)
+        return self.ideal([_monic(f, IdealHandle.ORDER) for f in images if f])
 
     def format(self, f: Poly) -> str:
         return f.format(self.var_names)

@@ -62,10 +62,10 @@ def rank(rows: list[Row], ncols: int) -> int:
     return len(pivots)
 
 
-def kernel_basis(rows: list[Row], ncols: int, one=Fraction(1)) -> list[Row]:
+def kernel_basis(rows: list[Row], ncols: int) -> list[Row]:
     """Basis of {v : M v = 0}, one vector per free column, in column order.
 
-    The basis is the canonical one read off the RREF: vector j has `one` at
+    The basis is the canonical one read off the RREF: vector j has 1 at
     its free column and the negated pivot-row entries of column j at the
     pivot columns.  Each vector's keys ascend.
     """
@@ -82,7 +82,7 @@ def kernel_basis(rows: list[Row], ncols: int, one=Fraction(1)) -> list[Row]:
             continue
         # pivots ascend, and a row has entries only right of its pivot
         entries = at_pivots.get(col, [])
-        entries.append((col, one))
+        entries.append((col, Fraction(1)))
         basis.append(dict(entries))
     return basis
 

@@ -3,8 +3,10 @@
 One engine serves every primary component: the Macaulay dual space at the
 rational point that the prime cuts out over F = Q(u), u a user-declared
 independent variable set, with denominators cleared back to polynomial
-coefficients.  With no u, F = Q (plain `Fraction` coefficients) and this is
-the dual space at a point (`dual_space`).  `verify_noetherian_ops`
+coefficients.  The dual space is read off normal forms of the powers of the
+shifted variables modulo Q's basis over F, and the same walk decides that Q
+is primary to the point.  With no u, F = Q (plain `Fraction` coefficients)
+and this is the dual space at a point (`dual_space`).  `verify_noetherian_ops`
 certifies a claimed operator set exactly where a dual-dimension count over
 F is available (the modulus is the rational point of the ideal over F) and
 degree-truncated otherwise, and refutes with an explicit witness when the
@@ -131,38 +133,7 @@ class NoetherianCertificate:
 
 
 # ---------------------------------------------------------------------------
-# truncated dual spaces
-
-
-def _alpha_factorial(alpha: Mono) -> int:
-    out = 1
-    for a in alpha:
-        out *= math.factorial(a)
-    return out
-
-
-def _truncated_dual_vectors(shifted_gens: list[Poly], colength: int, nvars: int, one):
-    """Sparse kernel vectors of the truncation matrices at the origin,
-    stopping when the kernel dimension reaches the colength.
-
-    Row (j, beta): coefficient vector of x^beta * g_j on monomials of degree
-    <= t; the kernel of the stack is the t-truncated dual space.
-    """
-    max_degree = max((g.degree() for g in shifted_gens), default=0)
-    for t in range(colength + max_degree + 2):
-        monos = monomials_up_to(nvars, t)
-        index = {m: j for j, m in enumerate(monos)}
-        rows = []
-        for g in shifted_gens:
-            for beta in monos:
-                shifted = g.scale_term(beta, one)
-                row = {index[m]: c for m, c in shifted.terms.items() if m in index and c}
-                if row:
-                    rows.append(row)
-        vectors = linalg.kernel_basis(rows, len(monos), one=one)
-        if len(vectors) == colength:
-            return monos, vectors
-    raise ArithmeticBugError("dual space truncation failed to stabilize at the colength")
+# dual spaces
 
 
 def _normalize_op(op: DiffOp) -> DiffOp:
@@ -267,27 +238,47 @@ def _field_basis(gens: list[Poly], ndep: int) -> tuple[list[Poly], int]:
     return gb, len(_standard_monomials_from_gb(gb, GrevLex(), ndep))
 
 
-def _linear(j: int, c, one, ndep: int) -> Poly:
-    """x_j + c over F."""
-    terms = {mono_unit(ndep, j): one}
-    if c:
-        terms[mono_zero(ndep)] = c
-    return Poly(ndep, terms)
+def _dual_vectors(gb: list[Poly], colength: int, point: list, one):
+    """The Macaulay dual space at the point of Q (basis `gb` over F), read
+    off normal forms; ValueError unless Q is primary to the point.
 
-
-def _require_primary(gb: list[Poly], colength: int, point: list, one) -> None:
-    """Q (basis `gb` over F) is primary to the point exactly when every
-    x_j - r_j is nilpotent modulo Q; its index is then at most the colength,
-    since the maximal ideal's L-th power lies in Q for L = colength."""
-    for j in range(len(point)):
-        linear = _linear(j, -point[j], one, len(point))
-        power = normal_form(linear, gb, GrevLex())
-        for _ in range(colength - 1):
-            if not power:
-                break
-            power = normal_form(power * linear, gb, GrevLex())
-        if power:
+    NF((x - r)^alpha) is computed degree by degree as NF((x_j - r_j) *
+    NF((x - r)^(alpha - e_j))) up to the first degree where all vanish, so
+    m^degree lies in Q; an m-primary Q of colength L holds m^L.  The
+    functionals "coefficient of a standard monomial in NF" span the dual
+    space; over the shifted monomials `monos` their rows are the
+    coefficients of the NF((x - r)^alpha).  The echelon form with the last
+    column leading is the canonical kernel basis: `one` at each vector's
+    last column, 0 at the other vectors' last columns.
+    """
+    ndep = len(point)
+    linears = [Poly(ndep, {mono_unit(ndep, j): one, mono_zero(ndep): -r}) for j, r in enumerate(point)]
+    forms = {mono_zero(ndep): normal_form(Poly.constant(ndep, one), gb, GrevLex())}
+    degree, layer = 0, list(forms.values())
+    while any(layer):
+        if degree == colength:
             raise ValueError("claimed primary ideal is not primary to its prime")
+        degree += 1
+        layer = []
+        for alpha in monomials_up_to(ndep, degree)[len(forms):]:
+            j = next(i for i, e in enumerate(alpha) if e)
+            below = forms[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]]
+            form = normal_form(below * linears[j], gb, GrevLex()) if below else below
+            forms[alpha] = form
+            layer.append(form)
+    monos = monomials_up_to(ndep, degree - 1)
+    last = len(monos) - 1
+    rows: dict[Mono, dict] = {}
+    for col, alpha in enumerate(monos):
+        for s, c in forms[alpha].terms.items():
+            rows.setdefault(s, {})[last - col] = c
+    reduced, pivots = linalg.rref(list(rows.values()), len(monos))
+    vectors = []
+    for row, pc in zip(reversed(reduced), reversed(pivots)):
+        vector = {last - k: row[k] for k in sorted(row, reverse=True)}
+        vector[last - pc] = one
+        vectors.append(vector)
+    return monos, vectors
 
 
 def _is_contracted(Q: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...]) -> bool:
@@ -317,16 +308,6 @@ def _is_contracted(Q: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...])
     return h.degree() == 0 or is_subideal(saturate(Q, h), Q)
 
 
-def _shift_field_polys(gens_f: list[Poly], point: list, one) -> list[Poly]:
-    values = {j: _linear(j, point[j], one, len(point)) for j in range(len(point))}
-    out = []
-    for g in gens_f:
-        shifted = g.substitute(values)
-        assert isinstance(shifted, Poly)
-        out.append(shifted)
-    return out
-
-
 def _embed_indep_poly(q: Poly, indep: tuple[int, ...], nvars: int) -> Poly:
     terms = {}
     for m, c in q.terms.items():
@@ -352,18 +333,15 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
     point = _rational_point_of_prime(comp.p, dep, indep)
     gens_f = [_to_field_poly(g, dep, indep) for g in comp.Q.gens]
     gb, colength = _field_basis(gens_f, ndep)
-    one = _field_element(Poly.one(nindep))
-    _require_primary(gb, colength, point, one)
+    monos, vectors = _dual_vectors(gb, colength, point, _field_element(Poly.one(nindep)))
     if not _is_contracted(comp.Q, dep, indep):
         raise ValueError("claimed primary ideal is not primary to its prime")
-    shifted = _shift_field_polys(gens_f, point, one)
-    monos, vectors = _truncated_dual_vectors(shifted, colength, ndep, one)
 
     ops = []
     for v in vectors:
         coeffs: dict[Mono, RationalFunction] = {}
         for j, c in v.items():
-            coeffs[monos[j]] = RationalFunction.lift(c * Fraction(1, _alpha_factorial(monos[j])), nindep)
+            coeffs[monos[j]] = RationalFunction.lift(c * Fraction(1, math.prod(map(math.factorial, monos[j]))), nindep)
         dens = []
         for c in coeffs.values():
             if not any(c.den == d for d in dens):
@@ -531,8 +509,10 @@ class _CoefficientSpace:
 
     def __init__(self, ops: OperatorSet, dep: tuple[int, ...], indep: tuple[int, ...], point: list, colength: int):
         self.dep, self.indep, self.point, self.colength = dep, indep, point, colength
-        self.columns = {alpha: j for j, alpha in enumerate(monomials_up_to(len(dep), ops.max_order))}
-        self.reduced, self.pivots = linalg.rref([self.row(op) for op in ops], len(self.columns))
+        self.alphas = monomials_up_to(len(dep), ops.max_order)
+        self.columns = {alpha: j for j, alpha in enumerate(self.alphas)}
+        self.rows = [self.row(op) for op in ops]
+        self.reduced, self.pivots = linalg.rref(self.rows, len(self.alphas))
 
     @property
     def rank(self) -> int:
@@ -548,17 +528,25 @@ class _CoefficientSpace:
                 out[self.columns[tuple(alpha[i] for i in self.dep)]] = value
         return out
 
-    def closed_under_brackets(self, ops: OperatorSet) -> bool:
+    def bracket_row(self, row: dict, k: int) -> dict:
+        """The row of [op, x_j] from op's row, x_j the k-th dependent
+        variable.  The bracket never differentiates a coefficient: its row
+        is alpha_k times op's value at alpha, moved to alpha - e_k."""
+        out = {}
+        for col, value in row.items():
+            alpha = self.alphas[col]
+            if alpha[k]:
+                out[self.columns[alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]]] = alpha[k] * value
+        return out
+
+    def closed_under_brackets(self) -> bool:
         """The row of [op, x_j] lies in the span for every op and dependent
-        x_j.  The bracket never differentiates a coefficient (its row is
-        alpha_j * c_alpha(point) at alpha - e_j), so closure of the span
-        follows from closure on the operators."""
-        for op in ops:
-            for j in self.dep:
-                row = self.row(op.bracket(Poly.variable(op.nvars, j)))
-                if not linalg.in_row_space(self.reduced, self.pivots, row):
-                    return False
-        return True
+        x_j, so the span is closed under brackets with the variables."""
+        return all(
+            linalg.in_row_space(self.reduced, self.pivots, self.bracket_row(row, k))
+            for row in self.rows
+            for k in range(len(self.dep))
+        )
 
 
 def _kills_by_closure(a: IdealHandle, ops: OperatorSet, space: _CoefficientSpace) -> bool:
@@ -575,7 +563,7 @@ def _kills_by_closure(a: IdealHandle, ops: OperatorSet, space: _CoefficientSpace
     """
     if any(alpha[i] for op in ops for alpha in op.terms for i in space.indep):
         return False
-    if not space.closed_under_brackets(ops):
+    if not space.closed_under_brackets():
         return False
     if any(op.apply(g) for op in ops for g in a.gens):
         return False

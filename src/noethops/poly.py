@@ -172,9 +172,6 @@ class Poly:
             return -1
         return max(mono_degree(m) for m in self.terms)
 
-    def coefficient(self, m: Mono):
-        return self.terms.get(m, Fraction(0))
-
     def constant_term(self):
         return self.terms.get(mono_zero(self.nvars), Fraction(0))
 

@@ -17,6 +17,7 @@ from noethops.poly import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    mono_unit,
     mono_zero,
     monomials_up_to,
 )
@@ -241,3 +242,35 @@ def _value_rank_is_colength(a: IdealHandle, ops: OperatorSet) -> bool:
                 row[j] = value
         rows.append(row)
     return linalg.rank(rows, len(betas)) == colength
+
+
+# ---------------------------------------------------------------------------
+# the truncated dual space: the per-degree truncation matrices the walk over
+# normal forms (`noetherian._dual_vectors`) replaced, kept as its reference
+
+
+def truncation_dual_vectors(gens_f: list[Poly], point: list, colength: int, one) -> tuple[list[Mono], list[dict]]:
+    """(monos, vectors) of the Macaulay dual space at `point` of the ideal of
+    `gens_f` over F, `one` being F's unit.  The generators are shifted to the
+    origin; for t = 0, 1, ... the stack of rows x^beta * g (coefficients on
+    the monomials of degree <= t) is built and row-reduced afresh, until its
+    kernel has the colength's dimension.  Each kernel vector has `one` at
+    its free column."""
+    ndep = len(point)
+    values = {j: Poly(ndep, {mono_unit(ndep, j): one, mono_zero(ndep): r}) for j, r in enumerate(point)}
+    shifted_gens = [g.substitute(values) for g in gens_f]
+    max_degree = max((g.degree() for g in shifted_gens), default=0)
+    for t in range(colength + max_degree + 2):
+        monos = monomials_up_to(ndep, t)
+        index = {m: j for j, m in enumerate(monos)}
+        rows = []
+        for g in shifted_gens:
+            for beta in monos:
+                shifted = g.scale_term(beta, one)
+                row = {index[m]: c for m, c in shifted.terms.items() if m in index and c}
+                if row:
+                    rows.append(row)
+        vectors = [{**v, max(v): one} for v in linalg.kernel_basis(rows, len(monos))]
+        if len(vectors) == colength:
+            return monos, vectors
+    raise AssertionError("dual space truncation failed to stabilize at the colength")

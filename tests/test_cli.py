@@ -86,13 +86,13 @@ def test_malformed_polynomial_exit_1(ring_file, capsys):
 def _drop_one_dual_vector(monkeypatch):
     from noethops import noetherian
 
-    truncated = noetherian._truncated_dual_vectors
+    walk = noetherian._dual_vectors
 
     def short(*args):
-        monos, vectors = truncated(*args)
+        monos, vectors = walk(*args)
         return monos, vectors[:-1]
 
-    monkeypatch.setattr(noetherian, "_truncated_dual_vectors", short)
+    monkeypatch.setattr(noetherian, "_dual_vectors", short)
 
 
 @pytest.mark.parametrize(
@@ -108,31 +108,16 @@ def test_noeth_ops_colength_mismatch_exit_2(ring_file, monkeypatch, capsys, wher
     assert capsys.readouterr().err == "arithmetic bug: 1 dual operators for colength 2\n"
 
 
-NOT_PRIMARY = pytest.mark.parametrize(
+@pytest.mark.parametrize(
     "args",
     [["--ideal", "x*(x-1); y", "--point", "0,0"], ["--ideal", "y*(y-1)", "--prime", "y", "--independent", "x"]],
     ids=["dual_space", "positive_dimensional"],
 )
-
-
-@NOT_PRIMARY
 def test_noeth_ops_not_primary_exit_1(capsys, args):
     # each ideal has a second point, (1, 0) or y = 1, besides the claimed one
     rc = main(["noeth-ops", "ring: Q[x,y]"] + args)
     assert rc == 1
     assert capsys.readouterr().err == "error: claimed primary ideal is not primary to its prime\n"
-
-
-@NOT_PRIMARY
-def test_noeth_ops_unstable_truncation_exit_2(monkeypatch, capsys, args):
-    # past the primaryness check the truncation must stabilize; if it does
-    # not, the arithmetic is at fault
-    from noethops import noetherian
-
-    monkeypatch.setattr(noetherian, "_require_primary", lambda *a: None)
-    rc = main(["noeth-ops", "ring: Q[x,y]"] + args)
-    assert rc == 2
-    assert capsys.readouterr().err == "arithmetic bug: dual space truncation failed to stabilize at the colength\n"
 
 
 @pytest.mark.parametrize("ideal_text", ["x^2; x*y", "x^2*y", "x^2; x*(y-1)"])

@@ -44,7 +44,7 @@ def test_rref_over_rational_functions():
     rows = [{0: rf(y), 1: rf(one)}, {0: rf(y * y), 1: rf(y)}]
     reduced, pivots = linalg.rref(rows, 2)
     assert pivots == [0]
-    kernel = linalg.kernel_basis(rows, 2, one=rf(one))
+    kernel = linalg.kernel_basis(rows, 2)
     assert len(kernel) == 1
     v = kernel[0]
     assert rows[0][0] * v[0] + rows[0][1] * v[1] == rf(Poly.zero(1))
@@ -111,7 +111,7 @@ def _assert_agrees_with_dense(dense_rows: list[list], ncols: int, field, rng: ra
     assert all(x for row in reduced for x in row.values())  # no stored zeros
     assert linalg.rank(rows, ncols) == len(want_pivots)
 
-    kernel = linalg.kernel_basis(rows, ncols, one=one)
+    kernel = linalg.kernel_basis(rows, ncols)
     assert [_dense(v, ncols, zero) for v in kernel] == dense_kernel_basis(dense_rows, ncols, one, zero)
     assert all(list(v) == sorted(v) for v in kernel)  # keys ascend
 

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 import noethops
 
 from noethops import noetherian
+from noethops.configs import load_ring
 from noethops.diffops import DiffOp, OperatorSet, first_not_killed, parse_operator_set
 from noethops.groebner import IdealHandle, RingSpec, standard_monomials
 from noethops.noetherian import (
@@ -20,10 +22,10 @@ from noethops.noetherian import (
     noetherian_ops_primary,
     verify_noetherian_ops,
 )
-from noethops.poly import Poly, monomials_up_to
+from noethops.poly import Poly, RationalFunction, monomials_up_to
 
 from conftest import P, ideal
-from oracles import kill_check_certifier, point_exact_oracle
+from oracles import kill_check_certifier, point_exact_oracle, truncation_dual_vectors
 
 XY = ["x", "y"]
 
@@ -406,13 +408,137 @@ def test_sets_that_must_not_take_the_shortcut_are_refuted(case, monkeypatch):
     a, ops, witness = case()
     space = noetherian._exact_space(a, ops)
     assert space.rank == space.colength
-    assert space.closed_under_brackets(ops) == (case is not _x2_at_origin_with_dx3)
+    assert space.closed_under_brackets() == (case is not _x2_at_origin_with_dx3)
     assert not any(op.apply(g) for op in ops for g in a.gens)
     calls = []
     monkeypatch.setattr(noetherian, "first_not_killed", lambda *args: calls.append(args) or first_not_killed(*args))
     cert = _certificate_as_kill_check(a, ops, 4)
     assert (cert.status, cert.witness, cert.witness_side) == ("refuted", witness, "in_ideal_not_killed")
     assert len(calls) == 1
+
+
+# --- the dual space read off normal forms, against the truncation matrices ---------
+
+
+def _walk_and_oracle(Q, p, indep):
+    """(monos, vectors) of `_dual_vectors` and of the truncation oracle for
+    Q primary to p over F = Q(independent variables)."""
+    dep = tuple(i for i in range(Q.nvars) if i not in indep)
+    point = noetherian._rational_point_of_prime(p, dep, indep)
+    gens_f = [noetherian._to_field_poly(g, dep, indep) for g in Q.gens]
+    gb, colength = noetherian._field_basis(gens_f, len(dep))
+    one = noetherian._field_element(Poly.one(len(indep)))
+    return noetherian._dual_vectors(gb, colength, point, one), truncation_dual_vectors(gens_f, point, colength, one)
+
+
+def _parts(value):
+    if isinstance(value, RationalFunction):
+        return value.num, value.den
+    return type(value), value
+
+
+def _assert_same_dual_vectors(Q, p, indep):
+    (monos, vectors), (want_monos, want_vectors) = _walk_and_oracle(Q, p, indep)
+    assert monos == want_monos
+    assert [list(v) for v in vectors] == [list(v) for v in want_vectors]  # keys and their order
+    for v, w in zip(vectors, want_vectors):
+        assert all(_parts(v[k]) == _parts(w[k]) for k in v), (Q.gens, v, w)
+
+
+def _random_primary_ideal(rng):
+    """Q primary to the point x_j = r_j over F = Q(u): 2 or 3 variables, u
+    none or one of them, r_j in Q or in Q[u]."""
+    nvars = rng.choice([2, 3])
+    indep = tuple(sorted(rng.sample(range(nvars), rng.choice([0, 1]))))
+    dep = [i for i in range(nvars) if i not in indep]
+    u = Poly.variable(nvars, indep[0]) if indep else None
+    shifted = []
+    for j in dep:
+        r = Poly.constant(nvars, Fraction(rng.choice([0, 0, 1, -2, 3]), rng.choice([1, 2])))
+        if u is not None and rng.random() < 0.5:
+            r = r + u * rng.choice([1, -1, 2]) * (u if rng.random() < 0.3 else Poly.one(nvars))
+        shifted.append(Poly.variable(nvars, j) - r)
+    gens = [s ** rng.randint(1, 3) for s in shifted]
+    extra = Poly.zero(nvars)
+    for _ in range(rng.randint(1, 3)):
+        term = Poly.constant(nvars, Fraction(rng.randint(-3, 3)))
+        if u is not None and rng.random() < 0.4:
+            term = term * (u + Poly.constant(nvars, Fraction(rng.randint(-2, 2))))
+        for _ in range(rng.randint(1, 2)):
+            term = term * rng.choice(shifted)
+        extra = extra + term
+    return IdealHandle(nvars, gens + [extra]), IdealHandle(nvars, shifted), indep
+
+
+def test_dual_vectors_match_the_truncation_oracle_on_seeded_ideals():
+    rng = random.Random(9)
+    for _ in range(160):
+        _assert_same_dual_vectors(*_random_primary_ideal(rng))
+
+
+def _computed_config_components():
+    """(Q, prime, independent variables) of every operator component that a
+    shipped config computes."""
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    for name in sorted(os.listdir(root)):
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg["operators"], dict):
+            continue
+        ring = load_ring(cfg["ring"])
+        for spec in cfg["operators"]["compute"]:
+            Q, p = (IdealHandle(ring.nvars, [ring.parse(t) for t in spec[key].split(";")]) for key in ("ideal", "prime"))
+            yield Q, p, tuple(ring.var_names.index(v.strip()) for v in spec["independent"].split(","))
+
+
+def test_dual_vectors_match_the_truncation_oracle_on_dual_ops_items_and_configs():
+    cases = list(_computed_config_components())
+    assert cases
+    for var_text, ideal_text, *rest in DUAL_OPS_ITEMS:
+        names = var_text.split(",")
+        Q = ideal(*ideal_text.split(";"), names=names)
+        if isinstance(rest[0], tuple):
+            cases.append((Q, ideal(*(f"{v} - {c}" for v, c in zip(names, rest[0])), names=names), ()))
+        else:
+            prime_text, indep_text = rest
+            cases.append((Q, ideal(*prime_text.split(";"), names=names), tuple(names.index(v) for v in indep_text.split(","))))
+    for case in cases:
+        _assert_same_dual_vectors(*case)
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_the_walk_reaches_the_colength(L):
+    # (x^L) has colength L and its dual space needs derivatives up to order
+    # L - 1, so the walk's first vanishing degree is L itself
+    x = Poly.variable(1, 0)
+    ops = dual_space(IdealHandle(1, [x ** L]), (0,))
+    assert [op.format(["x"]) for op in ops] == [DiffOp.partial(1, (k,)).format(["x"]) for k in range(L)]
+
+
+def test_the_walk_reaches_the_colength_over_the_fraction_field():
+    ops = noetherian_ops_primary(PrimaryComponent(ideal("x^6"), ideal("x"), independent=(1,)))
+    assert ops.format(XY) == "1; dx; dx^2; dx^3; dx^4; dx^5"
+
+
+def _bracket_rows_match(a, ops):
+    space = noetherian._exact_space(a, ops)
+    for op, row in zip(ops, space.rows):
+        for k, j in enumerate(space.dep):
+            assert space.bracket_row(row, k) == space.row(op.bracket(Poly.variable(a.nvars, j)))
+    return space
+
+
+def test_bracket_rows_from_the_evaluated_rows():
+    for Q, ops in _dual_ops_sets():
+        assert _bracket_rows_match(Q, ops).closed_under_brackets()
+    for nvars in (2, 3):
+        rng = random.Random(20 + nvars)
+        for _ in range(6):
+            a, point = _random_point_ideal(rng, nvars)
+            ops = dual_space(a, point)
+            assert _bracket_rows_match(a, OperatorSet(ops, ops[0].modulus)).closed_under_brackets()
+    a, ops, _ = _x2_at_origin_with_dx3()
+    assert not _bracket_rows_match(a, ops).closed_under_brackets()
 
 
 # --- theorem-backed checks under python -O ----------------------------------------
@@ -425,8 +551,8 @@ from noethops.groebner import IdealHandle
 from noethops.poly import parse_polynomial
 
 assert False, "assert statements run: not optimized"
-truncated = noetherian._truncated_dual_vectors
-noetherian._truncated_dual_vectors = lambda *a: (lambda mv: (mv[0], mv[1][:-1]))(truncated(*a))
+walk = noetherian._dual_vectors
+noetherian._dual_vectors = lambda *a: (lambda mv: (mv[0], mv[1][:-1]))(walk(*a))
 P = lambda t: parse_polynomial(t, ["x", "y"])
 calls = [
     lambda: noetherian.dual_space(IdealHandle(2, [P("x^2"), P("y")]), (0, 0)),

@@ -218,6 +218,29 @@ def test_one_buchberger_run_per_generator_list_in_a_search(monkeypatch):
     assert max(runs.values()) == 1, [(len(gens), k) for (gens, _), k in runs.items() if k > 1]
 
 
+def test_images_equal_up_to_scaling_share_one_buchberger_run(monkeypatch):
+    # J1 = x - y and J3 = y have the images (-y) and (y) in R_red = Q[x,y]/(x);
+    # made monic, they share one handle, so I + rad = (x, y) is computed once
+    cfg = load_experiment_config(str(Path(__file__).parents[1] / "configs" / "artin_rees_x2.json"))
+    inputs = []
+    buchberger = groebner.buchberger
+
+    def recording(gens, order):
+        gens = list(gens)
+        inputs.append((gens, order))
+        return buchberger(gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    for name, J in cfg.ideals:
+        if name in ("J1", "J3"):
+            shift_search(cfg.mode, J, cfg.operators, cfg.ring, cfg.n_max, cfg.c_max, cfg.degree, ideal_name=name)
+            for n in range(1, cfg.n_max + 1):
+                check_reverse(J, cfg.operators, cfg.ring, n)
+    monkeypatch.undo()
+    xy = ideal("x", "y").gb
+    assert sum(buchberger(gens, order) == xy for gens, order in inputs if order == IdealHandle.ORDER) == 1
+
+
 def test_groebner_inputs_of_a_power_search_stay_small(monkeypatch):
     # J^n + N and I^m + rad are built from the basis one power below, not
     # from all n-fold products of the generators (127 terms for J^4 + N here)
