@@ -84,6 +84,9 @@ def cmd_noeth_ops(args) -> int:
             raise ConfigError("need either --point or --prime with --independent")
         p = ring.ideal(parse_ideal_list(args.prime, ring.var_names))
         indep_names = [v.strip() for v in (args.independent or "").split(",") if v.strip()]
+        for v in indep_names:
+            if v not in ring.var_names:
+                raise ConfigError(f"unknown independent variable {v!r}")
         indep = tuple(ring.var_names.index(v) for v in indep_names)
         ops = noetherian_ops_primary(PrimaryComponent(Q, p, indep))
     cert = verify_noetherian_ops(Q, ops, args.degree)

@@ -259,6 +259,8 @@ def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> tuple[list[M
     rows: dict[tuple[int, Mono], dict] = {}
     for j, per_op in enumerate(values):
         for i, value in enumerate(per_op):
+            if not value:
+                continue
             for out_mono, c in cond.normal_form(value).terms.items():
                 rows.setdefault((i, out_mono), {})[j] = c
     ordered = [rows[k] for k in sorted(rows, key=lambda k: (k[0], _alpha_key(k[1])))]

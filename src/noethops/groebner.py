@@ -8,7 +8,12 @@ key is a total order on leads that never change once added, so the heap
 pops the same pairs in the same order as a scan for the least key would.
 The returned basis is the reduced Groebner basis, which is unique for a
 given ideal and order, so output never depends on traversal details.  An
-ideal handle keeps its basis and the basis' leading terms.
+ideal handle keeps its basis and the basis' leading terms, the basis under
+any other order it was asked for (elimination), and the normal forms of
+the monomials it has reduced: NF(x^m) is built from the normal form of one
+divisor x^m / x_j, and NF(f) is the sum of its terms' forms.  Buchberger
+itself reduces with the module-level `normal_form`, since its basis grows
+while it runs.
 
 Ideals of a quotient ring R = P/N are represented by generator lists in the
 ambient polynomial ring P.  Membership "in R" or "in R_red = P/rad" goes
@@ -190,10 +195,18 @@ def _reduce_basis(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
 
 
 class IdealHandle:
-    """Generator list plus a lazily computed, cached reduced grevlex Groebner
-    basis and its leading terms."""
+    """Generator list plus lazily computed, cached reduced Groebner bases
+    (grevlex, and any other order asked for once) and the normal forms of
+    the monomials reduced so far.
 
-    __slots__ = ("nvars", "gens", "_gb", "_leads")
+    NF(x^m) comes from the normal form of one divisor: with x_j the first
+    variable of x^m, NF(x^m) is 0 when NF(x^m / x_j) is, and otherwise the
+    reduction of x_j * NF(x^m / x_j), a few standard terms.  NF(f) is then
+    the sum of c * NF(x^m) over the terms of f.  The basis is fixed and
+    normal forms are unique, so this is the same polynomial a reduction of f
+    gives (Faugere, Gianni, Lazard and Mora 1993)."""
+
+    __slots__ = ("nvars", "gens", "_gb", "_leads", "_bases", "_forms")
     ORDER = GrevLex()
 
     def __init__(self, nvars: int, gens: Iterable[Poly]):
@@ -204,17 +217,55 @@ class IdealHandle:
                 raise ValueError("generator has wrong number of variables")
         self._gb: list[Poly] | None = None
         self._leads: list[tuple[Mono, object]] = []
+        self._bases: dict[MonomialOrder, list[Poly]] = {}
+        self._forms: dict[Mono, Poly] = {}
 
     @property
     def gb(self) -> list[Poly]:
         if self._gb is None:
-            self._gb = buchberger(self.gens, self.ORDER)
+            self._gb = self.basis(self.ORDER)
             self._leads = [g.leading(self.ORDER) for g in self._gb]
         return self._gb
 
+    def basis(self, order: MonomialOrder) -> list[Poly]:
+        """The reduced Groebner basis under `order`, computed once per order."""
+        gb = self._bases.get(order)
+        if gb is None:
+            gb = self._bases[order] = buchberger(self.gens, order)
+        return gb
+
     def normal_form(self, f: Poly) -> Poly:
-        gb = self.gb
-        return _reduce(f, gb, self._leads, self.ORDER)
+        if not self.gb:
+            return f
+        out: dict[Mono, object] = {}
+        for m, c in f.terms.items():
+            for t, d in self._monomial_form(m).terms.items():
+                s = out.get(t)
+                out[t] = c * d if s is None else s + c * d
+        return Poly(f.nvars, out)
+
+    def _monomial_form(self, m: Mono) -> Poly:
+        """NF(x^m), memoised.  Walks down x^m, x^m / x_j, ... to the nearest
+        divisor already known (or 1) in a loop, then reduces back up, one
+        `_reduce` per new monomial."""
+        forms = self._forms
+        form = forms.get(m)
+        if form is not None:
+            return form
+        chain = []
+        while form is None and any(m):
+            j = next(i for i, e in enumerate(m) if e)
+            chain.append((m, j))
+            m = m[:j] + (m[j] - 1,) + m[j + 1 :]
+            form = forms.get(m)
+        if form is None:  # walked down to 1
+            form = forms[m] = _reduce(Poly.one(self.nvars), self._gb, self._leads, self.ORDER)
+        for m, j in reversed(chain):
+            if form:
+                shifted = {t[:j] + (t[j] + 1,) + t[j + 1 :]: c for t, c in form.terms.items()}
+                form = _reduce(Poly(self.nvars, shifted), self._gb, self._leads, self.ORDER)
+            forms[m] = form
+        return form
 
     def contains(self, f: Poly) -> bool:
         return not self.normal_form(f)
@@ -282,7 +333,7 @@ def eliminate(I: IdealHandle, drop: Iterable[int]) -> IdealHandle:
     drop = tuple(sorted(set(drop)))
     if not drop:
         return I
-    gb = buchberger(I.gens, Block(eliminated=drop, inner=IdealHandle.ORDER))
+    gb = I.basis(Block(eliminated=drop, inner=IdealHandle.ORDER))
     dropped = set(drop)
     kept = [g for g in gb if not (g.variables_used() & dropped)]
     return IdealHandle(I.nvars, kept)

@@ -293,7 +293,7 @@ def _is_contracted(Q: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...])
         return True
     order = Block(eliminated=dep, inner=IdealHandle.ORDER)
     coeffs = set()
-    for g in buchberger(Q.gens, order):
+    for g in Q.basis(order):
         lead, _ = g.leading(order)
         top = [lead[i] for i in dep]
         coeffs.add(Poly(Q.nvars, {

@@ -20,7 +20,7 @@ from noethops.groebner import (
     saturate,
     standard_monomials,
 )
-from noethops.poly import Block, GrevLex, Lex, Poly, monomials_up_to
+from noethops.poly import Block, GrevLex, Lex, Poly, RationalFunction, monomials_up_to
 
 from conftest import P, ideal
 from oracles import scan_buchberger
@@ -179,6 +179,119 @@ def test_membership_linearity_idempotence_randomized():
         a, b = _random_poly(rng, 3, 6), _random_poly(rng, 3, 6)
         assert I.normal_form(a + b) == I.normal_form(a) + I.normal_form(b)
         assert I.normal_form(I.normal_form(a)) == I.normal_form(a)
+
+
+# --- memoised normal forms of monomials --------------------------------------
+
+
+def _q_coefficient(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+
+def _qu_coefficient(rng):
+    """A nonzero element of Q(u) from a small pool: random linear
+    numerators and denominators make bases over Q(u) too large to test."""
+    u, one = Poly.variable(1, 0), Poly.one(1)
+    pool = [(one * 2, one), (u, one), (u + one, one), (one, u), (u - one, u + one * 2)]
+    num, den = pool[rng.randrange(len(pool))]
+    return RationalFunction(num * _q_coefficient(rng), den)
+
+
+def _coefficient_poly(rng, nvars, degree, coefficient, terms=3):
+    monos = monomials_up_to(nvars, degree)
+    return Poly(nvars, {monos[rng.randrange(len(monos))]: coefficient(rng) for _ in range(terms)})
+
+
+def _memo_cases(seed, count, coefficient, max_vars, max_degree):
+    """Seeded (generators, query polynomials) in 2..max_vars variables; the
+    queries run from degree 0 to max_degree and include the zero polynomial."""
+    rng = random.Random(seed)
+    cases = []
+    for k in range(count):
+        nvars = 2 + k % (max_vars - 1)
+        degree = 3 if nvars == 2 else 2
+        gens = [_coefficient_poly(rng, nvars, degree, coefficient) for _ in range(rng.randint(2, 3))]
+        queries = [Poly.zero(nvars)]
+        queries += [_coefficient_poly(rng, nvars, d, coefficient, terms=4) for d in range(max_degree + 1)]
+        cases.append((gens, queries))
+    return cases
+
+
+def _check_memo_against_reduction(gens, queries):
+    nvars = queries[0].nvars
+    gb = IdealHandle(nvars, gens).gb
+    expected = [normal_form(f, gb, GrevLex()) for f in queries]
+    for ordered in (queries, queries[::-1]):  # low degree first, then high first
+        handle = IdealHandle(nvars, gens)
+        got = {id(f): handle.normal_form(f) for f in ordered}
+        assert [got[id(f)] for f in queries] == expected
+
+
+def test_memoised_normal_forms_match_a_full_reduction_over_q():
+    for gens, queries in _memo_cases(91, 24, _q_coefficient, max_vars=4, max_degree=6):
+        _check_memo_against_reduction(gens, queries)
+
+
+def test_memoised_normal_forms_match_a_full_reduction_over_q_of_u():
+    for gens, queries in _memo_cases(92, 12, _qu_coefficient, max_vars=2, max_degree=6):
+        _check_memo_against_reduction(gens, queries)
+
+
+def test_memoised_normal_forms_of_the_zero_and_unit_ideals():
+    rng = random.Random(93)
+    queries = [Poly.zero(3)] + [_coefficient_poly(rng, 3, d, _q_coefficient) for d in range(5)]
+    for gens in ([], [Poly.zero(3)], [P("x - 1", XYZ), P("x", XYZ)], [Poly.constant(3, Fraction(2))]):
+        _check_memo_against_reduction(gens, queries)
+    unit = IdealHandle(3, [P("x - 1", XYZ), P("x", XYZ)])
+    assert all(not unit.normal_form(f) for f in queries)
+    zero = IdealHandle(3, [])
+    assert all(zero.normal_form(f) == f for f in queries)
+
+
+def test_memoised_normal_form_of_a_high_power_does_not_recurse():
+    I = ideal("x - y^2")  # leading term y^2 under grevlex
+    assert I.normal_form(P("x^2000")) == P("x^2000")
+    assert I.normal_form(P("y^2001")) == P("x^1000*y")
+    assert I.normal_form(P("x^1000*y^2000")) == P("x^2000")
+
+
+def test_memoised_normal_forms_reduce_each_monomial_at_most_once(monkeypatch):
+    for gens in ([P("x^2 + y*z - 1", XYZ), P("x*y - z^2", XYZ)], [P("x^3 - y", XYZ), P("y^2 - x*z", XYZ)]):
+        handle = IdealHandle(3, gens)
+        handle.gb  # Buchberger's own reductions are not counted
+        calls = []
+        reduce = groebner._reduce
+
+        def counting(*args):
+            calls.append(args[0])
+            return reduce(*args)
+
+        monkeypatch.setattr(groebner, "_reduce", counting)
+        monos = monomials_up_to(3, 9)
+        forms = [handle.normal_form(Poly.monomial(3, m)) for m in reversed(monos)]
+        assert 0 < len(calls) <= len(monos)
+        again = [handle.normal_form(Poly.monomial(3, m)) for m in monos]
+        assert again == forms[::-1] and len(calls) <= len(monos)
+        monkeypatch.undo()
+        assert forms == [normal_form(Poly.monomial(3, m), handle.gb, GrevLex()) for m in reversed(monos)]
+
+
+def test_bases_under_other_orders_are_kept_per_handle(monkeypatch):
+    calls = []
+    run = groebner.buchberger
+
+    def counting(gens, order=GrevLex()):
+        calls.append(order)
+        return run(gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    I = IdealHandle(3, [P("x^2 - y*z", XYZ), P("y - z^2", XYZ)])
+    block = Block(eliminated=(0, 1), inner=GrevLex())
+    assert I.basis(block) is I.basis(Block(eliminated=(0, 1), inner=GrevLex()))
+    assert eliminate(I, [0, 1]).gens == eliminate(I, [1, 0]).gens
+    assert I.gb is I.gb
+    assert calls == [block, GrevLex()]
+    assert I.basis(block) == run(I.gens, block)
 
 
 # --- ideal arithmetic -------------------------------------------------------

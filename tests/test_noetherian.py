@@ -9,7 +9,7 @@ import pytest
 
 import noethops
 
-from noethops import noetherian
+from noethops import groebner, noetherian
 from noethops.configs import load_ring
 from noethops.diffops import DiffOp, OperatorSet, first_not_killed, parse_operator_set
 from noethops.groebner import IdealHandle, RingSpec, standard_monomials
@@ -22,7 +22,7 @@ from noethops.noetherian import (
     noetherian_ops_primary,
     verify_noetherian_ops,
 )
-from noethops.poly import Poly, RationalFunction, monomials_up_to
+from noethops.poly import Block, GrevLex, Poly, RationalFunction, monomials_up_to
 
 from conftest import P, ideal
 from oracles import kill_check_certifier, point_exact_oracle, truncation_dual_vectors
@@ -372,6 +372,24 @@ def test_exact_certification_applies_operators_to_generators_only(monkeypatch):
         assert verify_noetherian_ops(Q, ops, 10).status == "exact"
         assert len(calls) == len(ops) * len(Q.gens)
         assert all(f in Q.gens for f in calls)
+
+
+def test_the_block_order_basis_of_the_prime_is_computed_once(monkeypatch):
+    # the independence check of the component and the contraction check of
+    # the modulus read the same basis, kept on the prime's handle
+    run = groebner.buchberger
+    calls = []
+
+    def recording(gens, order=GrevLex()):
+        calls.append((tuple(gens), order))
+        return run(gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    monkeypatch.setattr(noetherian, "buchberger", recording)
+    Q, p = IdealHandle(2, [P("(x - y^2)^2")]), ideal("x - y^2")
+    ops = noetherian_ops_primary(PrimaryComponent(Q, p, independent=(1,)))
+    assert verify_noetherian_ops(Q, ops, 8).status == "exact"
+    assert calls.count((p.gens, Block(eliminated=(0,), inner=GrevLex()))) == 1
 
 
 def _x2_at_origin_with_dx3():
