@@ -247,9 +247,12 @@ def parse_operator_set(text: str, var_names: Sequence[str], modulus: IdealHandle
 # truncated kernels
 
 
-def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> tuple[list[Mono], list[dict]]:
-    """Basis vectors of {f in P_<=D : NF(op(f), cond) = 0 for every op}, as
-    sparse vectors over the ascending monomial enumeration of P_<=D.
+def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> tuple[list[Mono], list[dict], list[int]]:
+    """The equations of {f in P_<=D : NF(op(f), cond) = 0 for every op}:
+    the ascending monomial enumeration of P_<=D, and the reduced row echelon
+    form (rows, pivot columns) of the matrix M whose kernel, over that
+    enumeration, is this space.  M has one row per (operator, monomial of
+    NF(op(x^m), cond)) and one column per x^m.
 
     `cond` must contain the set's modulus: the values op(x^m) are shared by
     every call at this D (`OperatorSet.on_monomials`) and already reduced by
@@ -264,7 +267,23 @@ def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> tuple[list[M
             for out_mono, c in cond.normal_form(value).terms.items():
                 rows.setdefault((i, out_mono), {})[j] = c
     ordered = [rows[k] for k in sorted(rows, key=lambda k: (k[0], _alpha_key(k[1])))]
-    return monos, linalg.kernel_basis(ordered, len(monos))
+    return (monos, *linalg.rref(ordered, len(monos)))
+
+
+def kernel_in_ideal(monos: list[Mono], reduced: list[dict], pivots: list[int], ideal: IdealHandle) -> bool:
+    """Does the kernel of the RREF equations over `monos` lie in the ideal?
+
+    NF is linear: f = sum_j f_j x^(m_j) has NF(f) = sum_t (N f)_t x^t, where
+    N has a row per monomial t and entry (t, j) the coefficient of x^t in
+    NF(x^(m_j)), read off the ideal's memoised forms.  So the kernel lies in
+    the ideal exactly when N vanishes on it, that is when every row of N
+    lies in the row space of the equations.
+    """
+    forms: dict[Mono, dict] = {}
+    for j, m in enumerate(monos):
+        for t, c in ideal.monomial_form(m).terms.items():
+            forms.setdefault(t, {})[j] = c
+    return all(linalg.in_row_space(reduced, pivots, row) for row in forms.values())
 
 
 def kernel_polynomials(monos: list[Mono], vectors: list[dict], nvars: int) -> list[Poly]:
@@ -286,7 +305,7 @@ def first_not_killed(ops: OperatorSet, gens: Sequence[Poly], target: IdealHandle
     for op in ops:
         for g in gens:
             for beta in monomials_up_to(g.nvars, op.order):
-                h = Poly.monomial(g.nvars, beta) * g
+                h = g.scale_term(beta, Fraction(1))
                 value = op.apply(h)
                 if target is not None:
                     value = target.normal_form(value)

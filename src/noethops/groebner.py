@@ -228,10 +228,11 @@ class IdealHandle:
         return self._gb
 
     def basis(self, order: MonomialOrder) -> list[Poly]:
-        """The reduced Groebner basis under `order`, computed once per order."""
+        """The reduced Groebner basis under `order`, computed once per order;
+        the zero ideal's is empty under every order, with no Buchberger run."""
         gb = self._bases.get(order)
         if gb is None:
-            gb = self._bases[order] = buchberger(self.gens, order)
+            gb = self._bases[order] = buchberger(self.gens, order) if self.gens else []
         return gb
 
     def normal_form(self, f: Poly) -> Poly:
@@ -239,12 +240,12 @@ class IdealHandle:
             return f
         out: dict[Mono, object] = {}
         for m, c in f.terms.items():
-            for t, d in self._monomial_form(m).terms.items():
+            for t, d in self.monomial_form(m).terms.items():
                 s = out.get(t)
                 out[t] = c * d if s is None else s + c * d
         return Poly(f.nvars, out)
 
-    def _monomial_form(self, m: Mono) -> Poly:
+    def monomial_form(self, m: Mono) -> Poly:
         """NF(x^m), memoised.  Walks down x^m, x^m / x_j, ... to the nearest
         divisor already known (or 1) in a loop, then reduces back up, one
         `_reduce` per new monomial."""
@@ -252,6 +253,7 @@ class IdealHandle:
         form = forms.get(m)
         if form is not None:
             return form
+        gb, leads = self.gb, self._leads
         chain = []
         while form is None and any(m):
             j = next(i for i, e in enumerate(m) if e)
@@ -259,11 +261,11 @@ class IdealHandle:
             m = m[:j] + (m[j] - 1,) + m[j + 1 :]
             form = forms.get(m)
         if form is None:  # walked down to 1
-            form = forms[m] = _reduce(Poly.one(self.nvars), self._gb, self._leads, self.ORDER)
+            form = forms[m] = _reduce(Poly.one(self.nvars), gb, leads, self.ORDER)
         for m, j in reversed(chain):
             if form:
                 shifted = {t[:j] + (t[j] + 1,) + t[j + 1 :]: c for t, c in form.terms.items()}
-                form = _reduce(Poly(self.nvars, shifted), self._gb, self._leads, self.ORDER)
+                form = _reduce(Poly(self.nvars, shifted), gb, leads, self.ORDER)
             forms[m] = form
         return form
 

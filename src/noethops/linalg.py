@@ -9,6 +9,7 @@ echelon form is the unique one and results are deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 Row = dict  # column index -> nonzero entry
@@ -87,12 +88,26 @@ def kernel_basis(rows: list[Row], ncols: int) -> list[Row]:
     return basis
 
 
+def kernel_rref(rows: list[Row], ncols: int) -> list[Row]:
+    """The reduced row echelon form of {v : M v = 0}, pivots ascending.
+
+    With the columns reversed, `kernel_basis` has 1 at each vector's last
+    column and 0 at the other vectors' last columns; mapped back, that is
+    a leading 1 at the first column, 0 at the other leading columns, which
+    is the unique RREF.  So no reduction of the kernel itself is needed.
+    """
+    last = ncols - 1
+    flipped = [{last - col: x for col, x in row.items()} for row in rows]
+    return [{last - col: v[col] for col in reversed(v)} for v in reversed(kernel_basis(flipped, ncols))]
+
+
 def in_row_space(reduced: list[Row], pivots: list[int], v: Row) -> bool:
-    """Is v a combination of the RREF rows?  Eliminating v's entry at each
-    pivot column leaves nothing exactly when it is."""
+    """Is v a combination of the RREF rows?  A row is 0 at the other rows'
+    pivots, so v minus v's entry at each pivot column times that pivot's
+    row is the residual, and v is in the row space exactly when it is 0."""
     residual = {col: x for col, x in v.items() if x}
-    for row, pc in zip(reduced, pivots):
-        factor = residual.get(pc)
-        if factor is not None:
-            _subtract_multiple(residual, factor, row)
+    for col, x in list(residual.items()):
+        k = bisect_left(pivots, col)
+        if k < len(pivots) and pivots[k] == col:
+            _subtract_multiple(residual, x, reduced[k])
     return not residual

@@ -23,7 +23,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .diffops import DiffOp, OperatorSet, first_not_killed, kernel_polynomials, operator_kernel
+from .diffops import (
+    DiffOp,
+    OperatorSet,
+    first_not_killed,
+    kernel_in_ideal,
+    kernel_polynomials,
+    operator_kernel,
+)
 from .groebner import (
     IdealHandle,
     NotZeroDimensionalError,
@@ -209,10 +216,10 @@ def _to_field_poly(f: Poly, dep: tuple[int, ...], indep: tuple[int, ...]) -> Pol
 
 def _rational_point_of_prime(p: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...]) -> list:
     """Solve the prime for the dependent variables over F; errors unless its
-    Groebner basis over F has the linear form {x_j - r_j(u)}."""
+    Groebner basis over F has the linear form {x_j - r_j(u)}.  With no
+    independent variables F = Q, and that basis is the prime's own."""
     ndep = len(dep)
-    gens_f = [_to_field_poly(g, dep, indep) for g in p.gens]
-    gb = buchberger(gens_f, GrevLex())
+    gb = buchberger([_to_field_poly(g, dep, indep) for g in p.gens], GrevLex()) if indep else p.gb
     point = {}
     zero = _field_element(Poly.zero(len(indep)))
     if len(gb) != ndep:
@@ -438,7 +445,10 @@ def verify_noetherian_ops(a: IdealHandle, ops: OperatorSet, D: int) -> Noetheria
     (none without provenance, so F = Q), when `a` is zero-dimensional over F
     and equals its contraction from F.  There the reverse containment is a
     dual-dimension count: the rank of the operators' coefficient rows at the
-    point against colength(a).  Otherwise it is degree-truncated at D.
+    point against colength(a).  Otherwise it is degree-truncated at D: the
+    kernel's equations of degree <= D decide that it lies in a
+    (`kernel_in_ideal`), and only a refutation reads the kernel basis, whose
+    first element outside a is the witness.
 
     The containment "a is killed" is proven from the generators alone when
     the span of those rows is closed under brackets (`_kills_by_closure`),
@@ -460,13 +470,15 @@ def verify_noetherian_ops(a: IdealHandle, ops: OperatorSet, D: int) -> Noetheria
     if space is not None and space.rank == space.colength:
         return NoetherianCertificate("exact", D, ops)
 
-    monos, vectors = operator_kernel(ops, ops.modulus, D)
-    for f in kernel_polynomials(monos, vectors, a.nvars):
+    monos, reduced, pivots = operator_kernel(ops, ops.modulus, D)
+    if kernel_in_ideal(monos, reduced, pivots, a):
+        return NoetherianCertificate("verified_up_to_degree", D, ops)
+    for f in kernel_polynomials(monos, linalg.kernel_basis(reduced, len(monos)), a.nvars):
         if a.normal_form(f):
             return NoetherianCertificate(
                 "refuted", D, ops, witness=f, witness_side="killed_not_in_ideal"
             )
-    return NoetherianCertificate("verified_up_to_degree", D, ops)
+    raise ArithmeticBugError("the kernel's equations put it outside the ideal, but every basis element lies inside")
 
 
 def _exact_space(a: IdealHandle, ops: OperatorSet) -> _CoefficientSpace | None:

@@ -625,20 +625,22 @@ class _Parser:
         return p
 
     def expr(self) -> Poly:
-        kind, val, _ = self.peek()
-        sign = 1
-        if kind == "sym" and val in "+-":
-            self.advance()
-            sign = -1 if val == "-" else 1
-        p = self.term() * sign
+        p = self.signed_term()
         while True:
             kind, val, _ = self.peek()
             if kind == "sym" and val in "+-":
                 self.advance()
-                q = self.term()
+                q = self.signed_term()
                 p = p + q if val == "+" else p - q
             else:
                 return p
+
+    def signed_term(self) -> Poly:
+        kind, val, _ = self.peek()
+        if kind == "sym" and val in "+-":
+            self.advance()
+            return self.term() * (-1 if val == "-" else 1)
+        return self.term()
 
     def term(self) -> Poly:
         p = self.factor()
@@ -687,8 +689,10 @@ class _Parser:
 def parse_polynomial(text: str, var_names: Sequence[str]) -> Poly:
     """Parse `text` over the given variables.
 
-    Grammar: expr := ['+'|'-'] term (('+'|'-') term)*, term := factor ('*'
-    factor)*, factor := atom ('^' nat)?, atom := rational | var | '(' expr ')'.
+    Grammar: expr := signed (('+'|'-') signed)*, signed := ['+'|'-'] term,
+    term := factor ('*' factor)*, factor := atom ('^' nat)?, atom :=
+    rational | var | '(' expr ')'.  So "u + -3*v" and "x - -y" parse, while
+    "x^-1" and "2*-x" do not.
     Rational literals are written n/d with a positive integer denominator.
     """
     return _Parser(text, var_names).parse()

@@ -6,10 +6,17 @@ polynomial of degree at most D killed into I^(n+c) by all operators already
 lies in J^n.  Witnesses refuting a candidate shift are exact counterexamples
 (re-verified by independent normal-form checks); a "contained" verdict is
 certified only up to the degree bound, and every report records that bound.
+
+A truncated colon is kept as its equations, the reduced row echelon form of
+the operator matrix, and its containment in J^n + N is decided on them: the
+normal form is linear, so the colon is contained exactly when every row of
+the matrix of monomial normal forms lies in the equations' row space.  Only
+a refuted containment reads the colon's basis, for its witness.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -20,6 +27,7 @@ from .diffops import (
     DiffOp,
     OperatorSet,
     first_not_killed,
+    kernel_in_ideal,
     kernel_polynomials,
     operator_kernel,
     random_ideal_element,
@@ -41,36 +49,47 @@ from .poly import Mono, Poly, RationalFunction, monomials_up_to
 
 
 class TruncatedSubspace:
-    """Linear subspace of P_<=D, held as a row-reduced basis of sparse
-    vectors over the fixed ascending monomial enumeration."""
+    """Linear subspace S of P_<=D, held as its equations: the reduced row
+    echelon form of a matrix whose kernel, over the fixed ascending monomial
+    enumeration, is S.  So dim S is the number of columns minus the rank.
 
-    def __init__(self, nvars: int, degree_bound: int, vectors: list[dict], monos: list[Mono] | None = None):
+    `basis` is S's own reduced row echelon basis, pivots ascending, so that
+    it (and the first witness read off it) does not depend on how S was
+    given; it is read off the equations when first asked for.
+    """
+
+    def __init__(self, nvars: int, degree_bound: int, monos: list[Mono], reduced: list[dict], pivots: list[int]):
         self.nvars = nvars
         self.degree_bound = degree_bound
-        self.monos = monos if monos is not None else monomials_up_to(nvars, degree_bound)
-        self._index = {m: j for j, m in enumerate(self.monos)}
-        # reduced, so that the basis (and the first witness read off it) does
-        # not depend on which spanning vectors were passed in
-        self._rref, self._pivots = linalg.rref(vectors, len(self.monos))
-        self.basis = kernel_polynomials(self.monos, self._rref, nvars)
+        self.monos = monos
+        self.reduced, self.pivots = reduced, pivots
+        self._index = {m: j for j, m in enumerate(monos)}
 
     @classmethod
     def from_polynomials(cls, nvars: int, degree_bound: int, polys: Sequence[Poly]) -> "TruncatedSubspace":
+        """The span of `polys`, whose equations are the annihilator of the
+        span: the kernel of the matrix with the polynomials as rows."""
         monos = monomials_up_to(nvars, degree_bound)
         index = {m: j for j, m in enumerate(monos)}
         if any(m not in index for p in polys for m in p.terms):
             raise ValueError("polynomial exceeds the degree bound")
-        return cls(nvars, degree_bound, [{index[m]: c for m, c in p.terms.items()} for p in polys], monos)
+        rows = [{index[m]: c for m, c in p.terms.items()} for p in polys]
+        equations = linalg.kernel_basis(rows, len(monos))
+        return cls(nvars, degree_bound, monos, *linalg.rref(equations, len(monos)))
 
     @property
     def dim(self) -> int:
-        return len(self._rref)
+        return len(self.monos) - len(self.pivots)
+
+    @functools.cached_property
+    def basis(self) -> list[Poly]:
+        return kernel_polynomials(self.monos, linalg.kernel_rref(self.reduced, len(self.monos)), self.nvars)
 
     def contains_poly(self, f: Poly) -> bool:
         if any(m not in self._index for m in f.terms):
             return False
         v = {self._index[m]: c for m, c in f.terms.items()}
-        return linalg.in_row_space(self._rref, self._pivots, v)
+        return not any(sum(x * v[col] for col, x in row.items() if col in v) for row in self.reduced)
 
     def contains_subspace(self, other: "TruncatedSubspace") -> bool:
         return all(self.contains_poly(f) for f in other.basis)
@@ -83,8 +102,7 @@ class TruncatedSubspace:
 def diff_colon_of_ideal(cond: IdealHandle, ops: OperatorSet, ring: RingSpec, D: int) -> TruncatedSubspace:
     """{f in P_<=D : op(f) = 0 mod cond for every op}; `cond` must contain
     rad (a power schedule's value, or some ideal plus rad)."""
-    monos, vectors = operator_kernel(ops, cond, D)
-    return TruncatedSubspace(ring.nvars, D, vectors, monos)
+    return TruncatedSubspace(ring.nvars, D, *operator_kernel(ops, cond, D))
 
 
 def diff_colon(I: IdealHandle, m: int, ops: OperatorSet, ring: RingSpec, D: int) -> TruncatedSubspace:
@@ -110,17 +128,22 @@ class ContainmentResult:
 
 
 def subspace_in_ideal(S: TruncatedSubspace, J: IdealHandle, ring: RingSpec) -> ContainmentResult:
-    """Is every basis element of S in J (as an ideal of R, so modulo N too)?
+    """Is every element of S in J (as an ideal of R, so modulo N too)?
 
-    A witness refutes containment absolutely; `contained` certifies it only
-    for elements of degree <= S.degree_bound.  When J already lists N's
-    generators (`RingSpec.power_plus`), J + N is J's own handle.
+    Decided on S's equations (`kernel_in_ideal`); only a refuted
+    containment reads S's basis, whose first element outside J is the
+    witness.  A witness refutes containment absolutely; `contained`
+    certifies it only for elements of degree <= S.degree_bound.  When J
+    already lists N's generators (`RingSpec.power_plus`), J + N is J's own
+    handle.
     """
     T = ring.plus_N(J)
+    if kernel_in_ideal(S.monos, S.reduced, S.pivots, T):
+        return ContainmentResult(True, None)
     for f in S.basis:
         if T.normal_form(f):
             return ContainmentResult(False, f)
-    return ContainmentResult(True, None)
+    raise ArithmeticBugError("the colon's equations put it outside the ideal, but every basis element lies inside")
 
 
 # ---------------------------------------------------------------------------

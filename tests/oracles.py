@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from noethops import groebner, linalg, noetherian
 from noethops.closures import _monomial_exponents
-from noethops.diffops import OperatorSet, first_not_killed, kernel_polynomials, operator_kernel
+from noethops.diffops import OperatorSet, first_not_killed, kernel_polynomials
 from noethops.groebner import IdealHandle, NotZeroDimensionalError, standard_monomials
 from noethops.noetherian import ComponentMeta, NoetherianCertificate
 from noethops.poly import (
@@ -209,8 +209,8 @@ def kill_check_certifier(a: IdealHandle, ops: OperatorSet, D: int) -> Noetherian
         return NoetherianCertificate("refuted", D, ops, witness=witness, witness_side="in_ideal_not_killed")
     if _value_rank_is_colength(a, ops):
         return NoetherianCertificate("exact", D, ops)
-    monos, vectors = operator_kernel(ops, ops.modulus, D)
-    for f in kernel_polynomials(monos, vectors, a.nvars):
+    monos, rows = colon_equation_rows(ops, ops.modulus, D)
+    for f in kernel_polynomials(monos, linalg.kernel_basis(rows, len(monos)), a.nvars):
         if a.normal_form(f):
             return NoetherianCertificate("refuted", D, ops, witness=f, witness_side="killed_not_in_ideal")
     return NoetherianCertificate("verified_up_to_degree", D, ops)
@@ -274,3 +274,35 @@ def truncation_dual_vectors(gens_f: list[Poly], point: list, colength: int, one)
         if len(vectors) == colength:
             return monos, vectors
     raise AssertionError("dual space truncation failed to stabilize at the colength")
+
+
+# ---------------------------------------------------------------------------
+# the truncated colon as a row-reduced basis: the construction that deciding
+# containment on the colon's equations replaced, kept as its reference
+
+
+def colon_equation_rows(ops: OperatorSet, cond: IdealHandle, D: int) -> tuple[list[Mono], list[dict]]:
+    """The monomials of degree <= D, ascending, and the rows of the matrix
+    whose kernel is the colon: one per (operator, monomial t), entry j the
+    coefficient of x^t in NF(op(x^(m_j)), cond), every operator applied
+    afresh."""
+    nvars = cond.nvars
+    monos = monomials_up_to(nvars, D)
+    rows: dict[tuple[int, Mono], dict] = {}
+    for j, m in enumerate(monos):
+        for i, op in enumerate(ops):
+            for t, c in cond.normal_form(op.apply(Poly.monomial(nvars, m))).terms.items():
+                rows.setdefault((i, t), {})[j] = c
+    return monos, list(rows.values())
+
+
+def colon_oracle(ops: OperatorSet, cond: IdealHandle, D: int, target: IdealHandle) -> tuple[list[Poly], Poly | None]:
+    """The colon's basis, rref(kernel_basis(rows)), and the first basis
+    element outside `target` by a full reduction of its basis (None when
+    every one lies inside, so the colon is contained)."""
+    monos, rows = colon_equation_rows(ops, cond, D)
+    ncols = len(monos)
+    reduced, _ = linalg.rref(linalg.kernel_basis(rows, ncols), ncols)
+    basis = kernel_polynomials(monos, reduced, cond.nvars)
+    witness = next((f for f in basis if groebner.normal_form(f, target.gb, target.ORDER)), None)
+    return basis, witness

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from noethops import linalg
 from noethops.diffops import (
     DiffOp,
     OperatorSet,
+    kernel_polynomials,
     operator_kernel,
     parse_operator,
     parse_operator_set,
@@ -123,9 +125,14 @@ def test_parse_operator_set_roundtrip(ring_x2):
 
 def test_operator_kernel_of_projection(ring_x2):
     ops = OperatorSet([DiffOp.identity(2)], ring_x2.rad)
-    monos, vectors = operator_kernel(ops, ring_x2.rad, 2)
+    monos, reduced, pivots = operator_kernel(ops, ring_x2.rad, 2)
+    assert monos == monomials_up_to(2, 2)
+    # the equations come in reduced row echelon form
+    assert (reduced, pivots) == linalg.rref(reduced, len(monos))
     # kernel of the projection: multiples of x, of degree <= 2
-    assert len(vectors) == 3
+    assert len(monos) - len(pivots) == 3
+    kernel = kernel_polynomials(monos, linalg.kernel_basis(reduced, len(monos)), 2)
+    assert set(kernel) == {P("x"), P("x^2"), P("x*y")}
 
 
 def test_operator_kernel_shares_values_across_conditions(ring_x2):
@@ -137,7 +144,8 @@ def test_operator_kernel_shares_values_across_conditions(ring_x2):
     for cond in (ideal("x", "y^2"), ring_x2.rad, ideal("x", "y^3")):
         fresh = parse_operator_set(text, XY, ring_x2.rad)
         assert operator_kernel(shared, cond, 5) == operator_kernel(fresh, cond, 5)
-        dims.append(len(operator_kernel(shared, cond, 5)[1]))
+        monos, _, pivots = operator_kernel(shared, cond, 5)
+        dims.append(len(monos) - len(pivots))
     assert len(set(dims)) == 3
 
 

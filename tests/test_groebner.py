@@ -50,6 +50,16 @@ def test_gb_zero_ideal():
     assert buchberger([Poly.zero(2)]) == []
 
 
+def test_zero_ideal_handle_answers_without_a_buchberger_run(monkeypatch):
+    monkeypatch.setattr(groebner, "buchberger", lambda *args: pytest.fail("Buchberger ran on the zero ideal"))
+    zero = IdealHandle(2, [Poly.zero(2)])
+    assert zero.is_zero() and zero.gb == []
+    assert zero.basis(Block((0,), GrevLex())) == []
+    assert not zero.contains_one()
+    assert zero.normal_form(P("x*y + 1")) == P("x*y + 1")
+    assert zero.monomial_form((2, 1)) == P("x^2*y")
+
+
 def test_gb_byte_stable_across_runs():
     gens = [P("x^2 + y^2 - 1"), P("x*y - 2"), P("x - y^3")]
     first = [g.format(XY) for g in IdealHandle(2, gens).gb]

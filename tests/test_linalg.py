@@ -115,6 +115,12 @@ def _assert_agrees_with_dense(dense_rows: list[list], ncols: int, field, rng: ra
     assert [_dense(v, ncols, zero) for v in kernel] == dense_kernel_basis(dense_rows, ncols, one, zero)
     assert all(list(v) == sorted(v) for v in kernel)  # keys ascend
 
+    # the kernel's own RREF, read off the kernel of the reversed columns
+    kernel_rref = linalg.kernel_rref(rows, ncols)
+    dense_kernel = dense_kernel_basis(dense_rows, ncols, one, zero)
+    assert [_dense(v, ncols, zero) for v in kernel_rref] == dense_rref(dense_kernel, ncols)[0]
+    assert all(list(v) == sorted(v) for v in kernel_rref)
+
     candidates = [[entry(rng) if rng.random() < 0.5 else zero for _ in range(ncols)] for _ in range(3)]
     if dense_rows:  # a combination of the rows is always in the row space
         combo = [zero] * ncols

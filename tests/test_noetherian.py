@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -250,6 +251,26 @@ def test_verify_truncated_branch(ring_x2, ops_pi_dx):
     assert cert.degree_bound == 6
 
 
+def test_truncated_certificates_match_the_kill_check_oracle_on_refuting_sets():
+    # read modulo (x), which has no rational point, every set takes the
+    # truncated branch: its inclusion test and its witness in the kernel
+    # basis' order against the kill-check certifier's basis walk
+    rng = random.Random(60)
+    candidates = ["1", "dx", "dx^2", "y*dx", "dx*dy", "x*dx^2", "dy", "dx + y"]
+    ideals = [("x^2",), ("x^2", "x*y"), ("x^3", "x^2*y"), ("x^2*y",), ("x",), ("x^2", "x*y^2")]
+    outcomes = Counter()
+    for _ in range(30):
+        a = ideal(*rng.choice(ideals))
+        ops = parse_operator_set("; ".join(rng.sample(candidates, rng.randint(1, 3))), XY, ideal("x"))
+        cert = _certificate_as_kill_check(a, ops, rng.randint(3, 5))
+        outcomes[cert.status, cert.witness_side] += 1
+    assert set(outcomes) == {
+        ("verified_up_to_degree", None),
+        ("refuted", "killed_not_in_ideal"),
+        ("refuted", "in_ideal_not_killed"),
+    }, outcomes
+
+
 def test_certificate_serialization(ring_x2, ops_pi_dx):
     cert = verify_noetherian_ops(ideal("x^2"), ops_pi_dx, 6)
     data = cert.to_dict(XY)
@@ -390,6 +411,26 @@ def test_the_block_order_basis_of_the_prime_is_computed_once(monkeypatch):
     ops = noetherian_ops_primary(PrimaryComponent(Q, p, independent=(1,)))
     assert verify_noetherian_ops(Q, ops, 8).status == "exact"
     assert calls.count((p.gens, Block(eliminated=(0,), inner=GrevLex()))) == 1
+
+
+def test_buchberger_runs_per_dual_ops_pass(monkeypatch):
+    # the zero ideal answers with no run, and the basis over F = Q of a
+    # prime with no independent variables is the prime's own: 24 runs, where
+    # 3 zero ideals and 3 repeated bases over Q made 30
+    run = groebner.buchberger
+    calls = []
+
+    def recording(gens, order=GrevLex()):
+        gens = tuple(gens)
+        calls.append(gens)
+        return run(gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    monkeypatch.setattr(noetherian, "buchberger", recording)
+    statuses = [verify_noetherian_ops(Q, ops, 10).status for Q, ops in _dual_ops_sets()]
+    assert statuses == ["exact"] * len(DUAL_OPS_ITEMS)
+    assert all(calls)
+    assert len(calls) == 24
 
 
 def _x2_at_origin_with_dx3():

@@ -47,6 +47,21 @@ def test_parse_errors_carry_position():
         parse_polynomial("x^", XY)
 
 
+def test_parse_sign_after_a_binary_operator():
+    UV = ["u", "v"]
+    assert parse_polynomial("u + -3*v", UV) == parse_polynomial("u - 3*v", UV)
+    assert parse_polynomial("x - -y", XY) == parse_polynomial("x + y", XY)
+    assert parse_polynomial("x - +y", XY) == parse_polynomial("x - y", XY)
+    assert parse_polynomial("-x + -y^2", XY) == parse_polynomial("-(x + y^2)", XY)
+    assert parse_polynomial("(x + -1)*(y - -1)", XY) == parse_polynomial("x*y + x - y - 1", XY)
+
+
+@pytest.mark.parametrize("text", ["x^-1", "2*-x", "x - - -y", "x + -", "--x", "x * +y"])
+def test_parse_rejects_signs_outside_term_starts(text):
+    with pytest.raises(PolyParseError):
+        parse_polynomial(text, XY)
+
+
 def test_grevlex_examples():
     key = GrevLex().key
     assert key((2, 0)) > key((1, 1))

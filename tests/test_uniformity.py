@@ -1,19 +1,26 @@
+import os
+import random
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from noethops import groebner
-from noethops.closures import shift_search
+import noethops
+from noethops import groebner, linalg
+from noethops.closures import SCHEDULES, shift_search
 from noethops.configs import load_experiment_config, run_experiment_config
-from noethops.diffops import DiffOp, OperatorSet
+from noethops.diffops import DiffOp, OperatorSet, kernel_polynomials, random_polynomial
 from noethops.groebner import IdealHandle, RingSpec, ideal_power
+from noethops.noetherian import ArithmeticBugError
 from noethops.poly import Poly, monomials_up_to
 from noethops.uniformity import (
     PsiInconsistencyError,
     TruncatedSubspace,
     check_reverse,
     diff_colon,
+    diff_colon_of_ideal,
     find_min_c,
     run_constant_experiment,
     separating_operator,
@@ -22,6 +29,7 @@ from noethops.uniformity import (
 )
 
 from conftest import P, ideal
+from oracles import colon_oracle
 
 XY = ["x", "y"]
 
@@ -103,6 +111,216 @@ def test_subspace_in_ideal_contained(ring_x2):
 def test_subspace_in_ideal_empty(ring_x2):
     S = TruncatedSubspace.from_polynomials(2, 2, [])
     assert subspace_in_ideal(S, ideal("x - y"), ring_x2).contained
+
+
+# --- containment on the colon's equations, against the row-reduced basis --------
+
+CONFIG_DIR = Path(__file__).parents[1] / "configs"
+RING_3VAR = "ring: Q[x,y,z] / (x^2)\nradical: (x)\nminimal-primes: [(x)]"
+# the configs of the benchmark's colon_3var and groebner_powers workloads
+WORKLOAD_CONFIGS = {
+    "colon_3var": {
+        "ring": RING_3VAR,
+        "ideals": {"J1": "x - y; z", "J2": "x; y*z"},
+        "operators": "1; dx",
+        "mode": "artin_rees",
+        "parameters": {"n_max": 2, "c_max": 3, "degree": 14, "seed": 0},
+    },
+    "groebner_powers": {
+        "ring": RING_3VAR,
+        "ideals": {"G1": "y^2 - x*z; z^2 - y; x*y - z"},
+        "operators": "1; dx",
+        "mode": "artin_rees",
+        "parameters": {"n_max": 4, "c_max": 3, "degree": 6, "seed": 0},
+    },
+}
+CONFIGS = sorted(p.stem for p in CONFIG_DIR.glob("*.json")) + sorted(WORKLOAD_CONFIGS)
+
+
+def _assert_colon_matches_oracle(cond, ops, target, ring, D):
+    """The colon of `cond` at D decided on its equations: its verdict and
+    witness against `target` (+ N), then its dimension and lazy basis, equal
+    the row-reduced basis of the kernel vectors and a full reduction of each
+    basis element.  Returns the verdict."""
+    S = diff_colon_of_ideal(cond, ops, ring, D)
+    res = subspace_in_ideal(S, target, ring)
+    want_basis, want_witness = colon_oracle(ops, cond, D, ring.plus_N(target))
+    assert (res.contained, res.witness) == (want_witness is None, want_witness)
+    assert S.dim == len(want_basis)
+    assert S.basis == want_basis
+    return res.contained
+
+
+def test_shipped_and_workload_configs_are_all_covered():
+    assert len(CONFIGS) == 8
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_every_colon_of_a_config_matches_the_row_reduced_oracle(name):
+    cfg = load_experiment_config(WORKLOAD_CONFIGS.get(name) or str(CONFIG_DIR / f"{name}.json"))
+    ring, ops, D = cfg.ring, cfg.operators, cfg.degree
+    verdicts = Counter()
+    for ideal_name, J in cfg.ideals:
+        schedule, _ = SCHEDULES[cfg.mode](J, ring, cfg.dimension, cfg.witnesses.get(ideal_name))
+        I = ring.image_in_reduced(J)
+        for n in range(1, cfg.n_max + 1):
+            target = ring.power_plus(J, n, ring.N)
+            for c in range(cfg.c_max + 1):
+                verdicts[_assert_colon_matches_oracle(schedule(I, n, c), ops, target, ring, D)] += 1
+    assert verdicts[True]  # every config finds its shift
+
+
+def _random_operator_set(rng, ring, max_order):
+    nvars = ring.nvars
+    ops = []
+    for _ in range(rng.randint(1, 3)):
+        terms = [
+            (alpha, random_polynomial(rng, nvars, 1, 2))
+            for alpha in rng.sample(monomials_up_to(nvars, max_order), 2)
+        ]
+        ops.append(DiffOp(nvars, terms))
+    return OperatorSet(ops, ring.rad)
+
+
+def _random_ideal(rng, nvars, count):
+    return IdealHandle(nvars, [random_polynomial(rng, nvars, 2, 3) for _ in range(count)])
+
+
+def _random_rings():
+    names = ("x", "y", "z")
+    for nvars in (2, 3):
+        var_names = names[:nvars]
+        x = Poly.variable(nvars, 0)
+        rad = IdealHandle(nvars, [x])
+        yield RingSpec(var_names, IdealHandle(nvars, [x ** 2]), rad, (rad,))
+        zero = IdealHandle(nvars, [])
+        yield RingSpec(var_names, zero, zero)  # a polynomial ring: N = rad = 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_random_colons_match_the_row_reduced_oracle(seed):
+    rng = random.Random(300 + seed)
+    verdicts = Counter()
+    for ring in _random_rings():
+        nvars = ring.nvars
+        D = rng.randint(2, 4 if nvars == 2 else 3)
+        for _ in range(3):
+            ops = _random_operator_set(rng, ring, 2)
+            I = ring.image_in_reduced(_random_ideal(rng, nvars, rng.randint(1, 2)))
+            J = _random_ideal(rng, nvars, rng.randint(1, 3))
+            for m in (1, 2):
+                cond = ring.power_plus(I, m, ring.rad)
+                verdicts[_assert_colon_matches_oracle(cond, ops, ring.power_plus(J, m, ring.N), ring, D)] += 1
+    assert verdicts[False]
+
+
+def test_edge_colons_match_the_row_reduced_oracle():
+    for ring in _random_rings():
+        nvars = ring.nvars
+        monos = monomials_up_to(nvars, 3)
+        zero, unit = IdealHandle(nvars, []), IdealHandle(nvars, [Poly.one(nvars)])
+        identity = OperatorSet([DiffOp.identity(nvars)], ring.rad)
+        y = IdealHandle(nvars, [Poly.variable(nvars, 1)])
+        for cond, J in [(zero, zero), (unit, zero), (unit, unit), (unit, y), (ring.plus_rad(y), zero), (ring.rad, unit)]:
+            _assert_colon_matches_oracle(cond, identity, J, ring, 3)
+        # the zero colon: in a polynomial ring only 0 is carried into (0)
+        if ring.rad.is_zero():
+            S = diff_colon_of_ideal(zero, identity, ring, 3)
+            assert S.dim == 0 and S.basis == []
+            assert subspace_in_ideal(S, zero, ring).contained
+        # the full space: refuted by 1 unless the target is the unit ideal
+        S = diff_colon_of_ideal(unit, identity, ring, 3)
+        assert S.dim == len(monos)
+        assert S.basis == [Poly.monomial(nvars, m) for m in monos]
+        assert subspace_in_ideal(S, unit, ring).contained
+        assert subspace_in_ideal(S, y, ring).witness == Poly.one(nvars)
+
+
+def test_every_monomial_column_counts_in_the_inclusion():
+    # the span of one monomial lies in (y) exactly when y divides it, so a
+    # form matrix missing any column would pass a monomial outside (y)
+    ring = next(r for r in _random_rings() if r.nvars == 2 and r.rad.is_zero())
+    for m in monomials_up_to(2, 4):
+        S = TruncatedSubspace.from_polynomials(2, 4, [Poly.monomial(2, m)])
+        res = subspace_in_ideal(S, ideal("y"), ring)
+        assert res.contained == (m[1] > 0), m
+        assert res.witness == (None if m[1] else Poly.monomial(2, m))
+
+
+def test_from_polynomials_keeps_the_annihilator_of_the_span():
+    rng = random.Random(41)
+    for _ in range(10):
+        polys = [random_polynomial(rng, 2, 3) for _ in range(rng.randint(0, 5))]
+        S = TruncatedSubspace.from_polynomials(2, 3, polys)
+        index = {m: j for j, m in enumerate(S.monos)}
+        rows = [{index[m]: c for m, c in p.terms.items()} for p in polys]
+        reduced, _ = linalg.rref(rows, len(S.monos))
+        assert S.basis == kernel_polynomials(S.monos, reduced, 2)
+        assert S.dim == len(reduced)
+        assert all(S.contains_poly(p) for p in polys)
+
+
+def test_a_contained_colon_costs_one_row_reduction(ring_x2, ops_pi_dx, monkeypatch):
+    rref = linalg.rref
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return rref(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    J = ideal("x - y")
+    I = ring_x2.image_in_reduced(J)
+    target = ring_x2.power_plus(J, 1, ring_x2.N)
+    for c, contained, rrefs in ((1, True, 1), (0, False, 2)):
+        calls.clear()
+        S = diff_colon_of_ideal(ring_x2.power_plus(I, 1 + c, ring_x2.rad), ops_pi_dx, ring_x2, 8)
+        assert subspace_in_ideal(S, target, ring_x2).contained == contained
+        assert len(calls) == rrefs  # a witness reads the basis off a second one
+
+
+def test_inclusion_refuted_with_every_basis_element_inside_is_an_arithmetic_bug(ring_x2, ops_pi_dx, monkeypatch):
+    J = ideal("x - y")
+    S = diff_colon_of_ideal(ring_x2.power_plus(ring_x2.image_in_reduced(J), 2, ring_x2.rad), ops_pi_dx, ring_x2, 8)
+    assert subspace_in_ideal(S, J, ring_x2).contained
+    monkeypatch.setattr(linalg, "in_row_space", lambda reduced, pivots, v: False)
+    with pytest.raises(ArithmeticBugError):
+        subspace_in_ideal(S, J, ring_x2)
+
+
+_FAULT_UNDER_O = """
+from noethops import linalg, uniformity
+from noethops.diffops import DiffOp, OperatorSet
+from noethops.groebner import IdealHandle, RingSpec
+from noethops.noetherian import ArithmeticBugError, verify_noetherian_ops
+from noethops.poly import parse_polynomial
+
+def ideal(*texts):
+    return IdealHandle(2, [parse_polynomial(t, ["x", "y"]) for t in texts])
+
+rad = ideal("x")
+ring = RingSpec(("x", "y"), ideal("x^2"), rad, (rad,))
+ops = OperatorSet([DiffOp.identity(2), DiffOp.partial(2, (1, 0))], rad)
+S = uniformity.diff_colon(ideal("y"), 2, ops, ring, 6)
+linalg.in_row_space = lambda reduced, pivots, v: False
+for check in (lambda: uniformity.subspace_in_ideal(S, ideal("y"), ring), lambda: verify_noetherian_ops(ideal("x^2"), ops, 6)):
+    try:
+        check()
+    except ArithmeticBugError as exc:
+        print("caught:", exc)
+"""
+
+
+def test_the_inclusion_fault_check_survives_python_O():
+    src_root = os.path.dirname(os.path.dirname(noethops.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FAULT_UNDER_O],
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_root},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split(":")[0] for line in proc.stdout.splitlines()] == ["caught", "caught"]
 
 
 # --- minimal shifts -------------------------------------------------------------
