@@ -2,10 +2,11 @@
 quotients.
 
 An operator is a finite sum of coefficient * d^alpha terms where d^alpha is
-the plain iterated partial derivative (no factorial normalization).  An
-optional target modulus realizes operators into a quotient: applying the
-operator reduces the result by that ideal, so "delta(f) = 0 in R_red" is a
-normal-form test.
+the plain iterated partial derivative (no factorial normalization), applied
+in closed form: d^alpha x^m = m!/(m - alpha)! * x^(m - alpha), and 0 when
+some m_i < alpha_i.  An optional target modulus realizes operators into a
+quotient: applying the operator reduces the result by that ideal, so
+"delta(f) = 0 in R_red" is a normal-form test.
 
 The text syntax writes d<var> for the derivative in that variable, e.g.
 "y*dx*dy + 1" or "dx^2"; juxtaposition with '*' is formal (coefficients to
@@ -88,11 +89,31 @@ class DiffOp:
     # action ----------------------------------------------------------------
 
     def apply(self, f: Poly) -> Poly:
+        """delta(f), reduced by the modulus, in closed form: each term
+        a*x^m of f and c*x^t of the coefficient of d^alpha add
+        c * (a * m!/(m - alpha)!) * x^(t + m - alpha), and x^m with some
+        m_i < alpha_i adds nothing."""
         if f.nvars != self.nvars:
             raise ValueError("operator and argument live over different variable sets")
-        out = Poly.zero(self.nvars)
+        sums: dict[Mono, object] = {}
         for alpha, coeff in self.terms.items():
-            out = out + coeff * f.derivative(alpha)
+            for m, a in f.terms.items():
+                factor = 1
+                for e, k in zip(m, alpha):
+                    if e < k:
+                        break
+                    while k:
+                        factor *= e
+                        e -= 1
+                        k -= 1
+                else:
+                    value = a if factor == 1 else a * factor
+                    for t, c in coeff.terms.items():
+                        mono = tuple([s + e - k for s, e, k in zip(t, m, alpha)])
+                        term = value if c == 1 else c * value
+                        prev = sums.get(mono)
+                        sums[mono] = term if prev is None else prev + term
+        out = Poly(self.nvars, sums)
         if self.modulus is not None:
             out = self.modulus.normal_form(out)
         return out

@@ -239,10 +239,11 @@ def _rational_point_of_prime(p: IdealHandle, dep: tuple[int, ...], indep: tuple[
     return [point[i] for i in range(ndep)]
 
 
-def _field_basis(gens: list[Poly], ndep: int) -> tuple[list[Poly], int]:
-    """The Groebner basis over F of the ideal of `gens`, and its colength."""
-    gb = buchberger(gens, GrevLex())
-    return gb, len(_standard_monomials_from_gb(gb, GrevLex(), ndep))
+def _field_basis(Q: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...]) -> tuple[list[Poly], int]:
+    """The Groebner basis over F of Q, and its colength.  With no
+    independent variables F = Q, and that basis is Q's own."""
+    gb = buchberger([_to_field_poly(g, dep, indep) for g in Q.gens], GrevLex()) if indep else Q.gb
+    return gb, len(_standard_monomials_from_gb(gb, GrevLex(), len(dep)))
 
 
 def _dual_vectors(gb: list[Poly], colength: int, point: list, one):
@@ -336,10 +337,9 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
     dep = comp.dependent
     indep = comp.independent
     nvars = comp.Q.nvars
-    ndep, nindep = len(dep), len(indep)
+    nindep = len(indep)
     point = _rational_point_of_prime(comp.p, dep, indep)
-    gens_f = [_to_field_poly(g, dep, indep) for g in comp.Q.gens]
-    gb, colength = _field_basis(gens_f, ndep)
+    gb, colength = _field_basis(comp.Q, dep, indep)
     monos, vectors = _dual_vectors(gb, colength, point, _field_element(Poly.one(nindep)))
     if not _is_contracted(comp.Q, dep, indep):
         raise ValueError("claimed primary ideal is not primary to its prime")
@@ -495,7 +495,7 @@ def _exact_space(a: IdealHandle, ops: OperatorSet) -> _CoefficientSpace | None:
         return _CoefficientSpace(ops, dep, indep, meta.point, meta.colength)
     try:
         point = _rational_point_of_prime(ops.modulus, dep, indep)
-        _, colength = _field_basis([_to_field_poly(g, dep, indep) for g in a.gens], len(dep))
+        _, colength = _field_basis(a, dep, indep)
     except (NonRationalPointError, NotZeroDimensionalError):
         return None
     if not _is_contracted(a, dep, indep):

@@ -345,20 +345,19 @@ def separating_operator(
             coeff_monos = monomials_up_to(nvars, cd)
             alphas = monomials_up_to(nvars, t)
             unknowns = [(alpha, mu) for alpha in alphas for mu in coeff_monos]
-            columns = {u: j for j, u in enumerate(unknowns)}
+            unknown_ops = [DiffOp(nvars, {alpha: Poly.monomial(nvars, mu)}, ring.rad) for alpha, mu in unknowns]
             rows: dict[tuple[int, Mono, Mono], dict[int, Fraction]] = {}
             for gi, g in enumerate(a_full.gens):
                 for beta in monomials_up_to(nvars, t):
                     shifted = Poly.monomial(nvars, beta) * g
-                    for (alpha, mu), j in columns.items():
-                        contrib = ring.rad.normal_form(Poly.monomial(nvars, mu) * shifted.derivative(alpha))
-                        for m, c in contrib.terms.items():
+                    for j, op in enumerate(unknown_ops):
+                        for m, c in op.apply(shifted).terms.items():
                             rows.setdefault((gi, beta, m), {})[j] = c
             ordered = [rows[k] for k in sorted(rows)]
             vectors = linalg.kernel_basis(ordered, len(unknowns))
             for v in vectors:
                 terms: dict[Mono, Poly] = {}
-                for (alpha, mu), j in columns.items():
+                for j, (alpha, mu) in enumerate(unknowns):
                     if j in v:
                         prev = terms.get(alpha, Poly.zero(nvars))
                         terms[alpha] = prev + Poly.monomial(nvars, mu, v[j])

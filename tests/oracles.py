@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from noethops import groebner, linalg, noetherian
 from noethops.closures import _monomial_exponents
-from noethops.diffops import OperatorSet, first_not_killed, kernel_polynomials
+from noethops.diffops import DiffOp, OperatorSet, first_not_killed, kernel_polynomials
 from noethops.groebner import IdealHandle, NotZeroDimensionalError, standard_monomials
 from noethops.noetherian import ComponentMeta, NoetherianCertificate
 from noethops.poly import (
@@ -37,6 +37,20 @@ def monomial_closure_bruteforce_oracle(I: IdealHandle, candidate: Mono, k_max: i
             if mono_divides(tuple(total), target):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# operator application as a sum of derivative polynomials: the formula the
+# closed form of `DiffOp.apply` replaced, kept as its reference
+
+
+def apply_by_derivatives(op: DiffOp, f: Poly) -> Poly:
+    """sum over alpha of coeff_alpha * d^alpha(f), each derivative built by
+    `Poly.derivative`, then the normal form by the operator's modulus."""
+    out = Poly.zero(op.nvars)
+    for alpha, coeff in op.terms.items():
+        out = out + coeff * f.derivative(alpha)
+    return out if op.modulus is None else op.modulus.normal_form(out)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +235,7 @@ def _value_rank_is_colength(a: IdealHandle, ops: OperatorSet) -> bool:
     dep = tuple(i for i in range(a.nvars) if i not in indep)
     try:
         point = noetherian._rational_point_of_prime(ops.modulus, dep, indep)
-        field_gens = [noetherian._to_field_poly(g, dep, indep) for g in a.gens]
-        _, colength = noetherian._field_basis(field_gens, len(dep))
+        _, colength = noetherian._field_basis(a, dep, indep)
     except (noetherian.NonRationalPointError, NotZeroDimensionalError):
         return False
     if not noetherian._is_contracted(a, dep, indep):

@@ -1,10 +1,12 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from noethops import linalg
+from noethops.configs import load_experiment_config
 from noethops.diffops import (
     DiffOp,
     OperatorSet,
@@ -12,10 +14,13 @@ from noethops.diffops import (
     operator_kernel,
     parse_operator,
     parse_operator_set,
+    random_polynomial,
 )
+from noethops.groebner import IdealHandle
 from noethops.poly import Poly, monomials_up_to
 
 from conftest import P, ideal, order_lemma_witness
+from oracles import apply_by_derivatives
 
 XY = ["x", "y"]
 
@@ -37,6 +42,7 @@ def test_apply_examples(ring_x2):
     assert op.apply(P("x^2*y")) == P("2*x*y")
     f = P("x^2 + y")
     assert DiffOp.identity(2, ring_x2.rad).apply(f) == ring_x2.rad.normal_form(f)
+    assert not parse_operator("x*dx - y*dy", XY).apply(P("x*y")).terms
 
 
 def test_apply_is_linear():
@@ -53,6 +59,66 @@ def test_apply_is_linear():
 def test_apply_variable_mismatch():
     with pytest.raises(ValueError):
         dx().apply(Poly.variable(3, 0))
+
+
+def _random_operator(rng: random.Random, nvars: int, modulus: IdealHandle | None) -> DiffOp:
+    """Up to four terms of order at most 3; coefficients of degree at most 2,
+    sometimes the constant 1 or a bare monomial."""
+    alphas = monomials_up_to(nvars, 3)
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        alpha = alphas[rng.randrange(len(alphas))]
+        kind = rng.randrange(3)
+        if kind == 0:
+            coeff = Poly.one(nvars)
+        elif kind == 1:
+            coeff = Poly.monomial(nvars, alphas[rng.randrange(len(alphas))], Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        else:
+            coeff = random_polynomial(rng, nvars, 2)
+        terms.append((alpha, coeff))
+    return DiffOp(nvars, terms, modulus)
+
+
+def _random_arguments(rng: random.Random, nvars: int) -> list[Poly]:
+    """The zero polynomial, a constant, polynomials of degree at most 2 (so
+    below many of the derivatives) and of degree at most 5."""
+    return [
+        Poly.zero(nvars),
+        Poly.constant(nvars, Fraction(rng.randint(1, 5), rng.randint(1, 4))),
+        random_polynomial(rng, nvars, 2),
+        random_polynomial(rng, nvars, 5, max_terms=6),
+        random_polynomial(rng, nvars, 5, max_terms=6),
+    ]
+
+
+def _non_monomial_modulus(nvars: int) -> IdealHandle:
+    x = [Poly.variable(nvars, i) for i in range(nvars)]
+    return IdealHandle(nvars, [x[0] ** 2 - x[-1] + Poly.one(nvars), x[0] * x[-1] ** 2 + x[0]])
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+@pytest.mark.parametrize("with_modulus", [False, True])
+def test_apply_matches_the_derivative_sum(nvars, with_modulus):
+    rng = random.Random(1000 * nvars + with_modulus)
+    modulus = _non_monomial_modulus(nvars) if with_modulus else None
+    for _ in range(40):
+        op = _random_operator(rng, nvars, modulus)
+        for f in _random_arguments(rng, nvars):
+            assert op.apply(f) == apply_by_derivatives(op, f)
+
+
+CONFIG_PATHS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIG_PATHS, ids=[p.stem for p in CONFIG_PATHS])
+def test_apply_matches_the_derivative_sum_on_shipped_operator_sets(path):
+    cfg = load_experiment_config(str(path))
+    ops = cfg.operators
+    monos, values = ops.on_monomials(cfg.degree)
+    assert len(monos) == len(monomials_up_to(cfg.ring.nvars, cfg.degree))
+    for m, per_op in zip(monos, values):
+        f = Poly.monomial(cfg.ring.nvars, m)
+        assert per_op == [apply_by_derivatives(op, f) for op in ops]
 
 
 # --- bracket ----------------------------------------------------------------
