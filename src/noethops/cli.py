@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 input error, 2 refutation (or a failed theorem-backed
-check, which means an arithmetic bug), 3 search exhaustion.  Output is
-deterministic for a fixed config and seed; report ordering follows the config,
-never completion order.
+Exit codes: 0 success, 1 input error (usage errors included), 2 refutation
+(or a failed theorem-backed check, which means an arithmetic bug), 3 search
+exhaustion.  Output is deterministic for a fixed config and seed; report
+ordering follows the config, never completion order.
 """
 
 from __future__ import annotations
@@ -193,9 +193,7 @@ def cmd_sep_op(args) -> int:
     b = ring.ideal(parse_ideal_list(args.upper, ring.var_names))
     p = ring.ideal(parse_ideal_list(args.prime, ring.var_names))
     psi = parse_ideal_list(args.psi, ring.var_names)
-    result = separating_operator(
-        a, b, ring, p, psi, args.t_max, args.coeff_deg, seed=args.seed or 0
-    )
+    result = separating_operator(a, b, ring, p, psi, args.t_max, args.coeff_deg)
     if not result.found:
         _emit(result.message + "\n", args.out)
         return EXIT_EXHAUSTED
@@ -235,13 +233,26 @@ def cmd_verify_filtration(args) -> int:
 # argument wiring
 
 
-def _add_common_output(sub) -> None:
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1 with the usage, not argparse's
+    2, which the exit-code contract keeps for refutations.  Subparsers are
+    made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _add_output(sub, formats: tuple[str, ...] = ()) -> None:
+    """--format over the formats the command prints (the first is the
+    default), when it prints more than one, and --out."""
+    if formats:
+        sub.add_argument("--format", choices=formats, default=formats[0])
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noethops",
         description="Noetherian differential operators, differential colons, and uniform-shift experiments over Q",
     )
@@ -254,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--prime", default=None)
     s.add_argument("--independent", default=None, help="comma-separated independent variables")
     s.add_argument("--degree", type=int, default=8)
-    _add_common_output(s)
+    _add_output(s, ("text", "json"))
     s.set_defaults(func=cmd_noeth_ops)
 
     s = subs.add_parser("verify-ops", help="verify or refute a claimed operator set")
@@ -263,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ops", required=True)
     s.add_argument("--modulus", default=None, help="target modulus ideal; defaults to the radical")
     s.add_argument("--degree", type=int, default=8)
-    _add_common_output(s)
+    _add_output(s, ("text", "json"))
     s.set_defaults(func=cmd_verify_ops)
 
     s = subs.add_parser("diff-colon", help="degree-truncated differential colon basis")
@@ -272,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ideal", required=True)
     s.add_argument("-m", "--power", type=int, required=True)
     s.add_argument("--degree", type=int, default=8)
-    _add_common_output(s)
+    _add_output(s)
     s.set_defaults(func=cmd_diff_colon)
 
     for name, func, help_text in (
@@ -288,13 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--n-max", type=int, default=None, help="override the config value")
         s.add_argument("--c-max", type=int, default=None, help="override the config value")
         s.add_argument("--degree", type=int, default=None, help="override the config value")
-        _add_common_output(s)
+        _add_output(s, ("json", "csv"))
         s.set_defaults(func=func)
 
     s = subs.add_parser("check-ar-reverse", help="theorem-backed reverse containment checks")
     s.add_argument("config")
     s.add_argument("--n-max", type=int, default=None)
-    _add_common_output(s)
+    _add_output(s)
     s.set_defaults(func=cmd_check_ar_reverse)
 
     s = subs.add_parser("sep-op", help="minimal-order operator separating two nested ideals")
@@ -305,15 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--psi", required=True, help="images of the upper generators in R/p")
     s.add_argument("--t-max", type=int, default=3)
     s.add_argument("--coeff-deg", type=int, default=2)
-    s.add_argument("--seed", type=int, default=0)
-    _add_common_output(s)
+    _add_output(s)
     s.set_defaults(func=cmd_sep_op)
 
     s = subs.add_parser("verify-filtration", help="structural checks for a prime filtration")
     s.add_argument("ring")
     s.add_argument("--chain", required=True, help="ideals separated by '|', from the defining ideal to (1)")
     s.add_argument("--primes", required=True, help="one prime per step, separated by '|'")
-    _add_common_output(s)
+    _add_output(s)
     s.set_defaults(func=cmd_verify_filtration)
 
     return parser

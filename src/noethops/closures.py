@@ -2,7 +2,7 @@
 powers of primes via saturation, and the power schedules that feed plain,
 integrally closed or symbolic powers into the one minimal-shift search.
 
-Integral closure is supported for monomial ideals only, with at most three
+Integral closure is supported for monomial ideals only, in any number of
 active variables; the facet enumeration is exact over the rationals.
 """
 
@@ -11,9 +11,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
 from typing import Callable, Sequence
 
+from . import linalg
 from .diffops import OperatorSet
 from .groebner import IdealHandle, RingSpec, ideal_power, saturate
 from .poly import GrevLex, Mono, Poly, mono_degree, mono_divides
@@ -28,19 +29,8 @@ class NonMonomialIdealError(ValueError):
 # Newton polyhedra
 
 
-def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return tuple(x // g for x in v) if g else v
-
-
-def _cross(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
+def _dot(u: Sequence, v: Sequence) -> Fraction:
+    return sum(a * b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -53,57 +43,40 @@ class NewtonPolyhedron:
     """
 
     points: tuple[tuple[int, ...], ...]
-    facets: tuple[tuple[tuple[int, ...], int], ...]
+    facets: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
 
     @classmethod
     def of(cls, points: Sequence[tuple[int, ...]]) -> "NewtonPolyhedron":
+        """Every facet's hyperplane passes through an exponent p and is
+        spanned by dim - 1 directions among the q - p and the axes, so each
+        such choice with a one-dimensional kernel gives a candidate normal:
+        the canonical `kernel_basis` vector, which is 1 at its free column,
+        so it is >= 0 exactly when the hyperplane has a normal >= 0, and
+        equal hyperplanes give equal vectors.  A candidate every exponent
+        satisfies holds on the whole polyhedron, so the kept candidates cut
+        out exactly the polyhedron."""
         pts = tuple(dict.fromkeys(tuple(p) for p in points))
         if not pts:
             raise ValueError("empty generator set")
         dim = len(pts[0])
-        if dim > 3:
-            raise NonMonomialIdealError("Newton polyhedron facets supported in at most 3 active variables")
-        candidates: set[tuple[tuple[int, ...], int]] = set()
-        # axis facets
-        for i in range(dim):
-            normal = tuple(1 if j == i else 0 for j in range(dim))
-            candidates.add((normal, min(p[i] for p in pts)))
-        if dim == 1:
-            pass
-        elif dim == 2:
-            for p, q in itertools.combinations(pts, 2):
-                v = (q[0] - p[0], q[1] - p[1])
-                for n in ((v[1], -v[0]), (-v[1], v[0])):
-                    if n != (0, 0) and all(x >= 0 for x in n):
-                        n = _primitive(n)
-                        candidates.add((n, sum(a * b for a, b in zip(n, p))))
-        else:
-            rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-            spans = []
-            for p, q in itertools.combinations(pts, 2):
-                v = tuple(b - a for a, b in zip(p, q))
-                for r in rays:
-                    spans.append((p, v, r))
-            for p, q, r in itertools.combinations(pts, 3):
-                spans.append((p, tuple(b - a for a, b in zip(p, q)), tuple(b - a for a, b in zip(p, r))))
-            for base, u, v in spans:
-                n = _cross(u, v)  # type: ignore[arg-type]
-                for cand in (n, tuple(-x for x in n)):
-                    if any(cand) and all(x >= 0 for x in cand):
-                        cand = _primitive(cand)
-                        candidates.add((cand, sum(a * b for a, b in zip(cand, base))))
-        valid = []
-        for normal, offset in sorted(candidates):
-            if all(sum(a * b for a, b in zip(normal, p)) >= offset for p in pts):
-                valid.append((normal, offset))
+        axes = [{i: Fraction(1)} for i in range(dim)]
+        candidates: set[tuple[tuple[Fraction, ...], Fraction]] = set()
+        for p in pts:
+            directions = [{i: Fraction(b - a) for i, (a, b) in enumerate(zip(p, q))} for q in pts if q != p]
+            for rows in itertools.combinations(directions + axes, dim - 1):
+                kernel = linalg.kernel_basis(list(rows), dim)
+                if len(kernel) != 1:
+                    continue
+                normal = tuple(kernel[0].get(i, Fraction(0)) for i in range(dim))
+                if min(normal) >= 0:
+                    candidates.add((normal, _dot(normal, p)))
+        valid = [(n, offset) for n, offset in sorted(candidates) if all(_dot(n, q) >= offset for q in pts)]
         return cls(pts, tuple(valid))
 
     def contains(self, e: Sequence[int], dilation: int = 1) -> bool:
         if any(x < 0 for x in e):
             return False
-        return all(
-            sum(a * b for a, b in zip(normal, e)) >= dilation * offset for normal, offset in self.facets
-        )
+        return all(_dot(normal, e) >= dilation * offset for normal, offset in self.facets)
 
 
 def _monomial_exponents(I: IdealHandle) -> list[Mono]:
@@ -126,13 +99,11 @@ def monomial_integral_closure(I: IdealHandle, m: int) -> IdealHandle:
     exps = _monomial_exponents(I)
     nvars = I.nvars
     active = sorted({i for e in exps for i in range(nvars) if e[i]})
-    poly = NewtonPolyhedron.of([tuple(e[i] for i in active) for e in exps]) if active else None
-    bounds = {i: m * max(e[i] for e in exps) for i in active}
-    members: list[Mono] = []
-    if poly is None:
-        # ideal generated by 1
+    if not active:  # the ideal generated by 1
         return IdealHandle(nvars, [Poly.one(nvars)])
-    for combo in itertools.product(*[range(bounds[i] + 1) for i in active]):
+    poly = NewtonPolyhedron.of([tuple(e[i] for i in active) for e in exps])
+    members: list[Mono] = []
+    for combo in itertools.product(*[range(m * max(e[i] for e in exps) + 1) for i in active]):
         if poly.contains(combo, m):
             full = [0] * nvars
             for pos, e in zip(active, combo):

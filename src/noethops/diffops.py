@@ -16,7 +16,6 @@ the left of derivatives), not composition in the Weyl algebra.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -334,25 +333,3 @@ def first_not_killed(ops: OperatorSet, gens: Sequence[Poly], target: IdealHandle
                     return h
     return None
 
-
-# ---------------------------------------------------------------------------
-# random elements
-
-
-def random_polynomial(rng: random.Random, nvars: int, max_degree: int, max_terms: int = 4) -> Poly:
-    monos = monomials_up_to(nvars, max_degree)
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        m = monos[rng.randrange(len(monos))]
-        c = Fraction(rng.randint(-4, 4))
-        if c:
-            terms[m] = terms.get(m, Fraction(0)) + c
-    return Poly(nvars, terms)
-
-
-def random_ideal_element(rng: random.Random, I: IdealHandle, coeff_degree: int = 2) -> Poly:
-    """Random combination of the generators with small random coefficients."""
-    out = Poly.zero(I.nvars)
-    for g in I.gens:
-        out = out + random_polynomial(rng, I.nvars, coeff_degree) * g
-    return out

@@ -17,7 +17,6 @@ a refuted containment reads the colon's basis, for its witness.
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -30,8 +29,6 @@ from .diffops import (
     kernel_in_ideal,
     kernel_polynomials,
     operator_kernel,
-    random_ideal_element,
-    random_polynomial,
 )
 from .groebner import (
     IdealHandle,
@@ -301,7 +298,6 @@ class SeparatingOperatorResult:
     order: int | None = None
     d_value: RationalFunction | None = None
     psi_spec: list[Poly] = field(default_factory=list)
-    linearity_checked: int = 0
     message: str = ""
 
 
@@ -317,9 +313,6 @@ def separating_operator(
     psi: Sequence[Poly],
     t_max: int,
     coeff_deg: int,
-    *,
-    seed: int = 0,
-    linearity_samples: int = 50,
 ) -> SeparatingOperatorResult:
     """Search, by increasing order t then the fixed unknown enumeration, for
     an operator killing a (exactly, via the monomial-multiples check) whose
@@ -328,7 +321,7 @@ def separating_operator(
     psi lists the claimed images in R/p of b's generators under an R-linear
     embedding of b/a; the returned d satisfies delta(g) = psi(g) * d mod p
     for every generator, and the restricted linearity identity
-    delta(f*g) = f*delta(g) mod p is sampled on random pairs.
+    delta(f*g) = f*delta(g) mod p is checked exactly (`_finish_separating`).
     """
     nvars = ring.nvars
     a_full = ring.plus_N(a)
@@ -339,6 +332,8 @@ def separating_operator(
         raise ValueError("psi must list one image per generator of b")
     if ring.minimal_primes and not any(ideal_equal(p, q) for q in ring.minimal_primes):
         raise ValueError("p is not among the declared minimal primes")
+    if not is_subideal(ring.rad, p):
+        raise ValueError("p does not contain the radical, so it is not a prime of the ring")
 
     for t in range(t_max + 1):
         for cd in range(coeff_deg + 1):
@@ -365,51 +360,40 @@ def separating_operator(
                 if delta.order != t:
                     continue  # operators of lower order were covered at their own t
                 if any(p.normal_form(delta.apply(h)) for h in b.gens):
-                    return _finish_separating(delta, a_full, b, ring, p, list(psi), seed, linearity_samples)
+                    return _finish_separating(delta, b, ring, p, list(psi))
     return SeparatingOperatorResult(False, message=f"no operator up to order {t_max} with coefficient degree {coeff_deg}")
 
 
 def _finish_separating(
-    delta: DiffOp,
-    a_full: IdealHandle,
-    b: IdealHandle,
-    ring: RingSpec,
-    p: IdealHandle,
-    psi: list[Poly],
-    seed: int,
-    samples: int,
+    delta: DiffOp, b: IdealHandle, ring: RingSpec, p: IdealHandle, psi: list[Poly]
 ) -> SeparatingOperatorResult:
-    rng = random.Random(seed)
-    nvars = ring.nvars
-    for _ in range(samples):
-        f = random_polynomial(rng, nvars, 3)
-        g = random_ideal_element(rng, b, 2)
-        lhs = delta.apply(f * g)
-        rhs = f * delta.apply(g)
-        if p.normal_form(lhs - rhs):
-            raise ArithmeticBugError("restricted linearity failed; separating operator search is buggy")
+    """Check delta(f*g) = f*delta(g) mod p for every f and every g in b, then
+    read d off psi.
 
-    pivot = None
-    for h, psi_h in zip(b.gens, psi):
-        dh = p.normal_form(delta.apply(h))
-        ph = p.normal_form(psi_h)
-        if dh and not ph:
+    delta(x_j*h) = x_j*delta(h) + [delta, x_j](h) and b is an ideal, so the
+    identity holds exactly when every bracket [delta, x_j] carries b into p
+    (take f = x_j for the converse), which `first_not_killed` decides; the
+    values reduced by rad first are the same modulo p, as p contains rad.  A
+    bracket kills a, has lower order and no larger coefficient degree, so
+    by the search's minimality it cannot separate b: a failure is a bug.
+    """
+    nvars = ring.nvars
+    brackets = OperatorSet([delta.bracket(Poly.variable(nvars, j)) for j in range(nvars)], ring.rad)
+    if first_not_killed(brackets, b.gens, target=p) is not None:
+        raise ArithmeticBugError("restricted linearity failed; separating operator search is buggy")
+
+    values = [(p.normal_form(delta.apply(h)), p.normal_form(psi_h)) for h, psi_h in zip(b.gens, psi)]
+    for d_num, d_den in values:
+        if d_num and not d_den:
             raise PsiInconsistencyError("operator separates a generator whose claimed image is zero")
-        if dh and ph:
-            pivot = (dh, ph)
+        if d_num and d_den:
             break
-    if pivot is None:
+    else:
         raise PsiInconsistencyError("no generator with nonzero image to normalize d against")
-    d_num, d_den = pivot
-    for h, psi_h in zip(b.gens, psi):
-        dh = p.normal_form(delta.apply(h))
-        ph = p.normal_form(psi_h)
-        if p.normal_form(dh * d_den - ph * d_num):
-            raise PsiInconsistencyError("d is not consistent across the generators; psi is not the claimed embedding")
+    if any(p.normal_form(dh * d_den - ph * d_num) for dh, ph in values):
+        raise PsiInconsistencyError("d is not consistent across the generators; psi is not the claimed embedding")
     d_value = RationalFunction(d_num, d_den)
-    return SeparatingOperatorResult(
-        True, delta=delta, order=delta.order, d_value=d_value, psi_spec=psi, linearity_checked=samples
-    )
+    return SeparatingOperatorResult(True, delta=delta, order=delta.order, d_value=d_value, psi_spec=psi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import random
+from fractions import Fraction
+
 import pytest
 
+from noethops import uniformity
 from noethops.diffops import DiffOp, OperatorSet, first_not_killed
 from noethops.groebner import IdealHandle, RingSpec, ideal_power
-from noethops.poly import Poly
+from noethops.poly import Poly, monomials_up_to
 
 XY = ["x", "y"]
 
@@ -15,6 +19,19 @@ def P(text: str, names=XY) -> Poly:
 
 def ideal(*texts: str, names=XY) -> IdealHandle:
     return IdealHandle(len(names), [P(t, names) for t in texts])
+
+
+def random_polynomial(rng: random.Random, nvars: int, max_degree: int, max_terms: int = 4) -> Poly:
+    """Up to `max_terms` terms of degree at most `max_degree`, with integer
+    coefficients in [-4, 4]."""
+    monos = monomials_up_to(nvars, max_degree)
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        m = monos[rng.randrange(len(monos))]
+        c = Fraction(rng.randint(-4, 4))
+        if c:
+            terms[m] = terms.get(m, Fraction(0)) + c
+    return Poly(nvars, terms)
 
 
 def order_lemma_witness(delta: DiffOp, J: IdealHandle, I: IdealHandle, t: int) -> Poly | None:
@@ -45,3 +62,17 @@ def ring_x3() -> RingSpec:
 def ops_pi_dx(ring_x2) -> OperatorSet:
     """The projection and the projected first derivative, into R_red."""
     return OperatorSet([DiffOp.identity(2), DiffOp.partial(2, (1, 0))], ring_x2.rad)
+
+
+@pytest.fixture
+def linearity_checks(monkeypatch) -> list:
+    """The (operators, generators, target) of every exact linearity check
+    that `separating_operator` runs, recorded; the answers are unchanged."""
+    calls = []
+
+    def recording(ops, gens, target=None):
+        calls.append((list(ops), list(gens), target))
+        return first_not_killed(ops, gens, target)
+
+    monkeypatch.setattr(uniformity, "first_not_killed", recording)
+    return calls

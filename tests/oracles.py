@@ -39,6 +39,45 @@ def monomial_closure_bruteforce_oracle(I: IdealHandle, candidate: Mono, k_max: i
     return False
 
 
+def dilation_member_lp(points: list[tuple[int, ...]], e: tuple[int, ...], m: int) -> bool:
+    """Is e in the m-fold dilation of conv(points) + the orthant?  That is
+    e >= sum mu_a * a with mu >= 0 and sum mu = m, which holds iff the
+    linear program max sum lambda subject to sum lambda_a * a <= e,
+    lambda >= 0 reaches m (scale lambda down: the points are >= 0).
+
+    An exact tableau simplex, independent of the facets: the origin is
+    feasible since e >= 0, so the slacks start as the basis, and Bland's
+    rule (least entering index, ties in the ratio test by least basic
+    index) cannot cycle.  A zero point makes the program unbounded.
+    """
+    if any(x < 0 for x in e):
+        return False
+    n, d = len(points), len(e)
+    width = n + d
+    rows = [
+        [Fraction(a[i]) for a in points] + [Fraction(int(i == k)) for k in range(d)] + [Fraction(e[i])]
+        for i in range(d)
+    ]
+    basis = [n + i for i in range(d)]
+    cost = [Fraction(1)] * n + [Fraction(0)] * d
+    while True:
+        reduced = [cost[j] - sum(cost[basis[i]] * rows[i][j] for i in range(d)) for j in range(width)]
+        entering = next((j for j in range(width) if reduced[j] > 0), None)
+        if entering is None:
+            return sum(cost[basis[i]] * rows[i][-1] for i in range(d)) >= m
+        ratios = [(rows[i][-1] / rows[i][entering], basis[i], i) for i in range(d) if rows[i][entering] > 0]
+        if not ratios:
+            return True
+        r = min(ratios)[2]
+        pivot = rows[r][entering]
+        rows[r] = [x / pivot for x in rows[r]]
+        for i in range(d):
+            if i != r and rows[i][entering]:
+                factor = rows[i][entering]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        basis[r] = entering
+
+
 # ---------------------------------------------------------------------------
 # operator application as a sum of derivative polynomials: the formula the
 # closed form of `DiffOp.apply` replaced, kept as its reference

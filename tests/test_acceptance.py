@@ -122,20 +122,21 @@ def test_criterion_05_order_lemma_regression(ring_x2):
     _report(5, "order lemma regression", ok)
 
 
-def test_criterion_06_separating_operators(ring_x2):
+def test_criterion_06_separating_operators(ring_x2, linearity_checks):
     start = time.monotonic()
-    res1 = separating_operator(
-        IdealHandle(2, []), ideal("x"), ring_x2, ring_x2.rad, [Poly.one(2)], 3, 2,
-        linearity_samples=50,
-    )
-    ok = res1.found and res1.order == 1 and res1.d_value == 1 and res1.linearity_checked == 50
+    b1 = ideal("x")
+    res1 = separating_operator(IdealHandle(2, []), b1, ring_x2, ring_x2.rad, [Poly.one(2)], 3, 2)
+    ok = res1.found and res1.order == 1 and res1.d_value == 1
     rad = ideal("x")
     ring_x3 = RingSpec(tuple(XY), ideal("x^3"), rad, (rad,))
-    res2 = separating_operator(
-        IdealHandle(2, []), ideal("x^2"), ring_x3, rad, [Poly.one(2)], 3, 2,
-        linearity_samples=50,
-    )
-    ok = ok and res2.found and res2.order == 2 and res2.d_value == 2 and res2.linearity_checked == 50
+    b2 = ideal("x^2")
+    res2 = separating_operator(IdealHandle(2, []), b2, ring_x3, rad, [Poly.one(2)], 3, 2)
+    ok = ok and res2.found and res2.order == 2 and res2.d_value == 2
+    # linearity was decided exactly: on [delta, x] and [delta, y], over b's generators, into p
+    ok = ok and linearity_checks == [
+        ([res.delta.bracket(P(v)) for v in XY], list(b.gens), p)
+        for res, b, p in ((res1, b1, ring_x2.rad), (res2, b2, rad))
+    ]
     elapsed = time.monotonic() - start
     _report(6, "separating operators", ok and elapsed < 10.0)
 

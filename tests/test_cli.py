@@ -312,3 +312,48 @@ def test_experiment_golden_across_processes(config_file, tmp_path):
     out = tmp_path / "inprocess.csv"
     assert main(["experiment", config_file, "--format", "csv", "--out", str(out)]) == 0
     assert out.read_bytes() == outputs[0]
+
+
+def _exit_code(argv) -> int:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["find-c", "configs/artin_rees_x2.json", "--degree", "abc"],  # not an int
+        ["bogus"],  # unknown subcommand
+        ["noeth-ops", "ring: Q[x]"],  # --ideal is required
+        ["sep-op", "ring: Q[x]", "--lower", "0", "--upper", "x", "--prime", "x", "--psi", "1", "--seed", "1"],
+    ],
+    ids=["bad_int", "unknown_subcommand", "missing_required", "removed_option"],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    # argparse's own code, 2, would read as a refutation
+    assert _exit_code(argv) == 1
+    assert "usage: noethops" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diff-colon", "ring: Q[x]", "--ops", "1", "--ideal", "x", "-m", "1", "--format", "json"],
+        ["check-ar-reverse", "configs/artin_rees_x2.json", "--format", "text"],
+        ["sep-op", "ring: Q[x]", "--lower", "0", "--upper", "x", "--prime", "x", "--psi", "1", "--format", "text"],
+        ["verify-filtration", "ring: Q[x]", "--chain", "(x) | (1)", "--primes", "(x)", "--format", "text"],
+        ["noeth-ops", "ring: Q[x]", "--ideal", "x", "--point", "0", "--format", "csv"],
+        ["verify-ops", "ring: Q[x]", "--ideal", "x", "--ops", "1", "--format", "csv"],
+        ["find-c", "configs/artin_rees_x2.json", "--format", "text"],
+        ["experiment", "configs/artin_rees_x2.json", "--format", "text"],
+    ],
+)
+def test_format_accepts_only_what_the_command_prints(argv):
+    assert _exit_code(argv) == 1
+
+
+def test_help_exits_0(capsys):
+    assert _exit_code(["--help"]) == 0
+    assert _exit_code(["find-c", "--help"]) == 0
+    assert "--format {json,csv}" in capsys.readouterr().out

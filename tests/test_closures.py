@@ -22,7 +22,7 @@ from noethops.poly import Poly
 from noethops.uniformity import find_min_c
 
 from conftest import P, ideal
-from oracles import monomial_closure_bruteforce_oracle
+from oracles import dilation_member_lp, monomial_closure_bruteforce_oracle
 
 YZ = ["y", "z"]
 
@@ -94,6 +94,43 @@ def test_closure_oracle_agreement():
             continue
         assert not monomial_closure_bruteforce_oracle(I, e, 6)
         checked += 1
+
+
+def _random_point_sets(rng, dim, count):
+    """`count` sets of 1 to 5 exponents in `dim` variables, entries at most 3
+    (at most 2 in 4 variables, to keep the lattice boxes small)."""
+    top = 2 if dim == 4 else 3
+    for _ in range(count):
+        yield [tuple(rng.randint(0, top) for _ in range(dim)) for _ in range(rng.randint(1, 5))]
+
+
+@pytest.mark.parametrize("dim,count", [(1, 12), (2, 12), (3, 6), (4, 3)])
+def test_newton_polyhedron_matches_the_lp_oracle(dim, count):
+    # every lattice point of the box one past the m-fold dilation's corner
+    rng = random.Random(100 + dim)
+    verdicts = set()
+    for pts in _random_point_sets(rng, dim, count):
+        poly = NewtonPolyhedron.of(pts)
+        for m in (1, 2):
+            box = range(m * max(max(p) for p in pts) + 2)
+            for e in itertools.product(box, repeat=dim):
+                member = poly.contains(e, m)
+                assert member == dilation_member_lp(pts, e, m), (pts, e, m)
+                verdicts.add(member)
+    assert verdicts == {True, False}
+
+
+def test_closure_four_variables_matches_the_bruteforce_oracle():
+    squares = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]
+    for exps in (squares, [(3, 0, 0, 1), (0, 2, 1, 0), (1, 1, 0, 2), (0, 0, 3, 0)]):
+        I = mono_ideal(*exps, nvars=4)
+        C = monomial_integral_closure(I, 1)
+        top = max(max(e) for e in exps)
+        for e in itertools.product(range(top + 1), repeat=4):
+            assert C.contains(Poly.monomial(4, e)) == monomial_closure_bruteforce_oracle(I, e, 4), e
+    # as in three variables: every degree-2 monomial is integral over the squares
+    C = monomial_integral_closure(mono_ideal(*squares, nvars=4), 1)
+    assert gens_exponents(C) == {e for e in itertools.product(range(3), repeat=4) if sum(e) == 2}
 
 
 def test_oracle_examples():

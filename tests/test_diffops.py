@@ -14,12 +14,11 @@ from noethops.diffops import (
     operator_kernel,
     parse_operator,
     parse_operator_set,
-    random_polynomial,
 )
 from noethops.groebner import IdealHandle
 from noethops.poly import Poly, monomials_up_to
 
-from conftest import P, ideal, order_lemma_witness
+from conftest import P, ideal, order_lemma_witness, random_polynomial
 from oracles import apply_by_derivatives
 
 XY = ["x", "y"]

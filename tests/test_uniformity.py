@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import noethops
-from noethops import groebner, linalg
+from noethops import groebner, linalg, uniformity
 from noethops.closures import SCHEDULES, shift_search
 from noethops.configs import load_experiment_config, run_experiment_config
-from noethops.diffops import DiffOp, OperatorSet, kernel_polynomials, random_polynomial
+from noethops.diffops import DiffOp, OperatorSet, kernel_polynomials
 from noethops.groebner import IdealHandle, RingSpec, ideal_power
 from noethops.noetherian import ArithmeticBugError
 from noethops.poly import Poly, monomials_up_to
@@ -28,7 +28,7 @@ from noethops.uniformity import (
     verify_filtration,
 )
 
-from conftest import P, ideal
+from conftest import P, ideal, random_polynomial
 from oracles import colon_oracle
 
 XY = ["x", "y"]
@@ -311,16 +311,22 @@ for check in (lambda: uniformity.subspace_in_ideal(S, ideal("y"), ring), lambda:
 """
 
 
-def test_the_inclusion_fault_check_survives_python_O():
+def run_under_python_O(script: str) -> list[str]:
+    """The first word of each line the script prints, run by `python -O`
+    on this package."""
     src_root = os.path.dirname(os.path.dirname(noethops.__file__))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _FAULT_UNDER_O],
+        [sys.executable, "-O", "-c", script],
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_root},
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert [line.split(":")[0] for line in proc.stdout.splitlines()] == ["caught", "caught"]
+    return [line.split(":")[0] for line in proc.stdout.splitlines()]
+
+
+def test_the_inclusion_fault_check_survives_python_O():
+    assert run_under_python_O(_FAULT_UNDER_O) == ["caught", "caught"]
 
 
 # --- minimal shifts -------------------------------------------------------------
@@ -487,14 +493,53 @@ def test_groebner_inputs_of_a_power_search_stay_small(monkeypatch):
 # --- separating operators ---------------------------------------------------------
 
 
-def test_separating_operator_x2(ring_x2):
-    res = separating_operator(
-        IdealHandle(2, []), ideal("x"), ring_x2, ring_x2.rad, [Poly.one(2)], 3, 2
-    )
+def test_separating_operator_x2(ring_x2, linearity_checks):
+    b = ideal("x")
+    res = separating_operator(IdealHandle(2, []), b, ring_x2, ring_x2.rad, [Poly.one(2)], 3, 2)
     assert res.found and res.order == 1
     assert res.delta.format(XY) == "dx"
     assert res.d_value == 1
-    assert res.linearity_checked == 50
+    # linearity was decided on [delta, x] and [delta, y], over b's generators, into p
+    brackets = [res.delta.bracket(P(v)) for v in XY]
+    assert linearity_checks == [(brackets, list(b.gens), ring_x2.rad)]
+
+
+def test_separating_operator_rejects_a_prime_without_the_radical():
+    # with no minimal primes declared, p = (y) passed before; dx is not
+    # linear modulo (y) on (x), since dx(x*x) = 2x = 0 in R_red but x*dx(x) = x
+    ring = RingSpec(tuple(XY), ideal("x^2"), ideal("x"), ())
+    with pytest.raises(ValueError, match="radical"):
+        separating_operator(IdealHandle(2, []), ideal("x"), ring, ideal("y"), [Poly.one(2)], 3, 2)
+
+
+def test_separating_operator_nonlinear_on_b_is_an_arithmetic_bug(ring_x3):
+    # dx^2 is not linear on (x) modulo (x): [dx^2, x](x) = 2*dx(x) = 2
+    delta = DiffOp.partial(2, (2, 0), ring_x3.rad)
+    with pytest.raises(ArithmeticBugError):
+        uniformity._finish_separating(delta, ideal("x"), ring_x3, ideal("x"), [Poly.one(2)])
+
+
+_SEPARATING_FAULT_UNDER_O = """
+from noethops import uniformity
+from noethops.diffops import DiffOp
+from noethops.groebner import IdealHandle, RingSpec
+from noethops.noetherian import ArithmeticBugError
+from noethops.poly import parse_polynomial
+
+def ideal(*texts):
+    return IdealHandle(2, [parse_polynomial(t, ["x", "y"]) for t in texts])
+
+x = ideal("x")
+ring = RingSpec(("x", "y"), ideal("x^3"), x, (x,))
+try:
+    uniformity._finish_separating(DiffOp.partial(2, (2, 0), x), x, ring, x, list(ideal("1").gens))
+except ArithmeticBugError as exc:
+    print("caught:", exc)
+"""
+
+
+def test_the_separating_linearity_check_survives_python_O():
+    assert run_under_python_O(_SEPARATING_FAULT_UNDER_O) == ["caught"]
 
 
 def test_separating_operator_projection(ring_x2):
