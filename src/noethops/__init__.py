@@ -16,8 +16,10 @@ from .closures import (
     symbolic_power,
 )
 from .diffops import (
+    ArithmeticBugError,
     DiffOp,
     OperatorSet,
+    TruncatedSubspace,
     parse_operator,
     parse_operator_set,
 )
@@ -34,7 +36,6 @@ from .groebner import (
     standard_monomials,
 )
 from .noetherian import (
-    ArithmeticBugError,
     ComponentMismatchError,
     NoetherianCertificate,
     NonRationalPointError,
@@ -56,7 +57,6 @@ from .poly import (
 from .uniformity import (
     ConstantReport,
     OperatorSetRefutedError,
-    TruncatedSubspace,
     check_reverse,
     diff_colon,
     find_min_c,

@@ -23,9 +23,8 @@ from .configs import (
     parse_ideal_list,
     run_experiment_config,
 )
-from .diffops import OperatorSet, parse_operator_set
+from .diffops import ArithmeticBugError, parse_operator_set
 from .noetherian import (
-    ArithmeticBugError,
     ComponentMismatchError,
     NonRationalPointError,
     PrimaryComponent,
@@ -68,6 +67,19 @@ def _csv_text(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
+def _emit_certificate(args, ring, cert, head: list[str]) -> int:
+    """The certificate as JSON, or as the `head` lines then its status and
+    any witness; exit 0 unless it refutes."""
+    if args.format == "json":
+        _emit(_json_text(cert.to_dict(ring.var_names)), args.out)
+    else:
+        lines = head + [f"status: {cert.status}"]
+        if cert.witness is not None:
+            lines.append(f"witness: {ring.format(cert.witness)} ({cert.witness_side})")
+        _emit("\n".join(lines) + "\n", args.out)
+    return EXIT_OK if cert.ok else EXIT_REFUTED
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -77,8 +89,7 @@ def cmd_noeth_ops(args) -> int:
     Q = ring.ideal(parse_ideal_list(args.ideal, ring.var_names))
     if args.point is not None:
         point = [Fraction(part.strip()) for part in args.point.split(",")]
-        ops_list = dual_space(Q, point)
-        ops = OperatorSet(ops_list, ops_list[0].modulus)
+        ops = dual_space(Q, point)
     else:
         if args.prime is None:
             raise ConfigError("need either --point or --prime with --independent")
@@ -90,14 +101,7 @@ def cmd_noeth_ops(args) -> int:
         indep = tuple(ring.var_names.index(v) for v in indep_names)
         ops = noetherian_ops_primary(PrimaryComponent(Q, p, indep))
     cert = verify_noetherian_ops(Q, ops, args.degree)
-    if args.format == "json":
-        _emit(_json_text(cert.to_dict(ring.var_names)), args.out)
-    else:
-        lines = [ops.format(ring.var_names), f"status: {cert.status}"]
-        if cert.witness is not None:
-            lines.append(f"witness: {ring.format(cert.witness)} ({cert.witness_side})")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if cert.ok else EXIT_REFUTED
+    return _emit_certificate(args, ring, cert, [ops.format(ring.var_names)])
 
 
 def cmd_verify_ops(args) -> int:
@@ -108,14 +112,7 @@ def cmd_verify_ops(args) -> int:
     )
     ops = parse_operator_set(args.ops, ring.var_names, modulus)
     cert = verify_noetherian_ops(a, ops, args.degree)
-    if args.format == "json":
-        _emit(_json_text(cert.to_dict(ring.var_names)), args.out)
-    else:
-        lines = [f"status: {cert.status}"]
-        if cert.witness is not None:
-            lines.append(f"witness: {ring.format(cert.witness)} ({cert.witness_side})")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if cert.ok else EXIT_REFUTED
+    return _emit_certificate(args, ring, cert, [])
 
 
 def cmd_diff_colon(args) -> int:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from . import linalg
 from .diffops import OperatorSet
 from .groebner import IdealHandle, RingSpec, ideal_power, saturate
-from .poly import GrevLex, Mono, Poly, mono_degree, mono_divides
+from .poly import GrevLex, Mono, Poly, mono_degree
 from .uniformity import ConstantReport, PowerSchedule, find_min_c, ordinary_powers
 
 
@@ -109,7 +109,10 @@ def monomial_integral_closure(I: IdealHandle, m: int) -> IdealHandle:
             for pos, e in zip(active, combo):
                 full[pos] = e
             members.append(tuple(full))
-    minimal = [e for e in members if not any(other != e and mono_divides(other, e) for other in members)]
+    # members are upward closed within the box, so e is minimal exactly when
+    # no e - e_i is a member
+    inside = set(members)
+    minimal = [e for e in members if not any(e[i] and e[:i] + (e[i] - 1,) + e[i + 1:] in inside for i in active)]
     minimal.sort(key=GrevLex().key)
     return IdealHandle(nvars, [Poly.monomial(nvars, e) for e in minimal])
 

@@ -1,12 +1,14 @@
-"""Differential operators with polynomial coefficients on Q[x1..xn] and its
-quotients.
+"""Differential operators with polynomial coefficients on Q[x1..xn], and
+operator sets that read them into a quotient.
 
 An operator is a finite sum of coefficient * d^alpha terms where d^alpha is
 the plain iterated partial derivative (no factorial normalization), applied
 in closed form: d^alpha x^m = m!/(m - alpha)! * x^(m - alpha), and 0 when
-some m_i < alpha_i.  An optional target modulus realizes operators into a
-quotient: applying the operator reduces the result by that ideal, so
-"delta(f) = 0 in R_red" is a normal-form test.
+some m_i < alpha_i.  An operator acts on P.  An `OperatorSet` holds the one
+target modulus and reads every value modulo it, so "delta(f) = 0 in R_red"
+is a normal-form test.  A degree-truncated kernel of a set is a
+`TruncatedSubspace` (`operator_kernel`), whose `first_outside` decides
+containment in an ideal for the colons and the verification alike.
 
 The text syntax writes d<var> for the derivative in that variable, e.g.
 "y*dx*dy + 1" or "dx^2"; juxtaposition with '*' is formal (coefficients to
@@ -15,6 +17,7 @@ the left of derivatives), not composition in the Weyl algebra.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,13 +32,18 @@ def _alpha_key(alpha: Mono):
     return (mono_degree(alpha), GrevLex().key(alpha))
 
 
+class ArithmeticBugError(RuntimeError):
+    """A theorem-backed check failed: the arithmetic, not the input, is at
+    fault.  Raised explicitly, so it survives `python -O`."""
+
+
 class DiffOp:
-    """Sum of (polynomial coefficient, derivative multi-index) terms, with an
-    optional post-composed reduction modulus."""
+    """Sum of (polynomial coefficient, derivative multi-index) terms: an
+    operator on P."""
 
-    __slots__ = ("nvars", "terms", "modulus")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms, modulus: IdealHandle | None = None):
+    def __init__(self, nvars: int, terms):
         self.nvars = nvars
         merged: dict[Mono, Poly] = {}
         for alpha, coeff in terms.items() if isinstance(terms, dict) else terms:
@@ -43,17 +51,16 @@ class DiffOp:
                 prev = merged.get(alpha)
                 merged[alpha] = coeff if prev is None else prev + coeff
         self.terms = {a: c for a, c in sorted(merged.items(), key=lambda kv: _alpha_key(kv[0])) if c}
-        self.modulus = modulus
 
     # construction --------------------------------------------------------
 
     @classmethod
-    def identity(cls, nvars: int, modulus: IdealHandle | None = None) -> "DiffOp":
-        return cls(nvars, {(0,) * nvars: Poly.one(nvars)}, modulus)
+    def identity(cls, nvars: int) -> "DiffOp":
+        return cls(nvars, {(0,) * nvars: Poly.one(nvars)})
 
     @classmethod
-    def partial(cls, nvars: int, alpha: Mono, modulus: IdealHandle | None = None) -> "DiffOp":
-        return cls(nvars, {tuple(alpha): Poly.one(nvars)}, modulus)
+    def partial(cls, nvars: int, alpha: Mono) -> "DiffOp":
+        return cls(nvars, {tuple(alpha): Poly.one(nvars)})
 
     # structure -----------------------------------------------------------
 
@@ -68,30 +75,21 @@ class DiffOp:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiffOp)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-            and _same_modulus(self.modulus, other.modulus)
-        )
-
-    def with_modulus(self, modulus: IdealHandle | None) -> "DiffOp":
-        return DiffOp(self.nvars, self.terms, modulus)
+        return isinstance(other, DiffOp) and self.nvars == other.nvars and self.terms == other.terms
 
     def scale(self, factor) -> "DiffOp":
         """Multiply every coefficient by a scalar or polynomial factor."""
-        return DiffOp(self.nvars, {a: c * factor for a, c in self.terms.items()}, self.modulus)
+        return DiffOp(self.nvars, {a: c * factor for a, c in self.terms.items()})
 
     def reduce_coefficients(self, ideal: IdealHandle) -> "DiffOp":
-        return DiffOp(self.nvars, {a: ideal.normal_form(c) for a, c in self.terms.items()}, self.modulus)
+        return DiffOp(self.nvars, {a: ideal.normal_form(c) for a, c in self.terms.items()})
 
     # action ----------------------------------------------------------------
 
     def apply(self, f: Poly) -> Poly:
-        """delta(f), reduced by the modulus, in closed form: each term
-        a*x^m of f and c*x^t of the coefficient of d^alpha add
-        c * (a * m!/(m - alpha)!) * x^(t + m - alpha), and x^m with some
-        m_i < alpha_i adds nothing."""
+        """delta(f) in P, in closed form: each term a*x^m of f and c*x^t of
+        the coefficient of d^alpha add c * (a * m!/(m - alpha)!) *
+        x^(t + m - alpha), and x^m with some m_i < alpha_i adds nothing."""
         if f.nvars != self.nvars:
             raise ValueError("operator and argument live over different variable sets")
         sums: dict[Mono, object] = {}
@@ -112,10 +110,7 @@ class DiffOp:
                         term = value if c == 1 else c * value
                         prev = sums.get(mono)
                         sums[mono] = term if prev is None else prev + term
-        out = Poly(self.nvars, sums)
-        if self.modulus is not None:
-            out = self.modulus.normal_form(out)
-        return out
+        return Poly(self.nvars, sums)
 
     def bracket(self, f: Poly) -> "DiffOp":
         """[delta, f]: g -> delta(f*g) - f*delta(g); drops the order by at
@@ -129,7 +124,7 @@ class DiffOp:
                 df = f.derivative(gamma)
                 if df:
                     terms.append((tuple(x - y for x, y in zip(alpha, gamma)), coeff * (binom * df)))
-        return DiffOp(self.nvars, terms, self.modulus)
+        return DiffOp(self.nvars, terms)
 
     # printing ---------------------------------------------------------------
 
@@ -168,12 +163,6 @@ class DiffOp:
         return f"DiffOp({self.format(names)})"
 
 
-def _same_modulus(a: IdealHandle | None, b: IdealHandle | None) -> bool:
-    if a is None or b is None:
-        return a is b
-    return a is b or list(a.gb) == list(b.gb)
-
-
 def _sub_indices(alpha: Mono) -> list[Mono]:
     """Nonzero gamma with gamma <= alpha componentwise."""
     ranges = [range(a + 1) for a in alpha]
@@ -198,17 +187,18 @@ def _sub_indices(alpha: Mono) -> list[Mono]:
 
 @dataclass
 class OperatorSet:
-    """Operators sharing one target modulus; `meta` optionally records the
-    primary component the set was computed from."""
+    """Operators read modulo one target modulus, which only the set holds;
+    `meta` optionally records the primary component the set was computed
+    from."""
 
     ops: list[DiffOp]
-    modulus: IdealHandle | None
+    modulus: IdealHandle
     meta: object = None
     # degree bound -> (monomials, per monomial [op(x^m) for each op])
     _on_monomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.ops = [op.with_modulus(self.modulus) for op in self.ops]
+        self.ops = list(self.ops)
 
     @property
     def max_order(self) -> int:
@@ -223,12 +213,12 @@ class OperatorSet:
         """
         cached = self._on_monomials.get(D)
         if cached is None:
-            nvars = self.modulus.nvars if self.modulus is not None else self.ops[0].nvars
+            nvars = self.modulus.nvars
             monos = monomials_up_to(nvars, D)
             values = []
             for m in monos:
                 basis_poly = Poly.monomial(nvars, m)
-                values.append([op.apply(basis_poly) for op in self.ops])
+                values.append([self.modulus.normal_form(op.apply(basis_poly)) for op in self.ops])
             cached = self._on_monomials[D] = (monos, values)
         return cached
 
@@ -246,7 +236,7 @@ class OperatorSet:
 # parsing
 
 
-def parse_operator(text: str, var_names: Sequence[str], modulus: IdealHandle | None = None) -> DiffOp:
+def parse_operator(text: str, var_names: Sequence[str]) -> DiffOp:
     """Parse operator text; d<var> is the derivative in that variable."""
     names = list(var_names) + [f"d{v}" for v in var_names]
     p = parse_polynomial(text, names)
@@ -255,10 +245,10 @@ def parse_operator(text: str, var_names: Sequence[str], modulus: IdealHandle | N
     for m, c in p.terms.items():
         coeff_mono, alpha = m[:n], m[n:]
         terms.append((alpha, Poly.monomial(n, coeff_mono, c)))
-    return DiffOp(n, terms, modulus)
+    return DiffOp(n, terms)
 
 
-def parse_operator_set(text: str, var_names: Sequence[str], modulus: IdealHandle | None = None) -> OperatorSet:
+def parse_operator_set(text: str, var_names: Sequence[str], modulus: IdealHandle) -> OperatorSet:
     ops = [parse_operator(part, var_names) for part in split_poly_list(text)]
     return OperatorSet(ops, modulus)
 
@@ -267,12 +257,83 @@ def parse_operator_set(text: str, var_names: Sequence[str], modulus: IdealHandle
 # truncated kernels
 
 
-def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> tuple[list[Mono], list[dict], list[int]]:
-    """The equations of {f in P_<=D : NF(op(f), cond) = 0 for every op}:
-    the ascending monomial enumeration of P_<=D, and the reduced row echelon
-    form (rows, pivot columns) of the matrix M whose kernel, over that
-    enumeration, is this space.  M has one row per (operator, monomial of
-    NF(op(x^m), cond)) and one column per x^m.
+class TruncatedSubspace:
+    """Linear subspace S of P_<=D, held as its equations: the reduced row
+    echelon form of a matrix whose kernel, over the fixed ascending monomial
+    enumeration, is S.  So dim S is the number of columns minus the rank.
+
+    `basis` is S's own reduced row echelon basis, pivots ascending, so that
+    it (and the first witness read off it) does not depend on how S was
+    given; it is read off the equations when first asked for.
+    """
+
+    def __init__(self, nvars: int, degree_bound: int, monos: list[Mono], reduced: list[dict], pivots: list[int]):
+        self.nvars = nvars
+        self.degree_bound = degree_bound
+        self.monos = monos
+        self.reduced, self.pivots = reduced, pivots
+        self._index = {m: j for j, m in enumerate(monos)}
+
+    @classmethod
+    def from_polynomials(cls, nvars: int, degree_bound: int, polys: Sequence[Poly]) -> "TruncatedSubspace":
+        """The span of `polys`, whose equations are the annihilator of the
+        span: the kernel of the matrix with the polynomials as rows."""
+        monos = monomials_up_to(nvars, degree_bound)
+        index = {m: j for j, m in enumerate(monos)}
+        if any(m not in index for p in polys for m in p.terms):
+            raise ValueError("polynomial exceeds the degree bound")
+        rows = [{index[m]: c for m, c in p.terms.items()} for p in polys]
+        equations = linalg.kernel_basis(rows, len(monos))
+        return cls(nvars, degree_bound, monos, *linalg.rref(equations, len(monos)))
+
+    @property
+    def dim(self) -> int:
+        return len(self.monos) - len(self.pivots)
+
+    @functools.cached_property
+    def basis(self) -> list[Poly]:
+        vectors = linalg.kernel_rref(self.reduced, len(self.monos))
+        return [Poly(self.nvars, {self.monos[j]: c for j, c in sorted(v.items())}) for v in vectors]
+
+    def contains_poly(self, f: Poly) -> bool:
+        if any(m not in self._index for m in f.terms):
+            return False
+        v = {self._index[m]: c for m, c in f.terms.items()}
+        return not any(sum(x * v[col] for col, x in row.items() if col in v) for row in self.reduced)
+
+    def contains_subspace(self, other: "TruncatedSubspace") -> bool:
+        return all(self.contains_poly(f) for f in other.basis)
+
+    def first_outside(self, ideal: IdealHandle) -> Poly | None:
+        """The first element of `basis` outside the ideal; None when S lies
+        in the ideal.
+
+        Containment is decided on the equations.  NF is linear: f = sum_j
+        f_j x^(m_j) has NF(f) = sum_t (N f)_t x^t, where N has a row per
+        monomial t and entry (t, j) the coefficient of x^t in NF(x^(m_j)),
+        read off the ideal's memoised forms.  So S lies in the ideal exactly
+        when N vanishes on it, that is when every row of N lies in the row
+        space of the equations.  Only a refuted containment reads the basis,
+        for its witness; a basis wholly inside contradicts the equations, an
+        arithmetic bug.
+        """
+        forms: dict[Mono, dict] = {}
+        for j, m in enumerate(self.monos):
+            for t, c in ideal.monomial_form(m).terms.items():
+                forms.setdefault(t, {})[j] = c
+        if all(linalg.in_row_space(self.reduced, self.pivots, row) for row in forms.values()):
+            return None
+        for f in self.basis:
+            if ideal.normal_form(f):
+                return f
+        raise ArithmeticBugError("the kernel's equations put it outside the ideal, but every basis element lies inside")
+
+
+def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> TruncatedSubspace:
+    """{f in P_<=D : NF(op(f), cond) = 0 for every op}, held as the reduced
+    row echelon form of the matrix M whose kernel, over the ascending
+    monomial enumeration of P_<=D, is this space.  M has one row per
+    (operator, monomial of NF(op(x^m), cond)) and one column per x^m.
 
     `cond` must contain the set's modulus: the values op(x^m) are shared by
     every call at this D (`OperatorSet.on_monomials`) and already reduced by
@@ -287,49 +348,25 @@ def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> tuple[list[M
             for out_mono, c in cond.normal_form(value).terms.items():
                 rows.setdefault((i, out_mono), {})[j] = c
     ordered = [rows[k] for k in sorted(rows, key=lambda k: (k[0], _alpha_key(k[1])))]
-    return (monos, *linalg.rref(ordered, len(monos)))
-
-
-def kernel_in_ideal(monos: list[Mono], reduced: list[dict], pivots: list[int], ideal: IdealHandle) -> bool:
-    """Does the kernel of the RREF equations over `monos` lie in the ideal?
-
-    NF is linear: f = sum_j f_j x^(m_j) has NF(f) = sum_t (N f)_t x^t, where
-    N has a row per monomial t and entry (t, j) the coefficient of x^t in
-    NF(x^(m_j)), read off the ideal's memoised forms.  So the kernel lies in
-    the ideal exactly when N vanishes on it, that is when every row of N
-    lies in the row space of the equations.
-    """
-    forms: dict[Mono, dict] = {}
-    for j, m in enumerate(monos):
-        for t, c in ideal.monomial_form(m).terms.items():
-            forms.setdefault(t, {})[j] = c
-    return all(linalg.in_row_space(reduced, pivots, row) for row in forms.values())
-
-
-def kernel_polynomials(monos: list[Mono], vectors: list[dict], nvars: int) -> list[Poly]:
-    """The polynomials of sparse vectors over `monos`, terms in ascending
-    column order."""
-    return [Poly(nvars, {monos[j]: c for j, c in sorted(v.items())}) for v in vectors]
+    return TruncatedSubspace(cond.nvars, D, monos, *linalg.rref(ordered, len(monos)))
 
 
 def first_not_killed(ops: OperatorSet, gens: Sequence[Poly], target: IdealHandle | None = None) -> Poly | None:
     """The first h = x^beta * g, iterating operators, then generators g, then
     monomials x^beta of degree at most the operator's order, with op(h)
     outside `target` (the set's own modulus when None); None when there is
-    none.
+    none.  Values are reduced once, by that ideal alone, so a `target` must
+    contain the set's modulus.
 
     None is exact: an operator of order d composed with multiplication by g
     is again an operator of order at most d, hence carries every multiple of
     g into `target` once it carries the monomials of degree at most d there.
     """
+    ideal = ops.modulus if target is None else target
     for op in ops:
         for g in gens:
             for beta in monomials_up_to(g.nvars, op.order):
                 h = g.scale_term(beta, Fraction(1))
-                value = op.apply(h)
-                if target is not None:
-                    value = target.normal_form(value)
-                if value:
+                if ideal.normal_form(op.apply(h)):
                     return h
     return None
-

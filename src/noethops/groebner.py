@@ -29,6 +29,7 @@ Buchberger under a block order.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass, field
@@ -430,10 +431,7 @@ class RingSpec:
                 names = self.var_names
                 raise ValueError(f"defining ideal not inside the claimed radical: {g.format(names)}")
         if self.minimal_primes:
-            inter = self.minimal_primes[0]
-            for p in self.minimal_primes[1:]:
-                inter = ideal_intersect(inter, p)
-            if not ideal_equal(inter, self.rad):
+            if not ideal_equal(functools.reduce(ideal_intersect, self.minimal_primes), self.rad):
                 raise ValueError("claimed radical differs from the intersection of the minimal primes")
         for handle in (self.rad, self.N):
             self._handles.setdefault(handle.gens, handle)

@@ -6,31 +6,26 @@ independent variable set, with denominators cleared back to polynomial
 coefficients.  The dual space is read off normal forms of the powers of the
 shifted variables modulo Q's basis over F, and the same walk decides that Q
 is primary to the point.  With no u, F = Q (plain `Fraction` coefficients)
-and this is the dual space at a point (`dual_space`).  `verify_noetherian_ops`
-certifies a claimed operator set exactly where a dual-dimension count over
-F is available (the modulus is the rational point of the ideal over F) and
-degree-truncated otherwise, and refutes with an explicit witness when the
-claim is wrong.  Where the operators' span at the point is closed under
-brackets with the variables, it proves the ideal is killed from its
-generators alone (the Macaulay inverse-system criterion).
+and this is the dual space at a point (`dual_space`); the set's modulus is
+the prime.  `verify_noetherian_ops` certifies a claimed operator set exactly
+where a dual-dimension count over F is available (the set's modulus is the
+rational point of the ideal over F) and degree-truncated otherwise, as the
+colons are (`TruncatedSubspace.first_outside`), and refutes with an explicit
+witness when the claim is wrong.  Where the operators' span at the point is
+closed under brackets with the variables, it proves the ideal is killed
+from its generators alone (the Macaulay inverse-system criterion).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .diffops import (
-    DiffOp,
-    OperatorSet,
-    first_not_killed,
-    kernel_in_ideal,
-    kernel_polynomials,
-    operator_kernel,
-)
+from .diffops import ArithmeticBugError, DiffOp, OperatorSet, first_not_killed, operator_kernel
 from .groebner import (
     IdealHandle,
     NotZeroDimensionalError,
@@ -55,11 +50,6 @@ from .poly import (
     mono_zero,
     monomials_up_to,
 )
-
-
-class ArithmeticBugError(RuntimeError):
-    """A theorem-backed check failed: the arithmetic, not the input, is at
-    fault.  Raised explicitly, so it survives `python -O`."""
 
 
 class NonRationalPointError(ValueError):
@@ -164,15 +154,15 @@ def _normalize_op(op: DiffOp) -> DiffOp:
     return op.scale(scale)
 
 
-def dual_space(Q: IdealHandle, point: Sequence[Fraction]) -> list[DiffOp]:
+def dual_space(Q: IdealHandle, point: Sequence[Fraction]) -> OperatorSet:
     """Macaulay dual space basis of a zero-dimensional ideal primary to the
     maximal ideal at `point`: the component case with no independent
     variables, so F = Q.
 
-    Returns operators whose evaluation at the point (realized as reduction by
-    the maximal ideal, set as the operator modulus) spans the dual; their
-    count equals the colength, and f lies in Q iff every returned operator
-    kills f.
+    Returns the operator set of `noetherian_ops_primary`, whose modulus is
+    the maximal ideal: evaluation at the point is reduction by it.  The
+    operators span the dual, their count equals the colength, and f lies in
+    Q iff every one of them kills f.
     """
     point = [Fraction(p) for p in point]
     nvars = Q.nvars
@@ -182,7 +172,7 @@ def dual_space(Q: IdealHandle, point: Sequence[Fraction]) -> list[DiffOp]:
         if g.evaluate(point):
             raise ValueError("point is not a root of the ideal")
     maximal = IdealHandle(nvars, [Poly.variable(nvars, i) - Poly.constant(nvars, point[i]) for i in range(nvars)])
-    return noetherian_ops_primary(PrimaryComponent(Q, maximal)).ops
+    return noetherian_ops_primary(PrimaryComponent(Q, maximal))
 
 
 def _check_colength(ops: list[DiffOp], colength: int) -> None:
@@ -363,7 +353,7 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
             for pos, e in zip(dep, alpha_dep):
                 alpha_full[pos] = e
             terms[tuple(alpha_full)] = _embed_indep_poly(cleared, indep, nvars)
-        ops.append(_normalize_op(DiffOp(nvars, terms, comp.p)))
+        ops.append(_normalize_op(DiffOp(nvars, terms)))
     _check_colength(ops, colength)
     return OperatorSet(ops, comp.p, meta=ComponentMeta(comp, colength, point))
 
@@ -387,9 +377,7 @@ def combine_components(
     """
     if not comps:
         raise ComponentMismatchError("no components supplied")
-    inter = comps[0][0].Q
-    for comp, _ in comps[1:]:
-        inter = ideal_intersect(inter, comp.Q)
+    inter = functools.reduce(ideal_intersect, [comp.Q for comp, _ in comps])
     if not ideal_equal(inter, target):
         witness = None
         for g in inter.gens:
@@ -407,7 +395,6 @@ def combine_components(
     for comp, ops in comps:
         separator = _prime_separator(comp.p, ring)
         for op in ops:
-            op = op.with_modulus(ring.rad)
             if separator is not None:
                 op = op.scale(separator)
             merged.append(op.reduce_coefficients(ring.rad))
@@ -423,9 +410,7 @@ def _prime_separator(p: IdealHandle, ring: RingSpec) -> Poly | None:
     others = [q for q in ring.minimal_primes if not ideal_equal(q, p)]
     if not others:
         return None
-    inter = others[0]
-    for q in others[1:]:
-        inter = ideal_intersect(inter, q)
+    inter = functools.reduce(ideal_intersect, others)
     for g in inter.gb:
         if not p.contains(g):
             return g
@@ -446,8 +431,9 @@ def verify_noetherian_ops(a: IdealHandle, ops: OperatorSet, D: int) -> Noetheria
     and equals its contraction from F.  There the reverse containment is a
     dual-dimension count: the rank of the operators' coefficient rows at the
     point against colength(a).  Otherwise it is degree-truncated at D: the
-    kernel's equations of degree <= D decide that it lies in a
-    (`kernel_in_ideal`), and only a refutation reads the kernel basis, whose
+    kernel of degree <= D is decided to lie in a on its equations
+    (`TruncatedSubspace.first_outside`, as for the differential colons), and
+    only a refutation reads the kernel's reduced row echelon basis, whose
     first element outside a is the witness.
 
     The containment "a is killed" is proven from the generators alone when
@@ -455,8 +441,6 @@ def verify_noetherian_ops(a: IdealHandle, ops: OperatorSet, D: int) -> Noetheria
     and is otherwise checked exactly by `first_not_killed`, whose first
     witness refutes.
     """
-    if ops.modulus is None:
-        raise ValueError("operator set has no target modulus")
     if any(g.degree() > D for g in a.gens):
         raise ValueError("degree bound is below the ideal's generator degrees")
 
@@ -470,15 +454,10 @@ def verify_noetherian_ops(a: IdealHandle, ops: OperatorSet, D: int) -> Noetheria
     if space is not None and space.rank == space.colength:
         return NoetherianCertificate("exact", D, ops)
 
-    monos, reduced, pivots = operator_kernel(ops, ops.modulus, D)
-    if kernel_in_ideal(monos, reduced, pivots, a):
+    witness = operator_kernel(ops, ops.modulus, D).first_outside(a)
+    if witness is None:
         return NoetherianCertificate("verified_up_to_degree", D, ops)
-    for f in kernel_polynomials(monos, linalg.kernel_basis(reduced, len(monos)), a.nvars):
-        if a.normal_form(f):
-            return NoetherianCertificate(
-                "refuted", D, ops, witness=f, witness_side="killed_not_in_ideal"
-            )
-    raise ArithmeticBugError("the kernel's equations put it outside the ideal, but every basis element lies inside")
+    return NoetherianCertificate("refuted", D, ops, witness=witness, witness_side="killed_not_in_ideal")
 
 
 def _exact_space(a: IdealHandle, ops: OperatorSet) -> _CoefficientSpace | None:
@@ -577,6 +556,6 @@ def _kills_by_closure(a: IdealHandle, ops: OperatorSet, space: _CoefficientSpace
         return False
     if not space.closed_under_brackets():
         return False
-    if any(op.apply(g) for op in ops for g in a.gens):
+    if any(ops.modulus.normal_form(op.apply(g)) for op in ops for g in a.gens):
         return False
     return _is_contracted(ops.modulus, space.dep, space.indep)

@@ -7,27 +7,27 @@ lies in J^n.  Witnesses refuting a candidate shift are exact counterexamples
 (re-verified by independent normal-form checks); a "contained" verdict is
 certified only up to the degree bound, and every report records that bound.
 
-A truncated colon is kept as its equations, the reduced row echelon form of
-the operator matrix, and its containment in J^n + N is decided on them: the
-normal form is linear, so the colon is contained exactly when every row of
-the matrix of monomial normal forms lies in the equations' row space.  Only
-a refuted containment reads the colon's basis, for its witness.
+A truncated colon is the operator set's truncated kernel (`operator_kernel`,
+read modulo the set's modulus, which must be rad), kept as its equations.
+Its containment in J^n + N is decided on them by
+`TruncatedSubspace.first_outside`, as in the verification of Noetherian
+operators; only a refuted containment reads the colon's basis, for its
+witness.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import linalg
 from .diffops import (
+    ArithmeticBugError,
     DiffOp,
     OperatorSet,
+    TruncatedSubspace,
     first_not_killed,
-    kernel_in_ideal,
-    kernel_polynomials,
     operator_kernel,
 )
 from .groebner import (
@@ -37,69 +37,18 @@ from .groebner import (
     ideal_power,
     is_subideal,
 )
-from .noetherian import ArithmeticBugError, NoetherianCertificate, verify_noetherian_ops
+from .noetherian import NoetherianCertificate, verify_noetherian_ops
 from .poly import Mono, Poly, RationalFunction, monomials_up_to
-
-
-# ---------------------------------------------------------------------------
-# truncated subspaces
-
-
-class TruncatedSubspace:
-    """Linear subspace S of P_<=D, held as its equations: the reduced row
-    echelon form of a matrix whose kernel, over the fixed ascending monomial
-    enumeration, is S.  So dim S is the number of columns minus the rank.
-
-    `basis` is S's own reduced row echelon basis, pivots ascending, so that
-    it (and the first witness read off it) does not depend on how S was
-    given; it is read off the equations when first asked for.
-    """
-
-    def __init__(self, nvars: int, degree_bound: int, monos: list[Mono], reduced: list[dict], pivots: list[int]):
-        self.nvars = nvars
-        self.degree_bound = degree_bound
-        self.monos = monos
-        self.reduced, self.pivots = reduced, pivots
-        self._index = {m: j for j, m in enumerate(monos)}
-
-    @classmethod
-    def from_polynomials(cls, nvars: int, degree_bound: int, polys: Sequence[Poly]) -> "TruncatedSubspace":
-        """The span of `polys`, whose equations are the annihilator of the
-        span: the kernel of the matrix with the polynomials as rows."""
-        monos = monomials_up_to(nvars, degree_bound)
-        index = {m: j for j, m in enumerate(monos)}
-        if any(m not in index for p in polys for m in p.terms):
-            raise ValueError("polynomial exceeds the degree bound")
-        rows = [{index[m]: c for m, c in p.terms.items()} for p in polys]
-        equations = linalg.kernel_basis(rows, len(monos))
-        return cls(nvars, degree_bound, monos, *linalg.rref(equations, len(monos)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.monos) - len(self.pivots)
-
-    @functools.cached_property
-    def basis(self) -> list[Poly]:
-        return kernel_polynomials(self.monos, linalg.kernel_rref(self.reduced, len(self.monos)), self.nvars)
-
-    def contains_poly(self, f: Poly) -> bool:
-        if any(m not in self._index for m in f.terms):
-            return False
-        v = {self._index[m]: c for m, c in f.terms.items()}
-        return not any(sum(x * v[col] for col, x in row.items() if col in v) for row in self.reduced)
-
-    def contains_subspace(self, other: "TruncatedSubspace") -> bool:
-        return all(self.contains_poly(f) for f in other.basis)
 
 
 # ---------------------------------------------------------------------------
 # differential colon
 
 
-def diff_colon_of_ideal(cond: IdealHandle, ops: OperatorSet, ring: RingSpec, D: int) -> TruncatedSubspace:
+def diff_colon_of_ideal(cond: IdealHandle, ops: OperatorSet, D: int) -> TruncatedSubspace:
     """{f in P_<=D : op(f) = 0 mod cond for every op}; `cond` must contain
     rad (a power schedule's value, or some ideal plus rad)."""
-    return TruncatedSubspace(ring.nvars, D, *operator_kernel(ops, cond, D))
+    return operator_kernel(ops, cond, D)
 
 
 def diff_colon(I: IdealHandle, m: int, ops: OperatorSet, ring: RingSpec, D: int) -> TruncatedSubspace:
@@ -108,13 +57,13 @@ def diff_colon(I: IdealHandle, m: int, ops: OperatorSet, ring: RingSpec, D: int)
     _require_radical_modulus(ops, ring)
     if D < 1:
         raise ValueError("degree bound must be at least 1")
-    return diff_colon_of_ideal(ring.power_plus(I, m, ring.rad), ops, ring, D)
+    return diff_colon_of_ideal(ring.power_plus(I, m, ring.rad), ops, D)
 
 
 def _require_radical_modulus(ops: OperatorSet, ring: RingSpec) -> None:
     """The colon reduces the shared values op(x^m) by (source + rad), which
     reads them correctly only when they were reduced by rad itself."""
-    if ops.modulus is None or not ideal_equal(ops.modulus, ring.rad):
+    if not ideal_equal(ops.modulus, ring.rad):
         raise ValueError("operator set modulus differs from the ring radical")
 
 
@@ -127,20 +76,15 @@ class ContainmentResult:
 def subspace_in_ideal(S: TruncatedSubspace, J: IdealHandle, ring: RingSpec) -> ContainmentResult:
     """Is every element of S in J (as an ideal of R, so modulo N too)?
 
-    Decided on S's equations (`kernel_in_ideal`); only a refuted
-    containment reads S's basis, whose first element outside J is the
-    witness.  A witness refutes containment absolutely; `contained`
+    Decided on S's equations (`TruncatedSubspace.first_outside`); only a
+    refuted containment reads S's basis, whose first element outside J is
+    the witness.  A witness refutes containment absolutely; `contained`
     certifies it only for elements of degree <= S.degree_bound.  When J
     already lists N's generators (`RingSpec.power_plus`), J + N is J's own
     handle.
     """
-    T = ring.plus_N(J)
-    if kernel_in_ideal(S.monos, S.reduced, S.pivots, T):
-        return ContainmentResult(True, None)
-    for f in S.basis:
-        if T.normal_form(f):
-            return ContainmentResult(False, f)
-    raise ArithmeticBugError("the colon's equations put it outside the ideal, but every basis element lies inside")
+    witness = S.first_outside(ring.plus_N(J))
+    return ContainmentResult(witness is None, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +114,7 @@ class ConstantReport:
 
     def __post_init__(self):
         if not self.verdict:
-            if any(r.c_min is None for r in self.rows):
-                self.verdict = "exhausted"
-            else:
-                self.verdict = f"c = {max((r.c_min for r in self.rows), default=0)}"
+            self.verdict = "exhausted" if self.max_c is None else f"c = {self.max_c}"
 
     @property
     def max_c(self) -> int | None:
@@ -241,7 +182,7 @@ def find_min_c(
         c_min = None
         last_witness = None
         for c in range(c_max + 1):
-            S = diff_colon_of_ideal(schedule(I, n, c), ops, ring, D)
+            S = diff_colon_of_ideal(schedule(I, n, c), ops, D)
             res = subspace_in_ideal(S, target, ring)
             if res.contained:
                 c_min = c
@@ -279,8 +220,9 @@ class ReverseReport:
 def check_reverse(J: IdealHandle, ops: OperatorSet, ring: RingSpec, n: int) -> ReverseReport:
     """Check J^(n+e) inside the colon of I^n, e the max operator order: every
     op must carry each product g of n+e generators, times any h, into
-    I^n + rad; exact per generator (`first_not_killed`).  Failure signals an
-    arithmetic bug, not a math fact."""
+    I^n + rad; exact per generator (`first_not_killed`), which reads the
+    values modulo I^n + rad alone, as that contains the set's modulus rad.
+    Failure signals an arithmetic bug, not a math fact."""
     I = ring.image_in_reduced(J)
     target = ring.power_plus(I, n, ring.rad)
     witness = first_not_killed(ops, ideal_power(J, n + ops.max_order).gens, target)
@@ -340,13 +282,13 @@ def separating_operator(
             coeff_monos = monomials_up_to(nvars, cd)
             alphas = monomials_up_to(nvars, t)
             unknowns = [(alpha, mu) for alpha in alphas for mu in coeff_monos]
-            unknown_ops = [DiffOp(nvars, {alpha: Poly.monomial(nvars, mu)}, ring.rad) for alpha, mu in unknowns]
+            unknown_ops = [DiffOp(nvars, {alpha: Poly.monomial(nvars, mu)}) for alpha, mu in unknowns]
             rows: dict[tuple[int, Mono, Mono], dict[int, Fraction]] = {}
             for gi, g in enumerate(a_full.gens):
                 for beta in monomials_up_to(nvars, t):
                     shifted = Poly.monomial(nvars, beta) * g
                     for j, op in enumerate(unknown_ops):
-                        for m, c in op.apply(shifted).terms.items():
+                        for m, c in ring.rad.normal_form(op.apply(shifted)).terms.items():
                             rows.setdefault((gi, beta, m), {})[j] = c
             ordered = [rows[k] for k in sorted(rows)]
             vectors = linalg.kernel_basis(ordered, len(unknowns))
@@ -356,7 +298,7 @@ def separating_operator(
                     if j in v:
                         prev = terms.get(alpha, Poly.zero(nvars))
                         terms[alpha] = prev + Poly.monomial(nvars, mu, v[j])
-                delta = DiffOp(nvars, terms, ring.rad)
+                delta = DiffOp(nvars, terms)
                 if delta.order != t:
                     continue  # operators of lower order were covered at their own t
                 if any(p.normal_form(delta.apply(h)) for h in b.gens):
@@ -372,8 +314,8 @@ def _finish_separating(
 
     delta(x_j*h) = x_j*delta(h) + [delta, x_j](h) and b is an ideal, so the
     identity holds exactly when every bracket [delta, x_j] carries b into p
-    (take f = x_j for the converse), which `first_not_killed` decides; the
-    values reduced by rad first are the same modulo p, as p contains rad.  A
+    (take f = x_j for the converse), which `first_not_killed` decides,
+    reading the values modulo p alone, as p contains rad.  A
     bracket kills a, has lower order and no larger coefficient degree, so
     by the search's minimality it cannot separate b: a failure is a bug.
     """

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import noethops
 from noethops import uniformity
 from noethops.diffops import DiffOp, OperatorSet, first_not_killed
 from noethops.groebner import IdealHandle, RingSpec, ideal_power
@@ -34,15 +38,33 @@ def random_polynomial(rng: random.Random, nvars: int, max_degree: int, max_terms
     return Poly(nvars, terms)
 
 
-def order_lemma_witness(delta: DiffOp, J: IdealHandle, I: IdealHandle, t: int) -> Poly | None:
+def order_lemma_witness(
+    delta: DiffOp, J: IdealHandle, I: IdealHandle, t: int, modulus: IdealHandle | None = None
+) -> Poly | None:
     """The order lemma delta(J^(e+t)) in I^t + modulus, e = order(delta),
     decided exactly by `first_not_killed`: None when it holds, else the
-    first multiple of a generator of J^(e+t) carried outside."""
+    first multiple of a generator of J^(e+t) carried outside.  No modulus
+    reads the values in P itself."""
+    if modulus is None:
+        modulus = IdealHandle(delta.nvars, [])
     target = ideal_power(I, t)
-    if delta.modulus is not None:
-        target = IdealHandle(target.nvars, target.gens + delta.modulus.gens)
-    ops = OperatorSet([delta], delta.modulus)
+    target = IdealHandle(target.nvars, target.gens + modulus.gens)
+    ops = OperatorSet([delta], modulus)
     return first_not_killed(ops, ideal_power(J, delta.order + t).gens, target)
+
+
+def run_under_python_O(script: str) -> list[str]:
+    """The first word of each line the script prints, run by `python -O`
+    on this package."""
+    src_root = os.path.dirname(os.path.dirname(noethops.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_root},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [line.split(":")[0] for line in proc.stdout.splitlines()]
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from noethops import groebner, linalg, noetherian
 from noethops.closures import _monomial_exponents
-from noethops.diffops import DiffOp, OperatorSet, first_not_killed, kernel_polynomials
+from noethops.diffops import DiffOp, OperatorSet, first_not_killed
 from noethops.groebner import IdealHandle, NotZeroDimensionalError, standard_monomials
 from noethops.noetherian import ComponentMeta, NoetherianCertificate
 from noethops.poly import (
@@ -85,11 +85,11 @@ def dilation_member_lp(points: list[tuple[int, ...]], e: tuple[int, ...], m: int
 
 def apply_by_derivatives(op: DiffOp, f: Poly) -> Poly:
     """sum over alpha of coeff_alpha * d^alpha(f), each derivative built by
-    `Poly.derivative`, then the normal form by the operator's modulus."""
+    `Poly.derivative`."""
     out = Poly.zero(op.nvars)
     for alpha, coeff in op.terms.items():
         out = out + coeff * f.derivative(alpha)
-    return out if op.modulus is None else op.modulus.normal_form(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,8 @@ def point_exact_oracle(a: IdealHandle, ops: OperatorSet) -> bool:
 def kill_check_certifier(a: IdealHandle, ops: OperatorSet, D: int) -> NoetherianCertificate:
     """The certificate of `verify_noetherian_ops`, from `first_not_killed`,
     then the rank of the value rows at the rational point of the modulus
-    over F = Q(u), then the truncated kernel at D."""
+    over F = Q(u), then the truncated kernel at D, whose witness is the
+    first element of its row-reduced basis outside a, as for the colons."""
     if any(g.degree() > D for g in a.gens):
         raise ValueError("degree bound is below the ideal's generator degrees")
     witness = first_not_killed(ops, a.gens)
@@ -263,7 +264,8 @@ def kill_check_certifier(a: IdealHandle, ops: OperatorSet, D: int) -> Noetherian
     if _value_rank_is_colength(a, ops):
         return NoetherianCertificate("exact", D, ops)
     monos, rows = colon_equation_rows(ops, ops.modulus, D)
-    for f in kernel_polynomials(monos, linalg.kernel_basis(rows, len(monos)), a.nvars):
+    reduced, _ = linalg.rref(linalg.kernel_basis(rows, len(monos)), len(monos))
+    for f in kernel_polynomials(monos, reduced, a.nvars):
         if a.normal_form(f):
             return NoetherianCertificate("refuted", D, ops, witness=f, witness_side="killed_not_in_ideal")
     return NoetherianCertificate("verified_up_to_degree", D, ops)
@@ -282,13 +284,12 @@ def _value_rank_is_colength(a: IdealHandle, ops: OperatorSet) -> bool:
     betas = monomials_up_to(len(dep), ops.max_order)
     rows = []
     for op in ops:
-        raw = op.with_modulus(None)
         row = {}
         for j, beta in enumerate(betas):
             full = [0] * a.nvars
             for pos, e in zip(dep, beta):
                 full[pos] = e
-            value = raw.apply(Poly.monomial(a.nvars, tuple(full)))
+            value = op.apply(Poly.monomial(a.nvars, tuple(full)))
             value = noetherian._to_field_poly(value, dep, indep).evaluate(point)
             if value:
                 row[j] = value
@@ -333,17 +334,24 @@ def truncation_dual_vectors(gens_f: list[Poly], point: list, colength: int, one)
 # containment on the colon's equations replaced, kept as its reference
 
 
+def kernel_polynomials(monos: list[Mono], vectors: list[dict], nvars: int) -> list[Poly]:
+    """The polynomials of sparse vectors over `monos`, terms in ascending
+    column order."""
+    return [Poly(nvars, {monos[j]: c for j, c in sorted(v.items())}) for v in vectors]
+
+
 def colon_equation_rows(ops: OperatorSet, cond: IdealHandle, D: int) -> tuple[list[Mono], list[dict]]:
     """The monomials of degree <= D, ascending, and the rows of the matrix
     whose kernel is the colon: one per (operator, monomial t), entry j the
-    coefficient of x^t in NF(op(x^(m_j)), cond), every operator applied
-    afresh."""
+    coefficient of x^t in NF(NF(op(x^(m_j)), modulus), cond), every operator
+    applied afresh and read modulo the set's modulus first."""
     nvars = cond.nvars
     monos = monomials_up_to(nvars, D)
     rows: dict[tuple[int, Mono], dict] = {}
     for j, m in enumerate(monos):
         for i, op in enumerate(ops):
-            for t, c in cond.normal_form(op.apply(Poly.monomial(nvars, m))).terms.items():
+            value = ops.modulus.normal_form(op.apply(Poly.monomial(nvars, m)))
+            for t, c in cond.normal_form(value).terms.items():
                 rows.setdefault((i, t), {})[j] = c
     return monos, list(rows.values())
 

@@ -18,7 +18,7 @@ from noethops.groebner import (
     ideal_power,
     is_subideal,
 )
-from noethops.poly import Poly
+from noethops.poly import Poly, mono_divides
 from noethops.uniformity import find_min_c
 
 from conftest import P, ideal
@@ -131,6 +131,19 @@ def test_closure_four_variables_matches_the_bruteforce_oracle():
     # as in three variables: every degree-2 monomial is integral over the squares
     C = monomial_integral_closure(mono_ideal(*squares, nvars=4), 1)
     assert gens_exponents(C) == {e for e in itertools.product(range(3), repeat=4) if sum(e) == 2}
+
+
+def test_closure_of_a_power_keeps_the_minimal_members_of_the_bruteforce_oracle():
+    # (x^2, y^2, z^2, w^2)^3 in its 7^4 box: the minimal generators are the
+    # minimal oracle members, the monomials of degree 6.  A member e has 2e
+    # in I^6, so two powers decide each point.
+    squares = [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)]
+    I = mono_ideal(*squares, nvars=4)
+    I3 = ideal_power(I, 3)
+    members = [e for e in itertools.product(range(7), repeat=4) if monomial_closure_bruteforce_oracle(I3, e, 2)]
+    minimal = {e for e in members if not any(f != e and mono_divides(f, e) for f in members)}
+    assert gens_exponents(monomial_integral_closure(I, 3)) == minimal
+    assert minimal == {e for e in itertools.product(range(7), repeat=4) if sum(e) == 6}
 
 
 def test_oracle_examples():

@@ -1,5 +1,6 @@
 """The package has no runtime dependencies: every module it imports is in
-the standard library or is noethops itself."""
+the standard library or is noethops itself.  Its checks are explicit
+raises, never `assert` statements, so they survive `python -O`."""
 
 import ast
 import sys
@@ -28,3 +29,15 @@ def test_package_imports_only_the_standard_library():
         if root != "noethops" and root not in sys.stdlib_module_names
     }
     assert not foreign
+
+
+def test_package_has_no_assert_statements():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    asserts = [
+        (path.name, node.lineno)
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not asserts

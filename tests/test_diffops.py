@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from noethops import linalg
+import noethops
+from noethops import diffops, linalg, noetherian, uniformity
 from noethops.configs import load_experiment_config
 from noethops.diffops import (
+    ArithmeticBugError,
     DiffOp,
     OperatorSet,
-    kernel_polynomials,
+    TruncatedSubspace,
     operator_kernel,
     parse_operator,
     parse_operator_set,
@@ -18,18 +20,18 @@ from noethops.diffops import (
 from noethops.groebner import IdealHandle
 from noethops.poly import Poly, monomials_up_to
 
-from conftest import P, ideal, order_lemma_witness, random_polynomial
+from conftest import P, ideal, order_lemma_witness, random_polynomial, run_under_python_O
 from oracles import apply_by_derivatives
 
 XY = ["x", "y"]
 
 
-def dx(**kw):
-    return DiffOp.partial(2, (1, 0), **kw)
+def dx():
+    return DiffOp.partial(2, (1, 0))
 
 
-def dy(**kw):
-    return DiffOp.partial(2, (0, 1), **kw)
+def dy():
+    return DiffOp.partial(2, (0, 1))
 
 
 # --- apply -----------------------------------------------------------------
@@ -40,7 +42,10 @@ def test_apply_examples(ring_x2):
     op = parse_operator("y*dx*dy", XY)
     assert op.apply(P("x^2*y")) == P("2*x*y")
     f = P("x^2 + y")
-    assert DiffOp.identity(2, ring_x2.rad).apply(f) == ring_x2.rad.normal_form(f)
+    assert DiffOp.identity(2).apply(f) == f
+    # an operator acts on P: reading modulo rad is the operator set's
+    read = dict(zip(*OperatorSet([DiffOp.identity(2)], ring_x2.rad).on_monomials(2)))
+    assert read[(2, 0)] == [Poly.zero(2)] and read[(0, 2)] == [P("y^2")]
     assert not parse_operator("x*dx - y*dy", XY).apply(P("x*y")).terms
 
 
@@ -60,7 +65,7 @@ def test_apply_variable_mismatch():
         dx().apply(Poly.variable(3, 0))
 
 
-def _random_operator(rng: random.Random, nvars: int, modulus: IdealHandle | None) -> DiffOp:
+def _random_operator(rng: random.Random, nvars: int) -> DiffOp:
     """Up to four terms of order at most 3; coefficients of degree at most 2,
     sometimes the constant 1 or a bare monomial."""
     alphas = monomials_up_to(nvars, 3)
@@ -75,7 +80,7 @@ def _random_operator(rng: random.Random, nvars: int, modulus: IdealHandle | None
         else:
             coeff = random_polynomial(rng, nvars, 2)
         terms.append((alpha, coeff))
-    return DiffOp(nvars, terms, modulus)
+    return DiffOp(nvars, terms)
 
 
 def _random_arguments(rng: random.Random, nvars: int) -> list[Poly]:
@@ -98,12 +103,26 @@ def _non_monomial_modulus(nvars: int) -> IdealHandle:
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
 @pytest.mark.parametrize("with_modulus", [False, True])
 def test_apply_matches_the_derivative_sum(nvars, with_modulus):
+    # with a modulus, both values are read modulo a non-monomial ideal
     rng = random.Random(1000 * nvars + with_modulus)
-    modulus = _non_monomial_modulus(nvars) if with_modulus else None
+    read = _non_monomial_modulus(nvars).normal_form if with_modulus else (lambda f: f)
     for _ in range(40):
-        op = _random_operator(rng, nvars, modulus)
+        op = _random_operator(rng, nvars)
         for f in _random_arguments(rng, nvars):
-            assert op.apply(f) == apply_by_derivatives(op, f)
+            assert read(op.apply(f)) == read(apply_by_derivatives(op, f))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_on_monomials_reads_the_values_modulo_the_set_modulus(nvars):
+    rng = random.Random(70 + nvars)
+    modulus = _non_monomial_modulus(nvars)
+    ops = OperatorSet([_random_operator(rng, nvars) for _ in range(3)], modulus)
+    monos, values = ops.on_monomials(4)
+    assert monos == monomials_up_to(nvars, 4)
+    for m, per_op in zip(monos, values):
+        x_m = Poly.monomial(nvars, m)
+        assert per_op == [modulus.normal_form(op.apply(x_m)) for op in ops]
+    assert any(v != op.apply(Poly.monomial(nvars, m)) for m, per_op in zip(monos, values) for op, v in zip(ops, per_op))
 
 
 CONFIG_PATHS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
@@ -117,7 +136,7 @@ def test_apply_matches_the_derivative_sum_on_shipped_operator_sets(path):
     assert len(monos) == len(monomials_up_to(cfg.ring.nvars, cfg.degree))
     for m, per_op in zip(monos, values):
         f = Poly.monomial(cfg.ring.nvars, m)
-        assert per_op == [apply_by_derivatives(op, f) for op in ops]
+        assert per_op == [ops.modulus.normal_form(apply_by_derivatives(op, f)) for op in ops]
 
 
 # --- bracket ----------------------------------------------------------------
@@ -153,7 +172,9 @@ def test_bracket_drops_order():
 def test_order_examples(ring_x2):
     assert parse_operator("dx^2 + y*dx", XY).order == 2
     assert parse_operator("x", XY).order == 0
-    assert dx(modulus=ring_x2.rad).order == 1
+    assert dx().order == 1
+    # the order counts derivatives, whatever the set reads the values modulo
+    assert OperatorSet([dx()], ring_x2.rad).max_order == 1
     assert DiffOp(2, {}).order == 0
 
 
@@ -170,7 +191,7 @@ def test_operator_determined_by_low_degree_values():
             value = value - coeff * Poly.monomial(2, alpha).derivative(gamma)
         fact = math.factorial(alpha[0]) * math.factorial(alpha[1])
         recovered[alpha] = value * Fraction(1, fact)
-    assert DiffOp(2, recovered) == op.with_modulus(None)
+    assert DiffOp(2, recovered) == op
 
 
 # --- parsing and printing ------------------------------------------------------
@@ -190,14 +211,14 @@ def test_parse_operator_set_roundtrip(ring_x2):
 
 def test_operator_kernel_of_projection(ring_x2):
     ops = OperatorSet([DiffOp.identity(2)], ring_x2.rad)
-    monos, reduced, pivots = operator_kernel(ops, ring_x2.rad, 2)
-    assert monos == monomials_up_to(2, 2)
+    S = operator_kernel(ops, ring_x2.rad, 2)
+    assert S.monos == monomials_up_to(2, 2)
+    assert (S.nvars, S.degree_bound) == (2, 2)
     # the equations come in reduced row echelon form
-    assert (reduced, pivots) == linalg.rref(reduced, len(monos))
+    assert (S.reduced, S.pivots) == linalg.rref(S.reduced, len(S.monos))
     # kernel of the projection: multiples of x, of degree <= 2
-    assert len(monos) - len(pivots) == 3
-    kernel = kernel_polynomials(monos, linalg.kernel_basis(reduced, len(monos)), 2)
-    assert set(kernel) == {P("x"), P("x^2"), P("x*y")}
+    assert S.dim == 3
+    assert set(S.basis) == {P("x"), P("x^2"), P("x*y")}
 
 
 def test_operator_kernel_shares_values_across_conditions(ring_x2):
@@ -208,9 +229,9 @@ def test_operator_kernel_shares_values_across_conditions(ring_x2):
     dims = []
     for cond in (ideal("x", "y^2"), ring_x2.rad, ideal("x", "y^3")):
         fresh = parse_operator_set(text, XY, ring_x2.rad)
-        assert operator_kernel(shared, cond, 5) == operator_kernel(fresh, cond, 5)
-        monos, _, pivots = operator_kernel(shared, cond, 5)
-        dims.append(len(monos) - len(pivots))
+        S, T = operator_kernel(shared, cond, 5), operator_kernel(fresh, cond, 5)
+        assert (S.monos, S.reduced, S.pivots) == (T.monos, T.reduced, T.pivots)
+        dims.append(S.dim)
     assert len(set(dims)) == 3
 
 
@@ -220,20 +241,88 @@ def test_operator_kernel_shares_values_across_conditions(ring_x2):
 def test_order_lemma_fixtures(ring_x2):
     rad = ring_x2.rad
     fixtures = [
-        (dx(modulus=rad), ideal("x - y"), ideal("y"), 2),
-        (DiffOp.identity(2, rad), ideal("x - y"), ideal("y"), 3),
-        (DiffOp.partial(2, (2, 0)), ideal("x"), ideal("x"), 1),
+        (dx(), ideal("x - y"), ideal("y"), 2, rad),
+        (DiffOp.identity(2), ideal("x - y"), ideal("y"), 3, rad),
+        (DiffOp.partial(2, (2, 0)), ideal("x"), ideal("x"), 1, None),
     ]
-    for delta, J, I, t in fixtures:
-        assert order_lemma_witness(delta, J, I, t) is None
+    for delta, J, I, t, modulus in fixtures:
+        assert order_lemma_witness(delta, J, I, t, modulus) is None
 
 
 def test_order_lemma_with_polynomial_coefficients(ring_x2):
-    delta = parse_operator("y*dx^2 + x*dy + 3", XY).with_modulus(ring_x2.rad)
+    delta = parse_operator("y*dx^2 + x*dy + 3", XY)
     for J in (ideal("x - y"), ideal("x", "y")):
-        assert order_lemma_witness(delta, J, ideal("y"), 2) is None
+        assert order_lemma_witness(delta, J, ideal("y"), 2, ring_x2.rad) is None
 
 
 def test_order_lemma_refuted_without_the_modulus():
     # dx(x^2) = 2x lies outside (y): J^(e+t) = (x^2) is not carried into I^t
     assert order_lemma_witness(dx(), ideal("x"), ideal("y"), 1) == P("x^2")
+
+
+# --- containment of a truncated kernel ------------------------------------------
+
+
+def test_first_outside_reads_the_rref_basis(ring_x2):
+    # the kernel of the projection modulo (x, y^2) is spanned by x, y^2, x*y
+    # and x^2, which its RREF basis lists in column order; the first one
+    # outside (y) is x, and outside (x) it is y^2
+    S = operator_kernel(OperatorSet([DiffOp.identity(2)], ring_x2.rad), ideal("x", "y^2"), 2)
+    assert S.basis == [P("x"), P("y^2"), P("x*y"), P("x^2")]
+    assert S.first_outside(ideal("y")) == P("x")
+    assert S.first_outside(ideal("x")) == P("y^2")
+    assert S.first_outside(ideal("x", "y")) is None
+
+
+def test_first_outside_with_a_basis_inside_is_an_arithmetic_bug(ring_x2, monkeypatch):
+    S = operator_kernel(OperatorSet([DiffOp.identity(2)], ring_x2.rad), ring_x2.rad, 3)
+    assert S.first_outside(ring_x2.rad) is None
+    monkeypatch.setattr(linalg, "in_row_space", lambda reduced, pivots, v: False)
+    with pytest.raises(ArithmeticBugError):
+        S.first_outside(ring_x2.rad)
+
+
+_FIRST_OUTSIDE_FAULT_UNDER_O = """
+from noethops import linalg
+from noethops.diffops import ArithmeticBugError, DiffOp, OperatorSet, operator_kernel
+from noethops.groebner import IdealHandle
+from noethops.poly import parse_polynomial
+
+x = IdealHandle(2, [parse_polynomial("x", ["x", "y"])])
+S = operator_kernel(OperatorSet([DiffOp.identity(2)], x), x, 3)
+print("contained:", S.first_outside(x))
+linalg.in_row_space = lambda reduced, pivots, v: False
+try:
+    S.first_outside(x)
+except ArithmeticBugError as exc:
+    print("caught:", exc)
+"""
+
+
+def test_the_first_outside_fault_check_survives_python_O():
+    assert run_under_python_O(_FIRST_OUTSIDE_FAULT_UNDER_O) == ["contained", "caught"]
+
+
+def test_arithmetic_bug_error_is_one_class_under_every_name():
+    assert noetherian.ArithmeticBugError is diffops.ArithmeticBugError
+    assert noethops.ArithmeticBugError is diffops.ArithmeticBugError
+    assert uniformity.ArithmeticBugError is diffops.ArithmeticBugError
+
+
+def test_colons_and_verification_decide_containment_by_first_outside(ring_x2, ops_pi_dx, monkeypatch):
+    # both callers hand their truncated kernel and ideal to the one method
+    calls = []
+    first_outside = TruncatedSubspace.first_outside
+
+    def recording(S, ideal_):
+        calls.append((S.degree_bound, ideal_))
+        return first_outside(S, ideal_)
+
+    monkeypatch.setattr(TruncatedSubspace, "first_outside", recording)
+    a = ideal("x^2")
+    assert noetherian.verify_noetherian_ops(a, ops_pi_dx, 5).status == "verified_up_to_degree"
+    assert calls == [(5, a)]
+    calls.clear()
+    J = ideal("x - y")
+    assert not uniformity.subspace_in_ideal(TruncatedSubspace.from_polynomials(2, 2, [P("y")]), J, ring_x2).contained
+    assert calls == [(2, ring_x2.plus_N(J))]

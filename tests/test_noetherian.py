@@ -12,7 +12,7 @@ import noethops
 
 from noethops import groebner, noetherian
 from noethops.configs import load_ring
-from noethops.diffops import DiffOp, OperatorSet, first_not_killed, parse_operator_set
+from noethops.diffops import DiffOp, OperatorSet, first_not_killed, operator_kernel, parse_operator_set
 from noethops.groebner import IdealHandle, RingSpec, standard_monomials
 from noethops.noetherian import (
     ComponentMismatchError,
@@ -86,7 +86,7 @@ def test_dual_space_away_from_origin():
     Q = IdealHandle(2, [P("(x - 1)^2"), P("y - 2")])
     ops = dual_space(Q, (1, 2))
     assert len(ops) == 2
-    cert = verify_noetherian_ops(Q, OperatorSet(ops, ops[0].modulus), 4)
+    cert = verify_noetherian_ops(Q, ops, 4)
     assert cert.status == "exact"
 
 
@@ -103,7 +103,7 @@ def test_membership_oracle_agreement():
     for _ in range(60):
         f = Poly(2, {monos[rng.randrange(len(monos))]: Fraction(rng.randint(-4, 4)) for _ in range(3)})
         gb_says = not Q.normal_form(f)
-        duals_say = all(not op.apply(f) for op in ops)
+        duals_say = all(not ops.modulus.normal_form(op.apply(f)) for op in ops)
         assert gb_says == duals_say
 
 
@@ -149,7 +149,7 @@ def test_denominator_clearing_preserves_kernel():
     # scaling an operator by a nonzerodivisor mod p leaves the kernel mod p unchanged
     rng = random.Random(17)
     p = ideal("x")
-    base = DiffOp.partial(2, (1, 0), p)
+    base = DiffOp.partial(2, (1, 0))
     scaled = base.scale(P("y^2 + 1"))
     monos = monomials_up_to(2, 5)
     for _ in range(40):
@@ -213,8 +213,11 @@ def test_combine_mismatch_reports_witness():
 
 def test_verify_exact_round_trip():
     Q = ideal("x^2", "y")
-    ops = OperatorSet(dual_space(Q, (0, 0)), dual_space(Q, (0, 0))[0].modulus)
+    ops = dual_space(Q, (0, 0))
+    assert ops.modulus.gens == ideal("x", "y").gens
     assert verify_noetherian_ops(Q, ops, 4).status == "exact"
+    # the set without its provenance recomputes the point and the colength
+    assert verify_noetherian_ops(Q, OperatorSet(ops, ops.modulus), 4).status == "exact"
 
 
 def test_verify_refutes_undersized_set(ring_x2):
@@ -249,6 +252,18 @@ def test_verify_truncated_branch(ring_x2, ops_pi_dx):
     cert = verify_noetherian_ops(ideal("x^2"), ops_pi_dx, 6)
     assert cert.status == "verified_up_to_degree"
     assert cert.degree_bound == 6
+
+
+def test_truncated_refutation_reads_the_kernel_rref_basis():
+    # dx + y modulo (x) has no rational point, so the check is truncated; it
+    # kills 1 - x*y, which the kernel's RREF basis holds with 1 at the
+    # constant column, where the basis read by free columns holds x*y - 1
+    a = ideal("x^2")
+    ops = parse_operator_set("dx + y", XY, ideal("x"))
+    cert = verify_noetherian_ops(a, ops, 3)
+    assert (cert.status, cert.witness_side) == ("refuted", "killed_not_in_ideal")
+    S = operator_kernel(ops, ops.modulus, 3)
+    assert cert.witness == next(f for f in S.basis if a.normal_form(f)) == P("1 - x*y")
 
 
 def test_truncated_certificates_match_the_kill_check_oracle_on_refuting_sets():
@@ -303,14 +318,14 @@ def test_exact_certifier_matches_point_oracle(nvars):
     for _ in range(6):
         a, point = _random_point_ideal(rng, nvars)
         D = max(g.degree() for g in a.gens) + 1
-        ops = dual_space(a, point)
-        maximal = ops[0].modulus
+        ops = dual_space(a, point).ops
+        maximal = dual_space(a, point).modulus
         shifted = [Poly.variable(nvars, i) - Poly.constant(nvars, point[i]) for i in range(nvars)]
         # coefficients that are units at the point, plus terms vanishing there:
         # the same functionals, read off non-constant coefficients
         recombined = [
             DiffOp(nvars, [(al, c * (Poly.one(nvars) + shifted[0])) for al, c in op.terms.items()]
-                   + [(al, c * shifted[-1]) for al, c in ops[0].terms.items()], maximal)
+                   + [(al, c * shifted[-1]) for al, c in ops[0].terms.items()])
             for op in ops
         ]
         text = "; ".join(op.format(names) for op in ops)
@@ -445,7 +460,7 @@ def _over_y(text, modulus):
     """(x) and the operators of `text`, with the provenance of (x) over
     Q(y), read modulo `modulus`."""
     meta = noetherian_ops_primary(PrimaryComponent(ideal("x"), ideal("x"), independent=(1,))).meta
-    return meta.component.Q, OperatorSet(parse_operator_set(text, XY).ops, modulus, meta=meta)
+    return meta.component.Q, OperatorSet(parse_operator_set(text, XY, modulus).ops, modulus, meta=meta)
 
 
 def _with_dy():
@@ -469,7 +484,7 @@ def test_sets_that_must_not_take_the_shortcut_are_refuted(case, monkeypatch):
     space = noetherian._exact_space(a, ops)
     assert space.rank == space.colength
     assert space.closed_under_brackets() == (case is not _x2_at_origin_with_dx3)
-    assert not any(op.apply(g) for op in ops for g in a.gens)
+    assert not any(ops.modulus.normal_form(op.apply(g)) for op in ops for g in a.gens)
     calls = []
     monkeypatch.setattr(noetherian, "first_not_killed", lambda *args: calls.append(args) or first_not_killed(*args))
     cert = _certificate_as_kill_check(a, ops, 4)
@@ -596,7 +611,7 @@ def test_bracket_rows_from_the_evaluated_rows():
         for _ in range(6):
             a, point = _random_point_ideal(rng, nvars)
             ops = dual_space(a, point)
-            assert _bracket_rows_match(a, OperatorSet(ops, ops[0].modulus)).closed_under_brackets()
+            assert _bracket_rows_match(a, OperatorSet(ops, ops.modulus)).closed_under_brackets()
     a, ops, _ = _x2_at_origin_with_dx3()
     assert not _bracket_rows_match(a, ops).closed_under_brackets()
 
