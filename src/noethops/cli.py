@@ -13,26 +13,24 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
-from .closures import NonMonomialIdealError
 from .configs import (
     ConfigError,
     load_experiment_config,
     load_ring,
     parse_ideal_list,
+    primary_component,
     run_experiment_config,
 )
 from .diffops import ArithmeticBugError, parse_operator_set
 from .noetherian import (
     ComponentMismatchError,
-    NonRationalPointError,
-    PrimaryComponent,
     dual_space,
     noetherian_ops_primary,
     verify_noetherian_ops,
 )
-from .poly import PolyParseError
 from .uniformity import (
     OperatorSetRefutedError,
     PsiInconsistencyError,
@@ -84,22 +82,23 @@ def _emit_certificate(args, ring, cert, head: list[str]) -> int:
 # subcommands
 
 
+def _parse_point(text: str) -> list[Fraction]:
+    try:
+        return [Fraction(part.strip()) for part in text.split(",")]
+    except ZeroDivisionError:
+        raise ConfigError(f"point {text!r} has a coordinate with denominator 0") from None
+
+
 def cmd_noeth_ops(args) -> int:
     ring = load_ring(args.ring)
-    Q = ring.ideal(parse_ideal_list(args.ideal, ring.var_names))
     if args.point is not None:
-        point = [Fraction(part.strip()) for part in args.point.split(",")]
-        ops = dual_space(Q, point)
+        Q = ring.ideal(parse_ideal_list(args.ideal, ring.var_names))
+        ops = dual_space(Q, _parse_point(args.point))
+    elif args.prime is None:
+        raise ConfigError("need either --point or --prime with --independent")
     else:
-        if args.prime is None:
-            raise ConfigError("need either --point or --prime with --independent")
-        p = ring.ideal(parse_ideal_list(args.prime, ring.var_names))
-        indep_names = [v.strip() for v in (args.independent or "").split(",") if v.strip()]
-        for v in indep_names:
-            if v not in ring.var_names:
-                raise ConfigError(f"unknown independent variable {v!r}")
-        indep = tuple(ring.var_names.index(v) for v in indep_names)
-        ops = noetherian_ops_primary(PrimaryComponent(Q, p, indep))
+        comp = primary_component(ring, args.ideal, args.prime, args.independent or "")
+        Q, ops = comp.Q, noetherian_ops_primary(comp)
     cert = verify_noetherian_ops(Q, ops, args.degree)
     return _emit_certificate(args, ring, cert, [ops.format(ring.var_names)])
 
@@ -130,18 +129,13 @@ def cmd_diff_colon(args) -> int:
     return EXIT_OK
 
 
-def _run_experiment(args, forced_mode: str | None = None) -> int:
+def cmd_experiment(args) -> int:
+    """find-c, check-bs, check-symb and experiment: run the loaded config
+    with the command's mode (experiment keeps the config's) and with each
+    option given in place of the config's value."""
     cfg = load_experiment_config(args.config)
-    if forced_mode is not None:
-        cfg.mode = forced_mode
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.n_max is not None:
-        cfg.n_max = args.n_max
-    if args.c_max is not None:
-        cfg.c_max = args.c_max
-    if args.degree is not None:
-        cfg.degree = args.degree
+    overrides = {k: getattr(args, k) for k in ("mode", "seed", "n_max", "c_max", "degree")}
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     bundle = run_experiment_config(cfg)
     if args.format == "csv":
         _emit(_csv_text(bundle.csv_rows(cfg.ring.var_names)), args.out)
@@ -152,22 +146,6 @@ def _run_experiment(args, forced_mode: str | None = None) -> int:
     if any(not r.passed for r in bundle.reverse):
         return EXIT_REFUTED
     return EXIT_OK
-
-
-def cmd_find_c(args) -> int:
-    return _run_experiment(args, forced_mode="artin_rees")
-
-
-def cmd_check_bs(args) -> int:
-    return _run_experiment(args, forced_mode="briancon_skoda")
-
-
-def cmd_check_symb(args) -> int:
-    return _run_experiment(args, forced_mode="symbolic")
-
-
-def cmd_experiment(args) -> int:
-    return _run_experiment(args, forced_mode=None)
 
 
 def cmd_check_ar_reverse(args) -> int:
@@ -283,11 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(s)
     s.set_defaults(func=cmd_diff_colon)
 
-    for name, func, help_text in (
-        ("find-c", cmd_find_c, "minimal uniform shifts for ordinary powers"),
-        ("check-bs", cmd_check_bs, "minimal shifts with integral closures of powers"),
-        ("check-symb", cmd_check_symb, "minimal shifts with symbolic powers"),
-        ("experiment", cmd_experiment, "run the experiment described by the config"),
+    for name, mode, help_text in (
+        ("find-c", "artin_rees", "minimal uniform shifts for ordinary powers"),
+        ("check-bs", "briancon_skoda", "minimal shifts with integral closures of powers"),
+        ("check-symb", "symbolic", "minimal shifts with symbolic powers"),
+        ("experiment", None, "run the experiment described by the config"),
     ):
         s = subs.add_parser(name, help=help_text)
         s.add_argument("config")
@@ -297,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--c-max", type=int, default=None, help="override the config value")
         s.add_argument("--degree", type=int, default=None, help="override the config value")
         _add_output(s, ("json", "csv"))
-        s.set_defaults(func=func)
+        s.set_defaults(func=cmd_experiment, mode=mode)
 
     s = subs.add_parser("check-ar-reverse", help="theorem-backed reverse containment checks")
     s.add_argument("config")
@@ -337,10 +315,7 @@ def main(argv=None) -> int:
     except ArithmeticBugError as exc:
         sys.stderr.write(f"arithmetic bug: {exc}\n")
         return EXIT_REFUTED
-    except (PolyParseError, ConfigError, NonMonomialIdealError, NonRationalPointError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -30,13 +30,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _strip_wrapper(text: str, open_ch: str, close_ch: str) -> str:
-    text = text.strip()
-    if not (text.startswith(open_ch) and text.endswith(close_ch)):
-        raise ConfigError(f"expected {open_ch}...{close_ch}, got {text!r}")
-    return text[1:-1]
-
-
 def _encloses(text: str) -> bool:
     """Does the opening parenthesis of `text` close at its last character?"""
     depth = 0
@@ -57,27 +50,20 @@ def parse_ideal_list(text: str, var_names: Sequence[str]) -> list[Poly]:
 
 
 def parse_ring_text(text: str) -> RingSpec:
-    ring_line = None
-    radical_line = None
-    primes_line = None
+    entries: dict[str, str] = {}
     for raw in text.strip().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, rest = line.partition(":")
         key = key.strip().lower()
-        if key == "ring":
-            ring_line = rest.strip()
-        elif key == "radical":
-            radical_line = rest.strip()
-        elif key == "minimal-primes":
-            primes_line = rest.strip()
-        else:
+        if key not in ("ring", "radical", "minimal-primes"):
             raise ConfigError(f"unknown ring-file key {key!r}")
-    if ring_line is None:
+        entries[key] = rest.strip()
+    if "ring" not in entries:
         raise ConfigError("missing 'ring:' line")
 
-    head, _, quotient = ring_line.partition("/")
+    head, _, quotient = entries["ring"].partition("/")
     head = head.strip()
     if not head.startswith("Q[") or not head.endswith("]"):
         raise ConfigError("ring must have the form Q[v1,...,vk]")
@@ -90,11 +76,13 @@ def parse_ring_text(text: str) -> RingSpec:
         return IdealHandle(n, parse_ideal_list(text_part, var_names))
 
     N = ideal_from(quotient)
-    rad = ideal_from(radical_line) if radical_line is not None else N
+    rad = ideal_from(entries["radical"]) if "radical" in entries else N
     primes: tuple[IdealHandle, ...] = ()
-    if primes_line is not None:
-        inner = _strip_wrapper(primes_line, "[", "]")
-        primes = tuple(ideal_from(part) for part in split_poly_list(inner))
+    if "minimal-primes" in entries:
+        listed = entries["minimal-primes"]
+        if not (listed.startswith("[") and listed.endswith("]")):
+            raise ConfigError(f"expected [...], got {listed!r}")
+        primes = tuple(ideal_from(part) for part in split_poly_list(listed[1:-1]))
     return RingSpec(var_names, N, rad, primes)
 
 
@@ -110,7 +98,7 @@ def load_ring(path_or_text: str) -> RingSpec:
 # experiment configs
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     ring: RingSpec
     ideals: list[tuple[str, IdealHandle]]
@@ -124,21 +112,46 @@ class ExperimentConfig:
     witnesses: dict[str, Poly] = field(default_factory=dict)
 
 
+def _typed(value, kind: type, what: str):
+    """`value`, which must be a JSON object, array or string (`kind`)."""
+    if not isinstance(value, kind):
+        name = {dict: "a JSON object", list: "a JSON array", str: "a string"}[kind]
+        raise ConfigError(f"{what} must be {name}, not {type(value).__name__}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be an integer, not {value!r}") from exc
+
+
+def primary_component(ring: RingSpec, ideal: str, prime: str, independent: str | list[str]) -> PrimaryComponent:
+    """The claimed primary component (ideal, prime) given as ideal-list
+    texts, with its independent variables named in a comma-separated text or
+    a list."""
+    Q = ring.ideal(parse_ideal_list(_typed(ideal, str, "a component ideal"), ring.var_names))
+    p = ring.ideal(parse_ideal_list(_typed(prime, str, "a component prime"), ring.var_names))
+    if isinstance(independent, str):
+        independent = [v.strip() for v in independent.split(",") if v.strip()]
+    for v in _typed(independent, list, "independent"):
+        if v not in ring.var_names:
+            raise ConfigError(f"unknown independent variable {v!r}")
+    return PrimaryComponent(Q, p, tuple(ring.var_names.index(v) for v in independent))
+
+
 def _build_operators(spec, ring: RingSpec) -> OperatorSet:
     if isinstance(spec, str):
         return parse_operator_set(spec, ring.var_names, ring.rad)
     if isinstance(spec, dict) and "compute" in spec:
         comps = []
-        for comp_spec in spec["compute"]:
-            Q = ring.ideal(parse_ideal_list(comp_spec["ideal"], ring.var_names))
-            p = ring.ideal(parse_ideal_list(comp_spec["prime"], ring.var_names))
-            indep_names = comp_spec.get("independent", [])
-            if isinstance(indep_names, str):
-                indep_names = [v.strip() for v in indep_names.split(",") if v.strip()]
-            indep = tuple(ring.var_names.index(v) for v in indep_names)
-            comp = PrimaryComponent(Q, p, indep)
+        for entry in _typed(spec["compute"], list, "operators.compute"):
+            entry = _typed(entry, dict, "an operators.compute entry")
+            comp = primary_component(ring, entry["ideal"], entry["prime"], entry.get("independent", []))
             comps.append((comp, noetherian_ops_primary(comp)))
-        target = ring.plus_N(ring.ideal(parse_ideal_list(spec.get("target") or "", ring.var_names)))
+        target_text = _typed(spec.get("target") or "", str, "operators.target")
+        target = ring.plus_N(ring.ideal(parse_ideal_list(target_text, ring.var_names)))
         return combine_components(target, comps, ring)
     raise ConfigError("operators must be an operator text or a {'compute': [...]} object")
 
@@ -146,30 +159,30 @@ def _build_operators(spec, ring: RingSpec) -> OperatorSet:
 def load_experiment_config(source: str | dict) -> ExperimentConfig:
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = source
+            source = json.load(fh)
+    data = _typed(source, dict, "an experiment config")
     try:
-        ring = parse_ring_text(data["ring"])
-        params = data.get("parameters", {})
+        ring = parse_ring_text(_typed(data["ring"], str, "ring"))
+        params = _typed(data.get("parameters", {}), dict, "parameters")
         ideals = [
-            (name, ring.ideal(parse_ideal_list(text, ring.var_names)))
-            for name, text in data.get("ideals", {}).items()
+            (name, ring.ideal(parse_ideal_list(_typed(text, str, f"ideal {name!r}"), ring.var_names)))
+            for name, text in _typed(data.get("ideals", {}), dict, "ideals").items()
         ]
         ops = _build_operators(data["operators"], ring)
         witnesses = {
-            name: ring.parse(text) for name, text in data.get("witnesses", {}).items()
+            name: ring.parse(_typed(text, str, f"witness {name!r}"))
+            for name, text in _typed(data.get("witnesses", {}), dict, "witnesses").items()
         }
         return ExperimentConfig(
             ring=ring,
             ideals=ideals,
             operators=ops,
-            mode=data.get("mode", "artin_rees"),
-            n_max=int(params.get("n_max", 3)),
-            c_max=int(params.get("c_max", 3)),
-            degree=int(params.get("degree", 8)),
-            seed=int(params.get("seed", 0)),
-            dimension=int(data["dimension"]) if "dimension" in data else None,
+            mode=_typed(data.get("mode", "artin_rees"), str, "mode"),
+            n_max=_integer(params.get("n_max", 3), "n_max"),
+            c_max=_integer(params.get("c_max", 3), "c_max"),
+            degree=_integer(params.get("degree", 8), "degree"),
+            seed=_integer(params.get("seed", 0), "seed"),
+            dimension=_integer(data["dimension"], "dimension") if "dimension" in data else None,
             witnesses=witnesses,
         )
     except KeyError as exc:
@@ -183,7 +196,4 @@ def run_experiment_config(cfg: ExperimentConfig):
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if cfg.mode == "symbolic" and cfg.dimension is None:
         raise ConfigError("symbolic mode requires a 'dimension' entry")
-    return run_constant_experiment(
-        cfg.ring, cfg.operators, cfg.ideals, cfg.n_max, cfg.c_max, cfg.degree,
-        mode=cfg.mode, seed=cfg.seed, dimension=cfg.dimension, witnesses=cfg.witnesses,
-    )
+    return run_constant_experiment(cfg)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import linalg
 from .diffops import (
@@ -39,6 +39,9 @@ from .groebner import (
 )
 from .noetherian import NoetherianCertificate, verify_noetherian_ops
 from .poly import Mono, Poly, RationalFunction, monomials_up_to
+
+if TYPE_CHECKING:  # configs imports this module
+    from .configs import ExperimentConfig
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +112,11 @@ class ConstantReport:
     degree_bound: int
     n_max: int
     c_max: int
-    verdict: str = ""
     extras: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.verdict:
-            self.verdict = "exhausted" if self.max_c is None else f"c = {self.max_c}"
+    @property
+    def verdict(self) -> str:
+        return "exhausted" if self.max_c is None else f"c = {self.max_c}"
 
     @property
     def max_c(self) -> int | None:
@@ -239,7 +241,6 @@ class SeparatingOperatorResult:
     delta: DiffOp | None = None
     order: int | None = None
     d_value: RationalFunction | None = None
-    psi_spec: list[Poly] = field(default_factory=list)
     message: str = ""
 
 
@@ -335,7 +336,7 @@ def _finish_separating(
     if any(p.normal_form(dh * d_den - ph * d_num) for dh, ph in values):
         raise PsiInconsistencyError("d is not consistent across the generators; psi is not the claimed embedding")
     d_value = RationalFunction(d_num, d_den)
-    return SeparatingOperatorResult(True, delta=delta, order=delta.order, d_value=d_value, psi_spec=psi)
+    return SeparatingOperatorResult(True, delta=delta, order=delta.order, d_value=d_value)
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +379,8 @@ def verify_filtration(chain: Sequence[IdealHandle], primes: Sequence[IdealHandle
     for i in range(1, len(chain)):
         prev, cur, prime = chain[i - 1], chain[i], primes[i - 1]
         strict = is_subideal(prev, cur) and not ideal_equal(prev, cur)
-        module_ok = True
-        failure = None
-        for pg in prime.gens:
-            for cg in cur.gens:
-                if not prev.contains(pg * cg):
-                    module_ok = False
-                    failure = pg * cg
-                    break
-            if not module_ok:
-                break
+        failure = next((pg * cg for pg in prime.gens for cg in cur.gens if not prev.contains(pg * cg)), None)
+        module_ok = failure is None
         declared = any(ideal_equal(prime, q) for q in ring.minimal_primes)
         ok = ok and strict and module_ok and declared
         steps.append(FiltrationStep(i, strict, module_ok, declared, failure))
@@ -411,25 +404,40 @@ class OperatorSetRefutedError(ValueError):
 
 @dataclass
 class ExperimentBundle:
-    mode: str
-    seed: int
-    degree_bound: int
-    n_max: int
-    c_max: int
+    """An experiment's results, read together with the config they ran:
+    the operator certificate, one shift report per ideal, and the reverse
+    checks (for "artin_rees" only)."""
+
+    cfg: ExperimentConfig
     certificate: NoetherianCertificate
     reports: list[ConstantReport]
     reverse: list[ReverseReport]
-    aggregate_c: int | None
-    verdict: str
-    max_op_order: int
+
+    @property
+    def aggregate_c(self) -> int | None:
+        """The max shift over the family; None when some row exhausted."""
+        shifts = [rep.max_c for rep in self.reports]
+        return None if None in shifts else max(shifts, default=0)
+
+    @property
+    def verdict(self) -> str:
+        c, D = self.aggregate_c, self.cfg.degree
+        if c is None:
+            verdict = "exhausted: some rows hit c_max without containment"
+        else:
+            verdict = f"aggregate c = {c} over {len(self.reports)} ideal(s), degree bound {D}"
+        if any(not r.passed for r in self.reverse):
+            verdict += "; REVERSE CHECK FAILED (arithmetic bug)"
+        return verdict
 
     def to_dict(self, var_names: Sequence[str]) -> dict:
+        cfg = self.cfg
         return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "parameters": {"degree_bound": self.degree_bound, "n_max": self.n_max, "c_max": self.c_max},
+            "mode": cfg.mode,
+            "seed": cfg.seed,
+            "parameters": {"degree_bound": cfg.degree, "n_max": cfg.n_max, "c_max": cfg.c_max},
             "operator_certificate": self.certificate.to_dict(var_names),
-            "max_operator_order": self.max_op_order,
+            "max_operator_order": cfg.operators.max_order,
             "reports": [r.to_dict(var_names) for r in self.reports],
             "reverse_checks": [{"ideal": r.ideal_name, "n": r.n, "passed": r.passed} for r in self.reverse],
             "aggregate_c": self.aggregate_c if self.aggregate_c is not None else "NOT_FOUND",
@@ -440,63 +448,35 @@ class ExperimentBundle:
         rows = [["J_id", "n", "c_min", "witness", "degree_bound"]]
         for rep in self.reports:
             for r in rep.rows:
-                rows.append(
-                    [
-                        rep.ideal_name,
-                        str(r.n),
-                        r.c_label(),
-                        r.witness.format(var_names) if r.witness is not None else "",
-                        str(rep.degree_bound),
-                    ]
-                )
+                witness = r.witness.format(var_names) if r.witness is not None else ""
+                rows.append([rep.ideal_name, str(r.n), r.c_label(), witness, str(rep.degree_bound)])
         return rows
 
 
-def run_constant_experiment(
-    ring: RingSpec,
-    ops: OperatorSet,
-    named_ideals: Sequence[tuple[str, IdealHandle]],
-    n_max: int,
-    c_max: int,
-    D: int,
-    *,
-    mode: str = "artin_rees",
-    seed: int = 0,
-    dimension: int | None = None,
-    witnesses: dict[str, Poly] | None = None,
-) -> ExperimentBundle:
-    """Verify the operator set against the defining ideal, run the
-    minimal-shift search under the power schedule of `mode` for each ideal in
-    input order (plus the reverse containment checks for "artin_rees"), and
-    report the aggregate empirical constant (the max over the family).
+def run_constant_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
+    """Verify the config's operator set against the ring's defining ideal,
+    run the minimal-shift search under the power schedule of `cfg.mode` for
+    each of its ideals in input order (plus the reverse containment checks
+    for "artin_rees"), and bundle the reports with `cfg`.
 
-    `dimension` and `witnesses` (ideal name -> saturation witness, default 1)
-    feed the symbolic schedule."""
+    `cfg.dimension` and `cfg.witnesses` (ideal name -> saturation witness,
+    default 1) feed the symbolic schedule.  The mode and the dimension are
+    checked by `configs.run_experiment_config`."""
     from .closures import shift_search  # closures imports this module
 
+    ring, ops, D = cfg.ring, cfg.operators, cfg.degree
     cert = verify_noetherian_ops(ring.N, ops, D)
     if not cert.ok:
         raise OperatorSetRefutedError(cert)
-    witnesses = witnesses or {}
     reports: list[ConstantReport] = []
     reverse: list[ReverseReport] = []
-    for name, J in named_ideals:
+    for name, J in cfg.ideals:
         reports.append(
             shift_search(
-                mode, J, ops, ring, n_max, c_max, D,
-                dimension=dimension, witness=witnesses.get(name), ideal_name=name,
+                cfg.mode, J, ops, ring, cfg.n_max, cfg.c_max, D,
+                dimension=cfg.dimension, witness=cfg.witnesses.get(name), ideal_name=name,
             )
         )
-        if mode == "artin_rees":
-            reverse += [replace(check_reverse(J, ops, ring, n), ideal_name=name) for n in range(1, n_max + 1)]
-    if any(rep.max_c is None for rep in reports):
-        aggregate = None
-        verdict = "exhausted: some rows hit c_max without containment"
-    else:
-        aggregate = max((rep.max_c for rep in reports), default=0)
-        verdict = f"aggregate c = {aggregate} over {len(reports)} ideal(s), degree bound {D}"
-    if any(not r.passed for r in reverse):
-        verdict += "; REVERSE CHECK FAILED (arithmetic bug)"
-    return ExperimentBundle(
-        mode, seed, D, n_max, c_max, cert, reports, reverse, aggregate, verdict, ops.max_order
-    )
+        if cfg.mode == "artin_rees":
+            reverse += [replace(check_reverse(J, ops, ring, n), ideal_name=name) for n in range(1, cfg.n_max + 1)]
+    return ExperimentBundle(cfg, cert, reports, reverse)

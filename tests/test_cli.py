@@ -247,6 +247,63 @@ def test_check_symb(tmp_path, capsys):
     assert "Js,1,1,y,12" in out
 
 
+@pytest.mark.parametrize("config_mode", ["artin_rees", "symbolic"])
+@pytest.mark.parametrize(
+    "command, mode",
+    [("find-c", "artin_rees"), ("check-bs", "briancon_skoda"), ("check-symb", "symbolic"), ("experiment", None)],
+)
+def test_each_experiment_command_runs_its_mode(tmp_path, capsys, command, mode, config_mode):
+    # find-c, check-bs and check-symb force their mode; experiment keeps the config's
+    cfg = dict(CONFIG, mode=config_mode, ideals={"J": "x - y"}, dimension=1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main([command, str(path), "--n-max", "1"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == (mode or config_mode)
+
+
+@pytest.mark.parametrize(
+    "option, value, key",
+    [("--seed", 7, "seed"), ("--n-max", 1, "n_max"), ("--c-max", 2, "c_max"), ("--degree", 10, "degree_bound")],
+)
+def test_each_option_reaches_the_json_report(config_file, capsys, option, value, key):
+    rc = main(["experiment", config_file, option, str(value)])
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out)
+    reported = {"seed": data["seed"], **data["parameters"]}
+    expected = {"seed": 0, "n_max": 3, "c_max": 3, "degree_bound": 12}
+    assert reported == {**expected, key: value}
+
+
+def test_noeth_ops_point_with_zero_denominator_exit_1(capsys):
+    rc = main(["noeth-ops", "ring: Q[x,y]", "--ideal", "x^2", "--point", "1/0"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: point '1/0' has a coordinate with denominator 0\n"
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("independent", ["w", ["y", "w"]])
+def test_unknown_independent_variable_in_a_config_exit_1(tmp_path, capsys, independent):
+    cfg = dict(CONFIG, operators={"compute": [{"ideal": "x^2", "prime": "x", "independent": independent}]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["find-c", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: unknown independent variable 'w'\n"
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"ring": "ring: Q[x]", "operators": "1", "parameters": []}'])
+def test_config_of_the_wrong_shape_exit_1(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    rc = main(["experiment", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_sep_op_fixture(tmp_path, capsys):
     path = tmp_path / "ring3.txt"
     path.write_text(RING_X3)

@@ -41,3 +41,26 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not asserts
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names `path` imports and never reads (`from __future__` aside)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_modules_use_every_name_they_import():
+    # __init__.py imports to re-export
+    files = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert files
+    unused = {path.name: names for path in files if (names := _unused_imports(path))}
+    assert not unused

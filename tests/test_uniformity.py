@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 from noethops import groebner, linalg, uniformity
 from noethops.closures import SCHEDULES, shift_search
-from noethops.configs import load_experiment_config, run_experiment_config
+from noethops.configs import ExperimentConfig, load_experiment_config, run_experiment_config
 from noethops.diffops import ArithmeticBugError, DiffOp, OperatorSet, TruncatedSubspace
 from noethops.groebner import IdealHandle, RingSpec, ideal_power
 from noethops.poly import Poly, monomials_up_to
@@ -600,24 +601,38 @@ def _family():
     return [("J1", ideal("x - y")), ("J2", ideal("x", "y")), ("J3", ideal("y"))]
 
 
+def _config(ring, ops, ideals, n_max, c_max, degree):
+    return ExperimentConfig(ring, ideals, ops, "artin_rees", n_max, c_max, degree, seed=0)
+
+
 def test_experiment_bundle(ring_x2, ops_pi_dx):
-    bundle = run_constant_experiment(ring_x2, ops_pi_dx, _family(), 3, 3, 12, seed=0)
+    bundle = run_constant_experiment(_config(ring_x2, ops_pi_dx, _family(), 3, 3, 12))
     assert bundle.aggregate_c == 1
     assert all(r.passed for r in bundle.reverse)
     assert bundle.certificate.ok
     data = bundle.to_dict(XY)
     assert data["aggregate_c"] == 1
     assert data["seed"] == 0
+    assert data["verdict"] == bundle.verdict == "aggregate c = 1 over 3 ideal(s), degree bound 12"
+
+
+def test_the_bundle_derives_its_aggregate_and_verdict(ring_x2, ops_pi_dx):
+    bundle = run_constant_experiment(_config(ring_x2, ops_pi_dx, [("J", ideal("x - y"))], 1, 0, 12))
+    assert [f.name for f in dataclasses.fields(bundle)] == ["cfg", "certificate", "reports", "reverse"]
+    assert bundle.aggregate_c is None
+    assert bundle.verdict == "exhausted: some rows hit c_max without containment"
+    failed = dataclasses.replace(bundle, reverse=[uniformity.ReverseReport(1, False, P("y"))])
+    assert failed.verdict == bundle.verdict + "; REVERSE CHECK FAILED (arithmetic bug)"
 
 
 def test_experiment_empty_family(ring_x2, ops_pi_dx):
-    bundle = run_constant_experiment(ring_x2, ops_pi_dx, [], 3, 3, 8, seed=0)
+    bundle = run_constant_experiment(_config(ring_x2, ops_pi_dx, [], 3, 3, 8))
     assert bundle.aggregate_c == 0
     assert bundle.reports == []
 
 
 def test_experiment_single_maximal(ring_x2, ops_pi_dx):
-    bundle = run_constant_experiment(ring_x2, ops_pi_dx, [("J", ideal("x", "y"))], 3, 3, 10, seed=0)
+    bundle = run_constant_experiment(_config(ring_x2, ops_pi_dx, [("J", ideal("x", "y"))], 3, 3, 10))
     assert bundle.aggregate_c == 0
 
 
@@ -646,7 +661,7 @@ def test_two_minimal_primes_experiment():
         ideal("x^2*y"), [(c1, noetherian_ops_primary(c1)), (c2, noetherian_ops_primary(c2))], ring
     )
     bundle = run_constant_experiment(
-        ring, merged, [("J1", ideal("x - y")), ("J2", ideal("x", "y"))], 2, 4, 10, seed=0
+        _config(ring, merged, [("J1", ideal("x - y")), ("J2", ideal("x", "y"))], 2, 4, 10)
     )
     assert bundle.aggregate_c == 2
     assert all(r.passed for r in bundle.reverse)
