@@ -48,7 +48,6 @@ from .noetherian import (
 from .poly import (
     Block,
     GrevLex,
-    Lex,
     Poly,
     PolyParseError,
     RationalFunction,

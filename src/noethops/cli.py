@@ -269,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         s = subs.add_parser(name, help=help_text)
         s.add_argument("config")
-        s.add_argument("--jobs", type=int, default=1, help="accepted and ignored: experiments run serially")
         s.add_argument("--seed", type=int, default=None)
         s.add_argument("--n-max", type=int, default=None, help="override the config value")
         s.add_argument("--c-max", type=int, default=None, help="override the config value")

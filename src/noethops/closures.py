@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import linalg
 from .diffops import OperatorSet
 from .groebner import IdealHandle, RingSpec, ideal_power, saturate
-from .poly import GrevLex, Mono, Poly, mono_degree
+from .poly import GrevLex, Mono, Poly, mono_degree, mono_embed
 from .uniformity import ConstantReport, PowerSchedule, find_min_c, ordinary_powers
 
 
@@ -102,13 +102,8 @@ def monomial_integral_closure(I: IdealHandle, m: int) -> IdealHandle:
     if not active:  # the ideal generated by 1
         return IdealHandle(nvars, [Poly.one(nvars)])
     poly = NewtonPolyhedron.of([tuple(e[i] for i in active) for e in exps])
-    members: list[Mono] = []
-    for combo in itertools.product(*[range(m * max(e[i] for e in exps) + 1) for i in active]):
-        if poly.contains(combo, m):
-            full = [0] * nvars
-            for pos, e in zip(active, combo):
-                full[pos] = e
-            members.append(tuple(full))
+    box = itertools.product(*[range(m * max(e[i] for e in exps) + 1) for i in active])
+    members = [mono_embed(combo, active, nvars) for combo in box if poly.contains(combo, m)]
     # members are upward closed within the box, so e is minimal exactly when
     # no e - e_i is a member
     inside = set(members)
@@ -211,6 +206,5 @@ def shift_search(
     of SCHEDULES).  `dimension` and `witness` are read by the symbolic
     schedule only."""
     schedule, extras = SCHEDULES[mode](J, ring, dimension, witness)
-    return find_min_c(
-        J, ops, ring, n_max, c_max, D, schedule=schedule, ideal_name=ideal_name, extras=extras
-    )
+    report = find_min_c(J, ops, ring, n_max, c_max, D, schedule=schedule, ideal_name=ideal_name)
+    return replace(report, extras=extras)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .closures import SCHEDULES
 from .diffops import OperatorSet, parse_operator_set
@@ -100,8 +101,11 @@ def load_ring(path_or_text: str) -> RingSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A loaded config, read-only throughout: the ideals are kept as a tuple
+    and the witnesses as a read-only mapping, however they were given."""
+
     ring: RingSpec
-    ideals: list[tuple[str, IdealHandle]]
+    ideals: tuple[tuple[str, IdealHandle], ...]
     operators: OperatorSet
     mode: str
     n_max: int
@@ -109,7 +113,11 @@ class ExperimentConfig:
     degree: int
     seed: int
     dimension: int | None = None
-    witnesses: dict[str, Poly] = field(default_factory=dict)
+    witnesses: Mapping[str, Poly] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ideals", tuple(self.ideals))
+        object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses)))
 
 
 def _typed(value, kind: type, what: str):
@@ -121,10 +129,10 @@ def _typed(value, kind: type, what: str):
 
 
 def _integer(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be an integer, not {value!r}") from exc
+    """`value`, which must be a JSON integer: not a float, string or boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, not {value!r}")
+    return value
 
 
 def primary_component(ring: RingSpec, ideal: str, prime: str, independent: str | list[str]) -> PrimaryComponent:

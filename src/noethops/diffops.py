@@ -18,6 +18,7 @@ the left of derivatives), not composition in the Weyl algebra.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,11 +26,16 @@ from typing import Sequence
 
 from . import linalg
 from .groebner import IdealHandle, split_poly_list
-from .poly import GrevLex, Mono, Poly, mono_degree, monomials_up_to, parse_polynomial
-
-
-def _alpha_key(alpha: Mono):
-    return (mono_degree(alpha), GrevLex().key(alpha))
+from .poly import (
+    GrevLex,
+    Mono,
+    Poly,
+    format_monomial,
+    join_terms,
+    mono_degree,
+    monomials_up_to,
+    parse_polynomial,
+)
 
 
 class ArithmeticBugError(RuntimeError):
@@ -50,7 +56,7 @@ class DiffOp:
             if coeff:
                 prev = merged.get(alpha)
                 merged[alpha] = coeff if prev is None else prev + coeff
-        self.terms = {a: c for a, c in sorted(merged.items(), key=lambda kv: _alpha_key(kv[0])) if c}
+        self.terms = {a: merged[a] for a in sorted(merged, key=GrevLex().key) if merged[a]}
 
     # construction --------------------------------------------------------
 
@@ -117,7 +123,9 @@ class DiffOp:
         least one for operators of positive order."""
         terms: list[tuple[Mono, Poly]] = []
         for alpha, coeff in self.terms.items():
-            for gamma in _sub_indices(alpha):
+            for gamma in itertools.product(*[range(a + 1) for a in alpha]):
+                if not any(gamma):
+                    continue  # d^0 f * delta(g) cancels f*delta(g)
                 binom = 1
                 for a, g in zip(alpha, gamma):
                     binom *= math.comb(a, g)
@@ -129,56 +137,19 @@ class DiffOp:
     # printing ---------------------------------------------------------------
 
     def format(self, var_names: Sequence[str]) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for alpha in sorted(self.terms, key=_alpha_key, reverse=True):
+        dnames = [f"d{name}" for name in var_names]
+        terms = []
+        for alpha in sorted(self.terms, key=GrevLex().key, reverse=True):
             coeff = self.terms[alpha]
-            dfactors = []
-            for name, e in zip(var_names, alpha):
-                if e == 1:
-                    dfactors.append(f"d{name}")
-                elif e > 1:
-                    dfactors.append(f"d{name}^{e}")
-            dpart = "*".join(dfactors)
             ctext = coeff.format(var_names)
-            if not dpart:
-                text = f"({ctext})" if len(coeff.terms) > 1 else ctext
-            elif ctext == "1":
-                text = dpart
-            elif ctext == "-1":
-                text = f"-{dpart}"
-            elif len(coeff.terms) > 1:
-                text = f"({ctext})*{dpart}"
-            else:
-                text = f"{ctext}*{dpart}"
-            parts.append(text)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+            if len(coeff.terms) > 1:
+                ctext = f"({ctext})"
+            terms.append((ctext, format_monomial(alpha, dnames)))
+        return join_terms(terms)
 
     def __repr__(self) -> str:
         names = [f"x{i}" for i in range(self.nvars)]
         return f"DiffOp({self.format(names)})"
-
-
-def _sub_indices(alpha: Mono) -> list[Mono]:
-    """Nonzero gamma with gamma <= alpha componentwise."""
-    ranges = [range(a + 1) for a in alpha]
-    out = []
-
-    def rec(i, acc):
-        if i == len(alpha):
-            g = tuple(acc)
-            if any(g):
-                out.append(g)
-            return
-        for v in ranges[i]:
-            rec(i + 1, acc + [v])
-
-    rec(0, [])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +212,8 @@ def parse_operator(text: str, var_names: Sequence[str]) -> DiffOp:
     names = list(var_names) + [f"d{v}" for v in var_names]
     p = parse_polynomial(text, names)
     n = len(var_names)
-    terms: list[tuple[Mono, Poly]] = []
-    for m, c in p.terms.items():
-        coeff_mono, alpha = m[:n], m[n:]
-        terms.append((alpha, Poly.monomial(n, coeff_mono, c)))
-    return DiffOp(n, terms)
+    # a term x^m * d^alpha is the monomial (m, alpha) over the doubled names
+    return DiffOp(n, [(m[n:], Poly.monomial(n, m[:n], c)) for m, c in p.terms.items()])
 
 
 def parse_operator_set(text: str, var_names: Sequence[str], modulus: IdealHandle) -> OperatorSet:
@@ -347,7 +315,7 @@ def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> TruncatedSub
                 continue
             for out_mono, c in cond.normal_form(value).terms.items():
                 rows.setdefault((i, out_mono), {})[j] = c
-    ordered = [rows[k] for k in sorted(rows, key=lambda k: (k[0], _alpha_key(k[1])))]
+    ordered = [rows[k] for k in sorted(rows, key=lambda k: (k[0], GrevLex().key(k[1])))]
     return TruncatedSubspace(cond.nvars, D, monos, *linalg.rref(ordered, len(monos)))
 
 

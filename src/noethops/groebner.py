@@ -311,9 +311,7 @@ def ideal_power(I: IdealHandle, n: int) -> IdealHandle:
     gens = []
     seen = set()
     for combo in itertools.combinations_with_replacement(I.gens, n):
-        p = combo[0]
-        for q in combo[1:]:
-            p = p * q
+        p = functools.reduce(Poly.__mul__, combo)
         key = frozenset(p.terms.items())
         if p and key not in seen:
             seen.add(key)
@@ -336,10 +334,17 @@ def eliminate(I: IdealHandle, drop: Iterable[int]) -> IdealHandle:
     drop = tuple(sorted(set(drop)))
     if not drop:
         return I
-    gb = I.basis(Block(eliminated=drop, inner=IdealHandle.ORDER))
+    gb = I.basis(Block(drop))
     dropped = set(drop)
     kept = [g for g in gb if not (g.variables_used() & dropped)]
     return IdealHandle(I.nvars, kept)
+
+
+def _eliminate_fresh(gens: list[Poly], n: int) -> IdealHandle:
+    """The ideal of `gens`, over n variables and a fresh last one t, meet the
+    subring without t, restricted back to the n variables."""
+    elim = eliminate(IdealHandle(n + 1, gens), [n])
+    return IdealHandle(n, [p.restrict(range(n)) for p in elim.gens])
 
 
 def saturate(I: IdealHandle, g: Poly) -> IdealHandle:
@@ -350,13 +355,9 @@ def saturate(I: IdealHandle, g: Poly) -> IdealHandle:
     if g.degree() == 0:
         return I  # a unit: nothing to saturate
     n = I.nvars
-    extended = [p.extend(1) for p in I.gens]
     t = Poly.variable(n + 1, n)
-    extended.append(Poly.one(n + 1) - t * g.extend(1))
-    big = IdealHandle(n + 1, extended)
-    elim = eliminate(big, [n])
-    gens = [p.restrict(range(n)) for p in elim.gens]
-    return IdealHandle(n, gens)
+    gens = [p.extend(1) for p in I.gens] + [Poly.one(n + 1) - t * g.extend(1)]
+    return _eliminate_fresh(gens, n)
 
 
 def ideal_intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
@@ -366,9 +367,7 @@ def ideal_intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     one_minus_t = Poly.one(n + 1) - t
     gens = [t * p.extend(1) for p in I.gens]
     gens += [one_minus_t * p.extend(1) for p in J.gens]
-    big = IdealHandle(n + 1, gens)
-    elim = eliminate(big, [n])
-    return IdealHandle(n, [p.restrict(range(n)) for p in elim.gens])
+    return _eliminate_fresh(gens, n)
 
 
 def standard_monomials(Q: IdealHandle) -> list[Mono]:

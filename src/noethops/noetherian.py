@@ -46,9 +46,11 @@ from .poly import (
     Poly,
     RationalFunction,
     mono_degree,
+    mono_embed,
     mono_unit,
     mono_zero,
     monomials_up_to,
+    rational_content,
 )
 
 
@@ -137,17 +139,10 @@ def _normalize_op(op: DiffOp) -> DiffOp:
     """Scale an operator's rational coefficients (constants or polynomials)
     to coprime integers with a positive leading coefficient on the highest
     derivative term."""
-    num = 0
-    den = 1
-    for c in op.terms.values():
-        for coeff in c.terms.values():
-            num = math.gcd(num, coeff.numerator)
-            den = den * coeff.denominator // math.gcd(den, coeff.denominator)
-    if num == 0:
+    if not op:
         return op
-    scale = Fraction(den, num)
-    top_alpha = max(op.terms, key=lambda a: (mono_degree(a), GrevLex().key(a)))
-    top = op.terms[top_alpha]
+    scale = 1 / rational_content(c for coeff in op.terms.values() for c in coeff.terms.values())
+    top = op.terms[max(op.terms, key=GrevLex().key)]
     lead = top.terms[max(top.terms, key=GrevLex().key)]
     if lead * scale < 0:
         scale = -scale
@@ -173,12 +168,6 @@ def dual_space(Q: IdealHandle, point: Sequence[Fraction]) -> OperatorSet:
             raise ValueError("point is not a root of the ideal")
     maximal = IdealHandle(nvars, [Poly.variable(nvars, i) - Poly.constant(nvars, point[i]) for i in range(nvars)])
     return noetherian_ops_primary(PrimaryComponent(Q, maximal))
-
-
-def _check_colength(ops: list[DiffOp], colength: int) -> None:
-    """Dual-space bases have exactly colength elements (Macaulay)."""
-    if len(ops) != colength:
-        raise ArithmeticBugError(f"{len(ops)} dual operators for colength {colength}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +198,7 @@ def _rational_point_of_prime(p: IdealHandle, dep: tuple[int, ...], indep: tuple[
     Groebner basis over F has the linear form {x_j - r_j(u)}.  With no
     independent variables F = Q, and that basis is the prime's own."""
     ndep = len(dep)
-    gb = buchberger([_to_field_poly(g, dep, indep) for g in p.gens], GrevLex()) if indep else p.gb
+    gb = _basis_over_field(p, dep, indep)
     point = {}
     zero = _field_element(Poly.zero(len(indep)))
     if len(gb) != ndep:
@@ -229,10 +218,15 @@ def _rational_point_of_prime(p: IdealHandle, dep: tuple[int, ...], indep: tuple[
     return [point[i] for i in range(ndep)]
 
 
+def _basis_over_field(I: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...]) -> list[Poly]:
+    """The reduced Groebner basis over F of I, in the dependent variables.
+    With no independent variables F = Q, and that basis is I's own."""
+    return buchberger([_to_field_poly(g, dep, indep) for g in I.gens], GrevLex()) if indep else I.gb
+
+
 def _field_basis(Q: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...]) -> tuple[list[Poly], int]:
-    """The Groebner basis over F of Q, and its colength.  With no
-    independent variables F = Q, and that basis is Q's own."""
-    gb = buchberger([_to_field_poly(g, dep, indep) for g in Q.gens], GrevLex()) if indep else Q.gb
+    """The Groebner basis over F of Q, and its colength."""
+    gb = _basis_over_field(Q, dep, indep)
     return gb, len(_standard_monomials_from_gb(gb, GrevLex(), len(dep)))
 
 
@@ -289,7 +283,7 @@ def _is_contracted(Q: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...])
     dependent variables (Gianni, Trager and Zacharias 1988)."""
     if not indep:
         return True
-    order = Block(eliminated=dep, inner=IdealHandle.ORDER)
+    order = Block(dep)
     coeffs = set()
     for g in Q.basis(order):
         lead, _ = g.leading(order)
@@ -304,16 +298,6 @@ def _is_contracted(Q: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...])
         if coeff.degree() > 0:
             h = h * coeff
     return h.degree() == 0 or is_subideal(saturate(Q, h), Q)
-
-
-def _embed_indep_poly(q: Poly, indep: tuple[int, ...], nvars: int) -> Poly:
-    terms = {}
-    for m, c in q.terms.items():
-        full = [0] * nvars
-        for pos, e in zip(indep, m):
-            full[pos] = e
-        terms[tuple(full)] = c
-    return Poly(nvars, terms)
 
 
 def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
@@ -339,22 +323,18 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
         coeffs: dict[Mono, RationalFunction] = {}
         for j, c in v.items():
             coeffs[monos[j]] = RationalFunction.lift(c * Fraction(1, math.prod(map(math.factorial, monos[j]))), nindep)
-        dens = []
-        for c in coeffs.values():
-            if not any(c.den == d for d in dens):
-                dens.append(c.den)
+        dens = list(dict.fromkeys(c.den for c in coeffs.values()))
         terms = {}
         for alpha_dep, c in coeffs.items():
             cleared = c.num
             for d in dens:
                 if d != c.den:
                     cleared = cleared * d
-            alpha_full = [0] * nvars
-            for pos, e in zip(dep, alpha_dep):
-                alpha_full[pos] = e
-            terms[tuple(alpha_full)] = _embed_indep_poly(cleared, indep, nvars)
+            embedded = {mono_embed(m, indep, nvars): q for m, q in cleared.terms.items()}
+            terms[mono_embed(alpha_dep, dep, nvars)] = Poly(nvars, embedded)
         ops.append(_normalize_op(DiffOp(nvars, terms)))
-    _check_colength(ops, colength)
+    if len(ops) != colength:  # dual-space bases have exactly colength elements (Macaulay)
+        raise ArithmeticBugError(f"{len(ops)} dual operators for colength {colength}")
     return OperatorSet(ops, comp.p, meta=ComponentMeta(comp, colength, point))
 
 
@@ -379,16 +359,9 @@ def combine_components(
         raise ComponentMismatchError("no components supplied")
     inter = functools.reduce(ideal_intersect, [comp.Q for comp, _ in comps])
     if not ideal_equal(inter, target):
-        witness = None
-        for g in inter.gens:
-            if not target.contains(g):
-                witness = g
-                break
+        witness = next((g for g in inter.gens if not target.contains(g)), None)
         if witness is None:
-            for g in target.gens:
-                if not inter.contains(g):
-                    witness = g
-                    break
+            witness = next((g for g in target.gens if not inter.contains(g)), None)
         raise ComponentMismatchError("components do not intersect to the target ideal", witness)
 
     merged: list[DiffOp] = []

@@ -13,10 +13,11 @@ Nothing here ever rounds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Mapping, Sequence, Union
+from math import gcd, perm
+from typing import Iterable, Mapping, Sequence, Union
 
 Mono = tuple[int, ...]
 
@@ -57,6 +58,15 @@ def mono_degree(a: Mono) -> int:
     return sum(a)
 
 
+def mono_embed(sub: Sequence[int], positions: Sequence[int], nvars: int) -> Mono:
+    """The exponents `sub` placed at `positions` of an `nvars`-tuple, 0
+    elsewhere."""
+    full = [0] * nvars
+    for pos, e in zip(positions, sub):
+        full[pos] = e
+    return tuple(full)
+
+
 def monomials_up_to(nvars: int, degree: int) -> list[Mono]:
     """All monomials of total degree <= degree, ascending in grevlex."""
     out: list[Mono] = []
@@ -89,38 +99,29 @@ class GrevLex:
 
 
 @dataclass(frozen=True)
-class Lex:
-    def key(self, m: Mono):
-        return m
-
-
-@dataclass(frozen=True)
 class Block:
-    """Block order: the eliminated positions dominate (compared in grevlex),
-    ties fall through to the inner order on the remaining positions."""
+    """Block order: the eliminated positions dominate, the remaining ones
+    break ties, and each block compares in grevlex.  The key is the two
+    grevlex keys laid end to end."""
 
     eliminated: tuple[int, ...]
-    inner: "MonomialOrder"
+
+    @functools.cached_property
+    def _dropped(self) -> frozenset[int]:
+        return frozenset(self.eliminated)
 
     def key(self, m: Mono):
-        elim = tuple(m[i] for i in self.eliminated)
-        dropped = set(self.eliminated)
-        keep = tuple(e for i, e in enumerate(m) if i not in dropped)
-        return (GrevLex().key(elim), self.inner.key(keep))
+        elim = [m[i] for i in self.eliminated]
+        dropped = self._dropped
+        keep = [e for i, e in enumerate(m) if i not in dropped]
+        return (sum(elim), tuple(-e for e in reversed(elim)), sum(keep), tuple(-e for e in reversed(keep)))
 
 
-MonomialOrder = Union[GrevLex, Lex, Block]
+MonomialOrder = Union[GrevLex, Block]
 
 
 # ---------------------------------------------------------------------------
 # polynomials
-
-
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
 
 
 class Poly:
@@ -261,7 +262,7 @@ class Poly:
                 continue
             factor = 1
             for e, a in zip(m, alpha):
-                factor *= _falling(e, a)
+                factor *= perm(e, a)
             out[mono_div(m, alpha)] = c * factor
         return Poly(self.nvars, out)
 
@@ -329,32 +330,11 @@ class Poly:
 
     # printing -------------------------------------------------------------
 
-    def format(self, var_names: Sequence[str], order: MonomialOrder = GrevLex()) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=order.key, reverse=True):
-            c = self.terms[m]
-            factors = []
-            for name, e in zip(var_names, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            if not body:
-                text = str(c)
-            elif c == 1:
-                text = body
-            elif c == -1:
-                text = f"-{body}"
-            else:
-                text = f"{c}*{body}"
-            parts.append(text)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+    def format(self, var_names: Sequence[str]) -> str:
+        terms = []
+        for m in sorted(self.terms, key=GrevLex().key, reverse=True):
+            terms.append((str(self.terms[m]), format_monomial(m, var_names)))
+        return join_terms(terms)
 
     def __repr__(self) -> str:
         names = [f"x{i}" for i in range(self.nvars)]
@@ -362,14 +342,54 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
+# printing terms
+
+
+def format_monomial(m: Mono, names: Sequence[str]) -> str:
+    """x^m as name factors joined by '*': "x*y^2"; "" for the monomial 1."""
+    factors = []
+    for name, e in zip(names, m):
+        if e == 1:
+            factors.append(name)
+        elif e > 1:
+            factors.append(f"{name}^{e}")
+    return "*".join(factors)
+
+
+def join_terms(terms: Sequence[tuple[str, str]]) -> str:
+    """The sum of terms given as (coefficient text, monomial text): a
+    coefficient 1 is left out before a monomial and -1 reduced to its sign,
+    and terms are joined with " + ", or " - " before a term that starts with
+    a minus sign; "0" for no terms."""
+    out = ""
+    for coeff, body in terms:
+        if not body:
+            text = coeff
+        elif coeff == "1":
+            text = body
+        elif coeff == "-1":
+            text = f"-{body}"
+        else:
+            text = f"{coeff}*{body}"
+        if not out:
+            out = text
+        elif text.startswith("-"):
+            out += f" - {text[1:]}"
+        else:
+            out += f" + {text}"
+    return out or "0"
+
+
+# ---------------------------------------------------------------------------
 # rational functions
 
 
-def _poly_content(p: Poly) -> Fraction:
-    """Positive rational c such that p/c has coprime integer coefficients."""
+def rational_content(values: Iterable[Fraction]) -> Fraction:
+    """Positive rational c such that the values divided by c are coprime
+    integers; 1 when every value is 0."""
     num = 0
     den = 1
-    for c in p.terms.values():
+    for c in values:
         num = gcd(num, c.numerator)
         den = den * c.denominator // gcd(den, c.denominator)
     if num == 0:
@@ -396,9 +416,6 @@ def _poly_gcd_univariate(a: Poly, b: Poly, slot: int) -> Poly:
         d = deg(p)
         return next(c for m, c in p.terms.items() if m[slot] == d)
 
-    def monic(p):
-        return p * (1 / lc(p))
-
     while b:
         # remainder of a by b
         r = a
@@ -408,7 +425,7 @@ def _poly_gcd_univariate(a: Poly, b: Poly, slot: int) -> Poly:
             m = tuple(e * (dr - db) for e in mono_unit(a.nvars, slot))
             r = r - b.scale_term(m, cr / cb)
         a, b = b, r
-    return monic(a)
+    return a * (1 / lc(a))
 
 
 class RationalFunction:
@@ -436,7 +453,7 @@ class RationalFunction:
                 if g.degree() > 0:
                     num = _poly_div_exact(num, g)
                     den = _poly_div_exact(den, g)
-            c = _poly_content(den)
+            c = rational_content(den.terms.values())
             lead = den.leading(GrevLex())[1]
             if lead < 0:
                 c = -c
@@ -457,11 +474,10 @@ class RationalFunction:
         return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Poly)):
-            other = RationalFunction.lift(other, self.num.nvars)
-        if not isinstance(other, RationalFunction):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.num * o.den == o.num * self.den
 
     def __hash__(self):
         raise TypeError("unhashable: RationalFunction")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
 
 from . import linalg
 from .diffops import (
@@ -163,7 +163,6 @@ def find_min_c(
     *,
     schedule: PowerSchedule | None = None,
     ideal_name: str = "J",
-    extras: dict | None = None,
 ) -> ConstantReport:
     """Least c (per n <= n_max, searching upward from 0) with the colon of
     schedule(I, n, c) contained in J^n + N at degree D; the default schedule
@@ -192,11 +191,10 @@ def find_min_c(
             last_witness = (c, res.witness)
         witness = None
         if last_witness is not None:
-            witness_c, witness_poly = last_witness
-            _assert_exact_witness(witness_poly, schedule(I, n, witness_c), target, ops)
-            witness = witness_poly
+            witness_c, witness = last_witness
+            _assert_exact_witness(witness, schedule(I, n, witness_c), target, ops)
         rows.append(ConstantRow(n, c_min, c_max, witness))
-    return ConstantReport(ideal_name, rows, D, n_max, c_max, extras=extras or {})
+    return ConstantReport(ideal_name, rows, D, n_max, c_max)
 
 
 def _assert_exact_witness(f: Poly, cond: IdealHandle, target: IdealHandle, ops: OperatorSet) -> None:
@@ -357,7 +355,7 @@ class FiltrationReport:
     steps: list[FiltrationStep]
     last_term_is_minimal_prime: bool
     passed: bool
-    note: str = "associated-prime condition on the quotients is user-asserted, not checked"
+    note: ClassVar[str] = "associated-prime condition on the quotients is user-asserted, not checked"
 
 
 def verify_filtration(chain: Sequence[IdealHandle], primes: Sequence[IdealHandle], ring: RingSpec) -> FiltrationReport:

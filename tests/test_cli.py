@@ -1,12 +1,14 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import noethops
-from noethops.cli import main
+from noethops.cli import build_parser, main
 from noethops.groebner import IdealHandle, ideal_power
 from noethops.poly import parse_polynomial
 
@@ -344,8 +346,8 @@ def test_verify_filtration_failure_exit_2(ring_file, capsys):
 
 def test_experiment_golden_double_run(config_file, tmp_path):
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    assert main(["experiment", config_file, "--format", "json", "--out", out1, "--jobs", "1"]) == 0
-    assert main(["experiment", config_file, "--format", "json", "--out", out2, "--jobs", "4"]) == 0
+    assert main(["experiment", config_file, "--format", "json", "--out", out1]) == 0
+    assert main(["experiment", config_file, "--format", "json", "--out", out2]) == 0
     with open(out1, "rb") as f1, open(out2, "rb") as f2:
         assert f1.read() == f2.read()
 
@@ -384,8 +386,9 @@ def _exit_code(argv) -> int:
         ["bogus"],  # unknown subcommand
         ["noeth-ops", "ring: Q[x]"],  # --ideal is required
         ["sep-op", "ring: Q[x]", "--lower", "0", "--upper", "x", "--prime", "x", "--psi", "1", "--seed", "1"],
+        ["experiment", "configs/artin_rees_x2.json", "--jobs", "4"],
     ],
-    ids=["bad_int", "unknown_subcommand", "missing_required", "removed_option"],
+    ids=["bad_int", "unknown_subcommand", "missing_required", "removed_option", "removed_jobs"],
 )
 def test_usage_errors_exit_1(argv, capsys):
     # argparse's own code, 2, would read as a refutation
@@ -408,6 +411,21 @@ def test_usage_errors_exit_1(argv, capsys):
 )
 def test_format_accepts_only_what_the_command_prints(argv):
     assert _exit_code(argv) == 1
+
+
+def _readme_command_lines() -> list[str]:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("noethops ")]
+
+
+def test_readme_command_lines_parse():
+    # the documented invocations stay in step with the parser
+    lines = _readme_command_lines()
+    assert len(lines) == 11
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_help_exits_0(capsys):

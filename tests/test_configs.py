@@ -72,6 +72,10 @@ COMPUTE = {"compute": [{"ideal": "x^2", "prime": "x", "independent": "y"}]}
             "independent must be a JSON array, not int",
         ),
         (dict(CONFIG, operators=dict(COMPUTE, target=["x^2"])), "operators.target must be a string, not list"),
+        (dict(CONFIG, parameters={"n_max": 2.9}), "n_max must be an integer, not 2.9"),
+        (dict(CONFIG, parameters={"c_max": True}), "c_max must be an integer, not True"),
+        (dict(CONFIG, parameters={"degree": "3"}), "degree must be an integer, not '3'"),
+        (dict(CONFIG, dimension=1.5), "dimension must be an integer, not 1.5"),
     ],
 )
 def test_configs_of_the_wrong_shape_are_config_errors(data, message):
@@ -101,4 +105,12 @@ def test_a_loaded_config_cannot_be_assigned_to():
     for name, value in (("mode", "symbolic"), ("seed", 1), ("n_max", 1), ("degree", 4)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, name, value)
+    with pytest.raises(AttributeError):
+        cfg.ideals.append(cfg.ideals[0])
+    with pytest.raises(TypeError):
+        cfg.witnesses["J"] = cfg.ring.parse("1")
     assert dataclasses.replace(cfg, seed=1).seed == 1 and cfg.seed == 0
+    copy = dataclasses.replace(cfg, ideals=list(cfg.ideals), witnesses={"J": cfg.ring.parse("y")})
+    assert isinstance(copy.ideals, tuple) and copy.ideals == cfg.ideals
+    with pytest.raises(TypeError):
+        copy.witnesses["J"] = cfg.ring.parse("1")

@@ -206,6 +206,30 @@ def test_parse_operator_set_roundtrip(ring_x2):
     assert [o.terms for o in reparsed] == [o.terms for o in ops]
 
 
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("0", "0"),
+        ("1", "1"),
+        ("-dx", "-dx"),
+        ("-2*dy", "-2*dy"),
+        ("-2*x*dx^2 + dy - 1", "-2*x*dx^2 + dy - 1"),
+        ("(x - y)*dx^2", "(x - y)*dx^2"),
+        ("x + 1", "(x + 1)"),
+        ("(x + 1)*dy + x + 1", "(x + 1)*dy + (x + 1)"),
+        ("-(x + y)*dx", "(-x - y)*dx"),
+        ("-x*dy - 2", "-x*dy - 2"),
+        ("dx^2*dy - dx*dy^2 + 3*dy", "dx^2*dy - dx*dy^2 + 3*dy"),
+        ("1/2*dx - 1/3", "1/2*dx - 1/3"),
+        ("-1 + (y^2 - 1)*dx - dx*dy", "-dx*dy + (y^2 - 1)*dx - 1"),
+    ],
+)
+def test_operator_format_table(text, printed):
+    # derivatives descending in grevlex, a coefficient of several terms in
+    # parentheses, a coefficient of 1 or -1 left out before a derivative
+    assert parse_operator(text, XY).format(XY) == printed
+
+
 # --- kernels -------------------------------------------------------------------
 
 

@@ -7,7 +7,6 @@ import pytest
 from noethops.poly import (
     Block,
     GrevLex,
-    Lex,
     Poly,
     PolyParseError,
     RationalFunction,
@@ -68,7 +67,7 @@ def test_grevlex_examples():
     assert key((1, 0)) < key((0, 2))
 
 
-@pytest.mark.parametrize("order", [GrevLex(), Lex(), Block((0,), GrevLex())])
+@pytest.mark.parametrize("order", [GrevLex(), Block((0,))])
 def test_orders_total_multiplicative_with_minimal_one(order):
     key = order.key
     monos = monomials_up_to(3, 4)
@@ -175,6 +174,44 @@ def test_rational_function_gcd_reduction_univariate():
 def test_rational_function_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         RationalFunction(Poly.one(1), Poly.zero(1))
+
+
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("0", "0"),
+        ("-1", "-1"),
+        ("-x^2 + y", "-x^2 + y"),
+        ("x^2 - 2*x*y + 3", "x^2 - 2*x*y + 3"),
+        ("1/2*x*y^2 - x + 1/2", "1/2*x*y^2 - x + 1/2"),
+        ("-3*y - 7/3", "-3*y - 7/3"),
+        ("1 + y - x", "-x + y + 1"),
+        ("-x*y^2 - 1", "-x*y^2 - 1"),
+    ],
+)
+def test_poly_format_table(text, printed):
+    # grevlex descending, signs joined as " + " / " - ", the constant last
+    assert parse_polynomial(text, XY).format(XY) == printed
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_block_order_matches_the_composite_grevlex_key(nvars):
+    # reference: the eliminated positions compared in grevlex, ties broken
+    # by grevlex on the remaining positions
+    grevlex = GrevLex().key
+
+    def reference(eliminated):
+        def key(m):
+            kept = tuple(e for i, e in enumerate(m) if i not in eliminated)
+            return (grevlex(tuple(m[i] for i in eliminated)), grevlex(kept))
+
+        return key
+
+    monos = monomials_up_to(nvars, 5)
+    for size in range(1, nvars + 1):
+        for eliminated in itertools.combinations(range(nvars), size):
+            order = Block(eliminated)
+            assert sorted(monos, key=order.key) == sorted(monos, key=reference(eliminated))
 
 
 def test_poly_format_roundtrip():
