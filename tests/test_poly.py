@@ -67,7 +67,7 @@ def test_grevlex_examples():
     assert key((1, 0)) < key((0, 2))
 
 
-@pytest.mark.parametrize("order", [GrevLex(), Block((0,))])
+@pytest.mark.parametrize("order", [GrevLex(), Block((0,)), Block((0, 1))])
 def test_orders_total_multiplicative_with_minimal_one(order):
     key = order.key
     monos = monomials_up_to(3, 4)
