@@ -150,11 +150,12 @@ def cmd_experiment(args) -> int:
 
 def cmd_check_ar_reverse(args) -> int:
     cfg = load_experiment_config(args.config)
-    n_max = args.n_max if args.n_max is not None else cfg.n_max
+    if args.n_max is not None:
+        cfg = replace(cfg, n_max=args.n_max)
     lines = []
     ok = True
     for name, J in cfg.ideals:
-        for n in range(1, n_max + 1):
+        for n in range(1, cfg.n_max + 1):
             rep = check_reverse(J, cfg.operators, cfg.ring, n)
             lines.append(f"{name} n={n}: {'pass' if rep.passed else 'FAIL'}")
             ok = ok and rep.passed

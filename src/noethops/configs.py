@@ -102,7 +102,8 @@ def load_ring(path_or_text: str) -> RingSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A loaded config, read-only throughout: the ideals are kept as a tuple
-    and the witnesses as a read-only mapping, however they were given."""
+    and the witnesses as a read-only mapping, however they were given.
+    n_max < 1, c_max < 0 or degree < 1 tests nothing: a `ConfigError`."""
 
     ring: RingSpec
     ideals: tuple[tuple[str, IdealHandle], ...]
@@ -116,6 +117,9 @@ class ExperimentConfig:
     witnesses: Mapping[str, Poly] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, least in (("n_max", 1), ("c_max", 0), ("degree", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, not {getattr(self, name)}")
         object.__setattr__(self, "ideals", tuple(self.ideals))
         object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses)))
 

@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import linalg
 from .groebner import IdealHandle, split_poly_list
@@ -36,6 +36,9 @@ from .poly import (
     monomials_up_to,
     parse_polynomial,
 )
+
+if TYPE_CHECKING:
+    from .noetherian import PrimaryComponent
 
 
 class ArithmeticBugError(RuntimeError):
@@ -156,20 +159,20 @@ class DiffOp:
 # operator sets
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorSet:
-    """Operators read modulo one target modulus, which only the set holds;
-    `meta` optionally records the primary component the set was computed
-    from."""
+    """Operators read modulo one target modulus, which only the set holds,
+    and the primary component they were computed from, if any.  Read-only,
+    so the values cached per degree bound stay the set's."""
 
-    ops: list[DiffOp]
+    ops: tuple[DiffOp, ...]
     modulus: IdealHandle
-    meta: object = None
+    component: PrimaryComponent | None = None
     # degree bound -> (monomials, per monomial [op(x^m) for each op])
     _on_monomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.ops = list(self.ops)
+        object.__setattr__(self, "ops", tuple(self.ops))
 
     @property
     def max_order(self) -> int:

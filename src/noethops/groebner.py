@@ -24,7 +24,8 @@ of J^(n-1) + M times the generators of J, reduced modulo M, plus M.  That is
 the same ideal as J^n + M from all n-fold products (M*J lies in M), so its
 reduced basis, and every report read from it, is the same, from a much
 smaller Buchberger input.  Ideal handles use grevlex; only elimination runs
-Buchberger under a block order.
+Buchberger under a block order.  Every run is over Q: a basis over Q(u) is
+a block-order basis made reduced over Q(u) (`_reduce_basis`).
 """
 
 from __future__ import annotations

@@ -5,15 +5,18 @@ rational point that the prime cuts out over F = Q(u), u a user-declared
 independent variable set, with denominators cleared back to polynomial
 coefficients.  The dual space is read off normal forms of the powers of the
 shifted variables modulo Q's basis over F, and the same walk decides that Q
-is primary to the point.  With no u, F = Q (plain `Fraction` coefficients)
-and this is the dual space at a point (`dual_space`); the set's modulus is
-the prime.  `verify_noetherian_ops` certifies a claimed operator set exactly
-where a dual-dimension count over F is available (the set's modulus is the
-rational point of the ideal over F) and degree-truncated otherwise, as the
-colons are (`TruncatedSubspace.first_outside`), and refutes with an explicit
-witness when the claim is wrong.  Where the operators' span at the point is
-closed under brackets with the variables, it proves the ideal is killed
-from its generators alone (the Macaulay inverse-system criterion).
+is primary to the point.  That basis is Q's block-order basis, kept on its
+handle for the contraction check, made reduced over F.  With no u, F = Q
+(plain `Fraction` coefficients) and this is the dual space at a point
+(`dual_space`).  The set's modulus is the prime, and it keeps its
+component.  `verify_noetherian_ops` certifies a claimed operator set
+exactly where a dual-dimension count over F is available (the set's
+modulus is the rational point of the ideal over F) and degree-truncated
+otherwise, as the colons are (`TruncatedSubspace.first_outside`), and
+refutes with an explicit witness when the claim is wrong.  Where the
+operators' span at the point is closed under brackets with the variables,
+it proves the ideal is killed from its generators alone (the Macaulay
+inverse-system criterion).
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .groebner import (
     IdealHandle,
     NotZeroDimensionalError,
     RingSpec,
+    _reduce_basis,
     _standard_monomials_from_gb,
-    buchberger,
     eliminate,
     ideal_equal,
     ideal_intersect,
@@ -69,7 +72,7 @@ class ComponentMismatchError(ValueError):
 # components and certificates
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrimaryComponent:
     """A claimed p-primary ideal Q together with a declared independent
     variable set (p meets the subring on those variables in 0)."""
@@ -79,7 +82,7 @@ class PrimaryComponent:
     independent: tuple[int, ...] = ()
 
     def __post_init__(self):
-        self.independent = tuple(sorted(self.independent))
+        object.__setattr__(self, "independent", tuple(sorted(self.independent)))
         for g in self.Q.gens:
             if not self.p.contains(g):
                 raise ComponentMismatchError("claimed primary ideal is not inside its prime", g)
@@ -92,19 +95,6 @@ class PrimaryComponent:
     def dependent(self) -> tuple[int, ...]:
         indep = set(self.independent)
         return tuple(i for i in range(self.Q.nvars) if i not in indep)
-
-
-@dataclass
-class ComponentMeta:
-    """Provenance attached to an operator set built from a primary component,
-    with what `noetherian_ops_primary` established over F = Q(u): the
-    rational point of the prime and the colength of Q.  Q also equals its
-    contraction from F, since no set is built otherwise.  The exact
-    verification branch reuses these for the component's own Q and prime."""
-
-    component: PrimaryComponent
-    colength: int
-    point: list
 
 
 @dataclass
@@ -208,11 +198,9 @@ def _rational_point_of_prime(p: IdealHandle, dep: tuple[int, ...], indep: tuple[
         if mono_degree(lead) != 1:
             raise NonRationalPointError("prime requires a field extension over the independent variables")
         slot = next(i for i, e in enumerate(lead) if e)
-        tail_monos = [m for m in g.terms if m != lead]
-        if any(mono_degree(m) != 0 for m in tail_monos):
+        if any(mono_degree(m) for m in g.terms if m != lead):
             raise NonRationalPointError("prime does not solve linearly for the dependent variables")
-        const = g.terms.get(mono_zero(ndep), zero)
-        point[slot] = -const
+        point[slot] = -g.terms.get(mono_zero(ndep), zero)
     if sorted(point) != list(range(ndep)):
         raise NonRationalPointError("prime does not determine every dependent variable")
     return [point[i] for i in range(ndep)]
@@ -220,14 +208,22 @@ def _rational_point_of_prime(p: IdealHandle, dep: tuple[int, ...], indep: tuple[
 
 def _basis_over_field(I: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...]) -> list[Poly]:
     """The reduced Groebner basis over F of I, in the dependent variables.
-    With no independent variables F = Q, and that basis is I's own."""
-    return buchberger([_to_field_poly(g, dep, indep) for g in I.gens], GrevLex()) if indep else I.gb
+    With no independent variables F = Q, and that basis is I's own; else it
+    is the reduction of I's basis under the block order eliminating the
+    dependent variables, kept on the handle, which over F is a Groebner
+    basis of I*F[x_dep] (Gianni, Trager and Zacharias 1988)."""
+    if not indep:
+        return I.gb
+    return _reduce_basis([_to_field_poly(g, dep, indep) for g in I.basis(Block(dep))], GrevLex())
 
 
-def _field_basis(Q: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...]) -> tuple[list[Poly], int]:
-    """The Groebner basis over F of Q, and its colength."""
-    gb = _basis_over_field(Q, dep, indep)
-    return gb, len(_standard_monomials_from_gb(gb, GrevLex(), len(dep)))
+def _colength_over_field(I: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...]) -> int:
+    """The colength over F of I, with no arithmetic over F: the dependent
+    parts of the leads of the basis `_basis_over_field` reduces generate
+    I's leading ideal over F."""
+    order = Block(dep) if indep else GrevLex()
+    leads = [Poly.monomial(len(dep), tuple(g.leading(order)[0][i] for i in dep)) for g in I.basis(order)]
+    return len(_standard_monomials_from_gb(leads, GrevLex(), len(dep)))
 
 
 def _dual_vectors(gb: list[Poly], colength: int, point: list, one):
@@ -313,7 +309,7 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
     nvars = comp.Q.nvars
     nindep = len(indep)
     point = _rational_point_of_prime(comp.p, dep, indep)
-    gb, colength = _field_basis(comp.Q, dep, indep)
+    gb, colength = _basis_over_field(comp.Q, dep, indep), _colength_over_field(comp.Q, dep, indep)
     monos, vectors = _dual_vectors(gb, colength, point, _field_element(Poly.one(nindep)))
     if not _is_contracted(comp.Q, dep, indep):
         raise ValueError("claimed primary ideal is not primary to its prime")
@@ -335,7 +331,7 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
         ops.append(_normalize_op(DiffOp(nvars, terms)))
     if len(ops) != colength:  # dual-space bases have exactly colength elements (Macaulay)
         raise ArithmeticBugError(f"{len(ops)} dual operators for colength {colength}")
-    return OperatorSet(ops, comp.p, meta=ComponentMeta(comp, colength, point))
+    return OperatorSet(ops, comp.p, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +367,8 @@ def combine_components(
             if separator is not None:
                 op = op.scale(separator)
             merged.append(op.reduce_coefficients(ring.rad))
-    meta = None
-    if len(comps) == 1 and ideal_equal(comps[0][0].p, ring.rad):
-        meta = comps[0][1].meta
-    return OperatorSet(merged, ring.rad, meta=meta)
+    alone = len(comps) == 1 and ideal_equal(comps[0][0].p, ring.rad)
+    return OperatorSet(merged, ring.rad, comps[0][1].component if alone else None)
 
 
 def _prime_separator(p: IdealHandle, ring: RingSpec) -> Poly | None:
@@ -399,9 +393,9 @@ def verify_noetherian_ops(a: IdealHandle, ops: OperatorSet, D: int) -> Noetheria
     modulus) equals the ideal `a`.
 
     The exact branch works at the rational point of the modulus over
-    F = Q(u), u the independent variables of the set's component provenance
-    (none without provenance, so F = Q), when `a` is zero-dimensional over F
-    and equals its contraction from F.  There the reverse containment is a
+    F = Q(u), u the independent variables of the set's component (none
+    without one, so F = Q), when `a` is zero-dimensional over F and equals
+    its contraction from F.  There the reverse containment is a
     dual-dimension count: the rank of the operators' coefficient rows at the
     point against colength(a).  Otherwise it is degree-truncated at D: the
     kernel of degree <= D is decided to lie in a on its equations
@@ -437,26 +431,22 @@ def _exact_space(a: IdealHandle, ops: OperatorSet) -> _CoefficientSpace | None:
     """The operators' coefficient space at the rational point of the modulus
     over F, with the colength of a over F; None when the exact branch is
     unavailable: no rational point, a not zero-dimensional over F, or a not
-    equal to its contraction from F.  The point and colength are taken from
-    the set's `ComponentMeta` when a is the component's Q and the modulus
-    its prime."""
-    meta = ops.meta if isinstance(ops.meta, ComponentMeta) else None
-    indep = meta.component.independent if meta is not None else ()
+    equal to its contraction from F.  F = Q(u), u the independent variables
+    of the set's component (none without one).  The contraction check is
+    skipped for the component's own Q, which `noetherian_ops_primary`
+    already made."""
+    comp = ops.component
+    indep = comp.independent if comp is not None else ()
     dep = tuple(i for i in range(a.nvars) if i not in indep)
-    if meta is not None and _same_ideal(a, meta.component.Q) and _same_ideal(ops.modulus, meta.component.p):
-        return _CoefficientSpace(ops, dep, indep, meta.point, meta.colength)
     try:
         point = _rational_point_of_prime(ops.modulus, dep, indep)
-        _, colength = _field_basis(a, dep, indep)
+        colength = _colength_over_field(a, dep, indep)
     except (NonRationalPointError, NotZeroDimensionalError):
         return None
-    if not _is_contracted(a, dep, indep):
+    own_q = comp is not None and (a is comp.Q or ideal_equal(a, comp.Q))
+    if not own_q and not _is_contracted(a, dep, indep):
         return None
     return _CoefficientSpace(ops, dep, indep, point, colength)
-
-
-def _same_ideal(a: IdealHandle, b: IdealHandle) -> bool:
-    return a is b or ideal_equal(a, b)
 
 
 class _CoefficientSpace:

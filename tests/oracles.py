@@ -7,7 +7,7 @@ from noethops import groebner, linalg, noetherian
 from noethops.closures import _monomial_exponents
 from noethops.diffops import DiffOp, OperatorSet, first_not_killed
 from noethops.groebner import IdealHandle, NotZeroDimensionalError, standard_monomials
-from noethops.noetherian import ComponentMeta, NoetherianCertificate
+from noethops.noetherian import NoetherianCertificate
 from noethops.poly import (
     GrevLex,
     Mono,
@@ -272,11 +272,11 @@ def kill_check_certifier(a: IdealHandle, ops: OperatorSet, D: int) -> Noetherian
 
 
 def _value_rank_is_colength(a: IdealHandle, ops: OperatorSet) -> bool:
-    indep = ops.meta.component.independent if isinstance(ops.meta, ComponentMeta) else ()
+    indep = ops.component.independent if ops.component is not None else ()
     dep = tuple(i for i in range(a.nvars) if i not in indep)
     try:
         point = noetherian._rational_point_of_prime(ops.modulus, dep, indep)
-        _, colength = noetherian._field_basis(a, dep, indep)
+        colength = len(groebner._standard_monomials_from_gb(field_basis_by_buchberger(a, dep, indep), GrevLex(), len(dep)))
     except (noetherian.NonRationalPointError, NotZeroDimensionalError):
         return False
     if not noetherian._is_contracted(a, dep, indep):
@@ -295,6 +295,17 @@ def _value_rank_is_colength(a: IdealHandle, ops: OperatorSet) -> bool:
                 row[j] = value
         rows.append(row)
     return linalg.rank(rows, len(betas)) == colength
+
+
+# ---------------------------------------------------------------------------
+# the basis over F = Q(u) by a Buchberger run over F: what reading it off the
+# handle's block-order basis (`noetherian._basis_over_field`) replaced
+
+
+def field_basis_by_buchberger(I: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...]) -> list[Poly]:
+    """The reduced grevlex basis of I*F[x_dep], from I's generators
+    rewritten over F and a Buchberger run with coefficients in F."""
+    return groebner.buchberger([noetherian._to_field_poly(g, dep, indep) for g in I.gens], GrevLex())
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,25 @@ def test_config_of_the_wrong_shape_exit_1(tmp_path, capsys, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["find-c", "--n-max", "0"], "n_max must be at least 1, not 0"),
+        (["check-bs", "--c-max", "-1"], "c_max must be at least 0, not -1"),
+        (["experiment", "--degree", "0"], "degree must be at least 1, not 0"),
+        (["check-ar-reverse", "--n-max", "0"], "n_max must be at least 1, not 0"),
+    ],
+    ids=["find_c_n_max", "check_bs_c_max", "experiment_degree", "check_ar_reverse_n_max"],
+)
+def test_search_parameters_that_test_nothing_exit_1(config_file, capsys, argv, message):
+    # a search that tests no colon is an input error, not an exit 0 or NOT_FOUND(<=-1) rows
+    rc = main([argv[0], config_file, *argv[1:]])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_sep_op_fixture(tmp_path, capsys):
     path = tmp_path / "ring3.txt"
     path.write_text(RING_X3)

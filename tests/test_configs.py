@@ -76,6 +76,9 @@ COMPUTE = {"compute": [{"ideal": "x^2", "prime": "x", "independent": "y"}]}
         (dict(CONFIG, parameters={"c_max": True}), "c_max must be an integer, not True"),
         (dict(CONFIG, parameters={"degree": "3"}), "degree must be an integer, not '3'"),
         (dict(CONFIG, dimension=1.5), "dimension must be an integer, not 1.5"),
+        (dict(CONFIG, parameters={"n_max": 0}), "n_max must be at least 1, not 0"),
+        (dict(CONFIG, parameters={"c_max": -1}), "c_max must be at least 0, not -1"),
+        (dict(CONFIG, parameters={"degree": 0}), "degree must be at least 1, not 0"),
     ],
 )
 def test_configs_of_the_wrong_shape_are_config_errors(data, message):
@@ -114,3 +117,12 @@ def test_a_loaded_config_cannot_be_assigned_to():
     assert isinstance(copy.ideals, tuple) and copy.ideals == cfg.ideals
     with pytest.raises(TypeError):
         copy.witnesses["J"] = cfg.ring.parse("1")
+
+
+@pytest.mark.parametrize("name, value", [("n_max", 0), ("n_max", -2), ("c_max", -1), ("degree", 0)])
+def test_a_replaced_search_parameter_that_tests_nothing_is_a_config_error(name, value):
+    # the command-line overrides reach the config through dataclasses.replace
+    cfg = load_experiment_config(CONFIG)
+    with pytest.raises(ConfigError, match=f"^{name} must be at least"):
+        dataclasses.replace(cfg, **{name: value})
+    assert dataclasses.replace(cfg, n_max=1, c_max=0, degree=1).c_max == 0

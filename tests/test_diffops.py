@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -176,6 +177,24 @@ def test_order_examples(ring_x2):
     # the order counts derivatives, whatever the set reads the values modulo
     assert OperatorSet([dx()], ring_x2.rad).max_order == 1
     assert DiffOp(2, {}).order == 0
+
+
+def test_an_operator_set_cannot_be_changed_after_it_is_built():
+    # appending to the operators would leave the values cached per degree
+    # bound (`on_monomials`) stale, and a loaded config shares its set
+    cfg = load_experiment_config(str(Path(__file__).parents[1] / "configs" / "artin_rees_x2.json"))
+    ops = cfg.operators
+    values = ops.on_monomials(2)
+    assert isinstance(ops.ops, tuple) and len(ops) == 2
+    with pytest.raises(AttributeError):
+        ops.ops.append(dx())
+    for name, value in (("ops", [dx()]), ("modulus", ideal("y")), ("component", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ops, name, value)
+    assert len(ops) == 2 and ops.on_monomials(2) is values
+    # a set, or any iterable of operators, builds a set, as the benchmark does
+    again = OperatorSet(ops, ops.modulus)
+    assert again.ops == ops.ops and again.component is None
 
 
 def test_operator_determined_by_low_degree_values():

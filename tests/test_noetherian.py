@@ -1,5 +1,8 @@
+import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -11,7 +14,7 @@ import pytest
 import noethops
 
 from noethops import groebner, noetherian
-from noethops.configs import load_ring
+from noethops.configs import load_experiment_config, load_ring, run_experiment_config
 from noethops.diffops import DiffOp, OperatorSet, first_not_killed, operator_kernel, parse_operator_set
 from noethops.groebner import IdealHandle, RingSpec, standard_monomials
 from noethops.noetherian import (
@@ -26,7 +29,7 @@ from noethops.noetherian import (
 from noethops.poly import Block, GrevLex, Poly, RationalFunction, monomials_up_to
 
 from conftest import P, ideal
-from oracles import kill_check_certifier, point_exact_oracle, truncation_dual_vectors
+from oracles import field_basis_by_buchberger, kill_check_certifier, point_exact_oracle, truncation_dual_vectors
 
 XY = ["x", "y"]
 
@@ -138,6 +141,14 @@ def test_noetherian_ops_rejects_nonrational_point():
         noetherian_ops_primary(comp)
 
 
+def test_a_component_is_read_only_and_its_operator_set_holds_it():
+    comp = PrimaryComponent(ideal("x^2"), ideal("x"), independent=[1])
+    assert comp.independent == (1,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        comp.independent = ()
+    assert noetherian_ops_primary(comp).component is comp
+
+
 def test_component_rejects_dependent_declaration():
     with pytest.raises(ComponentMismatchError):
         PrimaryComponent(ideal("x^2"), ideal("x"), independent=(0,))
@@ -165,6 +176,7 @@ def test_combine_single_component(ring_x2):
     ops = noetherian_ops_primary(comp)
     merged = combine_components(ideal("x^2"), [(comp, ops)], ring_x2)
     assert merged.format(XY) == "1; dx"
+    assert merged.component is comp  # the one component's prime is rad
     assert verify_noetherian_ops(ideal("x^2"), merged, 8).status == "exact"
 
 
@@ -180,6 +192,7 @@ def test_combine_two_components_describes_intersection():
     merged = combine_components(
         ideal("x^2*y"), [(c1, noetherian_ops_primary(c1)), (c2, noetherian_ops_primary(c2))], ring
     )
+    assert merged.component is None
     cert = verify_noetherian_ops(ideal("x^2*y"), merged, 6)
     assert cert.status == "verified_up_to_degree"
     # membership agreement on random samples
@@ -336,7 +349,7 @@ def test_exact_certifier_matches_point_oracle(nvars):
             "parsed": parse_operator_set(text, names, IdealHandle(nvars, [P(t, names) for t in modulus_text.split(";")])),
             "recombined": OperatorSet(recombined, maximal),
             "undersized": OperatorSet(ops[:-1], maximal),
-            "extra_derivative": OperatorSet(ops + [DiffOp.partial(nvars, (0,) * (nvars - 1) + (3,))], maximal),
+            "extra_derivative": OperatorSet([*ops, DiffOp.partial(nvars, (0,) * (nvars - 1) + (3,))], maximal),
         }
         for name, claimed in cases.items():
             status = _certificate_as_kill_check(a, claimed, D).status
@@ -410,6 +423,16 @@ def test_exact_certification_applies_operators_to_generators_only(monkeypatch):
         assert all(f in Q.gens for f in calls)
 
 
+def _record_buchberger(monkeypatch, recording):
+    """Put `recording` in place of `buchberger` in every module of the
+    package that binds it."""
+    run = groebner.buchberger
+    for info in pkgutil.iter_modules(noethops.__path__):
+        module = importlib.import_module(f"noethops.{info.name}")
+        if getattr(module, "buchberger", None) is run:
+            monkeypatch.setattr(module, "buchberger", recording)
+
+
 def test_the_block_order_basis_of_the_prime_is_computed_once(monkeypatch):
     # the independence check of the component and the contraction check of
     # the modulus read the same basis, kept on the prime's handle
@@ -420,8 +443,7 @@ def test_the_block_order_basis_of_the_prime_is_computed_once(monkeypatch):
         calls.append((tuple(gens), order))
         return run(gens, order)
 
-    monkeypatch.setattr(groebner, "buchberger", recording)
-    monkeypatch.setattr(noetherian, "buchberger", recording)
+    _record_buchberger(monkeypatch, recording)
     Q, p = IdealHandle(2, [P("(x - y^2)^2")]), ideal("x - y^2")
     ops = noetherian_ops_primary(PrimaryComponent(Q, p, independent=(1,)))
     assert verify_noetherian_ops(Q, ops, 8).status == "exact"
@@ -429,10 +451,11 @@ def test_the_block_order_basis_of_the_prime_is_computed_once(monkeypatch):
 
 
 def test_buchberger_runs_per_dual_ops_pass(monkeypatch):
-    # the zero ideal answers with no run, and with no independent variables
-    # the bases over F = Q of the prime and of the primary ideal are the
-    # handles' own: 23 runs, where 3 zero ideals and 4 repeated bases over
-    # Q made 30
+    # the zero ideal answers with no run, and the bases over F = Q(u) of the
+    # prime and of the primary ideal are read off the handles' own (their
+    # block-order bases with u, their grevlex bases without): 15 runs, where
+    # Buchberger runs over F made 23, and 3 zero ideals and 4 repeated bases
+    # over Q made 30 before that
     run = groebner.buchberger
     calls = []
 
@@ -441,12 +464,11 @@ def test_buchberger_runs_per_dual_ops_pass(monkeypatch):
         calls.append(gens)
         return run(gens, order)
 
-    monkeypatch.setattr(groebner, "buchberger", recording)
-    monkeypatch.setattr(noetherian, "buchberger", recording)
+    _record_buchberger(monkeypatch, recording)
     statuses = [verify_noetherian_ops(Q, ops, 10).status for Q, ops in _dual_ops_sets()]
     assert statuses == ["exact"] * len(DUAL_OPS_ITEMS)
     assert all(calls)
-    assert len(calls) == 23
+    assert len(calls) == 15
 
 
 def _x2_at_origin_with_dx3():
@@ -457,10 +479,10 @@ def _x2_at_origin_with_dx3():
 
 
 def _over_y(text, modulus):
-    """(x) and the operators of `text`, with the provenance of (x) over
-    Q(y), read modulo `modulus`."""
-    meta = noetherian_ops_primary(PrimaryComponent(ideal("x"), ideal("x"), independent=(1,))).meta
-    return meta.component.Q, OperatorSet(parse_operator_set(text, XY, modulus).ops, modulus, meta=meta)
+    """(x) and the operators of `text`, with the component (x) over Q(y),
+    read modulo `modulus`."""
+    comp = noetherian_ops_primary(PrimaryComponent(ideal("x"), ideal("x"), independent=(1,))).component
+    return comp.Q, OperatorSet(parse_operator_set(text, XY, modulus).ops, modulus, comp)
 
 
 def _with_dy():
@@ -501,7 +523,7 @@ def _walk_and_oracle(Q, p, indep):
     dep = tuple(i for i in range(Q.nvars) if i not in indep)
     point = noetherian._rational_point_of_prime(p, dep, indep)
     gens_f = [noetherian._to_field_poly(g, dep, indep) for g in Q.gens]
-    gb, colength = noetherian._field_basis(Q, dep, indep)
+    gb, colength = noetherian._basis_over_field(Q, dep, indep), noetherian._colength_over_field(Q, dep, indep)
     one = noetherian._field_element(Poly.one(len(indep)))
     return noetherian._dual_vectors(gb, colength, point, one), truncation_dual_vectors(gens_f, point, colength, one)
 
@@ -566,19 +588,91 @@ def _computed_config_components():
             yield Q, p, tuple(ring.var_names.index(v.strip()) for v in spec["independent"].split(","))
 
 
-def test_dual_vectors_match_the_truncation_oracle_on_dual_ops_items_and_configs():
-    cases = list(_computed_config_components())
-    assert cases
+def _dual_ops_components():
+    """(Q, prime, independent variables) of every dual_ops item; a point's
+    prime is its maximal ideal."""
     for var_text, ideal_text, *rest in DUAL_OPS_ITEMS:
         names = var_text.split(",")
         Q = ideal(*ideal_text.split(";"), names=names)
         if isinstance(rest[0], tuple):
-            cases.append((Q, ideal(*(f"{v} - {c}" for v, c in zip(names, rest[0])), names=names), ()))
+            yield Q, ideal(*(f"{v} - {c}" for v, c in zip(names, rest[0])), names=names), ()
         else:
             prime_text, indep_text = rest
-            cases.append((Q, ideal(*prime_text.split(";"), names=names), tuple(names.index(v) for v in indep_text.split(","))))
-    for case in cases:
+            yield Q, ideal(*prime_text.split(";"), names=names), tuple(names.index(v) for v in indep_text.split(","))
+
+
+def test_dual_vectors_match_the_truncation_oracle_on_dual_ops_items_and_configs():
+    cases = list(_computed_config_components())
+    assert cases
+    for case in cases + list(_dual_ops_components()):
         _assert_same_dual_vectors(*case)
+
+
+# --- the basis over F read off the block-order basis, against Buchberger over F ----
+
+
+def _seeded_components():
+    """The 160 seeded components of the dual-vector test above."""
+    rng = random.Random(9)
+    for _ in range(160):
+        yield _random_primary_ideal(rng)
+
+
+def _two_independent_components():
+    """Two components over Q(u, v) in Q[x, y, u, v]."""
+    names = ["x", "y", "u", "v"]
+    for ideal_text, prime_text in (
+        ("(u*x - v)^3; y - x", "u*x - v; y - x"),
+        ("(u*x - v - 3)^2; ((v+2)*y - u + 1)^2", "u*x - v - 3; (v+2)*y - u + 1"),
+    ):
+        yield ideal(*ideal_text.split(";"), names=names), ideal(*prime_text.split(";"), names=names), (2, 3)
+
+
+@pytest.mark.parametrize(
+    "components",
+    [_seeded_components, _dual_ops_components, _computed_config_components, _two_independent_components],
+    ids=["seeded", "dual_ops", "configs", "two_independent"],
+)
+def test_the_basis_over_the_field_matches_buchberger_over_the_field(components):
+    # element by element, coefficient representatives included: a reduced
+    # Groebner basis is unique, however it was reached; and the colength
+    # read off the leads alone
+    cases = list(components())
+    assert cases
+    for Q, p, indep in cases:
+        dep = tuple(i for i in range(Q.nvars) if i not in indep)
+        for I in (Q, p):
+            got = noetherian._basis_over_field(I, dep, indep)
+            want = field_basis_by_buchberger(I, dep, indep)
+            assert got == want, (I.gens, indep)
+            colength = len(groebner._standard_monomials_from_gb(want, GrevLex(), len(dep)))
+            assert noetherian._colength_over_field(I, dep, indep) == colength
+            for g, w in zip(got, want):
+                assert list(g.terms) == list(w.terms)
+                assert [_parts(c) for c in g.terms.values()] == [_parts(c) for c in w.terms.values()]
+
+
+def test_no_buchberger_run_has_coefficients_in_the_fraction_field(monkeypatch):
+    # over the dual_ops items and the shipped configs: every basis over
+    # F = Q(u) is read off a basis over Q
+    run = groebner.buchberger
+    calls, over_field = [], []
+
+    def recording(gens, order=GrevLex()):
+        gens = list(gens)
+        calls.append(gens)
+        if any(isinstance(c, RationalFunction) for g in gens for c in g.terms.values()):
+            over_field.append(gens)
+        return run(gens, order)
+
+    _record_buchberger(monkeypatch, recording)
+    for Q, ops in _dual_ops_sets():
+        assert verify_noetherian_ops(Q, ops, 10).status == "exact"
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    for name in sorted(os.listdir(root)):
+        run_experiment_config(load_experiment_config(os.path.join(root, name)))
+    assert calls
+    assert over_field == []
 
 
 @pytest.mark.parametrize("L", range(1, 7))
