@@ -61,7 +61,7 @@ class NotZeroDimensionalError(ValueError):
 
 def _monic(f: Poly, order: MonomialOrder) -> Poly:
     _, c = f.leading(order)
-    return f * (1 / c)
+    return f if c == 1 else f * (1 / c)
 
 
 def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder) -> Poly:

@@ -428,39 +428,71 @@ def _poly_gcd_univariate(a: Poly, b: Poly, slot: int) -> Poly:
     return a * (1 / lc(a))
 
 
+def _content_to_numerator(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """(num/c, den/c) for c the rational content of den signed like den's
+    grevlex leading coefficient: den gets content 1 and a positive lead."""
+    c = rational_content(den.terms.values())
+    if den.leading(GrevLex())[1] < 0:
+        c = -c
+    if c == 1:
+        return num, den
+    inv = 1 / c
+    return num * inv, den * inv
+
+
+_SCALARS = (int, Fraction)
+
+
 class RationalFunction:
     """Quotient of two polynomials over the same variable set.
 
-    Reduction is deliberately cheap: content and sign normalization always,
-    a full gcd cancellation only when both parts are univariate in the same
-    variable.  Equality is decided by cross multiplication, so unreduced
-    representatives compare correctly.
+    Every value keeps one invariant: `den` is nonzero, has rational content
+    1 and a positive grevlex leading coefficient, and the gcd of `num` and
+    `den` is cancelled when both are univariate in the same variable (or
+    `num` is constant); zero is (0, 1).  Reduction is deliberately cheap: no
+    gcd is taken outside that univariate case, so equality is decided by
+    cross multiplication, and unreduced representatives compare correctly.
+
+    These build the pair the full normalization would give without running
+    the parts of it that cannot change it:
+    - a polynomial p is (p, 1), and p over a constant d is (p/d, 1): there is
+      no gcd to cancel, and d is its own content with its sign;
+    - a denominator of content 1 is not scaled by 1;
+    - a scalar k (int or Fraction) times n/d is (k*n, d): that changes
+      neither the gcd with d nor d, and -(n/d) is (-n, d);
+    - k/(n/d) is (k*d, n) with n's content and sign moved to the numerator:
+      n and d are already coprime wherever a gcd would be taken;
+    - (n/d)^e is (n^e, d^e): powers of coprime polynomials stay coprime, and
+      a product of polynomials of content 1 has content 1 (Gauss's lemma).
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None:
-            den = Poly.one(num.nvars)
-        if not den:
+        if den is not None and not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            den = Poly.one(num.nvars)
-        else:
-            slot = _univariate_slot(den)
-            if slot is not None and slot >= 0 and _univariate_slot(num) in (slot, -1):
-                g = _poly_gcd_univariate(num, den, slot)
-                if g.degree() > 0:
-                    num = _poly_div_exact(num, g)
-                    den = _poly_div_exact(den, g)
-            c = rational_content(den.terms.values())
-            lead = den.leading(GrevLex())[1]
-            if lead < 0:
-                c = -c
-            num = num * (1 / c)
-            den = den * (1 / c)
-        self.num = num
-        self.den = den
+        if den is None or not num:
+            self.num, self.den = num, Poly.one(num.nvars)
+            return
+        slot = _univariate_slot(den)
+        if slot == -1:
+            (d,) = den.terms.values()
+            self.num = num if d == 1 else num * (1 / Fraction(d))
+            self.den = Poly.one(num.nvars)
+            return
+        if slot is not None and _univariate_slot(num) in (slot, -1):
+            g = _poly_gcd_univariate(num, den, slot)
+            if g.degree() > 0:
+                num = _poly_div_exact(num, g)
+                den = _poly_div_exact(den, g)
+        self.num, self.den = _content_to_numerator(num, den)
+
+    @classmethod
+    def _of(cls, num: Poly, den: Poly) -> "RationalFunction":
+        """num/den stored as given; the caller guarantees the invariant."""
+        r = cls.__new__(cls)
+        r.num, r.den = num, den
+        return r
 
     @classmethod
     def lift(cls, value, nvars: int) -> "RationalFunction":
@@ -483,7 +515,7 @@ class RationalFunction:
         raise TypeError("unhashable: RationalFunction")
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._of(-self.num, self.den)
 
     def _coerce(self, other) -> "RationalFunction | None":
         if isinstance(other, (int, Fraction, Poly)):
@@ -513,6 +545,10 @@ class RationalFunction:
         return RationalFunction(o.num * self.den - self.num * o.den, self.den * o.den)
 
     def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            if not other:
+                return RationalFunction(Poly.zero(self.num.nvars))
+            return RationalFunction._of(self.num * other, self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -521,6 +557,10 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, _SCALARS):
+            if not other:
+                raise ZeroDivisionError("division by zero rational function")
+            return self * (1 / Fraction(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -529,13 +569,21 @@ class RationalFunction:
         return RationalFunction(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
+        if isinstance(other, _SCALARS):
+            if not self.num:
+                raise ZeroDivisionError("division by zero rational function")
+            if not other:
+                return RationalFunction(Poly.zero(self.num.nvars))
+            return RationalFunction._of(*_content_to_numerator(self.den * other, self.num))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return o / self
 
     def __pow__(self, n: int):
-        return RationalFunction(self.num**n, self.den**n)
+        if n < 0:
+            return (1 / self) ** -n
+        return RationalFunction._of(self.num**n, self.den**n)
 
     def is_polynomial(self) -> bool:
         return self.den == Poly.one(self.den.nvars)

@@ -3,7 +3,7 @@
 import itertools
 from fractions import Fraction
 
-from noethops import groebner, linalg, noetherian
+from noethops import groebner, linalg, noetherian, poly
 from noethops.closures import _monomial_exponents
 from noethops.diffops import DiffOp, OperatorSet, first_not_killed
 from noethops.groebner import IdealHandle, NotZeroDimensionalError, standard_monomials
@@ -377,3 +377,31 @@ def colon_oracle(ops: OperatorSet, cond: IdealHandle, D: int, target: IdealHandl
     basis = kernel_polynomials(monos, reduced, cond.nvars)
     witness = next((f for f in basis if groebner.normal_form(f, target.gb, target.ORDER)), None)
     return basis, witness
+
+
+# ---------------------------------------------------------------------------
+# the full normalization of a rational function: what every value of
+# `poly.RationalFunction` ran before the fast paths that skip parts of it
+
+
+def rational_function_fully_normalized(num: Poly, den: Poly | None = None) -> tuple[Poly, Poly]:
+    """(num, den) after the gcd probe, the content and the sign, each run
+    whatever the input: the gcd is cancelled when den is univariate and num
+    is univariate in the same variable or constant, then both parts are
+    divided by den's content signed like den's grevlex lead."""
+    if den is None:
+        den = Poly.one(num.nvars)
+    if not den:
+        raise ZeroDivisionError("rational function with zero denominator")
+    if not num:
+        return num, Poly.one(num.nvars)
+    slot = poly._univariate_slot(den)
+    if slot is not None and slot >= 0 and poly._univariate_slot(num) in (slot, -1):
+        g = poly._poly_gcd_univariate(num, den, slot)
+        if g.degree() > 0:
+            num = poly._poly_div_exact(num, g)
+            den = poly._poly_div_exact(den, g)
+    c = poly.rational_content(den.terms.values())
+    if den.leading(GrevLex())[1] < 0:
+        c = -c
+    return num * (1 / c), den * (1 / c)

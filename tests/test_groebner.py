@@ -247,6 +247,19 @@ def test_memoised_normal_forms_match_a_full_reduction_over_q_of_u():
         _check_memo_against_reduction(gens, queries)
 
 
+@pytest.mark.parametrize("coefficient", [_q_coefficient, _qu_coefficient], ids=["q", "q_of_u"])
+def test_monic_is_the_division_by_the_leading_coefficient(coefficient):
+    # a polynomial whose lead is already 1 comes back as it is
+    rng = random.Random(94)
+    for order in (GrevLex(), Block((0,))):
+        for _ in range(20):
+            f = _coefficient_poly(rng, 2, 3, coefficient, terms=4)
+            if f:
+                by_division = f * (1 / f.leading(order)[1])
+                assert groebner._monic(f, order) == by_division
+                assert groebner._monic(by_division, order) is by_division
+
+
 def test_memoised_normal_forms_of_the_zero_and_unit_ideals():
     rng = random.Random(93)
     queries = [Poly.zero(3)] + [_coefficient_poly(rng, 3, d, _q_coefficient) for d in range(5)]

@@ -13,7 +13,7 @@ import pytest
 
 import noethops
 
-from noethops import groebner, noetherian
+from noethops import groebner, noetherian, poly
 from noethops.configs import load_experiment_config, load_ring, run_experiment_config
 from noethops.diffops import DiffOp, OperatorSet, first_not_killed, operator_kernel, parse_operator_set
 from noethops.groebner import IdealHandle, RingSpec, standard_monomials
@@ -469,6 +469,24 @@ def test_buchberger_runs_per_dual_ops_pass(monkeypatch):
     assert statuses == ["exact"] * len(DUAL_OPS_ITEMS)
     assert all(calls)
     assert len(calls) == 15
+
+
+def test_gcd_probes_per_dual_ops_pass(monkeypatch):
+    # rational functions skip the univariate gcd wherever it cannot cancel
+    # anything: over a polynomial or constant denominator, for a scalar
+    # product or a scalar over a value, and for negations and powers; 167
+    # probes without that
+    probe = poly._poly_gcd_univariate
+    calls = []
+
+    def recording(a, b, slot):
+        calls.append(slot)
+        return probe(a, b, slot)
+
+    monkeypatch.setattr(poly, "_poly_gcd_univariate", recording)
+    statuses = [verify_noetherian_ops(Q, ops, 10).status for Q, ops in _dual_ops_sets()]
+    assert statuses == ["exact"] * len(DUAL_OPS_ITEMS)
+    assert len(calls) == 94
 
 
 def _x2_at_origin_with_dx3():

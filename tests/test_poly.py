@@ -15,6 +15,8 @@ from noethops.poly import (
     parse_polynomial,
 )
 
+from oracles import rational_function_fully_normalized
+
 XY = ["x", "y"]
 
 
@@ -174,6 +176,94 @@ def test_rational_function_gcd_reduction_univariate():
 def test_rational_function_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         RationalFunction(Poly.one(1), Poly.zero(1))
+
+
+# the fast paths of RationalFunction against the full normalization they skip
+# parts of: over Q(u) and Q(u,v), with zero numerators, constant and negative
+# denominators, non-unit contents and common univariate factors
+
+SCALARS = [0, 1, -1, 3, Fraction(-2, 3), Fraction(5, 7)]
+
+
+def _draw_coefficient(rng):
+    return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+
+
+def _draw_poly(rng, nvars, degree, terms):
+    monos = monomials_up_to(nvars, degree)
+    return Poly(nvars, {monos[rng.randrange(len(monos))]: _draw_coefficient(rng) for _ in range(terms)})
+
+
+def _draw_fraction_parts(rng, nvars):
+    """(num, den) with den nonzero: often a constant, often with a content
+    other than 1 or a negative lead, sometimes with a univariate factor
+    shared with num."""
+    num = _draw_poly(rng, nvars, 2, rng.randint(0, 3))
+    den = Poly.zero(nvars)
+    while not den:
+        den = _draw_poly(rng, nvars, 0 if rng.random() < 0.25 else 2, rng.randint(1, 3))
+    den = den * rng.choice([1, -1, 2, Fraction(-3, 5)])
+    if rng.random() < 0.4:
+        factor = _draw_poly(rng, nvars, 0, 1) + Poly.variable(nvars, rng.randrange(nvars)) * rng.choice([1, -2])
+        num, den = num * factor, den * factor
+    return num, den
+
+
+def _draws(nvars, count=60):
+    rng = random.Random(1800 + nvars)
+    return [_draw_fraction_parts(rng, nvars) for _ in range(count)]
+
+
+def _assert_pair(r, pair):
+    num, den = pair
+    assert (r.num.nvars, r.den.nvars) == (num.nvars, den.nvars)
+    assert r.num.terms == num.terms and r.den.terms == den.terms
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_rational_function_construction_matches_the_full_normalization(nvars):
+    constants = [Poly.constant(nvars, Fraction(d)) for d in (1, -1, 4, Fraction(-2, 7))]
+    for num, den in _draws(nvars):
+        _assert_pair(RationalFunction(num, den), rational_function_fully_normalized(num, den))
+        _assert_pair(RationalFunction(num), rational_function_fully_normalized(num))
+        for d in constants:
+            _assert_pair(RationalFunction(num, d), rational_function_fully_normalized(num, d))
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_rational_function_arithmetic_fast_paths_match_the_full_normalization(nvars):
+    # each right-hand side is what the operation computed before it had a
+    # fast path: the general formula, with a scalar k lifted to k/1
+    one = Poly.one(nvars)
+    for num, den in _draws(nvars):
+        r = RationalFunction(num, den)
+        n, d = r.num, r.den
+        _assert_pair(-r, rational_function_fully_normalized(-n, d))
+        for e in range(4):
+            _assert_pair(r**e, rational_function_fully_normalized(n**e, d**e))
+        for k in SCALARS:
+            K = Poly.constant(nvars, Fraction(k))
+            for product in (r * k, k * r):
+                _assert_pair(product, rational_function_fully_normalized(n * K, d * one))
+            if k:
+                _assert_pair(r / k, rational_function_fully_normalized(n * one, d * K))
+            if r:
+                _assert_pair(k / r, rational_function_fully_normalized(K * d, one * n))
+
+
+def test_rational_function_negative_power_is_the_power_of_the_reciprocal():
+    u = Poly.variable(2, 0)
+    v = Poly.variable(2, 1)
+    one = Poly.one(2)
+    for r in (RationalFunction(u, u + one), RationalFunction(u * v * 2, v * v - one * 3), RationalFunction(one * -2)):
+        for e in range(1, 4):
+            assert r**-e == (1 / r) ** e
+            _assert_pair(r**-e, rational_function_fully_normalized(r.den**e, r.num**e))
+            assert r**e * r**-e == 1
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction(Poly.zero(2)) ** -1
+    with pytest.raises(ZeroDivisionError):
+        1 / RationalFunction(Poly.zero(2))
 
 
 @pytest.mark.parametrize(
