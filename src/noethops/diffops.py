@@ -21,7 +21,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from . import linalg
@@ -33,6 +32,7 @@ from .poly import (
     format_monomial,
     join_terms,
     mono_degree,
+    mono_mul,
     monomials_up_to,
     parse_polynomial,
 )
@@ -337,7 +337,7 @@ def first_not_killed(ops: OperatorSet, gens: Sequence[Poly], target: IdealHandle
     for op in ops:
         for g in gens:
             for beta in monomials_up_to(g.nvars, op.order):
-                h = g.scale_term(beta, Fraction(1))
+                h = Poly(g.nvars, {mono_mul(t, beta): c for t, c in g.terms.items()}) if any(beta) else g
                 if ideal.normal_form(op.apply(h)):
                     return h
     return None

@@ -12,8 +12,8 @@ ideal handle keeps its basis and the basis' leading terms, the basis under
 any other order it was asked for (elimination), and the normal forms of
 the monomials it has reduced: NF(x^m) is built from the normal form of one
 divisor x^m / x_j, and NF(f) is the sum of its terms' forms.  Buchberger
-itself reduces with the module-level `normal_form`, since its basis grows
-while it runs.
+itself keeps the leading terms of its growing basis for every reduction;
+`ideal_power` builds each n-fold product from its (n-1)-fold prefix.
 
 Ideals of a quotient ring R = P/N are represented by generator lists in the
 ambient polynomial ring P.  Membership "in R" or "in R_red = P/rad" goes
@@ -60,20 +60,25 @@ class NotZeroDimensionalError(ValueError):
 
 
 def _monic(f: Poly, order: MonomialOrder) -> Poly:
-    _, c = f.leading(order)
-    return f if c == 1 else f * (1 / c)
+    return _monic_and_lead(f, order)[0]
+
+
+def _monic_and_lead(f: Poly, order: MonomialOrder) -> tuple[Poly, tuple[Mono, object]]:
+    m, c = f.leading(order)
+    f = f if c == 1 else f * (1 / c)
+    return f, (m, f.terms[m])
 
 
 def normal_form(f: Poly, basis: Sequence[Poly], order: MonomialOrder) -> Poly:
     """Full normal form of f modulo `basis` (need not be a Groebner basis,
     but NF(f) = 0 iff f is in the ideal only when it is)."""
-    if not basis:
-        return f
     return _reduce(f, basis, [g.leading(order) for g in basis], order)
 
 
 def _reduce(f: Poly, basis: Sequence[Poly], leads: Sequence[tuple[Mono, object]], order: MonomialOrder) -> Poly:
     """`normal_form` with the basis' leading terms already known."""
+    if not basis:
+        return f
     work = dict(f.terms)
     remainder: dict[Mono, object] = {}
     key = order.key
@@ -110,11 +115,13 @@ def _s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
 def _interreduce(polys: list[Poly], order: MonomialOrder) -> list[Poly]:
     current = [p for p in polys if p]
     while True:
-        nxt: list[Poly] = []
-        for i, p in enumerate(current):
-            r = normal_form(p, nxt, order)
+        nxt, leads = [], []
+        for p in current:
+            r = _reduce(p, nxt, leads, order)
             if r:
-                nxt.append(_monic(r, order))
+                g, lead = _monic_and_lead(r, order)
+                nxt.append(g)
+                leads.append(lead)
         if nxt == current:
             return nxt
         current = nxt
@@ -128,7 +135,8 @@ def buchberger(gens: Iterable[Poly], order: MonomialOrder = GrevLex()) -> list[P
     basis = _interreduce(list(gens), order)
     if not basis:
         return []
-    leads = [g.leading(order)[0] for g in basis]
+    lead_terms = [g.leading(order) for g in basis]
+    leads = [m for m, _ in lead_terms]
     # `pairs` holds the pending pairs, which the chain criterion reads, and
     # `queue` the same pairs keyed by (deg lcm, order key of lcm, i, j): a
     # total order on leads that never change, so the heap pops exactly the
@@ -153,14 +161,16 @@ def buchberger(gens: Iterable[Poly], order: MonomialOrder = GrevLex()) -> list[P
         if _chain_criterion(i, j, lcm, leads, pairs):
             continue
         s = _s_polynomial(basis[i], basis[j], order)
-        r = normal_form(s, basis, order)
+        r = _reduce(s, basis, lead_terms, order)
         if not r:
             continue
-        basis.append(_monic(r, order))
-        leads.append(basis[-1].leading(order)[0])
+        g, lead = _monic_and_lead(r, order)
+        basis.append(g)
+        lead_terms.append(lead)
+        leads.append(lead[0])
         add_pairs(len(basis) - 1)
 
-    return _reduce_basis(basis, order)
+    return _reduce_basis(basis, order, lead_terms)
 
 
 def _chain_criterion(i: int, j: int, lcm: Mono, leads: list[Mono], pairs: set) -> bool:
@@ -175,21 +185,19 @@ def _chain_criterion(i: int, j: int, lcm: Mono, leads: list[Mono], pairs: set) -
     return False
 
 
-def _reduce_basis(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
+def _reduce_basis(basis: list[Poly], order: MonomialOrder, lead_terms: list | None = None) -> list[Poly]:
+    """The reduced basis of a Groebner basis, whose leading terms may be given."""
+    if lead_terms is None:
+        lead_terms = [g.leading(order) for g in basis]
+    leads = [m for m, _ in lead_terms]
     # minimalize: drop elements whose lead is divisible by another lead
-    leads = [g.leading(order)[0] for g in basis]
-    keep = []
-    for i, g in enumerate(basis):
-        if any(j != i and mono_divides(leads[j], leads[i]) and (leads[j] != leads[i] or j < i) for j in range(len(basis))):
-            continue
-        keep.append(g)
-    # tail-reduce each against the others
-    reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        reduced.append(_monic(normal_form(g, others, order), order))
-    reduced.sort(key=lambda p: order.key(p.leading(order)[0]))
-    return reduced
+    keep = [i for i, m in enumerate(leads) if not any(mono_divides(d, m) and (d != m or j < i) for j, d in enumerate(leads))]
+    # tail-reduce each against the others, which keeps its leading term
+    reduced = {}
+    for i in keep:
+        others = [j for j in keep if j != i]
+        reduced[i] = _monic(_reduce(basis[i], [basis[j] for j in others], [lead_terms[j] for j in others], order), order)
+    return [reduced[i] for i in sorted(keep, key=lambda i: order.key(leads[i]))]
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +206,8 @@ def _reduce_basis(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
 
 class IdealHandle:
     """Generator list plus lazily computed, cached reduced Groebner bases
-    (grevlex, and any other order asked for once) and the normal forms of
-    the monomials reduced so far.
+    (grevlex, any other order asked for once, and over F = Q(u) for
+    `noetherian`) and the normal forms of the monomials reduced so far.
 
     NF(x^m) comes from the normal form of one divisor: with x_j the first
     variable of x^m, NF(x^m) is 0 when NF(x^m / x_j) is, and otherwise the
@@ -208,7 +216,7 @@ class IdealHandle:
     normal forms are unique, so this is the same polynomial a reduction of f
     gives (Faugere, Gianni, Lazard and Mora 1993)."""
 
-    __slots__ = ("nvars", "gens", "_gb", "_leads", "_bases", "_forms")
+    __slots__ = ("nvars", "gens", "_gb", "_leads", "_bases", "_field_bases", "_forms")
     ORDER = GrevLex()
 
     def __init__(self, nvars: int, gens: Iterable[Poly]):
@@ -220,6 +228,7 @@ class IdealHandle:
         self._gb: list[Poly] | None = None
         self._leads: list[tuple[Mono, object]] = []
         self._bases: dict[MonomialOrder, list[Poly]] = {}
+        self._field_bases: dict[tuple, list[Poly]] = {}  # by (dependent, independent) variables
         self._forms: dict[Mono, Poly] = {}
 
     @property
@@ -304,20 +313,17 @@ def split_poly_list(text: str) -> list[str]:
 
 
 def ideal_power(I: IdealHandle, n: int) -> IdealHandle:
-    """I^n, generated by all n-fold products of generators; I^0 = (1)."""
+    """I^n, generated by the n-fold products of generators in the order of
+    `combinations_with_replacement`, each its (n-1)-fold prefix times one
+    generator, repeats dropped; I^0 = (1)."""
     if n < 0:
         raise ValueError("negative ideal power")
     if n == 0:
         return IdealHandle(I.nvars, [Poly.one(I.nvars)])
-    gens = []
-    seen = set()
-    for combo in itertools.combinations_with_replacement(I.gens, n):
-        p = functools.reduce(Poly.__mul__, combo)
-        key = frozenset(p.terms.items())
-        if p and key not in seen:
-            seen.add(key)
-            gens.append(p)
-    return IdealHandle(I.nvars, gens)
+    products = list(enumerate(I.gens))  # (index of the last factor, product)
+    for _ in range(n - 1):
+        products = [(j, p * g) for i, p in products for j, g in enumerate(I.gens[i:], i)]
+    return IdealHandle(I.nvars, dict.fromkeys(p for _, p in products))
 
 
 def is_subideal(I: IdealHandle, J: IdealHandle) -> bool:

@@ -210,11 +210,15 @@ def _basis_over_field(I: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ..
     """The reduced Groebner basis over F of I, in the dependent variables.
     With no independent variables F = Q, and that basis is I's own; else it
     is the reduction of I's basis under the block order eliminating the
-    dependent variables, kept on the handle, which over F is a Groebner
-    basis of I*F[x_dep] (Gianni, Trager and Zacharias 1988)."""
+    dependent variables, which over F is a Groebner basis of I*F[x_dep]
+    (Gianni, Trager and Zacharias 1988); both are kept on the handle."""
     if not indep:
         return I.gb
-    return _reduce_basis([_to_field_poly(g, dep, indep) for g in I.basis(Block(dep))], GrevLex())
+    gb = I._field_bases.get((dep, indep))
+    if gb is None:
+        over_field = [_to_field_poly(g, dep, indep) for g in I.basis(Block(dep))]
+        gb = I._field_bases[dep, indep] = _reduce_basis(over_field, GrevLex())
+    return gb
 
 
 def _colength_over_field(I: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...]) -> int:

@@ -17,6 +17,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, perm
+from operator import add, le, neg, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Mono = tuple[int, ...]
@@ -37,21 +38,21 @@ def mono_unit(nvars: int, i: int) -> Mono:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
     """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
     """Exponent vector of x^a / x^b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: Mono) -> int:
@@ -95,7 +96,7 @@ class GrevLex:
     """Graded reverse lexicographic order."""
 
     def key(self, m: Mono):
-        return (sum(m), tuple(-e for e in reversed(m)))
+        return (sum(m), tuple(map(neg, reversed(m))))
 
 
 @dataclass(frozen=True)
@@ -111,10 +112,10 @@ class Block:
         return frozenset(self.eliminated)
 
     def key(self, m: Mono):
-        elim = [m[i] for i in self.eliminated]
+        elim = list(map(m.__getitem__, self.eliminated))
         dropped = self._dropped
         keep = [e for i, e in enumerate(m) if i not in dropped]
-        return (sum(elim), tuple(-e for e in reversed(elim)), sum(keep), tuple(-e for e in reversed(keep)))
+        return (sum(elim), tuple(map(neg, reversed(elim))), sum(keep), tuple(map(neg, reversed(keep))))
 
 
 MonomialOrder = Union[GrevLex, Block]

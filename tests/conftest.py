@@ -38,6 +38,11 @@ def random_polynomial(rng: random.Random, nvars: int, max_degree: int, max_terms
     return Poly(nvars, terms)
 
 
+def typed_terms(p: Poly) -> list:
+    """The terms of p in dict order, each with its coefficient's type."""
+    return [(m, c, type(c)) for m, c in p.terms.items()]
+
+
 def order_lemma_witness(
     delta: DiffOp, J: IdealHandle, I: IdealHandle, t: int, modulus: IdealHandle | None = None
 ) -> Poly | None:

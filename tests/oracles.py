@@ -1,5 +1,6 @@
 """Reference implementations the tests compare the package against."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -405,3 +406,65 @@ def rational_function_fully_normalized(num: Poly, den: Poly | None = None) -> tu
     if den.leading(GrevLex())[1] < 0:
         c = -c
     return num * (1 / c), den * (1 / c)
+
+
+# ---------------------------------------------------------------------------
+# the inner-loop definitions that the map-based monomial kernels, the prefix
+# products of `groebner.ideal_power` and the exponent shift of
+# `diffops.first_not_killed` replaced
+
+
+def mono_mul_by_zip(a: Mono, b: Mono) -> Mono:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_divides_by_zip(a: Mono, b: Mono) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_div_by_zip(a: Mono, b: Mono) -> Mono:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_lcm_by_zip(a: Mono, b: Mono) -> Mono:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def grevlex_key_by_generator(m: Mono):
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def block_key_by_generator(eliminated: tuple[int, ...], m: Mono):
+    elim = [m[i] for i in eliminated]
+    dropped = set(eliminated)
+    keep = [e for i, e in enumerate(m) if i not in dropped]
+    return (sum(elim), tuple(-e for e in reversed(elim)), sum(keep), tuple(-e for e in reversed(keep)))
+
+
+def ideal_power_by_reduce(I: IdealHandle, n: int) -> IdealHandle:
+    """I^n from every n-fold product folded from scratch, in the order of
+    `combinations_with_replacement`, repeats dropped; I^0 = (1)."""
+    if n == 0:
+        return IdealHandle(I.nvars, [Poly.one(I.nvars)])
+    gens = []
+    seen = set()
+    for combo in itertools.combinations_with_replacement(I.gens, n):
+        p = functools.reduce(Poly.__mul__, combo)
+        key = frozenset(p.terms.items())
+        if p and key not in seen:
+            seen.add(key)
+            gens.append(p)
+    return IdealHandle(I.nvars, gens)
+
+
+def first_not_killed_by_scaling(ops: OperatorSet, gens, target: IdealHandle | None = None) -> Poly | None:
+    """`diffops.first_not_killed` with each h = x^beta * g built by scaling
+    g by the coefficient 1 at x^beta, beta = 0 included."""
+    ideal = ops.modulus if target is None else target
+    for op in ops:
+        for g in gens:
+            for beta in monomials_up_to(g.nvars, op.order):
+                h = g.scale_term(beta, Fraction(1))
+                if ideal.normal_form(op.apply(h)):
+                    return h
+    return None

@@ -14,15 +14,16 @@ from noethops.diffops import (
     DiffOp,
     OperatorSet,
     TruncatedSubspace,
+    first_not_killed,
     operator_kernel,
     parse_operator,
     parse_operator_set,
 )
 from noethops.groebner import IdealHandle
-from noethops.poly import Poly, monomials_up_to
+from noethops.poly import Poly, mono_unit, monomials_up_to
 
-from conftest import P, ideal, order_lemma_witness, random_polynomial, run_under_python_O
-from oracles import apply_by_derivatives
+from conftest import P, ideal, order_lemma_witness, random_polynomial, run_under_python_O, typed_terms
+from oracles import apply_by_derivatives, first_not_killed_by_scaling
 
 XY = ["x", "y"]
 
@@ -369,3 +370,28 @@ def test_colons_and_verification_decide_containment_by_first_outside(ring_x2, op
     J = ideal("x - y")
     assert not uniformity.subspace_in_ideal(TruncatedSubspace.from_polynomials(2, 2, [P("y")]), J, ring_x2).contained
     assert calls == [(2, ring_x2.plus_N(J))]
+
+
+@pytest.mark.parametrize("nvars", range(6))
+def test_first_not_killed_shifts_match_scaling_by_one(nvars, monkeypatch):
+    # h = x^beta * g by shifted exponents, and g itself at beta = 0, against
+    # g scaled by the coefficient 1 at x^beta: the same h in the same order,
+    # with the same terms, values and coefficient types (the package's
+    # polynomials have Fraction coefficients), and the same witness
+    rng = random.Random(970 + nvars)
+    ops = [DiffOp.identity(nvars)] + [DiffOp.partial(nvars, mono_unit(nvars, i)) for i in range(nvars)]
+    ops += [DiffOp.partial(nvars, m) for m in monomials_up_to(nvars, 2) if sum(m) == 2][:3]
+    ops = OperatorSet(ops, IdealHandle(nvars, []))
+    gens = [random_polynomial(rng, nvars, 2, 3) for _ in range(3)]
+    targets = [IdealHandle(nvars, [random_polynomial(rng, nvars, 2, 2) for _ in range(2)]) for _ in range(3)]
+    for target in targets:
+        got, want = first_not_killed(ops, gens, target), first_not_killed_by_scaling(ops, gens, target)
+        assert got is want is None or typed_terms(got) == typed_terms(want)
+
+    seen = []
+    monkeypatch.setattr(DiffOp, "apply", lambda self, f: seen.append(f) or Poly.zero(nvars))
+    assert first_not_killed(ops, gens) is None
+    shifted, seen[:] = list(seen), []
+    assert first_not_killed_by_scaling(ops, gens) is None
+    assert list(map(typed_terms, shifted)) == list(map(typed_terms, seen))
+    assert len(seen) == sum(len(monomials_up_to(nvars, op.order)) for op in ops) * len(gens)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,8 +23,8 @@ from noethops.groebner import (
 )
 from noethops.poly import Block, GrevLex, Poly, RationalFunction, monomials_up_to
 
-from conftest import P, ideal
-from oracles import scan_buchberger
+from conftest import P, ideal, random_polynomial, typed_terms
+from oracles import ideal_power_by_reduce, scan_buchberger
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -147,6 +148,36 @@ def test_heap_queue_reduces_the_scan_pairs_in_scan_order(monkeypatch):
             assert heap_pairs == reduced
             total += len(heap_pairs)
     assert total > 100
+
+
+def test_buchberger_reads_leading_terms_a_bounded_number_of_times(monkeypatch):
+    # Buchberger keeps its basis' leading terms and hands them to every
+    # reduction, so Poly.leading runs a few times per generator and per
+    # reduced pair (interreduction takes two rounds on these inputs), not
+    # once per basis element on every reduction
+    leading, s_polynomial = Poly.leading, groebner._s_polynomial
+    counts = Counter()
+
+    def counting_leading(self, order):
+        counts["leading"] += 1
+        return leading(self, order)
+
+    def counting_pairs(f, g, order):
+        counts["pairs"] += 1
+        return s_polynomial(f, g, order)
+
+    monkeypatch.setattr(Poly, "leading", counting_leading)
+    monkeypatch.setattr(groebner, "_s_polynomial", counting_pairs)
+    G = ideal("y^2 - x*z", "z^2 - y", "x*y - z", names=XYZ)
+    inputs = _seeded_ideals(73, 16) + [list(ideal_power(G, n).gens) for n in (2, 3)]
+    pairs = 0
+    for gens in inputs:
+        for order in ORDERS:
+            counts.clear()
+            buchberger(gens, order)
+            assert counts["leading"] <= 4 * (len(gens) + counts["pairs"]), (len(gens), counts)
+            pairs += counts["pairs"]
+    assert pairs > 100
 
 
 # --- normal form ----------------------------------------------------------
@@ -333,6 +364,20 @@ def test_power_products_land_in_power_sums():
             prod_gens = [a * b for a in ideal_power(I, m).gens for b in ideal_power(I, n).gens]
             target = ideal_power(I, m + n)
             assert all(target.contains(g) for g in prod_gens)
+
+
+@pytest.mark.parametrize("nvars", range(6))
+def test_ideal_power_from_prefixes_matches_products_folded_from_scratch(nvars):
+    # the same generator tuple: order, repeats dropped, term order, values
+    # and coefficient types; a repeated generator and its negative make
+    # products repeat, and 0 variables makes every generator a constant
+    rng = random.Random(950 + nvars)
+    for _ in range(4):
+        gens = [random_polynomial(rng, nvars, 2, 3) for _ in range(rng.randint(1, 3))]
+        I = IdealHandle(nvars, gens + [gens[0], -gens[0]])
+        for n in range(4):
+            got, want = ideal_power(I, n).gens, ideal_power_by_reduce(I, n).gens
+            assert list(map(typed_terms, got)) == list(map(typed_terms, want)), (nvars, n)
 
 
 def _shipped_rings():

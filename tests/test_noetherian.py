@@ -450,6 +450,25 @@ def test_the_block_order_basis_of_the_prime_is_computed_once(monkeypatch):
     assert calls.count((p.gens, Block(eliminated=(0,)))) == 1
 
 
+def test_the_basis_over_the_field_of_the_prime_is_reduced_once(monkeypatch):
+    # building the set and verifying it both read the prime's point over
+    # F = Q(z) off one reduced basis over F, kept on the prime's handle
+    reduce_basis = noetherian._reduce_basis
+    reduced = []
+
+    def recording(basis, order, *leads):
+        reduced.append(list(basis))
+        return reduce_basis(basis, order, *leads)
+
+    monkeypatch.setattr(noetherian, "_reduce_basis", recording)
+    names = ["x", "y", "z"]
+    Q, p = ideal("x^3 - z*y", "y^4", names=names), ideal("x", "y", names=names)
+    ops = noetherian_ops_primary(PrimaryComponent(Q, p, independent=(2,)))
+    assert verify_noetherian_ops(Q, ops, 8).status == "exact"
+    prime_over_field = [noetherian._to_field_poly(g, (0, 1), (2,)) for g in p.basis(Block((0, 1)))]
+    assert reduced.count(prime_over_field) == 1
+
+
 def test_buchberger_runs_per_dual_ops_pass(monkeypatch):
     # the zero ideal answers with no run, and the bases over F = Q(u) of the
     # prime and of the primary ideal are read off the handles' own (their

@@ -10,12 +10,23 @@ from noethops.poly import (
     Poly,
     PolyParseError,
     RationalFunction,
+    mono_div,
+    mono_divides,
+    mono_lcm,
     mono_mul,
     monomials_up_to,
     parse_polynomial,
 )
 
-from oracles import rational_function_fully_normalized
+from oracles import (
+    block_key_by_generator,
+    grevlex_key_by_generator,
+    mono_div_by_zip,
+    mono_divides_by_zip,
+    mono_lcm_by_zip,
+    mono_mul_by_zip,
+    rational_function_fully_normalized,
+)
 
 XY = ["x", "y"]
 
@@ -302,6 +313,31 @@ def test_block_order_matches_the_composite_grevlex_key(nvars):
         for eliminated in itertools.combinations(range(nvars), size):
             order = Block(eliminated)
             assert sorted(monos, key=order.key) == sorted(monos, key=reference(eliminated))
+
+
+def _same(got, want):
+    """Equal, and with the same types throughout (repr tells int from bool
+    and from Fraction)."""
+    return got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("nvars", range(6))
+def test_monomial_kernels_and_order_keys_match_their_zip_definitions(nvars):
+    # the empty monomial (nvars 0) and the monomial 1 included
+    rng = random.Random(900 + nvars)
+    monos = [(0,) * nvars] + [tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(30)]
+    for a, b in itertools.product(monos, repeat=2):
+        assert _same(mono_mul(a, b), mono_mul_by_zip(a, b))
+        assert _same(mono_lcm(a, b), mono_lcm_by_zip(a, b))
+        assert _same(mono_divides(a, b), mono_divides_by_zip(a, b))
+        lcm = mono_lcm(a, b)
+        assert _same(mono_div(lcm, a), mono_div_by_zip(lcm, a))
+    eliminations = [e for size in range(nvars + 1) for e in itertools.combinations(range(nvars), size)]
+    orders = [(GrevLex(), grevlex_key_by_generator)]
+    orders += [(Block(e), lambda m, e=e: block_key_by_generator(e, m)) for e in eliminations]
+    for order, reference in orders:
+        assert all(_same(order.key(m), reference(m)) for m in monos)
+        assert sorted(monos, key=order.key) == sorted(monos, key=reference)
 
 
 def test_poly_format_roundtrip():
