@@ -7,8 +7,9 @@ in closed form: d^alpha x^m = m!/(m - alpha)! * x^(m - alpha), and 0 when
 some m_i < alpha_i.  An operator acts on P.  An `OperatorSet` holds the one
 target modulus and reads every value modulo it, so "delta(f) = 0 in R_red"
 is a normal-form test.  A degree-truncated kernel of a set is a
-`TruncatedSubspace` (`operator_kernel`), whose `first_outside` decides
-containment in an ideal for the colons and the verification alike.
+`TruncatedSubspace` (`operator_kernel`, kept per condition ideal and bound),
+whose `first_outside` decides containment in an ideal for the colons and
+the verification alike, reading the basis only up to the witness.
 
 The text syntax writes d<var> for the derivative in that variable, e.g.
 "y*dx*dy + 1" or "dx^2"; juxtaposition with '*' is formal (coefficients to
@@ -163,13 +164,15 @@ class DiffOp:
 class OperatorSet:
     """Operators read modulo one target modulus, which only the set holds,
     and the primary component they were computed from, if any.  Read-only,
-    so the values cached per degree bound stay the set's."""
+    so what it keeps stays the set's: values per degree bound, and kernels
+    per (condition ideal handle, degree bound), built by `operator_kernel`."""
 
     ops: tuple[DiffOp, ...]
     modulus: IdealHandle
     component: PrimaryComponent | None = None
     # degree bound -> (monomials, per monomial [op(x^m) for each op])
     _on_monomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -243,7 +246,6 @@ class TruncatedSubspace:
         self.degree_bound = degree_bound
         self.monos = monos
         self.reduced, self.pivots = reduced, pivots
-        self._index = {m: j for j, m in enumerate(monos)}
 
     @classmethod
     def from_polynomials(cls, nvars: int, degree_bound: int, polys: Sequence[Poly]) -> "TruncatedSubspace":
@@ -262,9 +264,17 @@ class TruncatedSubspace:
         return len(self.monos) - len(self.pivots)
 
     @functools.cached_property
+    def _index(self) -> dict[Mono, int]:
+        return {m: j for j, m in enumerate(self.monos)}
+
+    @functools.cached_property
     def basis(self) -> list[Poly]:
-        vectors = linalg.kernel_rref(self.reduced, len(self.monos))
-        return [Poly(self.nvars, {self.monos[j]: c for j, c in sorted(v.items())}) for v in vectors]
+        return list(self._basis_polys())
+
+    def _basis_polys(self):
+        """The elements of `basis`, built one at a time."""
+        for v in linalg.iter_kernel_rref(self.reduced, len(self.monos)):
+            yield Poly(self.nvars, {self.monos[j]: c for j, c in sorted(v.items())})
 
     def contains_poly(self, f: Poly) -> bool:
         if any(m not in self._index for m in f.terms):
@@ -285,8 +295,8 @@ class TruncatedSubspace:
         read off the ideal's memoised forms.  So S lies in the ideal exactly
         when N vanishes on it, that is when every row of N lies in the row
         space of the equations.  Only a refuted containment reads the basis,
-        for its witness; a basis wholly inside contradicts the equations, an
-        arithmetic bug.
+        for its witness, and only up to it; a basis wholly inside contradicts
+        the equations, an arithmetic bug.
         """
         forms: dict[Mono, dict] = {}
         for j, m in enumerate(self.monos):
@@ -294,7 +304,7 @@ class TruncatedSubspace:
                 forms.setdefault(t, {})[j] = c
         if all(linalg.in_row_space(self.reduced, self.pivots, row) for row in forms.values()):
             return None
-        for f in self.basis:
+        for f in self._basis_polys():
             if ideal.normal_form(f):
                 return f
         raise ArithmeticBugError("the kernel's equations put it outside the ideal, but every basis element lies inside")
@@ -308,8 +318,13 @@ def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> TruncatedSub
 
     `cond` must contain the set's modulus: the values op(x^m) are shared by
     every call at this D (`OperatorSet.on_monomials`) and already reduced by
-    the modulus, so only their normal forms by `cond` are taken here.
+    the modulus, so only their normal forms by `cond` are taken here.  The
+    kernel depends on nothing else, so the set keeps it, one per (handle of
+    `cond`, D): shifts (n, c) and (n + 1, c - 1) share their colon.
     """
+    kernel = ops._kernels.get((cond, D))
+    if kernel is not None:
+        return kernel
     monos, values = ops.on_monomials(D)
     rows: dict[tuple[int, Mono], dict] = {}
     for j, per_op in enumerate(values):
@@ -319,7 +334,7 @@ def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> TruncatedSub
             for out_mono, c in cond.normal_form(value).terms.items():
                 rows.setdefault((i, out_mono), {})[j] = c
     ordered = [rows[k] for k in sorted(rows, key=lambda k: (k[0], GrevLex().key(k[1])))]
-    return TruncatedSubspace(cond.nvars, D, monos, *linalg.rref(ordered, len(monos)))
+    return ops._kernels.setdefault((cond, D), TruncatedSubspace(cond.nvars, D, monos, *linalg.rref(ordered, len(monos))))
 
 
 def first_not_killed(ops: OperatorSet, gens: Sequence[Poly], target: IdealHandle | None = None) -> Poly | None:

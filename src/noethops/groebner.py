@@ -10,10 +10,12 @@ The returned basis is the reduced Groebner basis, which is unique for a
 given ideal and order, so output never depends on traversal details.  An
 ideal handle keeps its basis and the basis' leading terms, the basis under
 any other order it was asked for (elimination), and the normal forms of
-the monomials it has reduced: NF(x^m) is built from the normal form of one
-divisor x^m / x_j, and NF(f) is the sum of its terms' forms.  Buchberger
-itself keeps the leading terms of its growing basis for every reduction;
-`ideal_power` builds each n-fold product from its (n-1)-fold prefix.
+the monomials it has reduced: 0 or x^m by divisibility when the basis is
+monomial, and otherwise built from the normal form of one divisor
+x^m / x_j; NF(f) is the sum of its terms' forms.  Buchberger itself keeps
+the leading terms of its growing basis for every reduction; `ideal_power`
+builds each n-fold product from its (n-1)-fold prefix, and the handle keeps
+those levels of products for its higher powers.
 
 Ideals of a quotient ring R = P/N are represented by generator lists in the
 ambient polynomial ring P.  Membership "in R" or "in R_red = P/rad" goes
@@ -209,14 +211,15 @@ class IdealHandle:
     (grevlex, any other order asked for once, and over F = Q(u) for
     `noetherian`) and the normal forms of the monomials reduced so far.
 
-    NF(x^m) comes from the normal form of one divisor: with x_j the first
-    variable of x^m, NF(x^m) is 0 when NF(x^m / x_j) is, and otherwise the
-    reduction of x_j * NF(x^m / x_j), a few standard terms.  NF(f) is then
-    the sum of c * NF(x^m) over the terms of f.  The basis is fixed and
-    normal forms are unique, so this is the same polynomial a reduction of f
-    gives (Faugere, Gianni, Lazard and Mora 1993)."""
+    Modulo a monomial basis NF(x^m) is 0 or x^m.  Otherwise it comes from
+    the normal form of one divisor: with x_j the first variable of x^m,
+    NF(x^m) is 0 when NF(x^m / x_j) is, and otherwise the reduction of
+    x_j * NF(x^m / x_j), a few standard terms.  NF(f) is then the sum of
+    c * NF(x^m) over the terms of f.  The basis is fixed and normal forms
+    are unique, so this is the same polynomial a reduction of f gives
+    (Faugere, Gianni, Lazard and Mora 1993)."""
 
-    __slots__ = ("nvars", "gens", "_gb", "_leads", "_bases", "_field_bases", "_forms")
+    __slots__ = ("nvars", "gens", "_gb", "_leads", "_zero_form", "_bases", "_field_bases", "_forms", "_products")
     ORDER = GrevLex()
 
     def __init__(self, nvars: int, gens: Iterable[Poly]):
@@ -227,15 +230,19 @@ class IdealHandle:
                 raise ValueError("generator has wrong number of variables")
         self._gb: list[Poly] | None = None
         self._leads: list[tuple[Mono, object]] = []
+        self._zero_form: Poly | None = None  # shared by the forms, when the basis is monomial
         self._bases: dict[MonomialOrder, list[Poly]] = {}
         self._field_bases: dict[tuple, list[Poly]] = {}  # by (dependent, independent) variables
         self._forms: dict[Mono, Poly] = {}
+        self._products: list[list[tuple[int, Poly]]] = []  # `ideal_power`'s levels
 
     @property
     def gb(self) -> list[Poly]:
         if self._gb is None:
             self._gb = self.basis(self.ORDER)
             self._leads = [g.leading(self.ORDER) for g in self._gb]
+            if all(len(g.terms) == 1 for g in self._gb):
+                self._zero_form = Poly.zero(self.nvars)
         return self._gb
 
     def basis(self, order: MonomialOrder) -> list[Poly]:
@@ -257,14 +264,18 @@ class IdealHandle:
         return Poly(f.nvars, out)
 
     def monomial_form(self, m: Mono) -> Poly:
-        """NF(x^m), memoised.  Walks down x^m, x^m / x_j, ... to the nearest
-        divisor already known (or 1) in a loop, then reduces back up, one
-        `_reduce` per new monomial."""
+        """NF(x^m), memoised: by divisibility modulo a monomial basis, else
+        walking down x^m, x^m / x_j, ... to the nearest divisor already
+        known (or 1) in a loop, then reducing back up, one `_reduce` each."""
         forms = self._forms
         form = forms.get(m)
         if form is not None:
             return form
         gb, leads = self.gb, self._leads
+        if self._zero_form is not None:
+            divisible = any(mono_divides(lead, m) for lead, _ in leads)
+            form = forms[m] = self._zero_form if divisible else Poly.monomial(self.nvars, m)
+            return form
         chain = []
         while form is None and any(m):
             j = next(i for i, e in enumerate(m) if e)
@@ -315,15 +326,18 @@ def split_poly_list(text: str) -> list[str]:
 def ideal_power(I: IdealHandle, n: int) -> IdealHandle:
     """I^n, generated by the n-fold products of generators in the order of
     `combinations_with_replacement`, each its (n-1)-fold prefix times one
-    generator, repeats dropped; I^0 = (1)."""
+    generator, repeats dropped; I^0 = (1).  The handle keeps the levels of
+    products built so far, so I^n grows from the highest one kept."""
     if n < 0:
         raise ValueError("negative ideal power")
     if n == 0:
         return IdealHandle(I.nvars, [Poly.one(I.nvars)])
-    products = list(enumerate(I.gens))  # (index of the last factor, product)
-    for _ in range(n - 1):
-        products = [(j, p * g) for i, p in products for j, g in enumerate(I.gens[i:], i)]
-    return IdealHandle(I.nvars, dict.fromkeys(p for _, p in products))
+    levels = I._products  # level k: (index of the last factor, product) of the (k+1)-fold products
+    if not levels:
+        levels.append(list(enumerate(I.gens)))
+    while len(levels) < n:
+        levels.append([(j, p * g) for i, p in levels[-1] for j, g in enumerate(I.gens[i:], i)])
+    return IdealHandle(I.nvars, dict.fromkeys(p for _, p in levels[n - 1]))
 
 
 def is_subideal(I: IdealHandle, J: IdealHandle) -> bool:

@@ -70,6 +70,11 @@ def kernel_basis(rows: list[Row], ncols: int) -> list[Row]:
     its free column and the negated pivot-row entries of column j at the
     pivot columns.  Each vector's keys ascend.
     """
+    return list(_kernel_vectors(rows, ncols, range(ncols)))
+
+
+def _kernel_vectors(rows: list[Row], ncols: int, columns):
+    """`kernel_basis`'s vectors, one per free column as `columns` lists them."""
     reduced, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
     at_pivots: dict[int, list] = {}  # free column -> [(pivot column, entry)]
@@ -77,19 +82,23 @@ def kernel_basis(rows: list[Row], ncols: int) -> list[Row]:
         for col, x in row.items():
             if col != pc:
                 at_pivots.setdefault(col, []).append((pc, -x))
-    basis = []
-    for col in range(ncols):
+    for col in columns:
         if col in pivot_set:
             continue
         # pivots ascend, and a row has entries only right of its pivot
         entries = at_pivots.get(col, [])
         entries.append((col, Fraction(1)))
-        basis.append(dict(entries))
-    return basis
+        yield dict(entries)
 
 
 def kernel_rref(rows: list[Row], ncols: int) -> list[Row]:
-    """The reduced row echelon form of {v : M v = 0}, pivots ascending.
+    """The reduced row echelon form of {v : M v = 0}, pivots ascending."""
+    return list(iter_kernel_rref(rows, ncols))
+
+
+def iter_kernel_rref(rows: list[Row], ncols: int):
+    """`kernel_rref`'s rows, one at a time and in order, so that a reader
+    that stops early builds no row after the last it takes.
 
     With the columns reversed, `kernel_basis` has 1 at each vector's last
     column and 0 at the other vectors' last columns; mapped back, that is
@@ -98,7 +107,8 @@ def kernel_rref(rows: list[Row], ncols: int) -> list[Row]:
     """
     last = ncols - 1
     flipped = [{last - col: x for col, x in row.items()} for row in rows]
-    return [{last - col: v[col] for col in reversed(v)} for v in reversed(kernel_basis(flipped, ncols))]
+    for v in _kernel_vectors(flipped, ncols, reversed(range(ncols))):
+        yield {last - col: v[col] for col in reversed(v)}
 
 
 def in_row_space(reduced: list[Row], pivots: list[int], v: Row) -> bool:

@@ -11,7 +11,7 @@ A truncated colon is the operator set's truncated kernel (`operator_kernel`,
 read modulo the set's modulus, which must be rad), kept as its equations.
 Its containment in J^n + N is decided on them by
 `TruncatedSubspace.first_outside`, as in the verification of Noetherian
-operators; only a refuted containment reads the colon's basis, for its
+operators; only a refuted containment reads the colon's basis, up to its
 witness.
 """
 

@@ -468,3 +468,28 @@ def first_not_killed_by_scaling(ops: OperatorSet, gens, target: IdealHandle | No
                 if ideal.normal_form(op.apply(h)):
                     return h
     return None
+
+
+def monomial_form_by_chain_walk(I: IdealHandle, m: Mono, forms: dict) -> Poly:
+    """`IdealHandle.monomial_form` by the chain walk, whatever the basis:
+    down x^m, x^m / x_j, ... to a divisor already in `forms` (or 1), then
+    one reduction per monomial back up, each memoised in `forms`."""
+    form = forms.get(m)
+    if form is not None:
+        return form
+    gb, order = I.gb, IdealHandle.ORDER
+    leads = [g.leading(order) for g in gb]
+    chain = []
+    while form is None and any(m):
+        j = next(i for i, e in enumerate(m) if e)
+        chain.append((m, j))
+        m = m[:j] + (m[j] - 1,) + m[j + 1 :]
+        form = forms.get(m)
+    if form is None:  # walked down to 1
+        form = forms[m] = groebner._reduce(Poly.one(I.nvars), gb, leads, order)
+    for m, j in reversed(chain):
+        if form:
+            shifted = {t[:j] + (t[j] + 1,) + t[j + 1 :]: c for t, c in form.terms.items()}
+            form = groebner._reduce(Poly(I.nvars, shifted), gb, leads, order)
+        forms[m] = form
+    return form

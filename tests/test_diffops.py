@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 import noethops
 from noethops import diffops, linalg, noetherian, uniformity
-from noethops.configs import load_experiment_config
+from noethops.configs import load_experiment_config, run_experiment_config
 from noethops.diffops import (
     ArithmeticBugError,
     DiffOp,
@@ -279,6 +280,39 @@ def test_operator_kernel_shares_values_across_conditions(ring_x2):
     assert len(set(dims)) == 3
 
 
+def test_operator_kernel_is_kept_per_condition_and_degree_bound(ring_x2):
+    # the same (condition handle, D) returns the kept kernel; another D, or
+    # another handle, even of the same generators, builds a new one, equal
+    # to the kernel a fresh set builds
+    text = "1; dx; y*dx^2 + x*dy"
+    ops = parse_operator_set(text, XY, ring_x2.rad)
+    cond = ideal("x", "y^2")
+    S = operator_kernel(ops, cond, 4)
+    assert operator_kernel(ops, cond, 4) is S
+    for other, D in ((cond, 5), (ideal("x", "y^2"), 4), (ideal("x", "y^3"), 4), (ring_x2.rad, 4)):
+        T = operator_kernel(ops, other, D)
+        assert T is not S and operator_kernel(ops, other, D) is T
+        fresh = operator_kernel(parse_operator_set(text, XY, ring_x2.rad), other, D)
+        assert (T.monos, T.reduced, T.pivots) == (fresh.monos, fresh.reduced, fresh.pivots)
+
+
+def test_shipped_configs_build_each_truncated_kernel_once(monkeypatch):
+    # a colon depends only on its condition ideal: the 68 colons and
+    # verifications of the six shipped configs need 34 kernels
+    built = []
+    rref = linalg.rref
+
+    def counting(rows, ncols):
+        if sys._getframe(1).f_code.co_name == "operator_kernel":
+            built.append(ncols)
+        return rref(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    for path in sorted((Path(__file__).parents[1] / "configs").glob("*.json")):
+        run_experiment_config(load_experiment_config(str(path)))
+    assert len(built) == 34
+
+
 # --- order lemma ---------------------------------------------------------------
 
 
@@ -324,6 +358,42 @@ def test_first_outside_with_a_basis_inside_is_an_arithmetic_bug(ring_x2, monkeyp
     monkeypatch.setattr(linalg, "in_row_space", lambda reduced, pivots, v: False)
     with pytest.raises(ArithmeticBugError):
         S.first_outside(ring_x2.rad)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_first_outside_reads_the_basis_only_up_to_the_witness(seed, monkeypatch):
+    # on seeded kernels and ideals, the witness is the first basis element
+    # outside the ideal, and no basis vector after it is built; a contained
+    # kernel builds none
+    rng = random.Random(990 + seed)
+    nvars = 2 + seed % 2
+    ops = [DiffOp.identity(nvars), DiffOp.partial(nvars, mono_unit(nvars, seed % nvars))]
+    ops = OperatorSet(ops[: 1 + seed % 2], IdealHandle(nvars, []))
+    cond = IdealHandle(nvars, [random_polynomial(rng, nvars, 2, 3) * Poly.variable(nvars, i) for i in range(2)])
+    S = operator_kernel(ops, cond, 4)
+    # the ideal of the first k basis elements holds them, so its witness
+    # comes later; the zero ideal's is the first element
+    targets = [cond, IdealHandle(nvars, [])] + [IdealHandle(nvars, S.basis[:k]) for k in (1, 2, 3, 5, 8)]
+    targets += [IdealHandle(nvars, [random_polynomial(rng, nvars, 2, 2) for _ in range(2)]) for _ in range(2)]
+    wants = [next((f for f in S.basis if target.normal_form(f)), None) for target in targets]
+    assert wants[0] is None and wants[1] is not None
+    read = []
+    reader = linalg.iter_kernel_rref
+
+    def counting(rows, ncols):
+        for v in reader(rows, ncols):
+            read.append(v)
+            yield v
+
+    monkeypatch.setattr(linalg, "iter_kernel_rref", counting)
+    for target, want in zip(targets, wants):
+        read.clear()
+        got = S.first_outside(target)
+        if want is None:
+            assert got is None and read == []
+        else:
+            assert typed_terms(got) == typed_terms(want)
+            assert len(read) == S.basis.index(want) + 1
 
 
 _FIRST_OUTSIDE_FAULT_UNDER_O = """

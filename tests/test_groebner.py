@@ -24,7 +24,7 @@ from noethops.groebner import (
 from noethops.poly import Block, GrevLex, Poly, RationalFunction, monomials_up_to
 
 from conftest import P, ideal, random_polynomial, typed_terms
-from oracles import ideal_power_by_reduce, scan_buchberger
+from oracles import ideal_power_by_reduce, monomial_form_by_chain_walk, scan_buchberger
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -330,6 +330,49 @@ def test_memoised_normal_forms_reduce_each_monomial_at_most_once(monkeypatch):
         assert forms == [normal_form(Poly.monomial(3, m), handle.gb, GrevLex()) for m in reversed(monos)]
 
 
+@pytest.mark.parametrize("nvars", range(1, 5))
+def test_monomial_forms_by_divisibility_match_the_chain_walk(nvars, monkeypatch):
+    # seeded monomial ideals with scaled generators, and the zero and unit
+    # ideals: every form up to degree 8, with its coefficient types, and no
+    # reduction at all once the basis is known
+    rng = random.Random(960 + nvars)
+    gen_monos, monos = monomials_up_to(nvars, 3)[1:], monomials_up_to(nvars, 8)
+    cases = [[], [Poly.constant(nvars, _q_coefficient(rng))]]
+    for _ in range(6):
+        picks = [gen_monos[rng.randrange(len(gen_monos))] for _ in range(rng.randint(1, 4))]
+        cases.append([Poly.monomial(nvars, m, _q_coefficient(rng)) for m in picks])
+    calls = []
+    reduce = groebner._reduce
+    monkeypatch.setattr(groebner, "_reduce", lambda *args: calls.append(args) or reduce(*args))
+    for gens in cases:
+        handle = IdealHandle(nvars, gens)
+        handle.gb  # Buchberger's own reductions are not counted
+        calls.clear()
+        got = [handle.monomial_form(m) for m in reversed(monos)]
+        assert calls == []
+        want_forms: dict = {}
+        want = [monomial_form_by_chain_walk(handle, m, want_forms) for m in reversed(monos)]
+        assert list(map(typed_terms, got)) == list(map(typed_terms, want))
+        assert len({id(f) for f in got if not f}) <= 1  # one zero form per handle
+
+
+def test_a_handle_with_a_non_monomial_basis_takes_the_chain_walk(monkeypatch):
+    # a monomial generator list whose basis is not monomial, and a binomial
+    # one: forms come from reductions, equal to the walk's
+    for gens in ([P("x^2 - x*y", XYZ), P("x*z", XYZ)], [P("x^2 + y*z", XYZ), P("y^3", XYZ)]):
+        handle = IdealHandle(3, gens)
+        assert any(len(g.terms) > 1 for g in handle.gb)
+        calls = []
+        reduce = groebner._reduce
+        monkeypatch.setattr(groebner, "_reduce", lambda *args: calls.append(args) or reduce(*args))
+        got = [handle.monomial_form(m) for m in monomials_up_to(3, 5)]
+        assert calls
+        monkeypatch.undo()
+        forms: dict = {}
+        want = [monomial_form_by_chain_walk(handle, m, forms) for m in monomials_up_to(3, 5)]
+        assert list(map(typed_terms, got)) == list(map(typed_terms, want))
+
+
 def test_bases_under_other_orders_are_kept_per_handle(monkeypatch):
     calls = []
     run = groebner.buchberger
@@ -378,6 +421,24 @@ def test_ideal_power_from_prefixes_matches_products_folded_from_scratch(nvars):
         for n in range(4):
             got, want = ideal_power(I, n).gens, ideal_power_by_reduce(I, n).gens
             assert list(map(typed_terms, got)) == list(map(typed_terms, want)), (nvars, n)
+
+
+def test_ideal_power_extends_the_product_levels_kept_on_the_handle(monkeypatch):
+    # powers asked for in any order build each level of products once per
+    # handle, and give the generator tuples of products folded from scratch
+    rng = random.Random(955)
+    gens = [random_polynomial(rng, 3, 2, 3) for _ in range(3)]
+    I = IdealHandle(3, gens + [gens[0]])
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    powers = {n: ideal_power(I, n) for n in (3, 1, 5, 0, 2, 5, 4)}
+    # the k-fold products of 4 generators, for k = 2..5
+    assert len(products) == 10 + 20 + 35 + 56
+    monkeypatch.undo()
+    for n, power in powers.items():
+        want = ideal_power_by_reduce(IdealHandle(3, I.gens), n).gens
+        assert list(map(typed_terms, power.gens)) == list(map(typed_terms, want)), n
 
 
 def _shipped_rings():

@@ -162,3 +162,22 @@ def test_sparse_matches_dense_on_edge_shapes(field):
     ]
     for dense_rows, ncols in shapes:
         _assert_agrees_with_dense(dense_rows, ncols, field, rng)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_kernel_rref_reader_yields_the_kernel_rref_in_order(seed):
+    # `kernel_rref` is a list of what the reader yields, which is the dense
+    # kernel's RREF, row by row
+    rng = random.Random(2000 + seed)
+    entry, zero, one = field = QU_FIELD if seed % 4 == 3 else Q_FIELD
+    nrows, ncols = (rng.randint(1, 5), rng.randint(1, 6)) if field is QU_FIELD else (rng.randint(1, 12), rng.randint(1, 14))
+    dense_rows = _random_matrix(rng, nrows, ncols, entry, zero)
+    rows = [_sparse(row) for row in dense_rows]
+    listed = linalg.kernel_rref(rows, ncols)
+    assert isinstance(listed, list)
+    reader = linalg.iter_kernel_rref(rows, ncols)
+    read = [next(reader) for _ in listed]
+    assert next(reader, None) is None
+    assert read == listed
+    want = dense_rref(dense_kernel_basis(dense_rows, ncols, one, zero), ncols)[0]
+    assert [_dense(v, ncols, zero) for v in read] == want
