@@ -62,16 +62,6 @@ class DiffOp:
                 merged[alpha] = coeff if prev is None else prev + coeff
         self.terms = {a: merged[a] for a in sorted(merged, key=GrevLex().key) if merged[a]}
 
-    # construction --------------------------------------------------------
-
-    @classmethod
-    def identity(cls, nvars: int) -> "DiffOp":
-        return cls(nvars, {(0,) * nvars: Poly.one(nvars)})
-
-    @classmethod
-    def partial(cls, nvars: int, alpha: Mono) -> "DiffOp":
-        return cls(nvars, {tuple(alpha): Poly.one(nvars)})
-
     # structure -----------------------------------------------------------
 
     @property
@@ -232,13 +222,17 @@ def parse_operator_set(text: str, var_names: Sequence[str], modulus: IdealHandle
 
 
 class TruncatedSubspace:
-    """Linear subspace S of P_<=D, held as its equations: the reduced row
-    echelon form of a matrix whose kernel, over the fixed ascending monomial
-    enumeration, is S.  So dim S is the number of columns minus the rank.
+    """Linear subspace S of P_<=D, held as its equations: the reduced
+    echelon form, each row's pivot its last nonzero column (`linalg.rref`
+    with `last_leading`), of a matrix whose kernel, over the fixed ascending
+    monomial enumeration, is S.  So dim S is the number of columns minus
+    the rank.
 
     `basis` is S's own reduced row echelon basis, pivots ascending, so that
     it (and the first witness read off it) does not depend on how S was
-    given; it is read off the equations when first asked for.
+    given.  That form of the equations holds it already: its kernel vectors,
+    read one free column at a time (`linalg.kernel_vectors`), are that
+    basis, built only when asked for.
     """
 
     def __init__(self, nvars: int, degree_bound: int, monos: list[Mono], reduced: list[dict], pivots: list[int]):
@@ -247,25 +241,9 @@ class TruncatedSubspace:
         self.monos = monos
         self.reduced, self.pivots = reduced, pivots
 
-    @classmethod
-    def from_polynomials(cls, nvars: int, degree_bound: int, polys: Sequence[Poly]) -> "TruncatedSubspace":
-        """The span of `polys`, whose equations are the annihilator of the
-        span: the kernel of the matrix with the polynomials as rows."""
-        monos = monomials_up_to(nvars, degree_bound)
-        index = {m: j for j, m in enumerate(monos)}
-        if any(m not in index for p in polys for m in p.terms):
-            raise ValueError("polynomial exceeds the degree bound")
-        rows = [{index[m]: c for m, c in p.terms.items()} for p in polys]
-        equations = linalg.kernel_basis(rows, len(monos))
-        return cls(nvars, degree_bound, monos, *linalg.rref(equations, len(monos)))
-
     @property
     def dim(self) -> int:
         return len(self.monos) - len(self.pivots)
-
-    @functools.cached_property
-    def _index(self) -> dict[Mono, int]:
-        return {m: j for j, m in enumerate(self.monos)}
 
     @functools.cached_property
     def basis(self) -> list[Poly]:
@@ -273,17 +251,8 @@ class TruncatedSubspace:
 
     def _basis_polys(self):
         """The elements of `basis`, built one at a time."""
-        for v in linalg.iter_kernel_rref(self.reduced, len(self.monos)):
-            yield Poly(self.nvars, {self.monos[j]: c for j, c in sorted(v.items())})
-
-    def contains_poly(self, f: Poly) -> bool:
-        if any(m not in self._index for m in f.terms):
-            return False
-        v = {self._index[m]: c for m, c in f.terms.items()}
-        return not any(sum(x * v[col] for col, x in row.items() if col in v) for row in self.reduced)
-
-    def contains_subspace(self, other: "TruncatedSubspace") -> bool:
-        return all(self.contains_poly(f) for f in other.basis)
+        for v in linalg.kernel_vectors(self.reduced, self.pivots, len(self.monos)):
+            yield Poly(self.nvars, {self.monos[j]: c for j, c in v.items()})
 
     def first_outside(self, ideal: IdealHandle) -> Poly | None:
         """The first element of `basis` outside the ideal; None when S lies
@@ -312,9 +281,11 @@ class TruncatedSubspace:
 
 def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> TruncatedSubspace:
     """{f in P_<=D : NF(op(f), cond) = 0 for every op}, held as the reduced
-    row echelon form of the matrix M whose kernel, over the ascending
-    monomial enumeration of P_<=D, is this space.  M has one row per
-    (operator, monomial of NF(op(x^m), cond)) and one column per x^m.
+    echelon form with last-column pivots (`TruncatedSubspace`) of the matrix
+    M whose kernel, over the ascending monomial enumeration of P_<=D, is
+    this space.  M has one row per (operator, monomial of NF(op(x^m),
+    cond)) and one column per x^m.  That one row reduction serves the
+    containment test and the basis alike.
 
     `cond` must contain the set's modulus: the values op(x^m) are shared by
     every call at this D (`OperatorSet.on_monomials`) and already reduced by
@@ -334,7 +305,8 @@ def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> TruncatedSub
             for out_mono, c in cond.normal_form(value).terms.items():
                 rows.setdefault((i, out_mono), {})[j] = c
     ordered = [rows[k] for k in sorted(rows, key=lambda k: (k[0], GrevLex().key(k[1])))]
-    return ops._kernels.setdefault((cond, D), TruncatedSubspace(cond.nvars, D, monos, *linalg.rref(ordered, len(monos))))
+    equations = linalg.rref(ordered, len(monos), last_leading=True)
+    return ops._kernels.setdefault((cond, D), TruncatedSubspace(cond.nvars, D, monos, *equations))
 
 
 def first_not_killed(ops: OperatorSet, gens: Sequence[Poly], target: IdealHandle | None = None) -> Poly | None:

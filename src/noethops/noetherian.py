@@ -75,7 +75,9 @@ class ComponentMismatchError(ValueError):
 @dataclass(frozen=True)
 class PrimaryComponent:
     """A claimed p-primary ideal Q together with a declared independent
-    variable set (p meets the subring on those variables in 0)."""
+    variable set (p meets the subring on those variables in 0).  Q is
+    checked, once, to equal its contraction from F = Q(independent
+    variables), so what holds for Q over F holds for Q itself."""
 
     Q: IdealHandle
     p: IdealHandle
@@ -90,6 +92,8 @@ class PrimaryComponent:
             dep = self.dependent
             if not eliminate(self.p, dep).is_zero():
                 raise ComponentMismatchError("declared independent variables are not independent for the prime")
+            if not _is_contracted(self.Q, dep, self.independent):
+                raise ValueError("claimed primary ideal is not primary to its prime")
 
     @property
     def dependent(self) -> tuple[int, ...]:
@@ -239,9 +243,9 @@ def _dual_vectors(gb: list[Poly], colength: int, point: list, one):
     m^degree lies in Q; an m-primary Q of colength L holds m^L.  The
     functionals "coefficient of a standard monomial in NF" span the dual
     space; over the shifted monomials `monos` their rows are the
-    coefficients of the NF((x - r)^alpha).  The echelon form with the last
-    column leading is the canonical kernel basis: `one` at each vector's
-    last column, 0 at the other vectors' last columns.
+    coefficients of the NF((x - r)^alpha).  Their reduced echelon form with
+    last-column pivots is the canonical basis: `one` at each vector's last
+    column, 0 at the other vectors' last columns.
     """
     ndep = len(point)
     linears = [Poly(ndep, {mono_unit(ndep, j): one, mono_zero(ndep): -r}) for j, r in enumerate(point)]
@@ -259,18 +263,14 @@ def _dual_vectors(gb: list[Poly], colength: int, point: list, one):
             forms[alpha] = form
             layer.append(form)
     monos = monomials_up_to(ndep, degree - 1)
-    last = len(monos) - 1
     rows: dict[Mono, dict] = {}
     for col, alpha in enumerate(monos):
         for s, c in forms[alpha].terms.items():
-            rows.setdefault(s, {})[last - col] = c
-    reduced, pivots = linalg.rref(list(rows.values()), len(monos))
-    vectors = []
-    for row, pc in zip(reversed(reduced), reversed(pivots)):
-        vector = {last - k: row[k] for k in sorted(row, reverse=True)}
-        vector[last - pc] = one
-        vectors.append(vector)
-    return monos, vectors
+            rows.setdefault(s, {})[col] = c
+    reduced, pivots = linalg.rref(list(rows.values()), len(monos), last_leading=True)
+    for row, pc in zip(reduced, pivots):
+        row[pc] = one
+    return monos, [dict(sorted(row.items())) for row in reduced]
 
 
 def _is_contracted(Q: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...]) -> bool:
@@ -306,8 +306,9 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
     point cut out by the prime, with denominators cleared to polynomial
     coefficients (harmless: they avoid the prime).  With no independent
     variables F = Q and this is the dual space at a point.  Raises
-    ValueError when Q is not primary to that point over F, or is primary
-    only over F (a component of Q meets the independent variables)."""
+    ValueError when Q is not primary to that point over F.  (That Q equals
+    its contraction from F, so is primary over Q as well, was checked when
+    the component was built.)"""
     dep = comp.dependent
     indep = comp.independent
     nvars = comp.Q.nvars
@@ -315,8 +316,6 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
     point = _rational_point_of_prime(comp.p, dep, indep)
     gb, colength = _basis_over_field(comp.Q, dep, indep), _colength_over_field(comp.Q, dep, indep)
     monos, vectors = _dual_vectors(gb, colength, point, _field_element(Poly.one(nindep)))
-    if not _is_contracted(comp.Q, dep, indep):
-        raise ValueError("claimed primary ideal is not primary to its prime")
 
     ops = []
     for v in vectors:
@@ -437,8 +436,8 @@ def _exact_space(a: IdealHandle, ops: OperatorSet) -> _CoefficientSpace | None:
     unavailable: no rational point, a not zero-dimensional over F, or a not
     equal to its contraction from F.  F = Q(u), u the independent variables
     of the set's component (none without one).  The contraction check is
-    skipped for the component's own Q, which `noetherian_ops_primary`
-    already made."""
+    skipped for the component's own Q, which `PrimaryComponent` checked
+    when it was built."""
     comp = ops.component
     indep = comp.independent if comp is not None else ()
     dep = tuple(i for i in range(a.nvars) if i not in indep)

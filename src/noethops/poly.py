@@ -283,34 +283,6 @@ class Poly:
                 total = total + v
         return total
 
-    def substitute(self, values: Mapping[int, "Poly | RationalFunction"]):
-        """Evaluate with variable i replaced by values[i]; missing variables
-        are kept.  Returns a Poly, or a RationalFunction when any value is one."""
-        for i in values:
-            if not 0 <= i < self.nvars:
-                raise ValueError(f"unassigned variable index {i}")
-        rational = any(isinstance(v, RationalFunction) for v in values.values())
-
-        def lift(p):
-            if rational and isinstance(p, Poly):
-                return RationalFunction(p)
-            return p
-
-        acc = None
-        for m, c in self.terms.items():
-            term = lift(Poly.constant(self.nvars, c))
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                base = values.get(i)
-                base = lift(base) if base is not None else lift(Poly.variable(self.nvars, i))
-                for _ in range(e):
-                    term = term * base
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return Poly.zero(self.nvars)
-        return acc
-
     # variable bookkeeping ------------------------------------------------
 
     def extend(self, extra: int) -> "Poly":

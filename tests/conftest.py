@@ -12,6 +12,8 @@ from noethops.diffops import DiffOp, OperatorSet, first_not_killed
 from noethops.groebner import IdealHandle, RingSpec, ideal_power
 from noethops.poly import Poly, monomials_up_to
 
+from oracles import identity_op, partial_op
+
 XY = ["x", "y"]
 
 
@@ -88,7 +90,7 @@ def ring_x3() -> RingSpec:
 @pytest.fixture
 def ops_pi_dx(ring_x2) -> OperatorSet:
     """The projection and the projected first derivative, into R_red."""
-    return OperatorSet([DiffOp.identity(2), DiffOp.partial(2, (1, 0))], ring_x2.rad)
+    return OperatorSet([identity_op(2), partial_op(2, (1, 0))], ring_x2.rad)
 
 
 @pytest.fixture

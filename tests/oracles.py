@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from noethops import groebner, linalg, noetherian, poly
 from noethops.closures import _monomial_exponents
-from noethops.diffops import DiffOp, OperatorSet, first_not_killed
+from noethops.diffops import DiffOp, OperatorSet, TruncatedSubspace, first_not_killed
 from noethops.groebner import IdealHandle, NotZeroDimensionalError, standard_monomials
 from noethops.noetherian import NoetherianCertificate
 from noethops.poly import (
@@ -242,7 +242,7 @@ def point_exact_oracle(a: IdealHandle, ops: OperatorSet) -> bool:
     for op in ops:
         values = (modulus.normal_form(op.apply(Poly.monomial(nvars, b))).constant_term() for b in betas)
         rows.append({j: c for j, c in enumerate(values) if c})
-    return linalg.rank(rows, len(betas)) == colength
+    return rank(rows, len(betas)) == colength
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,7 @@ def _value_rank_is_colength(a: IdealHandle, ops: OperatorSet) -> bool:
             if value:
                 row[j] = value
         rows.append(row)
-    return linalg.rank(rows, len(betas)) == colength
+    return rank(rows, len(betas)) == colength
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,7 @@ def truncation_dual_vectors(gens_f: list[Poly], point: list, colength: int, one)
     its free column."""
     ndep = len(point)
     values = {j: Poly(ndep, {mono_unit(ndep, j): one, mono_zero(ndep): r}) for j, r in enumerate(point)}
-    shifted_gens = [g.substitute(values) for g in gens_f]
+    shifted_gens = [substitute(g, values) for g in gens_f]
     max_degree = max((g.degree() for g in shifted_gens), default=0)
     for t in range(colength + max_degree + 2):
         monos = monomials_up_to(ndep, t)
@@ -493,3 +493,79 @@ def monomial_form_by_chain_walk(I: IdealHandle, m: Mono, forms: dict) -> Poly:
             form = groebner._reduce(Poly(I.nvars, shifted), gb, leads, order)
         forms[m] = form
     return form
+
+
+# ---------------------------------------------------------------------------
+# API only the tests use: constructors, membership tests and substitution,
+# kept here so that the package ships only what it calls or exports
+
+
+def identity_op(nvars: int) -> DiffOp:
+    return DiffOp(nvars, {(0,) * nvars: Poly.one(nvars)})
+
+
+def partial_op(nvars: int, alpha: Mono) -> DiffOp:
+    return DiffOp(nvars, {tuple(alpha): Poly.one(nvars)})
+
+
+def rank(rows: list[dict], ncols: int) -> int:
+    return len(linalg.rref(rows, ncols)[1])
+
+
+def subspace_from_polynomials(nvars: int, degree_bound: int, polys) -> TruncatedSubspace:
+    """The span of `polys` as a `TruncatedSubspace`: its equations are the
+    annihilator of the span, the kernel of the matrix with the polynomials
+    as rows, in the echelon form `operator_kernel` keeps."""
+    monos = monomials_up_to(nvars, degree_bound)
+    index = {m: j for j, m in enumerate(monos)}
+    if any(m not in index for p in polys for m in p.terms):
+        raise ValueError("polynomial exceeds the degree bound")
+    rows = [{index[m]: c for m, c in p.terms.items()} for p in polys]
+    equations = linalg.kernel_basis(rows, len(monos))
+    return TruncatedSubspace(nvars, degree_bound, monos, *linalg.rref(equations, len(monos), last_leading=True))
+
+
+def contains_poly(S: TruncatedSubspace, f: Poly) -> bool:
+    """f lies in S: it has no monomial beyond S's degree bound, and every
+    equation vanishes on it."""
+    index = {m: j for j, m in enumerate(S.monos)}
+    if any(m not in index for m in f.terms):
+        return False
+    v = {index[m]: c for m, c in f.terms.items()}
+    return not any(sum(x * v[col] for col, x in row.items() if col in v) for row in S.reduced)
+
+
+def contains_subspace(S: TruncatedSubspace, T: TruncatedSubspace) -> bool:
+    return all(contains_poly(S, f) for f in T.basis)
+
+
+def substitute(f: Poly, values: dict):
+    """Evaluate with variable i replaced by values[i]; missing variables
+    are kept.  Returns a Poly, or a RationalFunction when any value is one."""
+    for i in values:
+        if not 0 <= i < f.nvars:
+            raise ValueError(f"unassigned variable index {i}")
+    rational = any(isinstance(v, poly.RationalFunction) for v in values.values())
+
+    def lift(p):
+        return poly.RationalFunction(p) if rational and isinstance(p, Poly) else p
+
+    acc = None
+    for m, c in f.terms.items():
+        term = lift(Poly.constant(f.nvars, c))
+        for i, e in enumerate(m):
+            if e:
+                base = values.get(i)
+                base = lift(base) if base is not None else lift(Poly.variable(f.nvars, i))
+                for _ in range(e):
+                    term = term * base
+        acc = term if acc is None else acc + term
+    return Poly.zero(f.nvars) if acc is None else acc
+
+
+def dense_rref_last_leading(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
+    """The reduced echelon form pivoting on each row's last nonzero column,
+    in ascending pivot order: `dense_rref` of the rows with their columns
+    reversed, mapped back."""
+    reduced, pivots = dense_rref([row[::-1] for row in rows], ncols)
+    return [row[::-1] for row in reversed(reduced)], [ncols - 1 - pc for pc in reversed(pivots)]

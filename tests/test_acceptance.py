@@ -15,7 +15,7 @@ import pytest
 
 from noethops.closures import monomial_integral_closure, shift_search, symbolic_power
 from noethops.cli import main
-from noethops.diffops import DiffOp, OperatorSet
+from noethops.diffops import OperatorSet
 from noethops.groebner import (
     IdealHandle,
     RingSpec,
@@ -34,7 +34,7 @@ from noethops.poly import Poly, monomials_up_to, parse_polynomial
 from noethops.uniformity import check_reverse, find_min_c, separating_operator
 
 from conftest import P, ideal, order_lemma_witness
-from oracles import monomial_closure_bruteforce_oracle
+from oracles import identity_op, monomial_closure_bruteforce_oracle, partial_op
 
 XY = ["x", "y"]
 
@@ -52,7 +52,7 @@ def ring_x2():
 
 @pytest.fixture
 def ops_pi_dx(ring_x2):
-    return OperatorSet([DiffOp.identity(2), DiffOp.partial(2, (1, 0))], ring_x2.rad)
+    return OperatorSet([identity_op(2), partial_op(2, (1, 0))], ring_x2.rad)
 
 
 def test_criterion_01_zero_dimensional_round_trip():
@@ -112,13 +112,13 @@ def test_criterion_04_reverse_containment(ring_x2, ops_pi_dx):
 def test_criterion_05_order_lemma_regression(ring_x2):
     rad = ring_x2.rad
     fixtures = [
-        (DiffOp.partial(2, (1, 0)), ideal("x - y"), ideal("y"), 2, rad),
-        (DiffOp.identity(2), ideal("x - y"), ideal("y"), 3, rad),
-        (DiffOp.partial(2, (2, 0)), ideal("x"), ideal("x"), 1, None),
+        (partial_op(2, (1, 0)), ideal("x - y"), ideal("y"), 2, rad),
+        (identity_op(2), ideal("x - y"), ideal("y"), 3, rad),
+        (partial_op(2, (2, 0)), ideal("x"), ideal("x"), 1, None),
     ]
     ok = all(order_lemma_witness(delta, J, I, t, modulus) is None for delta, J, I, t, modulus in fixtures)
     # without the modulus dx(x^2) = 2x lies outside (y): the check can refute
-    ok = ok and order_lemma_witness(DiffOp.partial(2, (1, 0)), ideal("x"), ideal("y"), 1) == P("x^2")
+    ok = ok and order_lemma_witness(partial_op(2, (1, 0)), ideal("x"), ideal("y"), 1) == P("x^2")
     _report(5, "order lemma regression", ok)
 
 

@@ -22,7 +22,7 @@ from noethops.poly import Poly, mono_divides
 from noethops.uniformity import find_min_c
 
 from conftest import P, ideal
-from oracles import dilation_member_lp, monomial_closure_bruteforce_oracle
+from oracles import dilation_member_lp, identity_op, monomial_closure_bruteforce_oracle, partial_op
 
 YZ = ["y", "z"]
 
@@ -232,7 +232,7 @@ def test_symb_harness_two_dimensional_reduced_ring():
     ring = RingSpec(tuple(xyz), IdealHandle(3, [P("x^2", xyz)]), rad, (rad,))
     from noethops.diffops import DiffOp, OperatorSet
 
-    ops = OperatorSet([DiffOp.identity(3), DiffOp.partial(3, (1, 0, 0))], rad)
+    ops = OperatorSet([identity_op(3), partial_op(3, (1, 0, 0))], rad)
     J = IdealHandle(3, [P("x - y", xyz), P("z", xyz)])
     rep = shift_search("symbolic", J, ops, ring, 2, 4, 8, dimension=2, witness=Poly.one(3))
     assert all(r.c_min is not None for r in rep.rows)

@@ -1,6 +1,7 @@
 """The package has no runtime dependencies: every module it imports is in
 the standard library or is noethops itself.  Its checks are explicit
-raises, never `assert` statements, so they survive `python -O`."""
+raises, never `assert` statements, so they survive `python -O`.  It ships
+no code that only the tests call."""
 
 import ast
 import sys
@@ -64,3 +65,60 @@ def test_modules_use_every_name_they_import():
     assert files
     unused = {path.name: names for path in files if (names := _unused_imports(path))}
     assert not unused
+
+
+# Methods a library calls by name, which the package itself never reads.
+CALLED_BY_LIBRARIES = {
+    "cli._Parser.error",  # argparse reports usage errors through it
+}
+
+
+def _unread_definitions(package: Path = PACKAGE) -> list[str]:
+    """Functions, classes and methods defined in the package that it never
+    reads.  A module-level definition is read when its module reads its
+    name, another module imports it (and so reads it, by the test above, or
+    re-exports it from `__init__`), or some module reads it as an attribute
+    of its module.  A method is read when some module reads an attribute of
+    that name; special methods are Python's to call."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    read, attributes = set(), set()  # (module, name) pairs; attribute names
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add((stem, node.id))
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    read.add((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                read.update((node.module, alias.name) for alias in node.names)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unread = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, defs):
+                continue
+            if (stem, node.name) not in read:
+                unread.append(f"{stem}.{node.name}")
+            methods = [m.name for m in node.body if isinstance(m, defs)] if isinstance(node, ast.ClassDef) else []
+            for name in methods:
+                special = name.startswith("__") and name.endswith("__")
+                if not special and name not in attributes:
+                    unread.append(f"{stem}.{node.name}.{name}")
+    return sorted(unread)
+
+
+def test_the_package_reads_everything_it_defines():
+    # and every allowlisted method is still there, unread
+    assert _unread_definitions() == sorted(CALLED_BY_LIBRARIES)
+
+
+def test_the_unread_check_reports_a_function_and_a_method_nothing_reads(tmp_path):
+    for path in PACKAGE.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "linalg.py":
+            text += "\n\ndef rank(rows, ncols):\n    return len(rref(rows, ncols)[1])\n"
+        if path.name == "diffops.py":
+            text = text.replace("    def scale(self, factor)", "    def order_one(self):\n        return self\n\n    def scale(self, factor)")
+        (tmp_path / path.name).write_text(text, encoding="utf-8")
+    assert _unread_definitions(tmp_path) == sorted({"diffops.DiffOp.order_one", "linalg.rank", *CALLED_BY_LIBRARIES})

@@ -24,17 +24,23 @@ from noethops.groebner import IdealHandle
 from noethops.poly import Poly, mono_unit, monomials_up_to
 
 from conftest import P, ideal, order_lemma_witness, random_polynomial, run_under_python_O, typed_terms
-from oracles import apply_by_derivatives, first_not_killed_by_scaling
+from oracles import (
+    apply_by_derivatives,
+    first_not_killed_by_scaling,
+    identity_op,
+    partial_op,
+    subspace_from_polynomials,
+)
 
 XY = ["x", "y"]
 
 
 def dx():
-    return DiffOp.partial(2, (1, 0))
+    return partial_op(2, (1, 0))
 
 
 def dy():
-    return DiffOp.partial(2, (0, 1))
+    return partial_op(2, (0, 1))
 
 
 # --- apply -----------------------------------------------------------------
@@ -45,9 +51,9 @@ def test_apply_examples(ring_x2):
     op = parse_operator("y*dx*dy", XY)
     assert op.apply(P("x^2*y")) == P("2*x*y")
     f = P("x^2 + y")
-    assert DiffOp.identity(2).apply(f) == f
+    assert identity_op(2).apply(f) == f
     # an operator acts on P: reading modulo rad is the operator set's
-    read = dict(zip(*OperatorSet([DiffOp.identity(2)], ring_x2.rad).on_monomials(2)))
+    read = dict(zip(*OperatorSet([identity_op(2)], ring_x2.rad).on_monomials(2)))
     assert read[(2, 0)] == [Poly.zero(2)] and read[(0, 2)] == [P("y^2")]
     assert not parse_operator("x*dx - y*dy", XY).apply(P("x*y")).terms
 
@@ -148,7 +154,7 @@ def test_apply_matches_the_derivative_sum_on_shipped_operator_sets(path):
 def test_bracket_examples():
     assert dx().bracket(P("x")) == DiffOp(2, {(0, 0): Poly.one(2)})
     assert not dx().bracket(P("y"))
-    assert DiffOp.partial(2, (1, 1)).bracket(P("x")) == dy()
+    assert partial_op(2, (1, 1)).bracket(P("x")) == dy()
 
 
 def test_bracket_matches_definition():
@@ -255,7 +261,7 @@ def test_operator_format_table(text, printed):
 
 
 def test_operator_kernel_of_projection(ring_x2):
-    ops = OperatorSet([DiffOp.identity(2)], ring_x2.rad)
+    ops = OperatorSet([identity_op(2)], ring_x2.rad)
     S = operator_kernel(ops, ring_x2.rad, 2)
     assert S.monos == monomials_up_to(2, 2)
     assert (S.nvars, S.degree_bound) == (2, 2)
@@ -298,19 +304,20 @@ def test_operator_kernel_is_kept_per_condition_and_degree_bound(ring_x2):
 
 def test_shipped_configs_build_each_truncated_kernel_once(monkeypatch):
     # a colon depends only on its condition ideal: the 68 colons and
-    # verifications of the six shipped configs need 34 kernels
+    # verifications of the six shipped configs need 34 kernels, each held
+    # in the echelon form with last-column pivots
     built = []
     rref = linalg.rref
 
-    def counting(rows, ncols):
+    def counting(rows, ncols, **kwargs):
         if sys._getframe(1).f_code.co_name == "operator_kernel":
-            built.append(ncols)
-        return rref(rows, ncols)
+            built.append(kwargs)
+        return rref(rows, ncols, **kwargs)
 
     monkeypatch.setattr(linalg, "rref", counting)
     for path in sorted((Path(__file__).parents[1] / "configs").glob("*.json")):
         run_experiment_config(load_experiment_config(str(path)))
-    assert len(built) == 34
+    assert built == [{"last_leading": True}] * 34
 
 
 # --- order lemma ---------------------------------------------------------------
@@ -320,8 +327,8 @@ def test_order_lemma_fixtures(ring_x2):
     rad = ring_x2.rad
     fixtures = [
         (dx(), ideal("x - y"), ideal("y"), 2, rad),
-        (DiffOp.identity(2), ideal("x - y"), ideal("y"), 3, rad),
-        (DiffOp.partial(2, (2, 0)), ideal("x"), ideal("x"), 1, None),
+        (identity_op(2), ideal("x - y"), ideal("y"), 3, rad),
+        (partial_op(2, (2, 0)), ideal("x"), ideal("x"), 1, None),
     ]
     for delta, J, I, t, modulus in fixtures:
         assert order_lemma_witness(delta, J, I, t, modulus) is None
@@ -345,7 +352,7 @@ def test_first_outside_reads_the_rref_basis(ring_x2):
     # the kernel of the projection modulo (x, y^2) is spanned by x, y^2, x*y
     # and x^2, which its RREF basis lists in column order; the first one
     # outside (y) is x, and outside (x) it is y^2
-    S = operator_kernel(OperatorSet([DiffOp.identity(2)], ring_x2.rad), ideal("x", "y^2"), 2)
+    S = operator_kernel(OperatorSet([identity_op(2)], ring_x2.rad), ideal("x", "y^2"), 2)
     assert S.basis == [P("x"), P("y^2"), P("x*y"), P("x^2")]
     assert S.first_outside(ideal("y")) == P("x")
     assert S.first_outside(ideal("x")) == P("y^2")
@@ -353,7 +360,7 @@ def test_first_outside_reads_the_rref_basis(ring_x2):
 
 
 def test_first_outside_with_a_basis_inside_is_an_arithmetic_bug(ring_x2, monkeypatch):
-    S = operator_kernel(OperatorSet([DiffOp.identity(2)], ring_x2.rad), ring_x2.rad, 3)
+    S = operator_kernel(OperatorSet([identity_op(2)], ring_x2.rad), ring_x2.rad, 3)
     assert S.first_outside(ring_x2.rad) is None
     monkeypatch.setattr(linalg, "in_row_space", lambda reduced, pivots, v: False)
     with pytest.raises(ArithmeticBugError):
@@ -367,7 +374,7 @@ def test_first_outside_reads_the_basis_only_up_to_the_witness(seed, monkeypatch)
     # kernel builds none
     rng = random.Random(990 + seed)
     nvars = 2 + seed % 2
-    ops = [DiffOp.identity(nvars), DiffOp.partial(nvars, mono_unit(nvars, seed % nvars))]
+    ops = [identity_op(nvars), partial_op(nvars, mono_unit(nvars, seed % nvars))]
     ops = OperatorSet(ops[: 1 + seed % 2], IdealHandle(nvars, []))
     cond = IdealHandle(nvars, [random_polynomial(rng, nvars, 2, 3) * Poly.variable(nvars, i) for i in range(2)])
     S = operator_kernel(ops, cond, 4)
@@ -378,14 +385,14 @@ def test_first_outside_reads_the_basis_only_up_to_the_witness(seed, monkeypatch)
     wants = [next((f for f in S.basis if target.normal_form(f)), None) for target in targets]
     assert wants[0] is None and wants[1] is not None
     read = []
-    reader = linalg.iter_kernel_rref
+    reader = linalg.kernel_vectors
 
-    def counting(rows, ncols):
-        for v in reader(rows, ncols):
+    def counting(reduced, pivots, ncols):
+        for v in reader(reduced, pivots, ncols):
             read.append(v)
             yield v
 
-    monkeypatch.setattr(linalg, "iter_kernel_rref", counting)
+    monkeypatch.setattr(linalg, "kernel_vectors", counting)
     for target, want in zip(targets, wants):
         read.clear()
         got = S.first_outside(target)
@@ -398,12 +405,12 @@ def test_first_outside_reads_the_basis_only_up_to_the_witness(seed, monkeypatch)
 
 _FIRST_OUTSIDE_FAULT_UNDER_O = """
 from noethops import linalg
-from noethops.diffops import ArithmeticBugError, DiffOp, OperatorSet, operator_kernel
+from noethops.diffops import ArithmeticBugError, operator_kernel, parse_operator_set
 from noethops.groebner import IdealHandle
 from noethops.poly import parse_polynomial
 
 x = IdealHandle(2, [parse_polynomial("x", ["x", "y"])])
-S = operator_kernel(OperatorSet([DiffOp.identity(2)], x), x, 3)
+S = operator_kernel(parse_operator_set("1", ["x", "y"], x), x, 3)
 print("contained:", S.first_outside(x))
 linalg.in_row_space = lambda reduced, pivots, v: False
 try:
@@ -438,7 +445,7 @@ def test_colons_and_verification_decide_containment_by_first_outside(ring_x2, op
     assert calls == [(5, a)]
     calls.clear()
     J = ideal("x - y")
-    assert not uniformity.subspace_in_ideal(TruncatedSubspace.from_polynomials(2, 2, [P("y")]), J, ring_x2).contained
+    assert not uniformity.subspace_in_ideal(subspace_from_polynomials(2, 2, [P("y")]), J, ring_x2).contained
     assert calls == [(2, ring_x2.plus_N(J))]
 
 
@@ -449,8 +456,8 @@ def test_first_not_killed_shifts_match_scaling_by_one(nvars, monkeypatch):
     # with the same terms, values and coefficient types (the package's
     # polynomials have Fraction coefficients), and the same witness
     rng = random.Random(970 + nvars)
-    ops = [DiffOp.identity(nvars)] + [DiffOp.partial(nvars, mono_unit(nvars, i)) for i in range(nvars)]
-    ops += [DiffOp.partial(nvars, m) for m in monomials_up_to(nvars, 2) if sum(m) == 2][:3]
+    ops = [identity_op(nvars)] + [partial_op(nvars, mono_unit(nvars, i)) for i in range(nvars)]
+    ops += [partial_op(nvars, m) for m in monomials_up_to(nvars, 2) if sum(m) == 2][:3]
     ops = OperatorSet(ops, IdealHandle(nvars, []))
     gens = [random_polynomial(rng, nvars, 2, 3) for _ in range(3)]
     targets = [IdealHandle(nvars, [random_polynomial(rng, nvars, 2, 2) for _ in range(2)]) for _ in range(3)]

@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from noethops import linalg
 from noethops.poly import Poly, RationalFunction
 
-from oracles import dense_in_row_space, dense_kernel_basis, dense_rref
+from oracles import dense_in_row_space, dense_kernel_basis, dense_rref, dense_rref_last_leading, rank
 
 
 def test_rref_simple():
@@ -22,7 +23,7 @@ def test_kernel_matches_rank_nullity():
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
         dense = [[Fraction(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(nrows)]
         rows = [_sparse(row) for row in dense]
-        r = linalg.rank(rows, ncols)
+        r = rank(rows, ncols)
         kernel = linalg.kernel_basis(rows, ncols)
         assert len(kernel) == ncols - r
         for v in kernel:
@@ -109,14 +110,20 @@ def _assert_agrees_with_dense(dense_rows: list[list], ncols: int, field, rng: ra
     assert pivots == want_pivots
     assert [_dense(row, ncols, zero) for row in reduced] == want_reduced
     assert all(x for row in reduced for x in row.values())  # no stored zeros
-    assert linalg.rank(rows, ncols) == len(want_pivots)
+    assert rank(rows, ncols) == len(want_pivots)
 
     kernel = linalg.kernel_basis(rows, ncols)
     assert [_dense(v, ncols, zero) for v in kernel] == dense_kernel_basis(dense_rows, ncols, one, zero)
     assert all(list(v) == sorted(v) for v in kernel)  # keys ascend
 
-    # the kernel's own RREF, read off the kernel of the reversed columns
-    kernel_rref = linalg.kernel_rref(rows, ncols)
+    # the form with last-column pivots, and the kernel's own RREF read off it
+    last, last_pivots = linalg.rref(rows, ncols, last_leading=True)
+    want_last, want_last_pivots = dense_rref_last_leading(dense_rows, ncols)
+    assert rows == before
+    assert last_pivots == want_last_pivots
+    assert [_dense(row, ncols, zero) for row in last] == want_last
+    assert all(x for row in last for x in row.values())
+    kernel_rref = list(linalg.kernel_vectors(last, last_pivots, ncols))
     dense_kernel = dense_kernel_basis(dense_rows, ncols, one, zero)
     assert [_dense(v, ncols, zero) for v in kernel_rref] == dense_rref(dense_kernel, ncols)[0]
     assert all(list(v) == sorted(v) for v in kernel_rref)
@@ -130,7 +137,9 @@ def _assert_agrees_with_dense(dense_rows: list[list], ncols: int, field, rng: ra
         candidates.append(combo)
     candidates.append([zero] * ncols)
     for v in candidates:
-        assert linalg.in_row_space(reduced, pivots, _sparse(v)) == dense_in_row_space(want_reduced, want_pivots, v)
+        want = dense_in_row_space(want_reduced, want_pivots, v)
+        assert linalg.in_row_space(reduced, pivots, _sparse(v)) == want
+        assert linalg.in_row_space(last, last_pivots, _sparse(v)) == want
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -166,18 +175,16 @@ def test_sparse_matches_dense_on_edge_shapes(field):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_kernel_rref_reader_yields_the_kernel_rref_in_order(seed):
-    # `kernel_rref` is a list of what the reader yields, which is the dense
-    # kernel's RREF, row by row
+    # the kernel read off the form with last-column pivots, one free column
+    # at a time, is the dense kernel's RREF, row by row, and each row is
+    # built only when it is taken
     rng = random.Random(2000 + seed)
     entry, zero, one = field = QU_FIELD if seed % 4 == 3 else Q_FIELD
     nrows, ncols = (rng.randint(1, 5), rng.randint(1, 6)) if field is QU_FIELD else (rng.randint(1, 12), rng.randint(1, 14))
     dense_rows = _random_matrix(rng, nrows, ncols, entry, zero)
-    rows = [_sparse(row) for row in dense_rows]
-    listed = linalg.kernel_rref(rows, ncols)
-    assert isinstance(listed, list)
-    reader = linalg.iter_kernel_rref(rows, ncols)
-    read = [next(reader) for _ in listed]
-    assert next(reader, None) is None
-    assert read == listed
+    reduced, pivots = linalg.rref([_sparse(row) for row in dense_rows], ncols, last_leading=True)
+    reader = linalg.kernel_vectors(reduced, pivots, ncols)
+    assert inspect.isgenerator(reader)
+    read = list(reader)
     want = dense_rref(dense_kernel_basis(dense_rows, ncols, one, zero), ncols)[0]
     assert [_dense(v, ncols, zero) for v in read] == want

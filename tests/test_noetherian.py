@@ -29,7 +29,14 @@ from noethops.noetherian import (
 from noethops.poly import Block, GrevLex, Poly, RationalFunction, monomials_up_to
 
 from conftest import P, ideal
-from oracles import field_basis_by_buchberger, kill_check_certifier, point_exact_oracle, truncation_dual_vectors
+from oracles import (
+    field_basis_by_buchberger,
+    identity_op,
+    kill_check_certifier,
+    partial_op,
+    point_exact_oracle,
+    truncation_dual_vectors,
+)
 
 XY = ["x", "y"]
 
@@ -160,7 +167,7 @@ def test_denominator_clearing_preserves_kernel():
     # scaling an operator by a nonzerodivisor mod p leaves the kernel mod p unchanged
     rng = random.Random(17)
     p = ideal("x")
-    base = DiffOp.partial(2, (1, 0))
+    base = partial_op(2, (1, 0))
     scaled = base.scale(P("y^2 + 1"))
     monos = monomials_up_to(2, 5)
     for _ in range(40):
@@ -234,7 +241,7 @@ def test_verify_exact_round_trip():
 
 
 def test_verify_refutes_undersized_set(ring_x2):
-    ops = OperatorSet([DiffOp.identity(2)], ring_x2.rad)
+    ops = OperatorSet([identity_op(2)], ring_x2.rad)
     cert = verify_noetherian_ops(ideal("x^2"), ops, 4)
     assert cert.status == "refuted"
     assert cert.witness == P("x")
@@ -243,7 +250,7 @@ def test_verify_refutes_undersized_set(ring_x2):
 
 def test_verify_refutes_oversized_set(ring_x2):
     ops = OperatorSet(
-        [DiffOp.identity(2), DiffOp.partial(2, (1, 0)), DiffOp.partial(2, (2, 0))], ring_x2.rad
+        [identity_op(2), partial_op(2, (1, 0)), partial_op(2, (2, 0))], ring_x2.rad
     )
     cert = verify_noetherian_ops(ideal("x^2"), ops, 4)
     assert cert.status == "refuted"
@@ -259,6 +266,37 @@ def test_verify_not_exact_for_an_ideal_primary_only_over_the_fraction_field():
     assert cert.status == "refuted"
     assert cert.witness == P("x^2")
     assert cert.witness_side == "killed_not_in_ideal"
+
+
+def test_a_component_primary_only_over_the_fraction_field_cannot_be_built():
+    # (x^2*y) is (x)-primary over Q(y) but has a component on y = 0.  A set
+    # carrying it as its component was once certified exact against
+    # (x^2*y), the contraction check skipped for the component's own ideal;
+    # the component is now checked when built, and the bare set is refuted
+    N = ideal("x^2*y")
+    with pytest.raises(ValueError, match="^claimed primary ideal is not primary to its prime$"):
+        PrimaryComponent(N, ideal("x"), independent=(1,))
+    cert = verify_noetherian_ops(N, parse_operator_set("1; dx", XY, ideal("x")), 6)
+    assert (cert.status, cert.witness, cert.witness_side) == ("refuted", P("x^2"), "killed_not_in_ideal")
+
+
+def test_building_and_certifying_a_component_saturates_each_ideal_once(monkeypatch):
+    # the component's ideal when it is built, and the prime when its span is
+    # shown to kill the ideal; certifying the component's own ideal does not
+    # check its contraction again
+    saturated = []
+    saturate = noetherian.saturate
+
+    def recording(I, g):
+        saturated.append(I.gens)
+        return saturate(I, g)
+
+    monkeypatch.setattr(noetherian, "saturate", recording)
+    Q, p = ideal("(x*y - 1)^2"), ideal("x*y - 1")
+    comp = PrimaryComponent(Q, p, independent=(1,))
+    assert saturated == [Q.gens]
+    assert verify_noetherian_ops(Q, noetherian_ops_primary(comp), 6).status == "exact"
+    assert saturated == [Q.gens, p.gens]
 
 
 def test_verify_truncated_branch(ring_x2, ops_pi_dx):
@@ -349,7 +387,7 @@ def test_exact_certifier_matches_point_oracle(nvars):
             "parsed": parse_operator_set(text, names, IdealHandle(nvars, [P(t, names) for t in modulus_text.split(";")])),
             "recombined": OperatorSet(recombined, maximal),
             "undersized": OperatorSet(ops[:-1], maximal),
-            "extra_derivative": OperatorSet([*ops, DiffOp.partial(nvars, (0,) * (nvars - 1) + (3,))], maximal),
+            "extra_derivative": OperatorSet([*ops, partial_op(nvars, (0,) * (nvars - 1) + (3,))], maximal),
         }
         for name, claimed in cases.items():
             status = _certificate_as_kill_check(a, claimed, D).status
@@ -718,7 +756,7 @@ def test_the_walk_reaches_the_colength(L):
     # L - 1, so the walk's first vanishing degree is L itself
     x = Poly.variable(1, 0)
     ops = dual_space(IdealHandle(1, [x ** L]), (0,))
-    assert [op.format(["x"]) for op in ops] == [DiffOp.partial(1, (k,)).format(["x"]) for k in range(L)]
+    assert [op.format(["x"]) for op in ops] == [partial_op(1, (k,)).format(["x"]) for k in range(L)]
 
 
 def test_the_walk_reaches_the_colength_over_the_fraction_field():
