@@ -8,10 +8,11 @@ land back in the powers of a source ideal.
 """
 
 from .closures import (
-    SCHEDULES,
+    MODES,
     NewtonPolyhedron,
     NonMonomialIdealError,
     monomial_integral_closure,
+    power_schedule,
     shift_search,
     symbolic_power,
 )

@@ -1,6 +1,7 @@
 """Integral closures of monomial ideal powers via Newton polyhedra, symbolic
-powers of primes via saturation, and the power schedules that feed plain,
-integrally closed or symbolic powers into the one minimal-shift search.
+powers of primes via saturation, and `power_schedule`, the one factory whose
+schedules (n, c) -> condition ideal feed plain, integrally closed or symbolic
+powers into the one minimal-shift search.
 
 Integral closure is supported for monomial ideals only, in any number of
 active variables; the facet enumeration is exact over the rationals.
@@ -12,11 +13,11 @@ import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import linalg
 from .diffops import OperatorSet
-from .groebner import IdealHandle, RingSpec, ideal_power, saturate
+from .groebner import IdealHandle, RingSpec, ideal_power, krull_dimension, saturate
 from .poly import GrevLex, Mono, Poly, mono_degree, mono_embed
 from .uniformity import ConstantReport, PowerSchedule, find_min_c, ordinary_powers
 
@@ -127,66 +128,53 @@ def symbolic_power(p: IdealHandle, n: int, witness: Poly) -> IdealHandle:
 
 
 # ---------------------------------------------------------------------------
-# power schedules and the shift search
-#
-# Every mode searches the same way (`find_min_c`); only the condition ideal
-# (source plus rad) fed to the colon for (n, c) changes.  A factory checks its
-# inputs once per ideal and returns the schedule plus any extra report fields.
+# power schedules: every mode runs the one minimal-shift search, `find_min_c`,
+# on the condition ideals its schedule gives for (n, c)
+
+MODES = ("artin_rees", "briancon_skoda", "symbolic")
 
 
-def _monomial_image(J: IdealHandle, ring: RingSpec) -> IdealHandle:
-    for g in ring.rad.gb:
-        if len(g.terms) != 1 or mono_degree(next(iter(g.terms))) != 1:
+def power_schedule(
+    mode: str, J: IdealHandle, ring: RingSpec, dimension: int | None = None, witness: Poly | None = None
+) -> tuple[PowerSchedule, dict]:
+    """The schedule (n, c) -> P(n*step + c) + rad of `mode`, P(m) a power of
+    the image I of J in R_red, and its extra report fields; the mode's inputs
+    are checked here, once per ideal.  P(m) is memoised by m:
+
+    - artin_rees: step 1, P(m) = I^m (differential Artin-Rees), by the ring;
+    - briancon_skoda: step 1, P(m) the integral closure of I^m
+      (Briancon-Skoda), for I monomial and rad generated by variables;
+    - symbolic: step `dimension`, which must be the dimension of R_red (its
+      regularity is assumed), and P(m) = (I^m + rad) : witness^infinity, the
+      symbolic power when the witness (default 1, outside I + rad) lies in
+      every embedded component (assumed)."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    I = ring.image_in_reduced(J)
+    if mode == "artin_rees":
+        return ordinary_powers(ring, I), {}
+    if mode == "briancon_skoda":
+        if any(len(g.terms) != 1 or mono_degree(next(iter(g.terms))) != 1 for g in ring.rad.gb):
             raise NonMonomialIdealError("radical is not generated by variables; reduced ring is not a polynomial ring here")
-    I = ring.image_in_reduced(J)
-    for g in I.gens:
-        if len(g.terms) != 1:
-            raise NonMonomialIdealError(f"image of the ideal is not monomial: {g!r}")
-    return I
-
-
-def _ordinary_schedule(
-    J: IdealHandle, ring: RingSpec, dimension: int | None, witness: Poly | None
-) -> tuple[PowerSchedule, dict]:
-    """The plain power I^(n+c) (differential Artin-Rees)."""
-    return ordinary_powers(ring), {}
-
-
-def _closure_schedule(
-    J: IdealHandle, ring: RingSpec, dimension: int | None, witness: Poly | None
-) -> tuple[PowerSchedule, dict]:
-    """The integral closure of I^(n+c) (Briancon-Skoda); requires the image
-    of J to be a monomial ideal in a polynomial reduced ring."""
-    image = _monomial_image(J, ring)
-    closure = functools.cache(monomial_integral_closure)
-    extras = {"image_monomials": sorted(list(next(iter(g.terms))) for g in image.gens)}
-    return (lambda I, n, c: ring.plus_rad(closure(I, n + c))), extras
-
-
-def _symbolic_schedule(
-    J: IdealHandle, ring: RingSpec, dimension: int | None, witness: Poly | None
-) -> tuple[PowerSchedule, dict]:
-    """The symbolic power I^(m), m = n*d + c, computed by saturating
-    I^m + rad at the witness (default 1); d is the (user-asserted) dimension
-    of the regular reduced ring.  The saturation contains rad already."""
-    if dimension is None or dimension < 1:
-        raise ValueError("dimension must be at least 1")
-    I = ring.image_in_reduced(J)
-    if not I.gens:
-        raise ValueError("image of J in the reduced ring is zero")
-    if witness is None:
-        witness = Poly.one(ring.nvars)
-    if ring.plus_rad(I).contains(witness):
-        raise ValueError("saturation witness lies in the image prime")
-    power = functools.cache(lambda I, m: saturate(ring.power_plus(I, m, ring.rad), witness))
-    return (lambda I, n, c: power(I, n * dimension + c)), {}
-
-
-SCHEDULES: dict[str, Callable[..., tuple[PowerSchedule, dict]]] = {
-    "artin_rees": _ordinary_schedule,
-    "briancon_skoda": _closure_schedule,
-    "symbolic": _symbolic_schedule,
-}
+        for g in I.gens:
+            if len(g.terms) != 1:
+                raise NonMonomialIdealError(f"image of the ideal is not monomial: {ring.format(g)}")
+        step, extras = 1, {"image_monomials": sorted(list(next(iter(g.terms))) for g in I.gens)}
+        power = functools.cache(lambda m: ring.plus_rad(monomial_integral_closure(I, m)))
+    else:
+        if dimension is None or dimension < 1:
+            raise ValueError("dimension must be at least 1")
+        step, extras = krull_dimension(ring.rad), {}
+        if dimension != step:
+            raise ValueError(f"dimension {dimension} given, but the reduced ring has dimension {step}")
+        if not I.gens:
+            raise ValueError("image of J in the reduced ring is zero")
+        if witness is None:
+            witness = Poly.one(ring.nvars)
+        if ring.plus_rad(I).contains(witness):
+            raise ValueError("saturation witness lies in the image prime")
+        power = functools.cache(lambda m: saturate(ring.power_plus(I, m, ring.rad), witness))
+    return (lambda n, c: power(n * step + c)), extras
 
 
 def shift_search(
@@ -202,9 +190,8 @@ def shift_search(
     witness: Poly | None = None,
     ideal_name: str = "J",
 ) -> ConstantReport:
-    """Minimal-shift search for J under the power schedule of `mode` (a key
-    of SCHEDULES).  `dimension` and `witness` are read by the symbolic
-    schedule only."""
-    schedule, extras = SCHEDULES[mode](J, ring, dimension, witness)
+    """Minimal-shift search for J under `power_schedule(mode, ...)`, whose
+    extra fields join the report."""
+    schedule, extras = power_schedule(mode, J, ring, dimension, witness)
     report = find_min_c(J, ops, ring, n_max, c_max, D, schedule=schedule, ideal_name=ideal_name)
     return replace(report, extras=extras)

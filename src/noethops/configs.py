@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .closures import SCHEDULES
+from .closures import MODES
 from .diffops import OperatorSet, parse_operator_set
 from .groebner import IdealHandle, RingSpec, split_poly_list
 from .noetherian import PrimaryComponent, combine_components, noetherian_ops_primary
@@ -204,7 +204,7 @@ def load_experiment_config(source: str | dict) -> ExperimentConfig:
 def run_experiment_config(cfg: ExperimentConfig):
     """Run a loaded config under the power schedule of its mode and return
     the report bundle."""
-    if cfg.mode not in SCHEDULES:
+    if cfg.mode not in MODES:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if cfg.mode == "symbolic" and cfg.dimension is None:
         raise ConfigError("symbolic mode requires a 'dimension' entry")

@@ -398,6 +398,15 @@ def standard_monomials(Q: IdealHandle) -> list[Mono]:
     return _standard_monomials_from_gb(Q.gb, Q.ORDER, Q.nvars)
 
 
+def krull_dimension(Q: IdealHandle) -> int:
+    """dim P/Q: the size of a largest set of variables containing the
+    variables of no leading monomial of Q's grevlex basis (Cox, Little and
+    O'Shea, ch. 9); -1 for the unit ideal."""
+    supports = [{i for i, e in enumerate(g.leading(Q.ORDER)[0]) if e} for g in Q.gb]
+    sets = (set(u) for k in range(Q.nvars, -1, -1) for u in itertools.combinations(range(Q.nvars), k))
+    return next((len(u) for u in sets if not any(s <= u for s in supports)), -1)
+
+
 def _standard_monomials_from_gb(gb: list[Poly], order: MonomialOrder, nvars: int) -> list[Mono]:
     if any(len(g.terms) == 1 and not mono_degree(next(iter(g.terms))) for g in gb):
         return []  # unit ideal

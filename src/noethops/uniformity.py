@@ -144,13 +144,13 @@ class ConstantReport:
         return out
 
 
-# (I, n, c) -> the condition ideal of the colon for (n, c), rad included
-PowerSchedule = Callable[[IdealHandle, int, int], IdealHandle]
+# (n, c) -> the condition ideal of the colon for (n, c), rad included
+PowerSchedule = Callable[[int, int], IdealHandle]
 
 
-def ordinary_powers(ring: RingSpec) -> PowerSchedule:
+def ordinary_powers(ring: RingSpec, I: IdealHandle) -> PowerSchedule:
     """The plain power: I^(n+c) + rad, built from the power below it."""
-    return lambda I, n, c: ring.power_plus(I, n + c, ring.rad)
+    return lambda n, c: ring.power_plus(I, n + c, ring.rad)
 
 
 def find_min_c(
@@ -165,25 +165,25 @@ def find_min_c(
     ideal_name: str = "J",
 ) -> ConstantReport:
     """Least c (per n <= n_max, searching upward from 0) with the colon of
-    schedule(I, n, c) contained in J^n + N at degree D; the default schedule
-    is the ordinary power I^(n+c) + rad.
+    schedule(n, c) contained in J^n + N at degree D.  A schedule is a
+    function of (n, c) alone, built for J (`closures.power_schedule`); the
+    default is the ordinary power I^(n+c) + rad of the image I of J in R_red.
 
-    Each recorded witness is re-verified: it is killed into schedule(I,n,c-1)
+    Each recorded witness is re-verified: it is killed into schedule(n, c-1)
     by every operator yet lies outside J^n + N, independent of the search
     path.  Every (n, c) colon shares the operators' values on monomials, read
     modulo the set's modulus, which must therefore be the ring's radical.
     """
     _require_radical_modulus(ops, ring)
     if schedule is None:
-        schedule = ordinary_powers(ring)
-    I = ring.image_in_reduced(J)
+        schedule = ordinary_powers(ring, ring.image_in_reduced(J))
     rows = []
     for n in range(1, n_max + 1):
         target = ring.power_plus(J, n, ring.N)
         c_min = None
         last_witness = None
         for c in range(c_max + 1):
-            S = diff_colon_of_ideal(schedule(I, n, c), ops, D)
+            S = diff_colon_of_ideal(schedule(n, c), ops, D)
             res = subspace_in_ideal(S, target, ring)
             if res.contained:
                 c_min = c
@@ -192,7 +192,7 @@ def find_min_c(
         witness = None
         if last_witness is not None:
             witness_c, witness = last_witness
-            _assert_exact_witness(witness, schedule(I, n, witness_c), target, ops)
+            _assert_exact_witness(witness, schedule(n, witness_c), target, ops)
         rows.append(ConstantRow(n, c_min, c_max, witness))
     return ConstantReport(ideal_name, rows, D, n_max, c_max)
 
@@ -458,8 +458,9 @@ def run_constant_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
     for "artin_rees"), and bundle the reports with `cfg`.
 
     `cfg.dimension` and `cfg.witnesses` (ideal name -> saturation witness,
-    default 1) feed the symbolic schedule.  The mode and the dimension are
-    checked by `configs.run_experiment_config`."""
+    default 1) feed the symbolic schedule.  `configs.run_experiment_config`
+    checks the mode before the operators are verified, and
+    `closures.power_schedule` each mode's inputs."""
     from .closures import shift_search  # closures imports this module
 
     ring, ops, D = cfg.ring, cfg.operators, cfg.degree

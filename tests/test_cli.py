@@ -264,6 +264,39 @@ def test_each_experiment_command_runs_its_mode(tmp_path, capsys, command, mode, 
     assert json.loads(capsys.readouterr().out)["mode"] == (mode or config_mode)
 
 
+SYMBOLIC = dict(CONFIG, mode="symbolic", ideals={"J": "x - y"}, dimension=1, witnesses={"J": "1"})
+RING_DIAGONAL = "ring: Q[x,y] / ((x - y)^2)\nradical: (x - y)"
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        # the mode is checked before the operators are verified: `dx^2` is refuted
+        (dict(CONFIG, mode="foo", operators="1; dx; dx^2"), "unknown mode 'foo'"),
+        (dict(SYMBOLIC, dimension=0), "dimension must be at least 1"),
+        # R_red = Q[y]: dimension 1
+        (dict(SYMBOLIC, dimension=2), "dimension 2 given, but the reduced ring has dimension 1"),
+        # the dimension is checked before the image, and the image before the witness
+        (dict(SYMBOLIC, dimension=3, ideals={"J": "x"}), "dimension 3 given, but the reduced ring has dimension 1"),
+        (dict(SYMBOLIC, ideals={"J": "x"}, witnesses={"J": "y"}), "image of J in the reduced ring is zero"),
+        (dict(SYMBOLIC, witnesses={"J": "y"}), "saturation witness lies in the image prime"),
+        (dict(CONFIG, mode="briancon_skoda", ideals={"J": "y^2 + y"}), "image of the ideal is not monomial: y^2 + y"),
+        # the radical is checked before the image
+        (
+            dict(CONFIG, mode="briancon_skoda", ring=RING_DIAGONAL, ideals={"J": "y^2 + y"}),
+            "radical is not generated by variables; reduced ring is not a polynomial ring here",
+        ),
+    ],
+    ids=["unknown_mode", "dimension_0", "dimension_2", "dimension_before_image", "zero_image", "witness_in_prime",
+         "non_monomial_image", "radical_before_image"],
+)
+def test_each_mode_input_error_exits_1_with_one_line(tmp_path, capsys, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["experiment", str(path), "--n-max", "1"])
+    assert (rc, capsys.readouterr().err) == (1, f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "option, value, key",
     [("--seed", 7, "seed"), ("--n-max", 1, "n_max"), ("--c-max", 2, "c_max"), ("--degree", 10, "degree_bound")],
@@ -436,6 +469,19 @@ def _readme_command_lines() -> list[str]:
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```", 2)[1]
     return [line for line in block.splitlines() if line.startswith("noethops ")]
+
+
+def test_readme_library_tour_gives_its_commented_values():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if "#" in line and not line.startswith("#")]
+    commented = [line.split("#", 1)[1].strip() for line in lines]
+    scope: dict = {}
+    exec(block, scope)
+    status = scope["verify_noetherian_ops"](scope["N"], scope["ops"], 8).status
+    rows = [(row.n, row.c_min) for row in scope["report"].rows]
+    assert commented == ['"1; dx"', '"exact"', "[(1, 1), (2, 1), (3, 1)]"]
+    assert [json.dumps(scope["ops"].format(["x", "y"])), json.dumps(status), repr(rows)] == commented
 
 
 def test_readme_command_lines_parse():

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from noethops.closures import (
-    SCHEDULES,
     NewtonPolyhedron,
     NonMonomialIdealError,
     monomial_integral_closure,
+    power_schedule,
     shift_search,
     symbolic_power,
 )
@@ -250,7 +250,43 @@ def test_symbolic_schedule_keeps_the_radical_with_two_minimal_primes():
     rad = ideal("x*y")
     ring = RingSpec(("x", "y"), ideal("x^2*y"), rad, (ideal("x"), ideal("y")))
     J = ideal("x")
-    schedule, extras = SCHEDULES["symbolic"](J, ring, 1, P("y"))
-    source = schedule(ring.image_in_reduced(J), 1, 1)
+    schedule, extras = power_schedule("symbolic", J, ring, 1, P("y"))
+    source = schedule(1, 1)
     assert extras == {}
     assert ideal_equal(ring.plus_rad(source), ideal("x"))
+
+
+def test_symbolic_schedule_steps_the_exponent_by_the_dimension():
+    # R_red = Q[y,z] has dimension 2, and with witness 1 the saturation is
+    # the identity: the source for (n, c) is I^(2n + c) + rad, the plain
+    # source for (n, n + c)
+    xyz = ["x", "y", "z"]
+    rad = IdealHandle(3, [P("x", xyz)])
+    ring = RingSpec(tuple(xyz), IdealHandle(3, [P("x^2", xyz)]), rad, (rad,))
+    J = IdealHandle(3, [P("x - y", xyz), P("z", xyz)])
+    symbolic, _ = power_schedule("symbolic", J, ring, 2, Poly.one(3))
+    plain, _ = power_schedule("artin_rees", J, ring)
+    for n in (1, 2):
+        for c in range(4):
+            assert ideal_equal(symbolic(n, c), plain(n, n + c))
+
+
+@pytest.mark.parametrize(
+    "mode, name, J", [("briancon_skoda", "monomial_integral_closure", "y"), ("symbolic", "saturate", "x - y")]
+)
+def test_a_schedule_reads_its_power_once_per_exponent_through_the_module(ring_x2, monkeypatch, mode, name, J):
+    # the benchmark's tracer rebinds these names after import, so a schedule
+    # must look them up when it runs
+    from noethops import closures
+
+    calls = []
+    inner = getattr(closures, name)
+    monkeypatch.setattr(closures, name, lambda *args: calls.append(args[1:]) or inner(*args))
+    schedule, _ = power_schedule(mode, ideal(J), ring_x2, 1)
+    assert schedule(1, 1) is schedule(2, 0) is schedule(1, 1)
+    assert len(calls) == 1
+
+
+def test_an_unknown_mode_is_a_value_error(ring_x2, ops_pi_dx):
+    with pytest.raises(ValueError, match="^unknown mode 'foo'$"):
+        shift_search("foo", ideal("y"), ops_pi_dx, ring_x2, 1, 1, 8)

@@ -17,6 +17,7 @@ from noethops.groebner import (
     ideal_intersect,
     ideal_power,
     is_subideal,
+    krull_dimension,
     normal_form,
     saturate,
     standard_monomials,
@@ -530,6 +531,24 @@ def test_standard_monomials_examples():
 def test_standard_monomials_rejects_positive_dimension():
     with pytest.raises(NotZeroDimensionalError):
         standard_monomials(ideal("x^2"))
+
+
+@pytest.mark.parametrize(
+    "names, gens, dim",
+    [
+        ("xy", ["x"], 1),  # the reduced rings of the shipped configs
+        ("xyz", ["x"], 2),
+        ("xy", ["x*y"], 1),
+        ("xy", [], 2),
+        ("xy", ["x", "y"], 0),
+        ("xy", ["1"], -1),
+        ("xy", ["x^2 - y^3"], 1),  # grevlex lead y^3
+        ("xyz", ["x*y", "x*z"], 2),  # a plane and a line
+        ("abc", ["b^2 - a*c", "b*c - a^3", "c^2 - a^2*b"], 1),  # a monomial curve
+    ],
+)
+def test_krull_dimension_examples(names, gens, dim):
+    assert krull_dimension(IdealHandle(len(names), [P(g, list(names)) for g in gens])) == dim
 
 
 # --- ring presentation -------------------------------------------------------
