@@ -19,7 +19,7 @@ from . import linalg
 from .diffops import OperatorSet
 from .groebner import IdealHandle, RingSpec, ideal_power, krull_dimension, saturate
 from .poly import GrevLex, Mono, Poly, mono_degree, mono_embed
-from .uniformity import ConstantReport, PowerSchedule, find_min_c, ordinary_powers
+from .uniformity import ConstantReport, PowerSchedule, find_min_c
 
 
 class NonMonomialIdealError(ValueError):
@@ -134,9 +134,7 @@ def symbolic_power(p: IdealHandle, n: int, witness: Poly) -> IdealHandle:
 MODES = ("artin_rees", "briancon_skoda", "symbolic")
 
 
-def power_schedule(
-    mode: str, J: IdealHandle, ring: RingSpec, dimension: int | None = None, witness: Poly | None = None
-) -> tuple[PowerSchedule, dict]:
+def power_schedule(mode: str, J: IdealHandle, ring: RingSpec, witness: Poly | None = None) -> tuple[PowerSchedule, dict]:
     """The schedule (n, c) -> P(n*step + c) + rad of `mode`, P(m) a power of
     the image I of J in R_red, and its extra report fields; the mode's inputs
     are checked here, once per ideal.  P(m) is memoised by m:
@@ -144,7 +142,7 @@ def power_schedule(
     - artin_rees: step 1, P(m) = I^m (differential Artin-Rees), by the ring;
     - briancon_skoda: step 1, P(m) the integral closure of I^m
       (Briancon-Skoda), for I monomial and rad generated by variables;
-    - symbolic: step `dimension`, which must be the dimension of R_red (its
+    - symbolic: step d, the Krull dimension of R_red (at least 1; its
       regularity is assumed), and P(m) = (I^m + rad) : witness^infinity, the
       symbolic power when the witness (default 1, outside I + rad) lies in
       every embedded component (assumed)."""
@@ -152,7 +150,7 @@ def power_schedule(
         raise ValueError(f"unknown mode {mode!r}")
     I = ring.image_in_reduced(J)
     if mode == "artin_rees":
-        return ordinary_powers(ring, I), {}
+        return (lambda n, c: ring.power_plus(I, n + c, ring.rad)), {}
     if mode == "briancon_skoda":
         if any(len(g.terms) != 1 or mono_degree(next(iter(g.terms))) != 1 for g in ring.rad.gb):
             raise NonMonomialIdealError("radical is not generated by variables; reduced ring is not a polynomial ring here")
@@ -162,11 +160,9 @@ def power_schedule(
         step, extras = 1, {"image_monomials": sorted(list(next(iter(g.terms))) for g in I.gens)}
         power = functools.cache(lambda m: ring.plus_rad(monomial_integral_closure(I, m)))
     else:
-        if dimension is None or dimension < 1:
-            raise ValueError("dimension must be at least 1")
         step, extras = krull_dimension(ring.rad), {}
-        if dimension != step:
-            raise ValueError(f"dimension {dimension} given, but the reduced ring has dimension {step}")
+        if step < 1:
+            raise ValueError(f"symbolic mode needs a reduced ring of dimension at least 1, not {step}")
         if not I.gens:
             raise ValueError("image of J in the reduced ring is zero")
         if witness is None:
@@ -186,12 +182,11 @@ def shift_search(
     c_max: int,
     D: int,
     *,
-    dimension: int | None = None,
     witness: Poly | None = None,
     ideal_name: str = "J",
 ) -> ConstantReport:
     """Minimal-shift search for J under `power_schedule(mode, ...)`, whose
     extra fields join the report."""
-    schedule, extras = power_schedule(mode, J, ring, dimension, witness)
-    report = find_min_c(J, ops, ring, n_max, c_max, D, schedule=schedule, ideal_name=ideal_name)
+    schedule, extras = power_schedule(mode, J, ring, witness)
+    report = find_min_c(J, ops, ring, n_max, c_max, D, schedule, ideal_name=ideal_name)
     return replace(report, extras=extras)

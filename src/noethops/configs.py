@@ -23,7 +23,7 @@ from .closures import MODES
 from .diffops import OperatorSet, parse_operator_set
 from .groebner import IdealHandle, RingSpec, split_poly_list
 from .noetherian import PrimaryComponent, combine_components, noetherian_ops_primary
-from .poly import Poly, parse_polynomial
+from .poly import Poly, PolyParseError, parse_polynomial
 from .uniformity import run_constant_experiment
 
 
@@ -72,6 +72,17 @@ def parse_ring_text(text: str) -> RingSpec:
     if not var_names:
         raise ConfigError("ring declares no variables")
     n = len(var_names)
+    for i, v in enumerate(var_names):
+        if var_names.count(v) > 1:
+            raise ConfigError(f"ring variable {v!r} declared twice")
+        try:
+            reads_back = parse_polynomial(v, var_names) == Poly.variable(n, i)
+        except PolyParseError:
+            reads_back = False
+        if not reads_back:
+            raise ConfigError(f"ring variable {v!r} is not a name the polynomial parser reads back")
+        if f"d{v}" in var_names:
+            raise ConfigError(f"ring variable 'd{v}' would read as the derivative in {v!r} in operator texts")
 
     def ideal_from(text_part: str) -> IdealHandle:
         return IdealHandle(n, parse_ideal_list(text_part, var_names))
@@ -113,7 +124,6 @@ class ExperimentConfig:
     c_max: int
     degree: int
     seed: int
-    dimension: int | None = None
     witnesses: Mapping[str, Poly] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -194,7 +204,6 @@ def load_experiment_config(source: str | dict) -> ExperimentConfig:
             c_max=_integer(params.get("c_max", 3), "c_max"),
             degree=_integer(params.get("degree", 8), "degree"),
             seed=_integer(params.get("seed", 0), "seed"),
-            dimension=_integer(data["dimension"], "dimension") if "dimension" in data else None,
             witnesses=witnesses,
         )
     except KeyError as exc:
@@ -206,6 +215,4 @@ def run_experiment_config(cfg: ExperimentConfig):
     the report bundle."""
     if cfg.mode not in MODES:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
-    if cfg.mode == "symbolic" and cfg.dimension is None:
-        raise ConfigError("symbolic mode requires a 'dimension' entry")
     return run_constant_experiment(cfg)

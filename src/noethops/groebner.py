@@ -437,8 +437,10 @@ class RingSpec:
 
     `rad` is the user-supplied radical of N (so R_red = P/rad) and
     `minimal_primes` the user-asserted associated primes of R.  Construction
-    checks N inside rad, and that rad equals the intersection of the claimed
-    minimal primes when they are given; primality itself is taken on trust.
+    checks N inside rad, rad inside the radical of N (each generator
+    nilpotent modulo N), and that rad equals the intersection of the claimed
+    minimal primes when they are given; that rad is itself radical, and the
+    primality of the primes, are taken on trust.
 
     The ring keeps one handle per generator tuple (`ideal`), so an ideal that
     several steps of a search test against has its basis computed once, and
@@ -455,10 +457,14 @@ class RingSpec:
     def __post_init__(self):
         self.var_names = tuple(self.var_names)
         self.minimal_primes = tuple(self.minimal_primes)
+        names = self.var_names
         for g in self.N.gens:
             if not self.rad.contains(g):
-                names = self.var_names
                 raise ValueError(f"defining ideal not inside the claimed radical: {g.format(names)}")
+        for g in self.rad.gens:
+            # Rabinowitsch: g lies in the radical of N iff N : g^infinity = (1)
+            if not saturate(self.N, g).contains_one():
+                raise ValueError(f"radical generator not nilpotent modulo the defining ideal: {g.format(names)}")
         if self.minimal_primes:
             if not ideal_equal(functools.reduce(ideal_intersect, self.minimal_primes), self.rad):
                 raise ValueError("claimed radical differs from the intersection of the minimal primes")

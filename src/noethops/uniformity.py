@@ -148,11 +148,6 @@ class ConstantReport:
 PowerSchedule = Callable[[int, int], IdealHandle]
 
 
-def ordinary_powers(ring: RingSpec, I: IdealHandle) -> PowerSchedule:
-    """The plain power: I^(n+c) + rad, built from the power below it."""
-    return lambda n, c: ring.power_plus(I, n + c, ring.rad)
-
-
 def find_min_c(
     J: IdealHandle,
     ops: OperatorSet,
@@ -160,14 +155,13 @@ def find_min_c(
     n_max: int,
     c_max: int,
     D: int,
+    schedule: PowerSchedule,
     *,
-    schedule: PowerSchedule | None = None,
     ideal_name: str = "J",
 ) -> ConstantReport:
     """Least c (per n <= n_max, searching upward from 0) with the colon of
     schedule(n, c) contained in J^n + N at degree D.  A schedule is a
-    function of (n, c) alone, built for J (`closures.power_schedule`); the
-    default is the ordinary power I^(n+c) + rad of the image I of J in R_red.
+    function of (n, c) alone, built for J by `closures.power_schedule`.
 
     Each recorded witness is re-verified: it is killed into schedule(n, c-1)
     by every operator yet lies outside J^n + N, independent of the search
@@ -175,8 +169,6 @@ def find_min_c(
     modulo the set's modulus, which must therefore be the ring's radical.
     """
     _require_radical_modulus(ops, ring)
-    if schedule is None:
-        schedule = ordinary_powers(ring, ring.image_in_reduced(J))
     rows = []
     for n in range(1, n_max + 1):
         target = ring.power_plus(J, n, ring.N)
@@ -263,7 +255,11 @@ def separating_operator(
     embedding of b/a; the returned d satisfies delta(g) = psi(g) * d mod p
     for every generator, and the restricted linearity identity
     delta(f*g) = f*delta(g) mod p is checked exactly (`_finish_separating`).
+    A negative t_max or coeff_deg searches nothing: a `ValueError`.
     """
+    for name, bound in (("t_max", t_max), ("coeff_deg", coeff_deg)):
+        if bound < 0:
+            raise ValueError(f"{name} must be at least 0, not {bound}")
     nvars = ring.nvars
     a_full = ring.plus_N(a)
     b_full = ring.plus_N(b)
@@ -457,10 +453,10 @@ def run_constant_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
     each of its ideals in input order (plus the reverse containment checks
     for "artin_rees"), and bundle the reports with `cfg`.
 
-    `cfg.dimension` and `cfg.witnesses` (ideal name -> saturation witness,
-    default 1) feed the symbolic schedule.  `configs.run_experiment_config`
-    checks the mode before the operators are verified, and
-    `closures.power_schedule` each mode's inputs."""
+    `cfg.witnesses` (ideal name -> saturation witness, default 1) feeds the
+    symbolic schedule.  `configs.run_experiment_config` checks the mode
+    before the operators are verified, and `closures.power_schedule` each
+    mode's inputs."""
     from .closures import shift_search  # closures imports this module
 
     ring, ops, D = cfg.ring, cfg.operators, cfg.degree
@@ -470,12 +466,8 @@ def run_constant_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
     reports: list[ConstantReport] = []
     reverse: list[ReverseReport] = []
     for name, J in cfg.ideals:
-        reports.append(
-            shift_search(
-                cfg.mode, J, ops, ring, cfg.n_max, cfg.c_max, D,
-                dimension=cfg.dimension, witness=cfg.witnesses.get(name), ideal_name=name,
-            )
-        )
+        witness = cfg.witnesses.get(name)
+        reports.append(shift_search(cfg.mode, J, ops, ring, cfg.n_max, cfg.c_max, D, witness=witness, ideal_name=name))
         if cfg.mode == "artin_rees":
             reverse += [replace(check_reverse(J, ops, ring, n), ideal_name=name) for n in range(1, cfg.n_max + 1)]
     return ExperimentBundle(cfg, cert, reports, reverse)

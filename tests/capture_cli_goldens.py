@@ -4,6 +4,9 @@ of command lines, run through `noethops.cli.main` in-process.
     PYTHONPATH=src python tests/capture_cli_goldens.py <commit sha>
 
 writes `tests/cli_goldens.json`, recording the sha of the tree it ran on.
+Before it overwrites that file it prints the argv of every run whose stdout,
+stderr or exit code differs from the old file, and how many runs were added
+and removed, so a refresh can be reviewed run by run.
 `tests/test_cli_goldens.py` replays every command line and compares bytes.
 Config paths are relative to the repository root, which is the working
 directory of every run.
@@ -169,8 +172,23 @@ def run(argv: list[str]) -> dict:
     return {"argv": argv, "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
 
 
+def compare(old: list[dict], new: list[dict]) -> tuple[list[tuple[int, list[str]]], int, int]:
+    """((index in `new`, argv) of each run in both lists whose outputs differ,
+    the number of runs only in `new`, the number only in `old`); runs are
+    matched by argv."""
+    before = {json.dumps(r["argv"]): r for r in old}
+    keys = [json.dumps(r["argv"]) for r in new]
+    changed = [(i, r["argv"]) for i, (key, r) in enumerate(zip(keys, new)) if key in before and before[key] != r]
+    return changed, len(set(keys) - before.keys()), len(before.keys() - set(keys))
+
+
 def main(sha: str) -> None:
     runs = [run(argv) for argv in argv_list()]
+    old = json.loads(GOLDENS.read_text(encoding="utf-8"))["runs"] if GOLDENS.exists() else []
+    changed, added, removed = compare(old, runs)
+    for i, argv in changed:
+        print(f"changed run {i}: {json.dumps(argv)}")
+    print(f"{len(changed)} changed, {added} added, {removed} removed")
     GOLDENS.write_text(json.dumps({"captured_at": sha, "runs": runs}, indent=1) + "\n", encoding="utf-8")
     print(f"{len(runs)} runs written to {GOLDENS.name}")
 

@@ -31,7 +31,7 @@ from noethops.noetherian import (
     verify_noetherian_ops,
 )
 from noethops.poly import Poly, monomials_up_to, parse_polynomial
-from noethops.uniformity import check_reverse, find_min_c, separating_operator
+from noethops.uniformity import check_reverse, separating_operator
 
 from conftest import P, ideal, order_lemma_witness
 from oracles import identity_op, monomial_closure_bruteforce_oracle, partial_op
@@ -84,11 +84,11 @@ def test_criterion_02_positive_dimensional_operators():
 
 def test_criterion_03_empirical_constants(ring_x2, ops_pi_dx):
     start = time.monotonic()
-    rep1 = find_min_c(ideal("x - y"), ops_pi_dx, ring_x2, 3, 3, 12, ideal_name="J1")
+    rep1 = shift_search("artin_rees", ideal("x - y"), ops_pi_dx, ring_x2, 3, 3, 12, ideal_name="J1")
     ok = [r.c_min for r in rep1.rows] == [1, 1, 1]
     ok = ok and rep1.rows[0].witness == P("y")
-    rep2 = find_min_c(ideal("x", "y"), ops_pi_dx, ring_x2, 3, 3, 12, ideal_name="J2")
-    rep3 = find_min_c(ideal("y"), ops_pi_dx, ring_x2, 3, 3, 12, ideal_name="J3")
+    rep2 = shift_search("artin_rees", ideal("x", "y"), ops_pi_dx, ring_x2, 3, 3, 12, ideal_name="J2")
+    rep3 = shift_search("artin_rees", ideal("y"), ops_pi_dx, ring_x2, 3, 3, 12, ideal_name="J3")
     ok = ok and [r.c_min for r in rep2.rows] == [0, 0, 0]
     ok = ok and [r.c_min for r in rep3.rows] == [0, 0, 0]
     # independent re-verification of the recorded witness at (n=1, c=0)
@@ -156,9 +156,7 @@ def test_criterion_07_integral_closure_harness(ring_x2, ops_pi_dx):
 
 def test_criterion_08_symbolic_power_harness(ring_x2, ops_pi_dx):
     start = time.monotonic()
-    rep = shift_search(
-        "symbolic", ideal("x - y"), ops_pi_dx, ring_x2, 3, 3, 12, dimension=1, witness=Poly.one(2)
-    )
+    rep = shift_search("symbolic", ideal("x - y"), ops_pi_dx, ring_x2, 3, 3, 12, witness=Poly.one(2))
     ok = [r.c_min for r in rep.rows] == [1, 1, 1]
     abc = ["a", "b", "c"]
     p = IdealHandle(3, [parse_polynomial(t, abc) for t in ("b^2 - a*c", "b*c - a^3", "c^2 - a^2*b")])

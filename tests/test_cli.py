@@ -9,7 +9,8 @@ import pytest
 
 import noethops
 from noethops.cli import build_parser, main
-from noethops.groebner import IdealHandle, ideal_power
+from noethops.configs import parse_ring_text
+from noethops.groebner import IdealHandle, ideal_power, krull_dimension
 from noethops.poly import parse_polynomial
 
 from conftest import P, ideal
@@ -239,7 +240,6 @@ def test_check_symb(tmp_path, capsys):
     cfg = dict(CONFIG)
     cfg["mode"] = "symbolic"
     cfg["ideals"] = {"Js": "x - y"}
-    cfg["dimension"] = 1
     cfg["witnesses"] = {"Js": "1"}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -249,6 +249,41 @@ def test_check_symb(tmp_path, capsys):
     assert "Js,1,1,y,12" in out
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _configs_whose_symbolic_schedule_is_plain() -> list[Path]:
+    """Shipped configs with no witnesses whose reduced ring has dimension 1:
+    their symbolic schedule, I^(n*1 + c) + rad saturated by 1, is the plain
+    one."""
+    out = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if "witnesses" not in data and krull_dimension(parse_ring_text(data["ring"]).rad) == 1:
+            out.append(path)
+    return out
+
+
+@pytest.mark.parametrize("path", _configs_whose_symbolic_schedule_is_plain(), ids=lambda p: p.stem)
+def test_check_symb_equals_find_c_where_the_schedules_agree(capsys, path):
+    assert main(["find-c", str(path), "--format", "csv"]) == 0
+    plain = capsys.readouterr()
+    assert main(["check-symb", str(path), "--format", "csv"]) == 0
+    assert capsys.readouterr() == plain
+
+
+def test_a_stale_dimension_key_is_ignored(tmp_path, capsys):
+    # the step is the reduced ring's dimension, 1 here, whatever the key says
+    shipped = CONFIGS / "symbolic_x2.json"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(json.loads(shipped.read_text(encoding="utf-8")), dimension=2)))
+    assert main(["check-symb", str(shipped), "--format", "csv"]) == 0
+    want = capsys.readouterr().out
+    assert "Js,1,1,y,12" in want.splitlines()
+    assert main(["check-symb", str(path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize("config_mode", ["artin_rees", "symbolic"])
 @pytest.mark.parametrize(
     "command, mode",
@@ -256,7 +291,7 @@ def test_check_symb(tmp_path, capsys):
 )
 def test_each_experiment_command_runs_its_mode(tmp_path, capsys, command, mode, config_mode):
     # find-c, check-bs and check-symb force their mode; experiment keeps the config's
-    cfg = dict(CONFIG, mode=config_mode, ideals={"J": "x - y"}, dimension=1)
+    cfg = dict(CONFIG, mode=config_mode, ideals={"J": "x - y"})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     rc = main([command, str(path), "--n-max", "1"])
@@ -264,8 +299,10 @@ def test_each_experiment_command_runs_its_mode(tmp_path, capsys, command, mode, 
     assert json.loads(capsys.readouterr().out)["mode"] == (mode or config_mode)
 
 
-SYMBOLIC = dict(CONFIG, mode="symbolic", ideals={"J": "x - y"}, dimension=1, witnesses={"J": "1"})
+SYMBOLIC = dict(CONFIG, mode="symbolic", ideals={"J": "x - y"}, witnesses={"J": "1"})
 RING_DIAGONAL = "ring: Q[x,y] / ((x - y)^2)\nradical: (x - y)"
+# R_red = Q: dimension 0
+RING_POINT = "ring: Q[x,y] / (x^2; y)\nradical: (x; y)"
 
 
 @pytest.mark.parametrize(
@@ -273,11 +310,16 @@ RING_DIAGONAL = "ring: Q[x,y] / ((x - y)^2)\nradical: (x - y)"
     [
         # the mode is checked before the operators are verified: `dx^2` is refuted
         (dict(CONFIG, mode="foo", operators="1; dx; dx^2"), "unknown mode 'foo'"),
-        (dict(SYMBOLIC, dimension=0), "dimension must be at least 1"),
-        # R_red = Q[y]: dimension 1
-        (dict(SYMBOLIC, dimension=2), "dimension 2 given, but the reduced ring has dimension 1"),
-        # the dimension is checked before the image, and the image before the witness
-        (dict(SYMBOLIC, dimension=3, ideals={"J": "x"}), "dimension 3 given, but the reduced ring has dimension 1"),
+        # x + 1 has image 1, in which the witness 1 lies: the dimension is
+        # checked first, then the image, then the witness
+        (
+            dict(SYMBOLIC, ring=RING_POINT, ideals={"J": "x + 1"}),
+            "symbolic mode needs a reduced ring of dimension at least 1, not 0",
+        ),
+        (
+            dict(SYMBOLIC, ring=RING_POINT, ideals={"J": "x - y"}),
+            "symbolic mode needs a reduced ring of dimension at least 1, not 0",
+        ),
         (dict(SYMBOLIC, ideals={"J": "x"}, witnesses={"J": "y"}), "image of J in the reduced ring is zero"),
         (dict(SYMBOLIC, witnesses={"J": "y"}), "saturation witness lies in the image prime"),
         (dict(CONFIG, mode="briancon_skoda", ideals={"J": "y^2 + y"}), "image of the ideal is not monomial: y^2 + y"),
@@ -287,7 +329,7 @@ RING_DIAGONAL = "ring: Q[x,y] / ((x - y)^2)\nradical: (x - y)"
             "radical is not generated by variables; reduced ring is not a polynomial ring here",
         ),
     ],
-    ids=["unknown_mode", "dimension_0", "dimension_2", "dimension_before_image", "zero_image", "witness_in_prime",
+    ids=["unknown_mode", "dimension_0", "dimension_before_image", "zero_image", "witness_in_prime",
          "non_monomial_image", "radical_before_image"],
 )
 def test_each_mode_input_error_exits_1_with_one_line(tmp_path, capsys, cfg, message):
@@ -358,6 +400,31 @@ def test_search_parameters_that_test_nothing_exit_1(config_file, capsys, argv, m
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "ring, message",
+    [
+        ("ring: Q[x,x]", "ring variable 'x' declared twice"),
+        ("ring: Q[x,1y]", "ring variable '1y' is not a name the polynomial parser reads back"),
+        ("ring: Q[x,dx]", "ring variable 'dx' would read as the derivative in 'x' in operator texts"),
+    ],
+    ids=["repeated", "not_a_name", "derivative_name"],
+)
+def test_ring_variables_must_be_distinct_names_that_read_back(capsys, ring, message):
+    assert main(["noeth-ops", ring, "--ideal", "x^2", "--point", "0,0"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_radical_generator_not_nilpotent_exits_1(tmp_path, capsys):
+    # (x; y) contains (x^2) and is its own minimal prime, but y is not
+    # nilpotent modulo x^2: the ring is wrong, not the operators
+    cfg = dict(CONFIG, ring="ring: Q[x,y] / (x^2)\nradical: (x; y)\nminimal-primes: [(x; y)]")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["experiment", str(path)])
+    assert (rc, capsys.readouterr().err) == (1, "error: radical generator not nilpotent modulo the defining ideal: y\n")
+
+
 def test_sep_op_fixture(tmp_path, capsys):
     path = tmp_path / "ring3.txt"
     path.write_text(RING_X3)
@@ -372,6 +439,15 @@ def test_sep_op_exhaustion_exit_3(tmp_path, capsys):
     path.write_text(RING_X3)
     rc = main(["sep-op", str(path), "--lower", "0", "--upper", "x^2", "--prime", "x", "--psi", "1", "--t-max", "1"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("option, name", [("--t-max", "t_max"), ("--coeff-deg", "coeff_deg")])
+def test_sep_op_negative_bound_exits_1(capsys, option, name):
+    # a negative bound searches nothing: an input error, not exhaustion
+    argv = ["sep-op", RING_X3, "--lower", "0", "--upper", "x^2", "--prime", "x", "--psi", "1", option, "-1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {name} must be at least 0, not -1\n")
 
 
 def test_experiment_refuted_operators_exit_2(tmp_path, capsys):

@@ -19,7 +19,6 @@ from noethops.groebner import (
     is_subideal,
 )
 from noethops.poly import Poly, mono_divides
-from noethops.uniformity import find_min_c
 
 from conftest import P, ideal
 from oracles import dilation_member_lp, identity_op, monomial_closure_bruteforce_oracle, partial_op
@@ -200,14 +199,14 @@ def test_bs_harness_fixture(ring_x2, ops_pi_dx):
 
 
 def test_bs_harness_closed_image_matches_plain_search(ring_x2, ops_pi_dx):
-    plain = find_min_c(ideal("y"), ops_pi_dx, ring_x2, 3, 3, 10)
+    plain = shift_search("artin_rees", ideal("y"), ops_pi_dx, ring_x2, 3, 3, 10)
     closed = shift_search("briancon_skoda", ideal("y"), ops_pi_dx, ring_x2, 3, 3, 10)
     assert [r.c_min for r in plain.rows] == [r.c_min for r in closed.rows] == [0, 0, 0]
 
 
 def test_bs_harness_dominates_plain_search(ring_x2, ops_pi_dx):
     for J in (ideal("y^2", "x*y"), ideal("y")):
-        plain = find_min_c(J, ops_pi_dx, ring_x2, 3, 3, 10)
+        plain = shift_search("artin_rees", J, ops_pi_dx, ring_x2, 3, 3, 10)
         closed = shift_search("briancon_skoda", J, ops_pi_dx, ring_x2, 3, 3, 10)
         for a, b in zip(plain.rows, closed.rows):
             assert b.c_min >= a.c_min
@@ -219,9 +218,7 @@ def test_bs_harness_rejects_nonmonomial_image(ring_x2, ops_pi_dx):
 
 
 def test_symb_harness_dimension_one_matches_plain(ring_x2, ops_pi_dx):
-    rep = shift_search(
-        "symbolic", ideal("x - y"), ops_pi_dx, ring_x2, 3, 3, 12, dimension=1, witness=Poly.one(2)
-    )
+    rep = shift_search("symbolic", ideal("x - y"), ops_pi_dx, ring_x2, 3, 3, 12, witness=Poly.one(2))
     assert [r.c_min for r in rep.rows] == [1, 1, 1]
     assert rep.rows[0].witness == P("y")
 
@@ -234,13 +231,13 @@ def test_symb_harness_two_dimensional_reduced_ring():
 
     ops = OperatorSet([identity_op(3), partial_op(3, (1, 0, 0))], rad)
     J = IdealHandle(3, [P("x - y", xyz), P("z", xyz)])
-    rep = shift_search("symbolic", J, ops, ring, 2, 4, 8, dimension=2, witness=Poly.one(3))
+    rep = shift_search("symbolic", J, ops, ring, 2, 4, 8, witness=Poly.one(3))
     assert all(r.c_min is not None for r in rep.rows)
 
 
 def test_symb_harness_rejects_witness_in_image(ring_x2, ops_pi_dx):
     with pytest.raises(ValueError):
-        shift_search("symbolic", ideal("x - y"), ops_pi_dx, ring_x2, 2, 2, 8, dimension=1, witness=P("y"))
+        shift_search("symbolic", ideal("x - y"), ops_pi_dx, ring_x2, 2, 2, 8, witness=P("y"))
 
 
 def test_symbolic_schedule_keeps_the_radical_with_two_minimal_primes():
@@ -250,7 +247,7 @@ def test_symbolic_schedule_keeps_the_radical_with_two_minimal_primes():
     rad = ideal("x*y")
     ring = RingSpec(("x", "y"), ideal("x^2*y"), rad, (ideal("x"), ideal("y")))
     J = ideal("x")
-    schedule, extras = power_schedule("symbolic", J, ring, 1, P("y"))
+    schedule, extras = power_schedule("symbolic", J, ring, P("y"))
     source = schedule(1, 1)
     assert extras == {}
     assert ideal_equal(ring.plus_rad(source), ideal("x"))
@@ -264,7 +261,7 @@ def test_symbolic_schedule_steps_the_exponent_by_the_dimension():
     rad = IdealHandle(3, [P("x", xyz)])
     ring = RingSpec(tuple(xyz), IdealHandle(3, [P("x^2", xyz)]), rad, (rad,))
     J = IdealHandle(3, [P("x - y", xyz), P("z", xyz)])
-    symbolic, _ = power_schedule("symbolic", J, ring, 2, Poly.one(3))
+    symbolic, _ = power_schedule("symbolic", J, ring, Poly.one(3))
     plain, _ = power_schedule("artin_rees", J, ring)
     for n in (1, 2):
         for c in range(4):
@@ -282,7 +279,7 @@ def test_a_schedule_reads_its_power_once_per_exponent_through_the_module(ring_x2
     calls = []
     inner = getattr(closures, name)
     monkeypatch.setattr(closures, name, lambda *args: calls.append(args[1:]) or inner(*args))
-    schedule, _ = power_schedule(mode, ideal(J), ring_x2, 1)
+    schedule, _ = power_schedule(mode, ideal(J), ring_x2)
     assert schedule(1, 1) is schedule(2, 0) is schedule(1, 1)
     assert len(calls) == 1
 

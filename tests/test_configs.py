@@ -51,7 +51,7 @@ COMPUTE = {"compute": [{"ideal": "x^2", "prime": "x", "independent": "y"}]}
         (dict(CONFIG, parameters=[]), "parameters must be a JSON object, not list"),
         (dict(CONFIG, parameters={"n_max": [3]}), "n_max must be an integer, not [3]"),
         (dict(CONFIG, parameters={"seed": None}), "seed must be an integer, not None"),
-        (dict(CONFIG, dimension={}), "dimension must be an integer, not {}"),
+        (dict(CONFIG, operators=["1", "dx"]), "operators must be an operator text or a {'compute': [...]} object"),
         (dict(CONFIG, mode=["symbolic"]), "mode must be a string, not list"),
         (dict(CONFIG, ideals=["x - y"]), "ideals must be a JSON object, not list"),
         (dict(CONFIG, ideals={"J": ["x - y"]}), "ideal 'J' must be a string, not list"),
@@ -75,7 +75,7 @@ COMPUTE = {"compute": [{"ideal": "x^2", "prime": "x", "independent": "y"}]}
         (dict(CONFIG, parameters={"n_max": 2.9}), "n_max must be an integer, not 2.9"),
         (dict(CONFIG, parameters={"c_max": True}), "c_max must be an integer, not True"),
         (dict(CONFIG, parameters={"degree": "3"}), "degree must be an integer, not '3'"),
-        (dict(CONFIG, dimension=1.5), "dimension must be an integer, not 1.5"),
+        ({k: v for k, v in CONFIG.items() if k != "operators"}, "missing config key: 'operators'"),
         (dict(CONFIG, parameters={"n_max": 0}), "n_max must be at least 1, not 0"),
         (dict(CONFIG, parameters={"c_max": -1}), "c_max must be at least 0, not -1"),
         (dict(CONFIG, parameters={"degree": 0}), "degree must be at least 1, not 0"),

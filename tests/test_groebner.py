@@ -563,6 +563,19 @@ def test_ringspec_validation():
         RingSpec(tuple(XY), ideal("x^2*y^2"), ideal("x*y"), (ideal("x"),))
 
 
+@pytest.mark.parametrize(
+    "N, rad, outside",
+    [
+        ("x^2", "x; y", "y"),
+        ("(x - y)^2*y", "x - y", "x - y"),  # rad misses the component (y)
+        ("x^2", "1", "1"),
+    ],
+)
+def test_ringspec_rejects_a_radical_generator_that_is_not_nilpotent(N, rad, outside):
+    with pytest.raises(ValueError, match=rf"^radical generator not nilpotent modulo the defining ideal: {outside}$"):
+        RingSpec(tuple(XY), ideal(N), ideal(*rad.split("; ")))
+
+
 def test_image_in_reduced(ring_x2):
     I = ring_x2.image_in_reduced(ideal("x - y"))
     assert ideal_equal(I, ideal("y"))

@@ -16,7 +16,6 @@ from noethops.uniformity import (
     check_reverse,
     diff_colon,
     diff_colon_of_ideal,
-    find_min_c,
     run_constant_experiment,
     separating_operator,
     subspace_in_ideal,
@@ -74,7 +73,7 @@ def test_find_min_c_requires_radical_modulus(ring_x2):
     with pytest.raises(ValueError) as colon_error:
         diff_colon(ideal("y"), 1, ops, ring_x2, 2)
     with pytest.raises(ValueError) as search_error:
-        find_min_c(ideal("x - y"), ops, ring_x2, 1, 1, 2)
+        shift_search("artin_rees", ideal("x - y"), ops, ring_x2, 1, 1, 2)
     assert type(search_error.value) is type(colon_error.value)
     assert str(search_error.value) == str(colon_error.value)
 
@@ -164,7 +163,7 @@ def test_every_colon_of_a_config_matches_the_row_reduced_oracle(name):
     ring, ops, D = cfg.ring, cfg.operators, cfg.degree
     verdicts = Counter()
     for ideal_name, J in cfg.ideals:
-        schedule, _ = power_schedule(cfg.mode, J, ring, cfg.dimension, cfg.witnesses.get(ideal_name))
+        schedule, _ = power_schedule(cfg.mode, J, ring, cfg.witnesses.get(ideal_name))
         for n in range(1, cfg.n_max + 1):
             target = ring.power_plus(J, n, ring.N)
             for c in range(cfg.c_max + 1):
@@ -346,20 +345,20 @@ def test_the_inclusion_fault_check_survives_python_O():
 
 
 def test_find_min_c_fixtures(ring_x2, ops_pi_dx):
-    rep = find_min_c(ideal("x - y"), ops_pi_dx, ring_x2, 3, 3, 12, ideal_name="J1")
+    rep = shift_search("artin_rees", ideal("x - y"), ops_pi_dx, ring_x2, 3, 3, 12, ideal_name="J1")
     assert [r.c_min for r in rep.rows] == [1, 1, 1]
     assert rep.rows[0].witness == P("y")
     assert rep.max_c == 1
 
-    rep2 = find_min_c(ideal("x", "y"), ops_pi_dx, ring_x2, 3, 3, 12)
+    rep2 = shift_search("artin_rees", ideal("x", "y"), ops_pi_dx, ring_x2, 3, 3, 12)
     assert [r.c_min for r in rep2.rows] == [0, 0, 0]
 
-    rep3 = find_min_c(ideal("y"), ops_pi_dx, ring_x2, 3, 3, 12)
+    rep3 = shift_search("artin_rees", ideal("y"), ops_pi_dx, ring_x2, 3, 3, 12)
     assert [r.c_min for r in rep3.rows] == [0, 0, 0]
 
 
 def test_find_min_c_witness_reverified_independently(ring_x2, ops_pi_dx):
-    rep = find_min_c(ideal("x - y"), ops_pi_dx, ring_x2, 2, 3, 10)
+    rep = shift_search("artin_rees", ideal("x - y"), ops_pi_dx, ring_x2, 2, 3, 10)
     for row in rep.rows:
         assert row.c_min == 1 and row.witness is not None
         f = row.witness
@@ -380,7 +379,7 @@ def test_find_min_c_applies_each_operator_to_each_monomial_once(ring_x2, ops_pi_
 
     monkeypatch.setattr(DiffOp, "apply", counted)
     D = 8
-    rep = find_min_c(ideal("x - y"), ops_pi_dx, ring_x2, 2, 3, D)
+    rep = shift_search("artin_rees", ideal("x - y"), ops_pi_dx, ring_x2, 2, 3, D)
     assert [r.c_min for r in rep.rows] == [1, 1]  # two colons for each n
     witnesses = [r.witness for r in rep.rows]
     for op in ops_pi_dx:
@@ -391,7 +390,7 @@ def test_find_min_c_applies_each_operator_to_each_monomial_once(ring_x2, ops_pi_
 
 
 def test_find_min_c_exhaustion(ring_x2, ops_pi_dx):
-    rep = find_min_c(ideal("x - y"), ops_pi_dx, ring_x2, 1, 0, 12)
+    rep = shift_search("artin_rees", ideal("x - y"), ops_pi_dx, ring_x2, 1, 0, 12)
     assert rep.rows[0].c_min is None
     assert rep.rows[0].c_label() == "NOT_FOUND(<=0)"
     assert rep.rows[0].witness == P("y")
@@ -399,13 +398,13 @@ def test_find_min_c_exhaustion(ring_x2, ops_pi_dx):
 
 
 def test_find_min_c_zero_ideal(ring_x2, ops_pi_dx):
-    rep = find_min_c(IdealHandle(2, []), ops_pi_dx, ring_x2, 2, 2, 8)
+    rep = shift_search("artin_rees", IdealHandle(2, []), ops_pi_dx, ring_x2, 2, 2, 8)
     assert [r.c_min for r in rep.rows] == [0, 0]
 
 
 def test_search_determinism(ring_x2, ops_pi_dx):
-    a = find_min_c(ideal("x - y"), ops_pi_dx, ring_x2, 3, 3, 10).to_dict(XY)
-    b = find_min_c(ideal("x - y"), ops_pi_dx, ring_x2, 3, 3, 10).to_dict(XY)
+    a = shift_search("artin_rees", ideal("x - y"), ops_pi_dx, ring_x2, 3, 3, 10).to_dict(XY)
+    b = shift_search("artin_rees", ideal("x - y"), ops_pi_dx, ring_x2, 3, 3, 10).to_dict(XY)
     assert a == b
 
 
@@ -674,9 +673,9 @@ def test_higher_nilpotency_raises_the_shift(ring_x3):
     ops = OperatorSet(
         [identity_op(2), partial_op(2, (1, 0)), partial_op(2, (2, 0))], ring_x3.rad
     )
-    rep = find_min_c(ideal("x - y"), ops, ring_x3, 3, 4, 12)
+    rep = shift_search("artin_rees", ideal("x - y"), ops, ring_x3, 3, 4, 12)
     assert [r.c_min for r in rep.rows] == [2, 2, 2]
-    rep_max = find_min_c(ideal("x", "y"), ops, ring_x3, 3, 4, 12)
+    rep_max = shift_search("artin_rees", ideal("x", "y"), ops, ring_x3, 3, 4, 12)
     assert [r.c_min for r in rep_max.rows] == [0, 0, 0]
     for n in range(1, 4):
         assert check_reverse(ideal("x - y"), ops, ring_x3, n).passed
