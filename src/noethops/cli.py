@@ -14,7 +14,6 @@ import io
 import json
 import sys
 from dataclasses import replace
-from fractions import Fraction
 
 from .configs import (
     ConfigError,
@@ -31,6 +30,7 @@ from .noetherian import (
     noetherian_ops_primary,
     verify_noetherian_ops,
 )
+from .poly import rational
 from .uniformity import (
     OperatorSetRefutedError,
     PsiInconsistencyError,
@@ -82,9 +82,9 @@ def _emit_certificate(args, ring, cert, head: list[str]) -> int:
 # subcommands
 
 
-def _parse_point(text: str) -> list[Fraction]:
+def _parse_point(text: str) -> list:
     try:
-        return [Fraction(part.strip()) for part in text.split(",")]
+        return [rational(part.strip()) for part in text.split(",")]
     except ZeroDivisionError:
         raise ConfigError(f"point {text!r} has a coordinate with denominator 0") from None
 

@@ -30,7 +30,7 @@ class NonMonomialIdealError(ValueError):
 # Newton polyhedra
 
 
-def _dot(u: Sequence, v: Sequence) -> Fraction:
+def _dot(u: Sequence, v: Sequence) -> int | Fraction:
     return sum(a * b for a, b in zip(u, v))
 
 
@@ -44,7 +44,7 @@ class NewtonPolyhedron:
     """
 
     points: tuple[tuple[int, ...], ...]
-    facets: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    facets: tuple[tuple[tuple[int | Fraction, ...], int | Fraction], ...]
 
     @classmethod
     def of(cls, points: Sequence[tuple[int, ...]]) -> "NewtonPolyhedron":
@@ -60,15 +60,15 @@ class NewtonPolyhedron:
         if not pts:
             raise ValueError("empty generator set")
         dim = len(pts[0])
-        axes = [{i: Fraction(1)} for i in range(dim)]
-        candidates: set[tuple[tuple[Fraction, ...], Fraction]] = set()
+        axes = [{i: 1} for i in range(dim)]
+        candidates: set[tuple[tuple[int | Fraction, ...], int | Fraction]] = set()
         for p in pts:
-            directions = [{i: Fraction(b - a) for i, (a, b) in enumerate(zip(p, q))} for q in pts if q != p]
+            directions = [{i: b - a for i, (a, b) in enumerate(zip(p, q))} for q in pts if q != p]
             for rows in itertools.combinations(directions + axes, dim - 1):
                 kernel = linalg.kernel_basis(list(rows), dim)
                 if len(kernel) != 1:
                     continue
-                normal = tuple(kernel[0].get(i, Fraction(0)) for i in range(dim))
+                normal = tuple(kernel[0].get(i, 0) for i in range(dim))
                 if min(normal) >= 0:
                     candidates.add((normal, _dot(normal, p)))
         valid = [(n, offset) for n, offset in sorted(candidates) if all(_dot(n, q) >= offset for q in pts)]

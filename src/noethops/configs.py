@@ -195,6 +195,9 @@ def load_experiment_config(source: str | dict) -> ExperimentConfig:
             name: ring.parse(_typed(text, str, f"witness {name!r}"))
             for name, text in _typed(data.get("witnesses", {}), dict, "witnesses").items()
         }
+        unknown = sorted(witnesses.keys() - dict(ideals).keys())
+        if unknown:
+            raise ConfigError(f"witness {unknown[0]!r} names no ideal of the config")
         return ExperimentConfig(
             ring=ring,
             ideals=ideals,

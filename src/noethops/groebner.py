@@ -36,6 +36,7 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -50,6 +51,7 @@ from .poly import (
     mono_lcm,
     mono_mul,
     parse_polynomial,
+    qdiv,
 )
 
 
@@ -67,7 +69,7 @@ def _monic(f: Poly, order: MonomialOrder) -> Poly:
 
 def _monic_and_lead(f: Poly, order: MonomialOrder) -> tuple[Poly, tuple[Mono, object]]:
     m, c = f.leading(order)
-    f = f if c == 1 else f * (1 / c)
+    f = f if c == 1 else f.divide_by(c)
     return f, (m, f.terms[m])
 
 
@@ -90,7 +92,7 @@ def _reduce(f: Poly, basis: Sequence[Poly], leads: Sequence[tuple[Mono, object]]
         for (lm, lc), g in zip(leads, basis):
             if mono_divides(lm, m):
                 shift = mono_div(m, lm)
-                factor = c / lc
+                factor = qdiv(c, lc)
                 for gm, gc in g.terms.items():
                     t = mono_mul(gm, shift)
                     if t == m:
@@ -103,7 +105,8 @@ def _reduce(f: Poly, basis: Sequence[Poly], leads: Sequence[tuple[Mono, object]]
                         del work[t]
                 break
         else:
-            remainder[m] = c
+            # sums of Fractions can be integral: keep the remainder's as ints
+            remainder[m] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
     return Poly(f.nvars, remainder)
 
 
@@ -111,7 +114,7 @@ def _s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     fm, fc = f.leading(order)
     gm, gc = g.leading(order)
     lcm = mono_lcm(fm, gm)
-    return f.scale_term(mono_div(lcm, fm), 1 / fc) - g.scale_term(mono_div(lcm, gm), 1 / gc)
+    return f.scale_term(mono_div(lcm, fm), qdiv(1, fc)) - g.scale_term(mono_div(lcm, gm), qdiv(1, gc))
 
 
 def _interreduce(polys: list[Poly], order: MonomialOrder) -> list[Poly]:
@@ -437,10 +440,11 @@ class RingSpec:
 
     `rad` is the user-supplied radical of N (so R_red = P/rad) and
     `minimal_primes` the user-asserted associated primes of R.  Construction
-    checks N inside rad, rad inside the radical of N (each generator
-    nilpotent modulo N), and that rad equals the intersection of the claimed
-    minimal primes when they are given; that rad is itself radical, and the
-    primality of the primes, are taken on trust.
+    checks that N is not the unit ideal (R is not the zero ring), N inside
+    rad, rad inside the radical of N (each generator nilpotent modulo N),
+    and that rad equals the intersection of the claimed minimal primes when
+    they are given; that rad is itself radical, and the primality of the
+    primes, are taken on trust.
 
     The ring keeps one handle per generator tuple (`ideal`), so an ideal that
     several steps of a search test against has its basis computed once, and
@@ -458,6 +462,8 @@ class RingSpec:
         self.var_names = tuple(self.var_names)
         self.minimal_primes = tuple(self.minimal_primes)
         names = self.var_names
+        if self.N.contains_one():
+            raise ValueError("defining ideal is the unit ideal (R is the zero ring)")
         for g in self.N.gens:
             if not self.rad.contains(g):
                 raise ValueError(f"defining ideal not inside the claimed radical: {g.format(names)}")

@@ -1,8 +1,9 @@
 """Exact sparse row reduction over any exact field.
 
 A row (or vector) is a dict from column index to its nonzero entry; absent
-columns are zero.  Entries only need +, -, *, /, bool and ==;
-`fractions.Fraction` and `poly.RationalFunction` both qualify.  Pivoting
+columns are zero.  Entries only need +, -, *, bool and ==, and division
+through `poly.qdiv`; rationals (ints, and `fractions.Fraction` where there
+is a denominator) and `poly.RationalFunction` both qualify.  Pivoting
 takes the first nonzero column (or, on request, the last), never by
 magnitude, so the reduced echelon form is the unique one and results are
 deterministic.
@@ -11,7 +12,8 @@ deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
+
+from .poly import qdiv
 
 Row = dict  # column index -> nonzero entry
 
@@ -45,8 +47,8 @@ def rref(rows: list[Row], ncols: int, last_leading: bool = False) -> tuple[list[
             col = lead(row)
             pivot_row = by_pivot.get(col)
             if pivot_row is None:
-                inv = 1 / row[col]
-                by_pivot[col] = {c: x * inv for c, x in row.items()}
+                pivot = row[col]
+                by_pivot[col] = {c: qdiv(x, pivot) for c, x in row.items()}
                 break
             _subtract_multiple(row, row[col], pivot_row)
     pivots = sorted(by_pivot)
@@ -89,7 +91,7 @@ def kernel_vectors(reduced: list[Row], pivots: list[int], ncols: int):
                 at_pivots.setdefault(col, []).append((pc, -x))
     for col in range(ncols):
         if col not in pivot_set:
-            yield dict(sorted([(col, Fraction(1)), *at_pivots.get(col, ())]))
+            yield dict(sorted([(col, 1), *at_pivots.get(col, ())]))
 
 
 def in_row_space(reduced: list[Row], pivots: list[int], v: Row) -> bool:

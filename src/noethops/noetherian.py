@@ -7,7 +7,7 @@ coefficients.  The dual space is read off normal forms of the powers of the
 shifted variables modulo Q's basis over F, and the same walk decides that Q
 is primary to the point.  That basis is Q's block-order basis, kept on its
 handle for the contraction check, made reduced over F.  With no u, F = Q
-(plain `Fraction` coefficients) and this is the dual space at a point
+(rational coefficients) and this is the dual space at a point
 (`dual_space`).  The set's modulus is the prime, and it keeps its
 component.  `verify_noetherian_ops` certifies a claimed operator set
 exactly where a dual-dimension count over F is available (the set's
@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
@@ -53,6 +52,8 @@ from .poly import (
     mono_unit,
     mono_zero,
     monomials_up_to,
+    qdiv,
+    rational,
     rational_content,
 )
 
@@ -135,15 +136,14 @@ def _normalize_op(op: DiffOp) -> DiffOp:
     derivative term."""
     if not op:
         return op
-    scale = 1 / rational_content(c for coeff in op.terms.values() for c in coeff.terms.values())
+    content = rational_content(c for coeff in op.terms.values() for c in coeff.terms.values())
     top = op.terms[max(op.terms, key=GrevLex().key)]
-    lead = top.terms[max(top.terms, key=GrevLex().key)]
-    if lead * scale < 0:
-        scale = -scale
-    return op.scale(scale)
+    if top.terms[max(top.terms, key=GrevLex().key)] < 0:
+        content = -content
+    return DiffOp(op.nvars, {alpha: coeff.divide_by(content) for alpha, coeff in op.terms.items()})
 
 
-def dual_space(Q: IdealHandle, point: Sequence[Fraction]) -> OperatorSet:
+def dual_space(Q: IdealHandle, point: Sequence) -> OperatorSet:
     """Macaulay dual space basis of a zero-dimensional ideal primary to the
     maximal ideal at `point`: the component case with no independent
     variables, so F = Q.
@@ -153,7 +153,7 @@ def dual_space(Q: IdealHandle, point: Sequence[Fraction]) -> OperatorSet:
     operators span the dual, their count equals the colength, and f lies in
     Q iff every one of them kills f.
     """
-    point = [Fraction(p) for p in point]
+    point = [rational(p) for p in point]
     nvars = Q.nvars
     if len(point) != nvars:
         raise ValueError("point has wrong number of coordinates")
@@ -170,19 +170,19 @@ def dual_space(Q: IdealHandle, point: Sequence[Fraction]) -> OperatorSet:
 
 def _field_element(q: Poly):
     """A polynomial in the independent variables u as an element of F:
-    a `Fraction` when there are none (F = Q), else a `RationalFunction`."""
+    a rational when there are none (F = Q), else a `RationalFunction`."""
     return RationalFunction(q) if q.nvars else q.constant_term()
 
 
 def _to_field_poly(f: Poly, dep: tuple[int, ...], indep: tuple[int, ...]) -> Poly:
     """Rewrite an ambient polynomial as a polynomial in the dependent
     variables with coefficients in F."""
-    acc: dict[Mono, dict[Mono, Fraction]] = {}
+    acc: dict[Mono, dict[Mono, object]] = {}
     for m, c in f.terms.items():
         dm = tuple(m[i] for i in dep)
         im = tuple(m[i] for i in indep)
         bucket = acc.setdefault(dm, {})
-        bucket[im] = bucket.get(im, Fraction(0)) + c
+        bucket[im] = bucket.get(im, 0) + c
     terms = {dm: _field_element(Poly(len(indep), co)) for dm, co in acc.items()}
     return Poly(len(dep), terms)
 
@@ -321,7 +321,7 @@ def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:
     for v in vectors:
         coeffs: dict[Mono, RationalFunction] = {}
         for j, c in v.items():
-            coeffs[monos[j]] = RationalFunction.lift(c * Fraction(1, math.prod(map(math.factorial, monos[j]))), nindep)
+            coeffs[monos[j]] = RationalFunction.lift(qdiv(c, math.prod(map(math.factorial, monos[j]))), nindep)
         dens = list(dict.fromkeys(c.den for c in coeffs.values()))
         terms = {}
         for alpha_dep, c in coeffs.items():

@@ -1,9 +1,13 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 A monomial is an exponent tuple with one entry per ambient variable; a
-polynomial maps monomials to nonzero coefficients.  Coefficients are
-`fractions.Fraction` in the ordinary case, but every arithmetic routine only
-ever combines coefficients that are already present, so the same container
+polynomial maps monomials to nonzero coefficients.  A rational coefficient
+is an `int` when it is integral and a `fractions.Fraction` only when it has
+a denominator: equal ints and Fractions compare, hash and print alike, and
+int arithmetic is far cheaper.  Only division can turn two ints into a
+non-integer, so every coefficient division goes through `qdiv`, which keeps
+that rule and never returns a float.  Every other arithmetic routine only
+combines coefficients that are already present, so the same container
 works verbatim over other exact fields (see `RationalFunction`, used as the
 coefficient field Q(u) when computing over the fraction field of a set of
 independent variables).
@@ -21,6 +25,26 @@ from operator import add, le, neg, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Mono = tuple[int, ...]
+
+
+def qdiv(a, b):
+    """a / b in the coefficient field: for two ints the exact quotient, an
+    int when b divides a and a `Fraction` otherwise, never a float; an
+    integral `Fraction` quotient is demoted to its int; any other field (a
+    `RationalFunction`) divides by its own `/`."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    if type(q) is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
+
+
+def rational(value) -> int | Fraction:
+    """An int, a `Fraction` or a text such as "3/4" as a rational
+    coefficient: an int when integral."""
+    return qdiv(*Fraction(value).as_integer_ratio())
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +173,7 @@ class Poly:
 
     @classmethod
     def one(cls, nvars: int) -> "Poly":
-        return cls(nvars, {mono_zero(nvars): Fraction(1)})
+        return cls(nvars, {mono_zero(nvars): 1})
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Poly":
@@ -157,10 +181,10 @@ class Poly:
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
-        return cls(nvars, {mono_unit(nvars, i): Fraction(1)})
+        return cls(nvars, {mono_unit(nvars, i): 1})
 
     @classmethod
-    def monomial(cls, nvars: int, m: Mono, c=Fraction(1)) -> "Poly":
+    def monomial(cls, nvars: int, m: Mono, c=1) -> "Poly":
         return cls(nvars, {m: c})
 
     # predicates ---------------------------------------------------------
@@ -175,7 +199,7 @@ class Poly:
         return max(mono_degree(m) for m in self.terms)
 
     def constant_term(self):
-        return self.terms.get(mono_zero(self.nvars), Fraction(0))
+        return self.terms.get(mono_zero(self.nvars), 0)
 
     def leading(self, order: MonomialOrder) -> tuple[Mono, object]:
         if not self.terms:
@@ -249,6 +273,11 @@ class Poly:
         sq = half * half
         return sq * self if n % 2 else sq
 
+    def divide_by(self, c) -> "Poly":
+        """self / c for a nonzero scalar c, one `qdiv` per coefficient, so
+        integral quotients stay ints."""
+        return Poly(self.nvars, {m: qdiv(x, c) for m, x in self.terms.items()})
+
     def scale_term(self, m: Mono, c) -> "Poly":
         """self * c*x^m without building an intermediate Poly."""
         return Poly(self.nvars, {mono_mul(t, m): tc * c for t, tc in self.terms.items()})
@@ -269,9 +298,9 @@ class Poly:
 
     def evaluate(self, point: Sequence):
         """Value at `point`, whose coordinates lie in the coefficient field
-        (`Fraction`, or `RationalFunction` for Q(u)); terms that a zero
+        (rationals, or `RationalFunction`s for Q(u)); terms that a zero
         coordinate kills are skipped."""
-        total = Fraction(0)
+        total = 0
         for m, c in self.terms.items():
             v = c
             for e, p in zip(m, point):
@@ -357,7 +386,7 @@ def join_terms(terms: Sequence[tuple[str, str]]) -> str:
 # rational functions
 
 
-def rational_content(values: Iterable[Fraction]) -> Fraction:
+def rational_content(values: Iterable[int | Fraction]) -> int | Fraction:
     """Positive rational c such that the values divided by c are coprime
     integers; 1 when every value is 0."""
     num = 0
@@ -366,8 +395,8 @@ def rational_content(values: Iterable[Fraction]) -> Fraction:
         num = gcd(num, c.numerator)
         den = den * c.denominator // gcd(den, c.denominator)
     if num == 0:
-        return Fraction(1)
-    return Fraction(num, den)
+        return 1
+    return qdiv(num, den)
 
 
 def _univariate_slot(p: Poly) -> int | None:
@@ -396,9 +425,9 @@ def _poly_gcd_univariate(a: Poly, b: Poly, slot: int) -> Poly:
         while r and deg(r) >= db:
             dr, cr = deg(r), lc(r)
             m = tuple(e * (dr - db) for e in mono_unit(a.nvars, slot))
-            r = r - b.scale_term(m, cr / cb)
+            r = r - b.scale_term(m, qdiv(cr, cb))
         a, b = b, r
-    return a * (1 / lc(a))
+    return a.divide_by(lc(a))
 
 
 def _content_to_numerator(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -409,8 +438,7 @@ def _content_to_numerator(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         c = -c
     if c == 1:
         return num, den
-    inv = 1 / c
-    return num * inv, den * inv
+    return num.divide_by(c), den.divide_by(c)
 
 
 _SCALARS = (int, Fraction)
@@ -450,7 +478,7 @@ class RationalFunction:
         slot = _univariate_slot(den)
         if slot == -1:
             (d,) = den.terms.values()
-            self.num = num if d == 1 else num * (1 / Fraction(d))
+            self.num = num if d == 1 else num.divide_by(d)
             self.den = Poly.one(num.nvars)
             return
         if slot is not None and _univariate_slot(num) in (slot, -1):
@@ -473,7 +501,7 @@ class RationalFunction:
             return value
         if isinstance(value, Poly):
             return cls(value)
-        return cls(Poly.constant(nvars, Fraction(value)))
+        return cls(Poly.constant(nvars, rational(value)))
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -533,7 +561,7 @@ class RationalFunction:
         if isinstance(other, _SCALARS):
             if not other:
                 raise ZeroDivisionError("division by zero rational function")
-            return self * (1 / Fraction(other))
+            return RationalFunction._of(self.num.divide_by(other), self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -582,7 +610,7 @@ def _poly_div_exact(a: Poly, b: Poly) -> Poly:
         if not mono_divides(mb, mr):
             raise ValueError("inexact polynomial division")
         m = mono_div(mr, mb)
-        c = cr / cb
+        c = qdiv(cr, cb)
         out[m] = c
         r = r - b.scale_term(m, c)
     return Poly(a.nvars, out)
@@ -710,8 +738,8 @@ class _Parser:
                 kind3, val3, at3 = self.advance()
                 if kind3 != "int" or int(val3) == 0:
                     raise PolyParseError("expected positive integer denominator", at3)
-                return Poly.constant(self.nvars, Fraction(num, int(val3)))
-            return Poly.constant(self.nvars, Fraction(num))
+                return Poly.constant(self.nvars, qdiv(num, int(val3)))
+            return Poly.constant(self.nvars, num)
         if kind == "name":
             if val not in self.index:
                 raise PolyParseError(f"unknown variable {val!r}", at)

@@ -18,7 +18,6 @@ witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
 
 from . import linalg
@@ -278,7 +277,7 @@ def separating_operator(
             alphas = monomials_up_to(nvars, t)
             unknowns = [(alpha, mu) for alpha in alphas for mu in coeff_monos]
             unknown_ops = [DiffOp(nvars, {alpha: Poly.monomial(nvars, mu)}) for alpha, mu in unknowns]
-            rows: dict[tuple[int, Mono, Mono], dict[int, Fraction]] = {}
+            rows: dict[tuple[int, Mono, Mono], dict[int, object]] = {}
             for gi, g in enumerate(a_full.gens):
                 for beta in monomials_up_to(nvars, t):
                     shifted = Poly.monomial(nvars, beta) * g

@@ -3,11 +3,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import noethops
 from noethops import uniformity
+from noethops.configs import load_experiment_config
 from noethops.diffops import DiffOp, OperatorSet, first_not_killed
 from noethops.groebner import IdealHandle, RingSpec, ideal_power
 from noethops.poly import Poly, monomials_up_to
@@ -15,6 +17,33 @@ from noethops.poly import Poly, monomials_up_to
 from oracles import identity_op, partial_op
 
 XY = ["x", "y"]
+
+CONFIG_DIR = Path(__file__).parents[1] / "configs"
+RING_3VAR = "ring: Q[x,y,z] / (x^2)\nradical: (x)\nminimal-primes: [(x)]"
+# the configs of the benchmark's colon_3var and groebner_powers workloads
+WORKLOAD_CONFIGS = {
+    "colon_3var": {
+        "ring": RING_3VAR,
+        "ideals": {"J1": "x - y; z", "J2": "x; y*z"},
+        "operators": "1; dx",
+        "mode": "artin_rees",
+        "parameters": {"n_max": 2, "c_max": 3, "degree": 14, "seed": 0},
+    },
+    "groebner_powers": {
+        "ring": RING_3VAR,
+        "ideals": {"G1": "y^2 - x*z; z^2 - y; x*y - z"},
+        "operators": "1; dx",
+        "mode": "artin_rees",
+        "parameters": {"n_max": 4, "c_max": 3, "degree": 6, "seed": 0},
+    },
+}
+# the six shipped configs and the two workload configs, by name
+CONFIGS = sorted(p.stem for p in CONFIG_DIR.glob("*.json")) + sorted(WORKLOAD_CONFIGS)
+
+
+def load_config(name: str):
+    """One of `CONFIGS`, loaded."""
+    return load_experiment_config(WORKLOAD_CONFIGS.get(name) or str(CONFIG_DIR / f"{name}.json"))
 
 
 def P(text: str, names=XY) -> Poly:
@@ -34,10 +63,16 @@ def random_polynomial(rng: random.Random, nvars: int, max_degree: int, max_terms
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         m = monos[rng.randrange(len(monos))]
-        c = Fraction(rng.randint(-4, 4))
+        c = rng.randint(-4, 4)
         if c:
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, 0) + c
     return Poly(nvars, terms)
+
+
+def keeps_the_rule(value) -> bool:
+    """Is `value` a rational as the package stores one: an int when it is
+    integral, a `Fraction` only when it has a denominator (never a float)?"""
+    return type(value) is int or (type(value) is Fraction and value.denominator != 1)
 
 
 def typed_terms(p: Poly) -> list:

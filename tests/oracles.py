@@ -1,10 +1,12 @@
 """Reference implementations the tests compare the package against."""
 
+import contextlib
 import functools
 import itertools
 from fractions import Fraction
+from unittest import mock
 
-from noethops import groebner, linalg, noetherian, poly
+from noethops import cli, groebner, linalg, noetherian, poly
 from noethops.closures import _monomial_exponents
 from noethops.diffops import DiffOp, OperatorSet, TruncatedSubspace, first_not_killed
 from noethops.groebner import IdealHandle, NotZeroDimensionalError, standard_monomials
@@ -154,7 +156,7 @@ def dense_rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
         if pivot_row is None:
             continue
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = 1 / mat[rank][col]
+        inv = Fraction(1) / mat[rank][col]
         mat[rank] = [x * inv for x in mat[rank]]
         for r in range(len(mat)):
             if r != rank and mat[r][col]:
@@ -405,7 +407,8 @@ def rational_function_fully_normalized(num: Poly, den: Poly | None = None) -> tu
     c = poly.rational_content(den.terms.values())
     if den.leading(GrevLex())[1] < 0:
         c = -c
-    return num * (1 / c), den * (1 / c)
+    inv = Fraction(1) / c
+    return num * inv, den * inv
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +467,7 @@ def first_not_killed_by_scaling(ops: OperatorSet, gens, target: IdealHandle | No
     for op in ops:
         for g in gens:
             for beta in monomials_up_to(g.nvars, op.order):
-                h = g.scale_term(beta, Fraction(1))
+                h = g.scale_term(beta, 1)
                 if ideal.normal_form(op.apply(h)):
                     return h
     return None
@@ -569,3 +572,31 @@ def dense_rref_last_leading(rows: list[list], ncols: int) -> tuple[list[list], l
     reversed, mapped back."""
     reduced, pivots = dense_rref([row[::-1] for row in rows], ncols)
     return [row[::-1] for row in reversed(reduced)], [ncols - 1 - pc for pc in reversed(pivots)]
+
+
+# --- every coefficient a Fraction ----------------------------------------------
+
+
+def _fraction_div(a, b):
+    return (Fraction(a) if type(a) is int else a) / b
+
+
+@contextlib.contextmanager
+def fraction_coefficients():
+    """Run the package as it ran before integral rationals were kept as
+    ints: every coefficient a `Poly` is built with becomes a `Fraction`,
+    coefficient division is the field's own `/` on a `Fraction` (never
+    demoted to an int), and point coordinates are read as `Fraction`s.
+    Build the inputs inside the block too."""
+    init = poly.Poly.__init__
+
+    def fraction_init(self, nvars, terms=None):
+        init(self, nvars, terms and {m: Fraction(c) if type(c) is int else c for m, c in terms.items()})
+
+    patches = [(poly.Poly, "__init__", fraction_init)]
+    patches += [(module, "qdiv", _fraction_div) for module in (poly, groebner, linalg, noetherian)]
+    patches += [(module, "rational", Fraction) for module in (poly, noetherian, cli)]
+    with contextlib.ExitStack() as stack:
+        for owner, name, value in patches:
+            stack.enter_context(mock.patch.object(owner, name, value))
+        yield

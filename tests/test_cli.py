@@ -284,6 +284,28 @@ def test_a_stale_dimension_key_is_ignored(tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
+def test_a_witness_that_names_no_ideal_is_an_input_error(tmp_path, capsys):
+    # under its own name the witness is read (and here refuted), not ignored
+    shipped = json.loads((CONFIGS / "symbolic_x2.json").read_text(encoding="utf-8"))
+    for witnesses, message in [
+        ({"Jtypo": "y"}, "witness 'Jtypo' names no ideal of the config"),
+        ({"Js": "y"}, "saturation witness lies in the image prime"),
+    ]:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(shipped, witnesses=witnesses)))
+        assert main(["check-symb", str(path), "--format", "csv"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["find-c", "check-symb"])
+def test_a_unit_defining_ideal_is_an_input_error(tmp_path, capsys, command):
+    # R would be the zero ring, where every containment holds
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(CONFIG, ring="ring: Q[x,y] / (1)", operators="1", ideals={"J": "x - y"})))
+    assert main([command, str(path), "--format", "csv"]) == 1
+    assert capsys.readouterr() == ("", "error: defining ideal is the unit ideal (R is the zero ring)\n")
+
+
 @pytest.mark.parametrize("config_mode", ["artin_rees", "symbolic"])
 @pytest.mark.parametrize(
     "command, mode",

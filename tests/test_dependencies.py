@@ -122,3 +122,48 @@ def test_the_unread_check_reports_a_function_and_a_method_nothing_reads(tmp_path
             text = text.replace("    def scale(self, factor)", "    def order_one(self):\n        return self\n\n    def scale(self, factor)")
         (tmp_path / path.name).write_text(text, encoding="utf-8")
     assert _unread_definitions(tmp_path) == sorted({"diffops.DiffOp.order_one", "linalg.rank", *CALLED_BY_LIBRARIES})
+
+
+# Where a true division may stand: the one coefficient-division helper, and
+# the two `RationalFunction` methods whose operands are rational functions.
+DIVISIONS_ALLOWED = {
+    ("poly", "qdiv"),
+    ("poly", "RationalFunction.__rtruediv__"),
+    ("poly", "RationalFunction.__pow__"),
+}
+
+
+def _true_divisions(package: Path = PACKAGE) -> list[tuple[str, str, int]]:
+    """(module, enclosing function or method, line) of every `/` and `/=`
+    in the package: for two ints either one gives a float."""
+    found = []
+
+    def walk(stem: str, node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+                found.append((stem, ".".join(scope), child.lineno))
+            inner = (*scope, child.name) if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope
+            walk(stem, child, inner)
+
+    for path in sorted(package.glob("*.py")):
+        walk(path.stem, ast.parse(path.read_text(encoding="utf-8")), ())
+    return found
+
+
+def test_coefficient_division_goes_through_qdiv():
+    # and every allowlisted site is still there
+    found = _true_divisions()
+    assert [d for d in found if d[:2] not in DIVISIONS_ALLOWED] == []
+    assert {d[:2] for d in found} == DIVISIONS_ALLOWED
+
+
+def test_the_division_check_reports_a_division_outside_qdiv(tmp_path):
+    for path in PACKAGE.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "groebner.py":
+            text = text.replace("f.divide_by(c)", "f * (1 / c)")
+        if path.name == "linalg.py":
+            text += "\n\ndef halve(row):\n    row[0] /= 2\n"
+        (tmp_path / path.name).write_text(text, encoding="utf-8")
+    outside = [d[:2] for d in _true_divisions(tmp_path) if d[:2] not in DIVISIONS_ALLOWED]
+    assert outside == [("groebner", "_monic_and_lead"), ("linalg", "halve")]

@@ -453,8 +453,8 @@ def test_colons_and_verification_decide_containment_by_first_outside(ring_x2, op
 def test_first_not_killed_shifts_match_scaling_by_one(nvars, monkeypatch):
     # h = x^beta * g by shifted exponents, and g itself at beta = 0, against
     # g scaled by the coefficient 1 at x^beta: the same h in the same order,
-    # with the same terms, values and coefficient types (the package's
-    # polynomials have Fraction coefficients), and the same witness
+    # with the same terms, values and coefficient types (an integral
+    # coefficient is an int), and the same witness
     rng = random.Random(970 + nvars)
     ops = [identity_op(nvars)] + [partial_op(nvars, mono_unit(nvars, i)) for i in range(nvars)]
     ops += [partial_op(nvars, m) for m in monomials_up_to(nvars, 2) if sum(m) == 2][:3]

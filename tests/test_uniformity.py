@@ -22,7 +22,7 @@ from noethops.uniformity import (
     verify_filtration,
 )
 
-from conftest import P, ideal, random_polynomial, run_under_python_O
+from conftest import CONFIGS, P, ideal, load_config, random_polynomial, run_under_python_O
 from oracles import (
     colon_oracle,
     contains_poly,
@@ -117,27 +117,6 @@ def test_subspace_in_ideal_empty(ring_x2):
 
 # --- containment on the colon's equations, against the row-reduced basis --------
 
-CONFIG_DIR = Path(__file__).parents[1] / "configs"
-RING_3VAR = "ring: Q[x,y,z] / (x^2)\nradical: (x)\nminimal-primes: [(x)]"
-# the configs of the benchmark's colon_3var and groebner_powers workloads
-WORKLOAD_CONFIGS = {
-    "colon_3var": {
-        "ring": RING_3VAR,
-        "ideals": {"J1": "x - y; z", "J2": "x; y*z"},
-        "operators": "1; dx",
-        "mode": "artin_rees",
-        "parameters": {"n_max": 2, "c_max": 3, "degree": 14, "seed": 0},
-    },
-    "groebner_powers": {
-        "ring": RING_3VAR,
-        "ideals": {"G1": "y^2 - x*z; z^2 - y; x*y - z"},
-        "operators": "1; dx",
-        "mode": "artin_rees",
-        "parameters": {"n_max": 4, "c_max": 3, "degree": 6, "seed": 0},
-    },
-}
-CONFIGS = sorted(p.stem for p in CONFIG_DIR.glob("*.json")) + sorted(WORKLOAD_CONFIGS)
-
 
 def _assert_colon_matches_oracle(cond, ops, target, ring, D):
     """The colon of `cond` at D decided on its equations: its verdict and
@@ -159,7 +138,7 @@ def test_shipped_and_workload_configs_are_all_covered():
 
 @pytest.mark.parametrize("name", CONFIGS)
 def test_every_colon_of_a_config_matches_the_row_reduced_oracle(name):
-    cfg = load_experiment_config(WORKLOAD_CONFIGS.get(name) or str(CONFIG_DIR / f"{name}.json"))
+    cfg = load_config(name)
     ring, ops, D = cfg.ring, cfg.operators, cfg.degree
     verdicts = Counter()
     for ideal_name, J in cfg.ideals:
