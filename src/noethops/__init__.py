@@ -14,7 +14,6 @@ from .closures import (
     monomial_integral_closure,
     power_schedule,
     shift_search,
-    symbolic_power,
 )
 from .diffops import (
     ArithmeticBugError,

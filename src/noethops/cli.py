@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 input error (usage errors included), 2 refutation
-(or a failed theorem-backed check, which means an arithmetic bug), 3 search
-exhaustion.  Output is deterministic for a fixed config and seed; report
-ordering follows the config, never completion order.
+(or a failed theorem-backed check, an arithmetic bug: one `arithmetic bug:
+...` line on stderr and no report), 3 search exhaustion.  Output is
+deterministic for a fixed config and seed; report ordering follows the
+config, never completion order.
 """
 
 from __future__ import annotations
@@ -141,26 +142,22 @@ def cmd_experiment(args) -> int:
         _emit(_csv_text(bundle.csv_rows(cfg.ring.var_names)), args.out)
     else:
         _emit(_json_text(bundle.to_dict(cfg.ring.var_names)), args.out)
-    if bundle.aggregate_c is None:
-        return EXIT_EXHAUSTED
-    if any(not r.passed for r in bundle.reverse):
-        return EXIT_REFUTED
-    return EXIT_OK
+    return EXIT_EXHAUSTED if bundle.aggregate_c is None else EXIT_OK
 
 
 def cmd_check_ar_reverse(args) -> int:
+    """One `pass` line per ideal and n; a failed check raises, before any
+    line is printed."""
     cfg = load_experiment_config(args.config)
     if args.n_max is not None:
         cfg = replace(cfg, n_max=args.n_max)
     lines = []
-    ok = True
     for name, J in cfg.ideals:
         for n in range(1, cfg.n_max + 1):
-            rep = check_reverse(J, cfg.operators, cfg.ring, n)
-            lines.append(f"{name} n={n}: {'pass' if rep.passed else 'FAIL'}")
-            ok = ok and rep.passed
+            check_reverse(J, cfg.operators, cfg.ring, n, ideal_name=name)
+            lines.append(f"{name} n={n}: pass")
     _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if ok else EXIT_REFUTED
+    return EXIT_OK
 
 
 def cmd_sep_op(args) -> int:

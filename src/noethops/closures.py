@@ -1,7 +1,7 @@
-"""Integral closures of monomial ideal powers via Newton polyhedra, symbolic
-powers of primes via saturation, and `power_schedule`, the one factory whose
-schedules (n, c) -> condition ideal feed plain, integrally closed or symbolic
-powers into the one minimal-shift search.
+"""Integral closures of monomial ideal powers via Newton polyhedra, and
+`power_schedule`, the one factory whose schedules (n, c) -> condition ideal
+feed plain, integrally closed or symbolic (saturated plain) powers into the
+one minimal-shift search.
 
 Integral closure is supported for monomial ideals only, in any number of
 active variables; the facet enumeration is exact over the rationals.
@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import linalg
 from .diffops import OperatorSet
-from .groebner import IdealHandle, RingSpec, ideal_power, krull_dimension, saturate
+from .groebner import IdealHandle, RingSpec, krull_dimension, saturate
 from .poly import GrevLex, Mono, Poly, mono_degree, mono_embed
 from .uniformity import ConstantReport, PowerSchedule, find_min_c
 
@@ -111,20 +111,6 @@ def monomial_integral_closure(I: IdealHandle, m: int) -> IdealHandle:
     minimal = [e for e in members if not any(e[i] and e[:i] + (e[i] - 1,) + e[i + 1:] in inside for i in active)]
     minimal.sort(key=GrevLex().key)
     return IdealHandle(nvars, [Poly.monomial(nvars, e) for e in minimal])
-
-
-# ---------------------------------------------------------------------------
-# symbolic powers
-
-
-def symbolic_power(p: IdealHandle, n: int, witness: Poly) -> IdealHandle:
-    """p^(n) computed as p^n : witness^infinity; correct when the witness
-    avoids p but lies in every embedded component of p^n (user-asserted)."""
-    if not witness:
-        raise ValueError("zero saturation witness")
-    if p.contains(witness):
-        raise ValueError("saturation witness lies in the prime")
-    return saturate(ideal_power(p, n), witness)
 
 
 # ---------------------------------------------------------------------------

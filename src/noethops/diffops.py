@@ -113,8 +113,10 @@ class DiffOp:
         return Poly(self.nvars, sums)
 
     def bracket(self, f: Poly) -> "DiffOp":
-        """[delta, f]: g -> delta(f*g) - f*delta(g); drops the order by at
-        least one for operators of positive order."""
+        """[delta, f]: g -> delta(f*g) - f*delta(g), by the Leibniz rule, each
+        d^gamma f read off `apply` of the monomial operator d^gamma; drops
+        the order by at least one for operators of positive order."""
+        one = Poly.one(self.nvars)
         terms: list[tuple[Mono, Poly]] = []
         for alpha, coeff in self.terms.items():
             for gamma in itertools.product(*[range(a + 1) for a in alpha]):
@@ -123,7 +125,7 @@ class DiffOp:
                 binom = 1
                 for a, g in zip(alpha, gamma):
                     binom *= math.comb(a, g)
-                df = f.derivative(gamma)
+                df = DiffOp(self.nvars, {gamma: one}).apply(f)
                 if df:
                     terms.append((tuple(x - y for x, y in zip(alpha, gamma)), coeff * (binom * df)))
         return DiffOp(self.nvars, terms)

@@ -398,7 +398,7 @@ def standard_monomials(Q: IdealHandle) -> list[Mono]:
     """Monomials outside the leading-term ideal of Q, ascending in the active
     order.  Requires Q zero-dimensional (a pure power of every variable among
     the leading terms)."""
-    return _standard_monomials_from_gb(Q.gb, Q.ORDER, Q.nvars)
+    return _standard_monomials_from_gb([g.leading(Q.ORDER)[0] for g in Q.gb], Q.nvars)
 
 
 def krull_dimension(Q: IdealHandle) -> int:
@@ -410,10 +410,11 @@ def krull_dimension(Q: IdealHandle) -> int:
     return next((len(u) for u in sets if not any(s <= u for s in supports)), -1)
 
 
-def _standard_monomials_from_gb(gb: list[Poly], order: MonomialOrder, nvars: int) -> list[Mono]:
-    if any(len(g.terms) == 1 and not mono_degree(next(iter(g.terms))) for g in gb):
+def _standard_monomials_from_gb(leads: list[Mono], nvars: int) -> list[Mono]:
+    """The monomials divisible by none of `leads`, the lead monomials of a
+    Groebner basis, ascending in grevlex."""
+    if any(not any(m) for m in leads):
         return []  # unit ideal
-    leads = [g.leading(order)[0] for g in gb]
     bounds = []
     for i in range(nvars):
         pure = [m[i] for m in leads if all(e == 0 for j, e in enumerate(m) if j != i)]
@@ -426,7 +427,7 @@ def _standard_monomials_from_gb(gb: list[Poly], order: MonomialOrder, nvars: int
     for combo in itertools.product(*[range(b) for b in bounds]):
         if not any(mono_divides(l, combo) for l in leads):
             out.append(tuple(combo))
-    out.sort(key=order.key)
+    out.sort(key=GrevLex().key)
     return out
 
 

@@ -230,8 +230,8 @@ def _colength_over_field(I: IdealHandle, dep: tuple[int, ...], indep: tuple[int,
     parts of the leads of the basis `_basis_over_field` reduces generate
     I's leading ideal over F."""
     order = Block(dep) if indep else GrevLex()
-    leads = [Poly.monomial(len(dep), tuple(g.leading(order)[0][i] for i in dep)) for g in I.basis(order)]
-    return len(_standard_monomials_from_gb(leads, GrevLex(), len(dep)))
+    leads = [tuple(g.leading(order)[0][i] for i in dep) for g in I.basis(order)]
+    return len(_standard_monomials_from_gb(leads, len(dep)))
 
 
 def _dual_vectors(gb: list[Poly], colength: int, point: list, one):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, perm
+from math import gcd
 from operator import add, le, neg, sub
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -282,19 +282,7 @@ class Poly:
         """self * c*x^m without building an intermediate Poly."""
         return Poly(self.nvars, {mono_mul(t, m): tc * c for t, tc in self.terms.items()})
 
-    # calculus and evaluation --------------------------------------------
-
-    def derivative(self, alpha: Mono) -> "Poly":
-        """Iterated partial derivative d^alpha (no factorial normalization)."""
-        out = {}
-        for m, c in self.terms.items():
-            if not mono_divides(alpha, m):
-                continue
-            factor = 1
-            for e, a in zip(m, alpha):
-                factor *= perm(e, a)
-            out[mono_div(m, alpha)] = c * factor
-        return Poly(self.nvars, out)
+    # evaluation ---------------------------------------------------------
 
     def evaluate(self, point: Sequence):
         """Value at `point`, whose coordinates lie in the coefficient field

@@ -13,11 +13,16 @@ Its containment in J^n + N is decided on them by
 `TruncatedSubspace.first_outside`, as in the verification of Noetherian
 operators; only a refuted containment reads the colon's basis, up to its
 witness.
+
+A theorem-backed check that fails (a recorded witness re-verified, the
+reverse containment J^(n+e) inside the colon of I^n, the restricted
+linearity of a separating operator) raises `ArithmeticBugError`: the
+arithmetic, not the input, is at fault, so no report carries the failure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
 
 from . import linalg
@@ -200,24 +205,22 @@ def _assert_exact_witness(f: Poly, cond: IdealHandle, target: IdealHandle, ops: 
 # reverse containment
 
 
-@dataclass
-class ReverseReport:
-    n: int
-    passed: bool
-    witness: Poly | None = None
-    ideal_name: str = "J"
-
-
-def check_reverse(J: IdealHandle, ops: OperatorSet, ring: RingSpec, n: int) -> ReverseReport:
+def check_reverse(J: IdealHandle, ops: OperatorSet, ring: RingSpec, n: int, *, ideal_name: str = "J") -> None:
     """Check J^(n+e) inside the colon of I^n, e the max operator order: every
     op must carry each product g of n+e generators, times any h, into
     I^n + rad; exact per generator (`first_not_killed`), which reads the
     values modulo I^n + rad alone, as that contains the set's modulus rad.
-    Failure signals an arithmetic bug, not a math fact."""
+    The Leibniz rule makes this a theorem (differential Artin-Rees), so an
+    element not carried there is an arithmetic bug: `ArithmeticBugError`,
+    naming the ideal, n and that element."""
     I = ring.image_in_reduced(J)
     target = ring.power_plus(I, n, ring.rad)
     witness = first_not_killed(ops, ideal_power(J, n + ops.max_order).gens, target)
-    return ReverseReport(n, witness is None, witness)
+    if witness is not None:
+        raise ArithmeticBugError(
+            f"reverse check failed for {ideal_name} at n={n}: an operator does not carry "
+            f"{ring.format(witness)}, in {ideal_name}^{n + ops.max_order}, into I^{n} + rad"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +275,14 @@ def separating_operator(
         raise ValueError("p does not contain the radical, so it is not a prime of the ring")
 
     for t in range(t_max + 1):
+        alphas = monomials_up_to(nvars, t)
         for cd in range(coeff_deg + 1):
             coeff_monos = monomials_up_to(nvars, cd)
-            alphas = monomials_up_to(nvars, t)
             unknowns = [(alpha, mu) for alpha in alphas for mu in coeff_monos]
             unknown_ops = [DiffOp(nvars, {alpha: Poly.monomial(nvars, mu)}) for alpha, mu in unknowns]
             rows: dict[tuple[int, Mono, Mono], dict[int, object]] = {}
             for gi, g in enumerate(a_full.gens):
-                for beta in monomials_up_to(nvars, t):
+                for beta in alphas:
                     shifted = Poly.monomial(nvars, beta) * g
                     for j, op in enumerate(unknown_ops):
                         for m, c in ring.rad.normal_form(op.apply(shifted)).terms.items():
@@ -372,7 +375,8 @@ def verify_filtration(chain: Sequence[IdealHandle], primes: Sequence[IdealHandle
     for i in range(1, len(chain)):
         prev, cur, prime = chain[i - 1], chain[i], primes[i - 1]
         strict = is_subideal(prev, cur) and not ideal_equal(prev, cur)
-        failure = next((pg * cg for pg in prime.gens for cg in cur.gens if not prev.contains(pg * cg)), None)
+        products = (pg * cg for pg in prime.gens for cg in cur.gens)
+        failure = next((f for f in products if not prev.contains(f)), None)
         module_ok = failure is None
         declared = any(ideal_equal(prime, q) for q in ring.minimal_primes)
         ok = ok and strict and module_ok and declared
@@ -398,13 +402,13 @@ class OperatorSetRefutedError(ValueError):
 @dataclass
 class ExperimentBundle:
     """An experiment's results, read together with the config they ran:
-    the operator certificate, one shift report per ideal, and the reverse
-    checks (for "artin_rees" only)."""
+    the operator certificate and one shift report per ideal.  A failed
+    reverse check ("artin_rees" only) raises, so the report lists every one
+    the config asks for as passed."""
 
     cfg: ExperimentConfig
     certificate: NoetherianCertificate
     reports: list[ConstantReport]
-    reverse: list[ReverseReport]
 
     @property
     def aggregate_c(self) -> int | None:
@@ -416,15 +420,12 @@ class ExperimentBundle:
     def verdict(self) -> str:
         c, D = self.aggregate_c, self.cfg.degree
         if c is None:
-            verdict = "exhausted: some rows hit c_max without containment"
-        else:
-            verdict = f"aggregate c = {c} over {len(self.reports)} ideal(s), degree bound {D}"
-        if any(not r.passed for r in self.reverse):
-            verdict += "; REVERSE CHECK FAILED (arithmetic bug)"
-        return verdict
+            return "exhausted: some rows hit c_max without containment"
+        return f"aggregate c = {c} over {len(self.reports)} ideal(s), degree bound {D}"
 
     def to_dict(self, var_names: Sequence[str]) -> dict:
         cfg = self.cfg
+        checked = [name for name, _ in cfg.ideals] if cfg.mode == "artin_rees" else []
         return {
             "mode": cfg.mode,
             "seed": cfg.seed,
@@ -432,7 +433,7 @@ class ExperimentBundle:
             "operator_certificate": self.certificate.to_dict(var_names),
             "max_operator_order": cfg.operators.max_order,
             "reports": [r.to_dict(var_names) for r in self.reports],
-            "reverse_checks": [{"ideal": r.ideal_name, "n": r.n, "passed": r.passed} for r in self.reverse],
+            "reverse_checks": [{"ideal": name, "n": n, "passed": True} for name in checked for n in range(1, cfg.n_max + 1)],
             "aggregate_c": self.aggregate_c if self.aggregate_c is not None else "NOT_FOUND",
             "verdict": self.verdict,
         }
@@ -450,7 +451,8 @@ def run_constant_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
     """Verify the config's operator set against the ring's defining ideal,
     run the minimal-shift search under the power schedule of `cfg.mode` for
     each of its ideals in input order (plus the reverse containment checks
-    for "artin_rees"), and bundle the reports with `cfg`.
+    for "artin_rees", which raise `ArithmeticBugError` on failure), and
+    bundle the reports with `cfg`.
 
     `cfg.witnesses` (ideal name -> saturation witness, default 1) feeds the
     symbolic schedule.  `configs.run_experiment_config` checks the mode
@@ -463,10 +465,10 @@ def run_constant_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
     if not cert.ok:
         raise OperatorSetRefutedError(cert)
     reports: list[ConstantReport] = []
-    reverse: list[ReverseReport] = []
     for name, J in cfg.ideals:
         witness = cfg.witnesses.get(name)
         reports.append(shift_search(cfg.mode, J, ops, ring, cfg.n_max, cfg.c_max, D, witness=witness, ideal_name=name))
         if cfg.mode == "artin_rees":
-            reverse += [replace(check_reverse(J, ops, ring, n), ideal_name=name) for n in range(1, cfg.n_max + 1)]
-    return ExperimentBundle(cfg, cert, reports, reverse)
+            for n in range(1, cfg.n_max + 1):
+                check_reverse(J, ops, ring, n, ideal_name=name)
+    return ExperimentBundle(cfg, cert, reports)

@@ -3,13 +3,14 @@
 import contextlib
 import functools
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
 from noethops import cli, groebner, linalg, noetherian, poly
 from noethops.closures import _monomial_exponents
 from noethops.diffops import DiffOp, OperatorSet, TruncatedSubspace, first_not_killed
-from noethops.groebner import IdealHandle, NotZeroDimensionalError, standard_monomials
+from noethops.groebner import IdealHandle, NotZeroDimensionalError, ideal_power, saturate, standard_monomials
 from noethops.noetherian import NoetherianCertificate
 from noethops.poly import (
     GrevLex,
@@ -17,6 +18,7 @@ from noethops.poly import (
     MonomialOrder,
     Poly,
     mono_degree,
+    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -83,16 +85,60 @@ def dilation_member_lp(points: list[tuple[int, ...]], e: tuple[int, ...], m: int
 
 # ---------------------------------------------------------------------------
 # operator application as a sum of derivative polynomials: the formula the
-# closed form of `DiffOp.apply` replaced, kept as its reference
+# closed form of `DiffOp.apply` replaced, kept as its reference, and the
+# bracket built from the same derivatives
+
+
+def derivative(f: Poly, alpha: Mono) -> Poly:
+    """The iterated partial derivative d^alpha f (no factorial
+    normalization), term by term: d^alpha x^m = m!/(m - alpha)! x^(m - alpha)."""
+    out = {}
+    for m, c in f.terms.items():
+        if not mono_divides(alpha, m):
+            continue
+        factor = 1
+        for e, a in zip(m, alpha):
+            factor *= math.perm(e, a)
+        out[mono_div(m, alpha)] = c * factor
+    return Poly(f.nvars, out)
 
 
 def apply_by_derivatives(op: DiffOp, f: Poly) -> Poly:
     """sum over alpha of coeff_alpha * d^alpha(f), each derivative built by
-    `Poly.derivative`."""
+    `derivative`."""
     out = Poly.zero(op.nvars)
     for alpha, coeff in op.terms.items():
-        out = out + coeff * f.derivative(alpha)
+        out = out + coeff * derivative(f, alpha)
     return out
+
+
+def bracket_by_leibniz(op: DiffOp, f: Poly) -> DiffOp:
+    """[op, f] as the Leibniz sum: coeff_alpha * C(alpha, gamma) *
+    d^gamma(f) * d^(alpha - gamma) over every alpha of op and 0 < gamma <=
+    alpha, each derivative built by `derivative`."""
+    terms = []
+    for alpha, coeff in op.terms.items():
+        for gamma in itertools.product(*[range(a + 1) for a in alpha]):
+            if any(gamma):
+                binom = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
+                terms.append((mono_div(alpha, gamma), coeff * (binom * derivative(f, gamma))))
+    return DiffOp(op.nvars, terms)
+
+
+# ---------------------------------------------------------------------------
+# symbolic powers from the n-fold products: the slow path of the symbolic
+# schedule of `closures.power_schedule`, which saturates the ring's powers
+
+
+def symbolic_power(p: IdealHandle, n: int, witness: Poly) -> IdealHandle:
+    """p^(n) computed as p^n : witness^infinity, p^n from its n-fold products;
+    correct when the witness avoids p but lies in every embedded component
+    of p^n (user-asserted)."""
+    if not witness:
+        raise ValueError("zero saturation witness")
+    if p.contains(witness):
+        raise ValueError("saturation witness lies in the prime")
+    return saturate(ideal_power(p, n), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +325,8 @@ def _value_rank_is_colength(a: IdealHandle, ops: OperatorSet) -> bool:
     dep = tuple(i for i in range(a.nvars) if i not in indep)
     try:
         point = noetherian._rational_point_of_prime(ops.modulus, dep, indep)
-        colength = len(groebner._standard_monomials_from_gb(field_basis_by_buchberger(a, dep, indep), GrevLex(), len(dep)))
+        leads = [g.leading(GrevLex())[0] for g in field_basis_by_buchberger(a, dep, indep)]
+        colength = len(groebner._standard_monomials_from_gb(leads, len(dep)))
     except (noetherian.NonRationalPointError, NotZeroDimensionalError):
         return False
     if not noetherian._is_contracted(a, dep, indep):

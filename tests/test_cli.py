@@ -147,6 +147,37 @@ def test_find_c_false_witness_exit_2(config_file, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("arithmetic bug: ")
 
 
+_REVERSE_FAULT = """
+import sys
+from noethops import cli, uniformity
+
+# every reverse check finds its first generator not carried into the colon
+uniformity.first_not_killed = lambda ops, gens, target=None: gens[0]
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["experiment", "check-ar-reverse"])
+def test_a_failed_reverse_check_exits_2_under_python_O(command):
+    # the reverse containment is a theorem (differential Artin-Rees), so a
+    # failure is an arithmetic bug: exit 2, no report, and one stderr line
+    # naming the ideal, n and the witness, with assertions stripped too
+    path = Path(__file__).parents[1] / "configs" / "artin_rees_x2.json"
+    src_root = os.path.dirname(os.path.dirname(noethops.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _REVERSE_FAULT, command, str(path)],
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src_root},
+        capture_output=True,
+        text=True,
+    )
+    J1 = ideal("x - y")
+    witness = parse_ring_text(RING_X2).format(ideal_power(J1, 2).gens[0])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"arithmetic bug: reverse check failed for J1 at n=1: an operator does not carry {witness}, in J1^2, into I^1 + rad\n"
+    )
+
+
 def test_verify_ops_refuted(ring_file, capsys):
     rc = main(["verify-ops", ring_file, "--ideal", "x^2", "--ops", "1", "--degree", "4"])
     out = capsys.readouterr().out

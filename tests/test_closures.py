@@ -9,7 +9,6 @@ from noethops.closures import (
     monomial_integral_closure,
     power_schedule,
     shift_search,
-    symbolic_power,
 )
 from noethops.groebner import (
     IdealHandle,
@@ -20,8 +19,8 @@ from noethops.groebner import (
 )
 from noethops.poly import Poly, mono_divides
 
-from conftest import P, ideal
-from oracles import dilation_member_lp, identity_op, monomial_closure_bruteforce_oracle, partial_op
+from conftest import P, ideal, load_config
+from oracles import dilation_member_lp, identity_op, monomial_closure_bruteforce_oracle, partial_op, symbolic_power
 
 YZ = ["y", "z"]
 
@@ -251,6 +250,20 @@ def test_symbolic_schedule_keeps_the_radical_with_two_minimal_primes():
     source = schedule(1, 1)
     assert extras == {}
     assert ideal_equal(ring.plus_rad(source), ideal("x"))
+
+
+@pytest.mark.parametrize("witness", ["1", "x + 1"])
+def test_symbolic_schedule_matches_the_saturated_products(witness):
+    # on symbolic_x2's ring, P(m) = (I^m + rad) : w^infinity is the oracle's
+    # I^m : w^infinity, from the m-fold products, plus rad
+    cfg = load_config("symbolic_x2")
+    ring = cfg.ring
+    (_, J), = cfg.ideals
+    w = P(witness)
+    schedule, _ = power_schedule("symbolic", J, ring, w)
+    I = ring.image_in_reduced(J)
+    for m in range(1, 5):
+        assert ideal_equal(schedule(1, m - 1), ring.plus_rad(symbolic_power(I, m, w)))
 
 
 def test_symbolic_schedule_steps_the_exponent_by_the_dimension():

@@ -26,6 +26,8 @@ from noethops.poly import Poly, mono_unit, monomials_up_to
 from conftest import P, ideal, order_lemma_witness, random_polynomial, run_under_python_O, typed_terms
 from oracles import (
     apply_by_derivatives,
+    bracket_by_leibniz,
+    derivative,
     first_not_killed_by_scaling,
     identity_op,
     partial_op,
@@ -167,6 +169,17 @@ def test_bracket_matches_definition():
         assert op.bracket(f).apply(g) == op.apply(f * g) - f * op.apply(g)
 
 
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_bracket_matches_the_leibniz_sum(nvars):
+    # the bracket reads each d^gamma f off `apply`; the oracle builds it
+    # from the derivative formula
+    rng = random.Random(500 + nvars)
+    for _ in range(20):
+        op = _random_operator(rng, nvars)
+        for f in _random_arguments(rng, nvars):
+            assert op.bracket(f) == bracket_by_leibniz(op, f)
+
+
 def test_bracket_drops_order():
     for text in ("dx^2 + y*dx", "x*dx*dy", "dx^2*dy^2 + dx"):
         op = parse_operator(text, XY)
@@ -215,7 +228,7 @@ def test_operator_determined_by_low_degree_values():
     for alpha in monomials_up_to(2, d):
         value = op.apply(Poly.monomial(2, alpha))
         for gamma, coeff in list(recovered.items()):
-            value = value - coeff * Poly.monomial(2, alpha).derivative(gamma)
+            value = value - coeff * derivative(Poly.monomial(2, alpha), gamma)
         fact = math.factorial(alpha[0]) * math.factorial(alpha[1])
         recovered[alpha] = value * Fraction(1, fact)
     assert DiffOp(2, recovered) == op

@@ -393,22 +393,24 @@ def test_search_determinism(ring_x2, ops_pi_dx):
 def test_check_reverse_family(ring_x2, ops_pi_dx):
     for J in (ideal("x - y"), ideal("x", "y"), ideal("y")):
         for n in range(1, 6):
-            assert check_reverse(J, ops_pi_dx, ring_x2, n).passed
+            check_reverse(J, ops_pi_dx, ring_x2, n)  # raises on failure
 
 
 def test_check_reverse_trivial_cases(ring_x2, ops_pi_dx):
-    assert check_reverse(ideal("x - y"), ops_pi_dx, ring_x2, 0).passed
+    check_reverse(ideal("x - y"), ops_pi_dx, ring_x2, 0)
     proj_only = OperatorSet([identity_op(2)], ring_x2.rad)
-    assert check_reverse(ideal("x - y"), proj_only, ring_x2, 3).passed
+    check_reverse(ideal("x - y"), proj_only, ring_x2, 3)
 
 
 def test_check_reverse_examines_high_degree_generators(ring_x2, ops_pi_dx, monkeypatch):
     # J^4 = (x - y)^4 has degree 4: a check cut off at a lower degree would
-    # pass without applying an operator; with every image nonzero it must fail
+    # pass without applying an operator; with every image nonzero it must
+    # fail, and a failure of this theorem-backed check is an arithmetic bug
     monkeypatch.setattr(DiffOp, "apply", lambda self, f: Poly.one(f.nvars))
-    rep = check_reverse(ideal("x - y"), ops_pi_dx, ring_x2, 3)
-    assert not rep.passed
-    assert rep.witness == P("x - y") ** 4
+    with pytest.raises(ArithmeticBugError) as exc:
+        check_reverse(ideal("x - y"), ops_pi_dx, ring_x2, 3, ideal_name="Jw")
+    witness = ring_x2.format(P("x - y") ** 4)
+    assert str(exc.value) == f"reverse check failed for Jw at n=3: an operator does not carry {witness}, in Jw^4, into I^3 + rad"
 
 
 def test_one_buchberger_run_per_generator_list_in_a_search(monkeypatch):
@@ -477,7 +479,7 @@ def test_groebner_inputs_of_a_power_search_stay_small(monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", counting)
     bundle = run_experiment_config(cfg)
     assert [r.c_min for r in bundle.reports[0].rows] == [0, 0, 0, 0]
-    assert all(r.passed for r in bundle.reverse)
+    assert _reverse_checks(bundle) == [("G1", n) for n in range(1, 5)]
     assert sizes and max(sizes) <= 30, sorted(sizes)
 
 
@@ -607,6 +609,14 @@ def test_filtration_rejects_bad_module_step(ring_x3):
 # --- experiment bundles ---------------------------------------------------------------
 
 
+def _reverse_checks(bundle) -> list[tuple[str, int]]:
+    """The (ideal, n) the report lists as reverse checks, each passed: a
+    failed check raises, so a bundle exists only when all of them passed."""
+    rows = bundle.to_dict(bundle.cfg.ring.var_names)["reverse_checks"]
+    assert all(row["passed"] is True for row in rows)
+    return [(row["ideal"], row["n"]) for row in rows]
+
+
 def _family():
     return [("J1", ideal("x - y")), ("J2", ideal("x", "y")), ("J3", ideal("y"))]
 
@@ -618,7 +628,7 @@ def _config(ring, ops, ideals, n_max, c_max, degree):
 def test_experiment_bundle(ring_x2, ops_pi_dx):
     bundle = run_constant_experiment(_config(ring_x2, ops_pi_dx, _family(), 3, 3, 12))
     assert bundle.aggregate_c == 1
-    assert all(r.passed for r in bundle.reverse)
+    assert _reverse_checks(bundle) == [(name, n) for name, _ in _family() for n in (1, 2, 3)]
     assert bundle.certificate.ok
     data = bundle.to_dict(XY)
     assert data["aggregate_c"] == 1
@@ -628,11 +638,9 @@ def test_experiment_bundle(ring_x2, ops_pi_dx):
 
 def test_the_bundle_derives_its_aggregate_and_verdict(ring_x2, ops_pi_dx):
     bundle = run_constant_experiment(_config(ring_x2, ops_pi_dx, [("J", ideal("x - y"))], 1, 0, 12))
-    assert [f.name for f in dataclasses.fields(bundle)] == ["cfg", "certificate", "reports", "reverse"]
+    assert [f.name for f in dataclasses.fields(bundle)] == ["cfg", "certificate", "reports"]
     assert bundle.aggregate_c is None
     assert bundle.verdict == "exhausted: some rows hit c_max without containment"
-    failed = dataclasses.replace(bundle, reverse=[uniformity.ReverseReport(1, False, P("y"))])
-    assert failed.verdict == bundle.verdict + "; REVERSE CHECK FAILED (arithmetic bug)"
 
 
 def test_experiment_empty_family(ring_x2, ops_pi_dx):
@@ -657,7 +665,7 @@ def test_higher_nilpotency_raises_the_shift(ring_x3):
     rep_max = shift_search("artin_rees", ideal("x", "y"), ops, ring_x3, 3, 4, 12)
     assert [r.c_min for r in rep_max.rows] == [0, 0, 0]
     for n in range(1, 4):
-        assert check_reverse(ideal("x - y"), ops, ring_x3, n).passed
+        check_reverse(ideal("x - y"), ops, ring_x3, n)  # raises on failure
 
 
 def test_two_minimal_primes_experiment():
@@ -674,4 +682,4 @@ def test_two_minimal_primes_experiment():
         _config(ring, merged, [("J1", ideal("x - y")), ("J2", ideal("x", "y"))], 2, 4, 10)
     )
     assert bundle.aggregate_c == 2
-    assert all(r.passed for r in bundle.reverse)
+    assert _reverse_checks(bundle) == [("J1", 1), ("J1", 2), ("J2", 1), ("J2", 2)]
