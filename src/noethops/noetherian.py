@@ -86,6 +86,8 @@ class PrimaryComponent:
 
     def __post_init__(self):
         object.__setattr__(self, "independent", tuple(sorted(self.independent)))
+        if len(set(self.independent)) < len(self.independent) or not all(0 <= i < self.Q.nvars for i in self.independent):
+            raise ValueError(f"independent variables must be distinct variables of the ring, not indices {self.independent}")
         for g in self.Q.gens:
             if not self.p.contains(g):
                 raise ComponentMismatchError("claimed primary ideal is not inside its prime", g)
@@ -280,7 +282,8 @@ def _is_contracted(Q: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...])
 
     The contraction is Q : h^infinity, h the product of the leading
     coefficients in Q[u] of Q's basis under the block order eliminating the
-    dependent variables (Gianni, Trager and Zacharias 1988)."""
+    dependent variables (Gianni, Trager and Zacharias 1988).  As Q : (c*d)^infinity =
+    (Q : c^infinity) : d^infinity, one saturation per distinct factor c decides it."""
     if not indep:
         return True
     order = Block(dep)
@@ -293,11 +296,7 @@ def _is_contracted(Q: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...])
             for m, c in g.terms.items()
             if [m[i] for i in dep] == top
         }))
-    h = Poly.one(Q.nvars)
-    for coeff in coeffs:
-        if coeff.degree() > 0:
-            h = h * coeff
-    return h.degree() == 0 or is_subideal(saturate(Q, h), Q)
+    return all(is_subideal(saturate(Q, c), Q) for c in coeffs if c.degree() > 0)
 
 
 def noetherian_ops_primary(comp: PrimaryComponent) -> OperatorSet:

@@ -274,28 +274,29 @@ def separating_operator(
     if not is_subideal(ring.rad, p):
         raise ValueError("p does not contain the radical, so it is not a prime of the ring")
 
+    # NF_rad(x^mu * d^alpha(x^beta * g)) by (alpha, mu, index of g, beta), shared by every cd
+    values: dict[tuple[Mono, Mono, int, Mono], Poly] = {}
     for t in range(t_max + 1):
         alphas = monomials_up_to(nvars, t)
         for cd in range(coeff_deg + 1):
-            coeff_monos = monomials_up_to(nvars, cd)
-            unknowns = [(alpha, mu) for alpha in alphas for mu in coeff_monos]
-            unknown_ops = [DiffOp(nvars, {alpha: Poly.monomial(nvars, mu)}) for alpha, mu in unknowns]
+            unknowns = [(alpha, mu) for alpha in alphas for mu in monomials_up_to(nvars, cd)]
             rows: dict[tuple[int, Mono, Mono], dict[int, object]] = {}
             for gi, g in enumerate(a_full.gens):
                 for beta in alphas:
                     shifted = Poly.monomial(nvars, beta) * g
-                    for j, op in enumerate(unknown_ops):
-                        for m, c in ring.rad.normal_form(op.apply(shifted)).terms.items():
+                    for j, (alpha, mu) in enumerate(unknowns):
+                        key = (alpha, mu, gi, beta)
+                        if key not in values:
+                            op = DiffOp(nvars, {alpha: Poly.monomial(nvars, mu)})
+                            values[key] = ring.rad.normal_form(op.apply(shifted))
+                        for m, c in values[key].terms.items():
                             rows.setdefault((gi, beta, m), {})[j] = c
             ordered = [rows[k] for k in sorted(rows)]
             vectors = linalg.kernel_basis(ordered, len(unknowns))
             for v in vectors:
-                terms: dict[Mono, Poly] = {}
-                for j, (alpha, mu) in enumerate(unknowns):
-                    if j in v:
-                        prev = terms.get(alpha, Poly.zero(nvars))
-                        terms[alpha] = prev + Poly.monomial(nvars, mu, v[j])
-                delta = DiffOp(nvars, terms)
+                delta = DiffOp(nvars, [
+                    (alpha, Poly.monomial(nvars, mu, v[j])) for j, (alpha, mu) in enumerate(unknowns) if j in v
+                ])
                 if delta.order != t:
                     continue  # operators of lower order were covered at their own t
                 if any(p.normal_form(delta.apply(h)) for h in b.gens):

@@ -31,6 +31,7 @@ CONFIGS = sorted(f"configs/{p.name}" for p in (ROOT / "configs").glob("*.json"))
 R2 = "ring: Q[x,y]"
 R3 = "ring: Q[x,y,z]"
 R1 = "ring: Q[x]"
+R4 = "ring: Q[x,y,u,v]"
 RING_X2 = "ring: Q[x,y] / (x^2)\nradical: (x)\nminimal-primes: [(x)]\n"
 RING_X3 = "ring: Q[x,y] / (x^3)\nradical: (x)\nminimal-primes: [(x)]\n"
 RING_X2Y = "ring: Q[x,y] / (x^2*y)\nradical: (x*y)\nminimal-primes: [(x); (y)]\n"
@@ -82,6 +83,12 @@ NOETH_OPS = [
     (R3, ["--ideal", "x^2; y^2", "--prime", "x; y", "--independent", "z"]),
     (R3, ["--ideal", "(x - z)^2; y - z^2", "--prime", "x - z; y - z^2", "--independent", "z"]),
     (R3, ["--ideal", "x^2; (z*y - 1)^2; x*(z*y - 1)", "--prime", "x; z*y - 1", "--independent", "z"]),
+    # a component over Q(u, v)
+    (R4, [
+        "--ideal", "(u*x - v - 3)^2; ((v+2)*y - u + 1)^2",
+        "--prime", "u*x - v - 3; (v+2)*y - u + 1",
+        "--independent", "u,v",
+    ]),
     # error paths
     (R2, ["--ideal", "x*(x-1); y", "--point", "0,0"]),
     (R2, ["--ideal", "y*(y-1)", "--prime", "y", "--independent", "x"]),
@@ -141,6 +148,7 @@ OTHER = [
     ["diff-colon", RING_X3, "--ops", "1; dx; dx^2", "--ideal", "y", "-m", "2", "--degree", "4"],
     ["sep-op", RING_X3, "--lower", "0", "--upper", "x^2", "--prime", "x", "--psi", "1"],
     ["sep-op", RING_X3, "--lower", "0", "--upper", "x^2", "--prime", "x", "--psi", "1", "--t-max", "1"],
+    ["sep-op", RING_X2, "--lower", "x*y", "--upper", "x", "--prime", "x", "--psi", "1"],
     ["verify-filtration", RING_X2, "--chain", "(x^2) | (x) | (1)", "--primes", "(x) | (x)"],
     ["verify-filtration", RING_X2, "--chain", "(x^2) | (x^2) | (1)", "--primes", "(x) | (x)"],
 ]

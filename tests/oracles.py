@@ -13,6 +13,7 @@ from noethops.diffops import DiffOp, OperatorSet, TruncatedSubspace, first_not_k
 from noethops.groebner import IdealHandle, NotZeroDimensionalError, ideal_power, saturate, standard_monomials
 from noethops.noetherian import NoetherianCertificate
 from noethops.poly import (
+    Block,
     GrevLex,
     Mono,
     MonomialOrder,
@@ -356,6 +357,31 @@ def field_basis_by_buchberger(I: IdealHandle, dep: tuple[int, ...], indep: tuple
     """The reduced grevlex basis of I*F[x_dep], from I's generators
     rewritten over F and a Buchberger run with coefficients in F."""
     return groebner.buchberger([noetherian._to_field_poly(g, dep, indep) for g in I.gens], GrevLex())
+
+
+# ---------------------------------------------------------------------------
+# contraction from F = Q(u) by one saturation: the product test that one
+# saturation per distinct leading coefficient (`noetherian._is_contracted`)
+# replaced, kept as its reference
+
+
+def is_contracted_by_product(Q: IdealHandle, dep: tuple[int, ...], indep: tuple[int, ...]) -> bool:
+    """Q equals Q : h^infinity, h the product of the distinct leading
+    coefficients in Q[u] of Q's block-order basis eliminating the dependent
+    variables (Gianni, Trager and Zacharias 1988)."""
+    if not indep:
+        return True
+    order = Block(dep)
+    coeffs = set()
+    for g in Q.basis(order):
+        top = [g.leading(order)[0][i] for i in dep]
+        coeffs.add(Poly(Q.nvars, {
+            tuple(0 if i in dep else e for i, e in enumerate(m)): c
+            for m, c in g.terms.items()
+            if [m[i] for i in dep] == top
+        }))
+    h = functools.reduce(lambda a, b: a * b, coeffs, Poly.one(Q.nvars))
+    return h.degree() == 0 or groebner.is_subideal(saturate(Q, h), Q)
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,23 @@ def test_unknown_independent_variable_in_a_config_exit_1(tmp_path, capsys, indep
     assert capsys.readouterr().err == "error: unknown independent variable 'w'\n"
 
 
+def test_noeth_ops_repeated_independent_variable_exit_1(capsys):
+    rc = main(["noeth-ops", "ring: Q[x,y,z]", "--ideal", "x^3 - z*y^2; y^5", "--prime", "x; y", "--independent", "z,z"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: independent variables must be distinct variables of the ring, not indices (2, 2)\n"
+
+
+def test_repeated_independent_variable_in_a_config_exit_1(tmp_path, capsys):
+    cfg = dict(CONFIG, operators={"compute": [{"ideal": "x^2", "prime": "x", "independent": ["y", "y"]}]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["find-c", str(path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: independent variables must be distinct variables of the ring, not indices (1, 1)\n"
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '{"ring": "ring: Q[x]", "operators": "1", "parameters": []}'])
 def test_config_of_the_wrong_shape_exit_1(tmp_path, capsys, text):
     path = tmp_path / "cfg.json"

@@ -32,6 +32,7 @@ from conftest import P, ideal, keeps_the_rule
 from oracles import (
     field_basis_by_buchberger,
     identity_op,
+    is_contracted_by_product,
     kill_check_certifier,
     partial_op,
     point_exact_oracle,
@@ -163,6 +164,12 @@ def test_component_rejects_dependent_declaration():
         PrimaryComponent(ideal("y"), ideal("x"), independent=(1,))
 
 
+@pytest.mark.parametrize("independent", [(1, 1), (5,), (-1,)])
+def test_component_rejects_repeated_or_out_of_range_independent_variables(independent):
+    with pytest.raises(ValueError, match="^independent variables must be distinct variables of the ring, not indices"):
+        PrimaryComponent(ideal("x^2"), ideal("x"), independent=independent)
+
+
 def test_denominator_clearing_preserves_kernel():
     # scaling an operator by a nonzerodivisor mod p leaves the kernel mod p unchanged
     rng = random.Random(17)
@@ -278,6 +285,54 @@ def test_a_component_primary_only_over_the_fraction_field_cannot_be_built():
         PrimaryComponent(N, ideal("x"), independent=(1,))
     cert = verify_noetherian_ops(N, parse_operator_set("1; dx", XY, ideal("x")), 6)
     assert (cert.status, cert.witness, cert.witness_side) == ("refuted", P("x^2"), "killed_not_in_ideal")
+
+
+def _contraction_pair(rng):
+    """(Q, Q meet m, dependent, independent): Q generated by powers of
+    a_j(u)*x_j - b_j(u), with a_j non-constant and linear in u (k = 1 or
+    2), and m the ideal of a rational point x = s over the hyperplane
+    u_1 = t.  m contains u_1 - t, so Q meet m is not contracted unless it
+    is Q, and its block basis often mixes leading coefficients whose
+    saturations keep it with ones that grow it."""
+    k = rng.choice([1, 2])
+    ndep = rng.choice([1, 2]) if k == 1 else 1
+    n = ndep + k
+    u = [Poly.variable(n, ndep + i) for i in range(k)]
+
+    def linear():
+        return sum((ui * rng.choice([0, 1, -1, 2]) for ui in u), Poly.constant(n, rng.randint(-2, 2)))
+
+    primes = []
+    for j in range(ndep):
+        a = linear()
+        while a.degree() == 0:
+            a = linear()
+        primes.append(a * Poly.variable(n, j) - linear())
+    gens = [g ** rng.randint(1, 2) for g in primes]
+    if ndep == 2 and rng.random() < 0.5:
+        gens.append(primes[0] * primes[1])
+    point = [Poly.variable(n, j) - Poly.constant(n, rng.randint(-2, 2)) for j in range(ndep)]
+    m = IdealHandle(n, point + [u[0] - Poly.constant(n, rng.randint(-2, 2))])
+    Q = IdealHandle(n, gens)
+    return Q, groebner.ideal_intersect(Q, m), tuple(range(ndep)), tuple(range(ndep, n))
+
+
+def test_contraction_by_each_leading_coefficient_matches_the_product_oracle():
+    # one saturation per distinct leading coefficient against one by their
+    # product; the intersections need every coefficient, not just one, as
+    # some of their saturations give back the ideal itself
+    rng = random.Random(5)
+    verdicts = Counter()
+    for _ in range(20):
+        Q, not_contracted, dep, indep = _contraction_pair(rng)
+        for I in (Q, not_contracted):
+            verdict = noetherian._is_contracted(I, dep, indep)
+            assert verdict == is_contracted_by_product(I, dep, indep), (I.gens, indep)
+            verdicts[len(indep), verdict] += 1
+        assert not noetherian._is_contracted(not_contracted, dep, indep)
+    assert set(verdicts) == {(1, True), (1, False), (2, True), (2, False)}
+    assert not noetherian._is_contracted(ideal("x^2*y"), (0,), (1,))
+    assert not is_contracted_by_product(ideal("x^2*y"), (0,), (1,))
 
 
 def test_building_and_certifying_a_component_saturates_each_ideal_once(monkeypatch):

@@ -566,6 +566,24 @@ def test_separating_operator_exhaustion(ring_x3):
     assert not res.found
 
 
+def test_separating_operator_on_a_torsion_quotient_exhausts_its_search(ring_x2, monkeypatch):
+    # y*x lies in a = (x*y), so b/a = (x)/(x*y) is torsion over R/p = Q[y]
+    # and every R-linear map from it to R/p is 0.  dx separates b, and only
+    # the rows that ask each unknown operator to kill x^beta*(x*y) rule it out
+    row_counts = []
+    kernel_basis = linalg.kernel_basis
+
+    def recording(rows, ncols):
+        row_counts.append(len(rows))
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(linalg, "kernel_basis", recording)
+    res = separating_operator(ideal("x*y"), ideal("x"), ring_x2, ring_x2.rad, [Poly.one(2)], 3, 2)
+    assert not res.found
+    assert res.message == "no operator up to order 3 with coefficient degree 2"
+    assert sum(row_counts) == 204
+
+
 def test_separating_operator_refutes_bad_psi(ring_x3):
     b = ideal("x^2", "x^2*y")
     with pytest.raises(PsiInconsistencyError):
