@@ -11,6 +11,16 @@ is a normal-form test.  A degree-truncated kernel of a set is a
 whose `first_outside` decides containment in an ideal for the colons and
 the verification alike, reading the basis only up to the witness.
 
+By the Leibniz rule an operator of order <= e carries K^(e+1) into K for
+every ideal K.  So with M a set's modulus and e its maximal order, every
+value on a monomial of M^(e+1) is 0 modulo M: a monomial that a
+single-term element of M^(e+1)'s reduced basis divides is *dead*.  Its
+column is zero in every truncated kernel, and it lies in every ideal that
+contains M^(e+1).  So `on_monomials` and `first_not_killed` apply no
+operator to it, `operator_kernel` reads no value of it, and
+`first_outside` reads no normal form of it once the ideal contains
+M^(e+1).
+
 The text syntax writes d<var> for the derivative in that variable, e.g.
 "y*dx*dy + 1" or "dx^2"; juxtaposition with '*' is formal (coefficients to
 the left of derivatives), not composition in the Weyl algebra.
@@ -25,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from . import linalg
-from .groebner import IdealHandle, split_poly_list
+from .groebner import IdealHandle, ideal_power, is_subideal, split_poly_list
 from .poly import (
     GrevLex,
     Mono,
@@ -33,6 +43,7 @@ from .poly import (
     format_monomial,
     join_terms,
     mono_degree,
+    mono_divides,
     mono_mul,
     monomials_up_to,
     parse_polynomial,
@@ -157,13 +168,16 @@ class OperatorSet:
     """Operators read modulo one target modulus, which only the set holds,
     and the primary component they were computed from, if any.  Read-only,
     so what it keeps stays the set's: values per degree bound, and kernels
-    per (condition ideal handle, degree bound), built by `operator_kernel`."""
+    per (condition ideal handle, degree bound), built by `operator_kernel`,
+    and M^(e+1) with its single-term basis elements, which mark the dead
+    monomials (see the module docstring)."""
 
     ops: tuple[DiffOp, ...]
     modulus: IdealHandle
     component: PrimaryComponent | None = None
     # degree bound -> (monomials, per monomial [op(x^m) for each op])
     _on_monomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _live: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # D -> live columns
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -173,9 +187,25 @@ class OperatorSet:
     def max_order(self) -> int:
         return max((op.order for op in self.ops), default=0)
 
+    @functools.cached_property
+    def leibniz_power(self) -> IdealHandle:
+        """M^(e+1), M the modulus and e the maximal order: every value on it
+        is 0 modulo M."""
+        return ideal_power(self.modulus, self.max_order + 1)
+
+    @functools.cached_property
+    def _dead_divisors(self) -> tuple[Mono, ...]:
+        return tuple(next(iter(g.terms)) for g in self.leibniz_power.gb if len(g.terms) == 1)
+
+    def is_dead(self, m: Mono) -> bool:
+        """x^m lies in M^(e+1), by divisibility by a single-term basis element."""
+        return any(mono_divides(d, m) for d in self._dead_divisors)
+
     def on_monomials(self, D: int) -> tuple[list[Mono], list[list[Poly]]]:
         """The monomials of degree at most D in ascending order, and for each
         one the values [op(x^m) for op in the set], reduced by the modulus.
+        A dead monomial's values are zero polynomials, with no operator
+        applied; the indices of the others, the live columns, are kept too.
 
         Computed once per degree bound and kept: every truncated kernel of
         this set at that bound starts from the same values.
@@ -184,10 +214,12 @@ class OperatorSet:
         if cached is None:
             nvars = self.modulus.nvars
             monos = monomials_up_to(nvars, D)
-            values = []
-            for m in monos:
-                basis_poly = Poly.monomial(nvars, m)
-                values.append([self.modulus.normal_form(op.apply(basis_poly)) for op in self.ops])
+            zero = Poly.zero(nvars)
+            values = [[zero] * len(self.ops) for _ in monos]
+            live = self._live[D] = [j for j, m in enumerate(monos) if not self.is_dead(m)]
+            for j in live:
+                basis_poly = Poly.monomial(nvars, monos[j])
+                values[j] = [self.modulus.normal_form(op.apply(basis_poly)) for op in self.ops]
             cached = self._on_monomials[D] = (monos, values)
         return cached
 
@@ -235,13 +267,27 @@ class TruncatedSubspace:
     given.  That form of the equations holds it already: its kernel vectors,
     read one free column at a time (`linalg.kernel_vectors`), are that
     basis, built only when asked for.
+
+    A kernel of an operator set whose dead monomials (see the module
+    docstring) lie among `monos` also keeps the set's `leibniz_power` and
+    its `live` columns; every other column is a dead monomial of S.
     """
 
-    def __init__(self, nvars: int, degree_bound: int, monos: list[Mono], reduced: list[dict], pivots: list[int]):
+    def __init__(
+        self,
+        nvars: int,
+        degree_bound: int,
+        monos: list[Mono],
+        reduced: list[dict],
+        pivots: list[int],
+        leibniz_power: IdealHandle | None = None,
+        live: list[int] | None = None,
+    ):
         self.nvars = nvars
         self.degree_bound = degree_bound
         self.monos = monos
         self.reduced, self.pivots = reduced, pivots
+        self.leibniz_power, self.live = leibniz_power, live
 
     @property
     def dim(self) -> int:
@@ -265,13 +311,18 @@ class TruncatedSubspace:
         monomial t and entry (t, j) the coefficient of x^t in NF(x^(m_j)),
         read off the ideal's memoised forms.  So S lies in the ideal exactly
         when N vanishes on it, that is when every row of N lies in the row
-        space of the equations.  Only a refuted containment reads the basis,
-        for its witness, and only up to it; a basis wholly inside contradicts
-        the equations, an arithmetic bug.
+        space of the equations.  When the ideal contains `leibniz_power`,
+        the dead columns of N are zero, and only the live ones are read.
+        Only a refuted containment reads the basis, for its witness, and
+        only up to it; a basis wholly inside contradicts the equations, an
+        arithmetic bug.
         """
+        columns = range(len(self.monos))
+        if self.live is not None and is_subideal(self.leibniz_power, ideal):
+            columns = self.live
         forms: dict[Mono, dict] = {}
-        for j, m in enumerate(self.monos):
-            for t, c in ideal.monomial_form(m).terms.items():
+        for j in columns:
+            for t, c in ideal.monomial_form(self.monos[j]).terms.items():
                 forms.setdefault(t, {})[j] = c
         if all(linalg.in_row_space(self.reduced, self.pivots, row) for row in forms.values()):
             return None
@@ -286,8 +337,9 @@ def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> TruncatedSub
     echelon form with last-column pivots (`TruncatedSubspace`) of the matrix
     M whose kernel, over the ascending monomial enumeration of P_<=D, is
     this space.  M has one row per (operator, monomial of NF(op(x^m),
-    cond)) and one column per x^m.  That one row reduction serves the
-    containment test and the basis alike.
+    cond)) and one column per x^m, read off the live columns only (a dead
+    column is zero).  That one row reduction serves the containment test
+    and the basis alike.
 
     `cond` must contain the set's modulus: the values op(x^m) are shared by
     every call at this D (`OperatorSet.on_monomials`) and already reduced by
@@ -299,16 +351,18 @@ def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> TruncatedSub
     if kernel is not None:
         return kernel
     monos, values = ops.on_monomials(D)
+    live = ops._live[D]
     rows: dict[tuple[int, Mono], dict] = {}
-    for j, per_op in enumerate(values):
-        for i, value in enumerate(per_op):
+    for j in live:
+        for i, value in enumerate(values[j]):
             if not value:
                 continue
             for out_mono, c in cond.normal_form(value).terms.items():
                 rows.setdefault((i, out_mono), {})[j] = c
     ordered = [rows[k] for k in sorted(rows, key=lambda k: (k[0], GrevLex().key(k[1])))]
     equations = linalg.rref(ordered, len(monos), last_leading=True)
-    return ops._kernels.setdefault((cond, D), TruncatedSubspace(cond.nvars, D, monos, *equations))
+    settled = (ops.leibniz_power, live) if len(live) < len(monos) else ()
+    return ops._kernels.setdefault((cond, D), TruncatedSubspace(cond.nvars, D, monos, *equations, *settled))
 
 
 def first_not_killed(ops: OperatorSet, gens: Sequence[Poly], target: IdealHandle | None = None) -> Poly | None:
@@ -316,7 +370,9 @@ def first_not_killed(ops: OperatorSet, gens: Sequence[Poly], target: IdealHandle
     monomials x^beta of degree at most the operator's order, with op(h)
     outside `target` (the set's own modulus when None); None when there is
     none.  Values are reduced once, by that ideal alone, so a `target` must
-    contain the set's modulus.
+    contain the set's modulus.  Then op carries h's dead terms into the
+    modulus, so into `target`: only h's live terms are applied, and the
+    whole h is returned.
 
     None is exact: an operator of order d composed with multiplication by g
     is again an operator of order at most d, hence carries every multiple of
@@ -327,6 +383,7 @@ def first_not_killed(ops: OperatorSet, gens: Sequence[Poly], target: IdealHandle
         for g in gens:
             for beta in monomials_up_to(g.nvars, op.order):
                 h = Poly(g.nvars, {mono_mul(t, beta): c for t, c in g.terms.items()}) if any(beta) else g
-                if ideal.normal_form(op.apply(h)):
+                live = Poly(h.nvars, {t: c for t, c in h.terms.items() if not ops.is_dead(t)}) if ops._dead_divisors else h
+                if ideal.normal_form(op.apply(live)):
                     return h
     return None

@@ -15,7 +15,9 @@ monomial, and otherwise built from the normal form of one divisor
 x^m / x_j; NF(f) is the sum of its terms' forms.  Buchberger itself keeps
 the leading terms of its growing basis for every reduction; `ideal_power`
 builds each n-fold product from its (n-1)-fold prefix, and the handle keeps
-those levels of products for its higher powers.
+those levels of products for its higher powers.  Powers multiply each
+generator divided by its rational content, a unit multiple, so the
+products of generators scaled by a rational keep integer coefficients.
 
 Ideals of a quotient ring R = P/N are represented by generator lists in the
 ambient polynomial ring P.  Membership "in R" or "in R_red = P/rad" goes
@@ -52,6 +54,7 @@ from .poly import (
     mono_mul,
     parse_polynomial,
     qdiv,
+    rational_content,
 )
 
 
@@ -65,6 +68,13 @@ class NotZeroDimensionalError(ValueError):
 
 def _monic(f: Poly, order: MonomialOrder) -> Poly:
     return _monic_and_lead(f, order)[0]
+
+
+def _primitive(f: Poly) -> Poly:
+    """f divided by its rational content: a unit multiple, so the same
+    ideal, with integer coefficients that share no factor."""
+    content = rational_content(f.terms.values())
+    return f if content == 1 else f.divide_by(content)
 
 
 def _monic_and_lead(f: Poly, order: MonomialOrder) -> tuple[Poly, tuple[Mono, object]]:
@@ -327,7 +337,8 @@ def split_poly_list(text: str) -> list[str]:
 
 
 def ideal_power(I: IdealHandle, n: int) -> IdealHandle:
-    """I^n, generated by the n-fold products of generators in the order of
+    """I^n, generated by the n-fold products of generators, each divided by
+    its rational content (`_primitive`), in the order of
     `combinations_with_replacement`, each its (n-1)-fold prefix times one
     generator, repeats dropped; I^0 = (1).  The handle keeps the levels of
     products built so far, so I^n grows from the highest one kept."""
@@ -337,9 +348,10 @@ def ideal_power(I: IdealHandle, n: int) -> IdealHandle:
         return IdealHandle(I.nvars, [Poly.one(I.nvars)])
     levels = I._products  # level k: (index of the last factor, product) of the (k+1)-fold products
     if not levels:
-        levels.append(list(enumerate(I.gens)))
+        levels.append(list(enumerate(map(_primitive, I.gens))))
+    gens = [g for _, g in levels[0]]
     while len(levels) < n:
-        levels.append([(j, p * g) for i, p in levels[-1] for j, g in enumerate(I.gens[i:], i)])
+        levels.append([(j, p * g) for i, p in levels[-1] for j, g in enumerate(gens[i:], i)])
     return IdealHandle(I.nvars, dict.fromkeys(p for _, p in levels[n - 1]))
 
 
@@ -503,10 +515,11 @@ class RingSpec:
         """J^n + M, M being N or rad; J^0 = (1).
 
         J^1 + M is `plus_N` / `plus_rad`; for n >= 2 the generators are
-        NF_M(g * h), g in the basis of J^(n-1) + M and h a generator of J,
-        followed by those of M.  The ideals agree because M*J lies in M, and
-        the products of a reduced basis are far fewer and smaller than the
-        n-fold products of J's generators.
+        NF_M(g * h), g in the basis of J^(n-1) + M and h a generator of J
+        divided by its rational content (`_primitive`), followed by those of
+        M.  The ideals agree because M*J lies in M, and the products of a
+        reduced basis are far fewer and smaller than the n-fold products of
+        J's generators.
         """
         if n < 0:
             raise ValueError("negative ideal power")
@@ -519,7 +532,8 @@ class RingSpec:
                 handle = self.ideal(J.gens + M.gens)
             else:
                 below = self.power_plus(J, n - 1, M).gb
-                products = [M.normal_form(g * h) for g in below for h in J.gens]
+                gens = [_primitive(h) for h in J.gens]
+                products = [M.normal_form(g * h) for g in below for h in gens]
                 # monic, so that powers of ideals equal up to scaling share handles
                 monic = [_monic(p, IdealHandle.ORDER) for p in products if p]
                 handle = self.ideal(monic + list(M.gens))

@@ -518,13 +518,17 @@ def block_key_by_generator(eliminated: tuple[int, ...], m: Mono):
 
 
 def ideal_power_by_reduce(I: IdealHandle, n: int) -> IdealHandle:
-    """I^n from every n-fold product folded from scratch, in the order of
+    """I^n from every n-fold product of I's generators, each divided by its
+    rational content, folded from scratch, in the order of
     `combinations_with_replacement`, repeats dropped; I^0 = (1)."""
     if n == 0:
         return IdealHandle(I.nvars, [Poly.one(I.nvars)])
+    # by the content's definition, each quotient is an integer
+    contents = [poly.rational_content(g.terms.values()) for g in I.gens]
+    primitive = [Poly(g.nvars, {m: int(Fraction(x) / c) for m, x in g.terms.items()}) for g, c in zip(I.gens, contents)]
     gens = []
     seen = set()
-    for combo in itertools.combinations_with_replacement(I.gens, n):
+    for combo in itertools.combinations_with_replacement(primitive, n):
         p = functools.reduce(Poly.__mul__, combo)
         key = frozenset(p.terms.items())
         if p and key not in seen:

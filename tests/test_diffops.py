@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import math
 import random
 import sys
@@ -20,13 +22,14 @@ from noethops.diffops import (
     parse_operator,
     parse_operator_set,
 )
-from noethops.groebner import IdealHandle
+from noethops.groebner import IdealHandle, ideal_power
 from noethops.poly import Poly, mono_unit, monomials_up_to
 
 from conftest import P, ideal, order_lemma_witness, random_polynomial, run_under_python_O, typed_terms
 from oracles import (
     apply_by_derivatives,
     bracket_by_leibniz,
+    colon_oracle,
     derivative,
     first_not_killed_by_scaling,
     identity_op,
@@ -358,6 +361,125 @@ def test_order_lemma_refuted_without_the_modulus():
     assert order_lemma_witness(dx(), ideal("x"), ideal("y"), 1) == P("x^2")
 
 
+# --- the Leibniz bound: dead monomials -------------------------------------------
+
+
+def _random_operator_of_order(rng: random.Random, nvars: int, e: int) -> DiffOp:
+    """A term at a derivative of order e and up to two below it, each with a
+    nonzero coefficient of degree at most 2."""
+    alphas = monomials_up_to(nvars, e)
+    top = rng.choice([a for a in alphas if sum(a) == e])
+    terms = {alpha: random_polynomial(rng, nvars, 2) or Poly.one(nvars) for alpha in rng.sample(alphas, min(2, len(alphas)))}
+    terms[top] = random_polynomial(rng, nvars, 2) or Poly.one(nvars)
+    return DiffOp(nvars, terms)
+
+
+def _leibniz_ideals(nvars: int) -> list[IdealHandle]:
+    """A monomial ideal and a non-monomial one, each holding a variable or
+    an element with a linear term, so the bound is tight on both."""
+    x = [Poly.variable(nvars, i) for i in range(nvars)]
+    return [IdealHandle(nvars, [x[0], x[-1] ** 2]), _non_monomial_modulus(nvars)]
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+@pytest.mark.parametrize("kind", ["monomial", "non_monomial"])
+def test_an_operator_of_order_e_carries_k_to_the_e_plus_1_into_k(nvars, kind):
+    # delta(f) in K for f a product of e+1 elements of K, each a random
+    # combination of K's generators; and not so at K^e: some d^alpha with
+    # |alpha| = e carries a product of e generators outside K
+    rng = random.Random(1700 + 10 * nvars + (kind == "monomial"))
+    K = _leibniz_ideals(nvars)[kind == "non_monomial"]
+    for e in range(4):
+        for _ in range(6):
+            op = _random_operator_of_order(rng, nvars, e)
+            assert op.order == e
+            elements = [sum((random_polynomial(rng, nvars, 1) * g for g in K.gens), Poly.zero(nvars)) for _ in range(e + 1)]
+            f = functools.reduce(Poly.__mul__, elements)
+            assert K.contains(op.apply(f))
+        products = [functools.reduce(Poly.__mul__, combo, Poly.one(nvars)) for combo in itertools.combinations_with_replacement(K.gens, e)]
+        tops = [partial_op(nvars, a) for a in monomials_up_to(nvars, e) if sum(a) == e]
+        assert any(not K.contains(d.apply(f)) for d in tops for f in products), e
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_on_monomials_applies_no_operator_to_a_dead_monomial(nvars, monkeypatch):
+    # the modulus (x0, x_last^2) and operators of order <= 2: M^3's
+    # single-term basis elements mark the dead monomials, whose values are
+    # zero with no operator applied; every value equals a fresh reduction
+    rng = random.Random(1750 + nvars)
+    modulus = _leibniz_ideals(nvars)[0]
+    ops = OperatorSet([_random_operator_of_order(rng, nvars, e) for e in (0, 1, 2)], modulus)
+    assert ops.leibniz_power.gb == ideal_power(modulus, 3).gb
+    assert all(len(g.terms) == 1 for g in ops.leibniz_power.gb)
+    applied = []
+    apply = DiffOp.apply
+    monkeypatch.setattr(DiffOp, "apply", lambda op, f: applied.append(f) or apply(op, f))
+    monos, values = ops.on_monomials(5)
+    monkeypatch.undo()
+    dead = [m for m in monos if ops.is_dead(m)]
+    assert dead and ops._live[5] == [j for j, m in enumerate(monos) if m not in dead]
+    assert not any(ops.is_dead(m) for f in applied for m in f.terms)
+    assert len(applied) == len(ops) * (len(monos) - len(dead))
+    for m, per_op in zip(monos, values):
+        x_m = Poly.monomial(nvars, m)
+        assert per_op == [modulus.normal_form(op.apply(x_m)) for op in ops]
+    # the kernel under a condition ideal containing M matches the oracle's
+    cond = IdealHandle(nvars, modulus.gens + (random_polynomial(rng, nvars, 2, 3),))
+    S = operator_kernel(ops, cond, 5)
+    assert S.live == ops._live[5] and S.leibniz_power is ops.leibniz_power
+    assert S.basis == colon_oracle(ops, cond, 5, cond)[0]
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_a_leibniz_power_without_a_single_term_element_settles_nothing(nvars, monkeypatch):
+    # M^(e+1) of a non-monomial modulus has no single-term basis element:
+    # every operator is applied to every monomial, the kernel keeps no list
+    # of live columns, and `first_outside` reads the form of every column,
+    # even for an ideal that contains M^(e+1)
+    rng = random.Random(1760 + nvars)
+    modulus = _non_monomial_modulus(nvars)
+    ops = OperatorSet([_random_operator_of_order(rng, nvars, e) for e in (0, 1, 2)], modulus)
+    assert ops.leibniz_power.gb and not any(len(g.terms) == 1 for g in ops.leibniz_power.gb)
+    applied = []
+    apply = DiffOp.apply
+    monkeypatch.setattr(DiffOp, "apply", lambda op, f: applied.append(f) or apply(op, f))
+    S = operator_kernel(ops, modulus, 3)
+    monos = monomials_up_to(nvars, 3)
+    assert applied == [Poly.monomial(nvars, m) for m in monos for _ in ops]
+    assert S.live is None and ops._live[3] == list(range(len(monos)))
+    target = IdealHandle(nvars, modulus.gens + tuple(ops.leibniz_power.gens))
+    asked = []
+    form = IdealHandle.monomial_form
+    monkeypatch.setattr(IdealHandle, "monomial_form", lambda I, m: (I is target and asked.append(m)) or form(I, m))
+    S.first_outside(target)
+    assert asked[: len(monos)] == monos
+
+
+def test_first_outside_reads_the_live_columns_only_when_the_ideal_contains_the_leibniz_power(ring_x2, monkeypatch):
+    # `1; dx` modulo (x): the dead monomials are the multiples of x^2, which
+    # lie in every colon; an ideal holding the colon and x^2 has no form of
+    # them read (but x^2's own, to decide that it holds x^2), and (y),
+    # which misses x^2, reads all of them and is refuted by x^2
+    ops = OperatorSet([identity_op(2), dx()], ring_x2.rad)
+    cond = ideal("x", "y^2")
+    S = operator_kernel(ops, cond, 4)
+    monos = monomials_up_to(2, 4)
+    live = [monos[j] for j in S.live]
+    assert set(monos) - set(live) == {m for m in monos if m[0] >= 2}
+    asked = []
+    form = IdealHandle.monomial_form
+    monkeypatch.setattr(IdealHandle, "monomial_form", lambda I, m: asked.append(m) or form(I, m))
+    for holding in (ideal("x^2", "y^2"), ideal("x^2", "x*y", "y^2")):
+        asked.clear()
+        assert S.first_outside(holding) is None
+        assert set(asked) - {(2, 0)} <= set(live)
+        assert colon_oracle(ops, cond, 4, holding)[1] is None
+    asked.clear()
+    assert S.first_outside(ideal("y")) == P("x^2")
+    assert set(monos) <= set(asked)
+    assert colon_oracle(ops, cond, 4, ideal("y"))[1] == P("x^2")
+
+
 # --- containment of a truncated kernel ------------------------------------------
 
 
@@ -485,3 +607,31 @@ def test_first_not_killed_shifts_match_scaling_by_one(nvars, monkeypatch):
     assert first_not_killed_by_scaling(ops, gens) is None
     assert list(map(typed_terms, shifted)) == list(map(typed_terms, seen))
     assert len(seen) == sum(len(monomials_up_to(nvars, op.order)) for op in ops) * len(gens)
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_first_not_killed_with_a_monomial_modulus_matches_scaling_by_one(nvars, monkeypatch):
+    # the modulus (x0, x_last^2) settles the terms of each h in M^(e+1):
+    # the same witness as the oracle, which applies every h whole, on
+    # targets holding the modulus, and no dead term is ever applied
+    rng = random.Random(1780 + nvars)
+    modulus = _leibniz_ideals(nvars)[0]
+    ops = OperatorSet([identity_op(nvars), partial_op(nvars, mono_unit(nvars, 0)), partial_op(nvars, mono_unit(nvars, nvars - 1))], modulus)
+    assert ops._dead_divisors
+    applied = []
+    apply = DiffOp.apply
+    monkeypatch.setattr(DiffOp, "apply", lambda op, f: applied.append(f) or apply(op, f))
+    verdicts = set()
+    for k in range(6):
+        target = IdealHandle(nvars, modulus.gens + (random_polynomial(rng, nvars, 2, 2),))
+        gens = [random_polynomial(rng, nvars, 3, 4) for _ in range(3)]
+        if k % 2:  # in the target's square, so killed into it
+            gens = [g * a * b for g in gens for a, b in itertools.combinations(target.gens, 2)]
+        for t in (target, None):
+            applied.clear()
+            got = first_not_killed(ops, gens, t)
+            assert not any(ops.is_dead(m) for f in applied for m in f.terms)
+            want = first_not_killed_by_scaling(ops, gens, t)
+            assert got is want is None or typed_terms(got) == typed_terms(want)
+            verdicts.add(got is None)
+    assert verdicts == {True, False}
