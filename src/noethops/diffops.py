@@ -13,13 +13,15 @@ the verification alike, reading the basis only up to the witness.
 
 By the Leibniz rule an operator of order <= e carries K^(e+1) into K for
 every ideal K.  So with M a set's modulus and e its maximal order, every
-value on a monomial of M^(e+1) is 0 modulo M: a monomial that a
-single-term element of M^(e+1)'s reduced basis divides is *dead*.  Its
-column is zero in every truncated kernel, and it lies in every ideal that
-contains M^(e+1).  So `on_monomials` and `first_not_killed` apply no
-operator to it, `operator_kernel` reads no value of it, and
-`first_outside` reads no normal form of it once the ideal contains
-M^(e+1).
+value on a monomial of M^(e+1) is 0 modulo M.  The set finds such
+monomials without a Groebner basis of M^(e+1): a monomial that an
+(e+1)-fold product of single-term elements of M's reduced basis divides
+is *dead*.  Its column is zero in every truncated kernel, and it lies in
+every ideal that holds those products.  So `on_monomials` and
+`first_not_killed` apply no operator to it, `operator_kernel` reads no
+value of it, and `first_outside` reads no normal form of it once the
+ideal holds the products.  A modulus whose basis has no single-term
+element has no dead monomial, and costs nothing more.
 
 The text syntax writes d<var> for the derivative in that variable, e.g.
 "y*dx*dy + 1" or "dx^2"; juxtaposition with '*' is formal (coefficients to
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from . import linalg
-from .groebner import IdealHandle, ideal_power, is_subideal, split_poly_list
+from .groebner import IdealHandle, ideal_power, split_poly_list
 from .poly import (
     GrevLex,
     Mono,
@@ -169,15 +171,14 @@ class OperatorSet:
     and the primary component they were computed from, if any.  Read-only,
     so what it keeps stays the set's: values per degree bound, and kernels
     per (condition ideal handle, degree bound), built by `operator_kernel`,
-    and M^(e+1) with its single-term basis elements, which mark the dead
-    monomials (see the module docstring)."""
+    and the divisors that mark its dead monomials (see the module
+    docstring)."""
 
     ops: tuple[DiffOp, ...]
     modulus: IdealHandle
     component: PrimaryComponent | None = None
-    # degree bound -> (monomials, per monomial [op(x^m) for each op])
+    # degree bound -> ((monomials, per monomial [op(x^m) for each op]), live column indices)
     _on_monomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _live: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # D -> live columns
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -188,39 +189,47 @@ class OperatorSet:
         return max((op.order for op in self.ops), default=0)
 
     @functools.cached_property
-    def leibniz_power(self) -> IdealHandle:
-        """M^(e+1), M the modulus and e the maximal order: every value on it
-        is 0 modulo M."""
-        return ideal_power(self.modulus, self.max_order + 1)
-
-    @functools.cached_property
-    def _dead_divisors(self) -> tuple[Mono, ...]:
-        return tuple(next(iter(g.terms)) for g in self.leibniz_power.gb if len(g.terms) == 1)
+    def dead_divisors(self) -> tuple[Mono, ...]:
+        """The (e+1)-fold products of the single-term elements of the
+        modulus's reduced basis (`ideal_power` of those elements), e the
+        maximal order: monomials of M^(e+1); none when the basis has no
+        such element."""
+        singles = IdealHandle(self.modulus.nvars, [g for g in self.modulus.gb if len(g.terms) == 1])
+        return tuple(next(iter(p.terms)) for p in ideal_power(singles, self.max_order + 1).gens)
 
     def is_dead(self, m: Mono) -> bool:
-        """x^m lies in M^(e+1), by divisibility by a single-term basis element."""
-        return any(mono_divides(d, m) for d in self._dead_divisors)
+        """x^m lies in M^(e+1), by divisibility by one of `dead_divisors`."""
+        return any(mono_divides(d, m) for d in self.dead_divisors)
 
     def on_monomials(self, D: int) -> tuple[list[Mono], list[list[Poly]]]:
         """The monomials of degree at most D in ascending order, and for each
         one the values [op(x^m) for op in the set], reduced by the modulus.
         A dead monomial's values are zero polynomials, with no operator
-        applied; the indices of the others, the live columns, are kept too.
+        applied.
 
-        Computed once per degree bound and kept: every truncated kernel of
-        this set at that bound starts from the same values.
+        Computed once per degree bound and kept, with `live_columns`: every
+        truncated kernel of this set at that bound starts from the same
+        values.
         """
+        return self._columns(D)[0]
+
+    def live_columns(self, D: int) -> Sequence[int]:
+        """The indices of the monomials of `on_monomials(D)` that are not
+        dead: the live columns of every truncated kernel at D."""
+        return self._columns(D)[1]
+
+    def _columns(self, D: int) -> tuple[tuple[list[Mono], list[list[Poly]]], Sequence[int]]:
         cached = self._on_monomials.get(D)
         if cached is None:
             nvars = self.modulus.nvars
             monos = monomials_up_to(nvars, D)
             zero = Poly.zero(nvars)
             values = [[zero] * len(self.ops) for _ in monos]
-            live = self._live[D] = [j for j, m in enumerate(monos) if not self.is_dead(m)]
+            live = [j for j, m in enumerate(monos) if not self.is_dead(m)] if self.dead_divisors else range(len(monos))
             for j in live:
                 basis_poly = Poly.monomial(nvars, monos[j])
                 values[j] = [self.modulus.normal_form(op.apply(basis_poly)) for op in self.ops]
-            cached = self._on_monomials[D] = (monos, values)
+            cached = self._on_monomials[D] = ((monos, values), live)
         return cached
 
     def __iter__(self):
@@ -268,9 +277,9 @@ class TruncatedSubspace:
     read one free column at a time (`linalg.kernel_vectors`), are that
     basis, built only when asked for.
 
-    A kernel of an operator set whose dead monomials (see the module
-    docstring) lie among `monos` also keeps the set's `leibniz_power` and
-    its `live` columns; every other column is a dead monomial of S.
+    A kernel of an operator set keeps the set's `dead_divisors` and its
+    `live` columns at D; every other column is a dead monomial of S.  Built
+    from anything else, no column is dead.
     """
 
     def __init__(
@@ -280,14 +289,15 @@ class TruncatedSubspace:
         monos: list[Mono],
         reduced: list[dict],
         pivots: list[int],
-        leibniz_power: IdealHandle | None = None,
-        live: list[int] | None = None,
+        dead_divisors: tuple[Mono, ...] = (),
+        live: Sequence[int] | None = None,
     ):
         self.nvars = nvars
         self.degree_bound = degree_bound
         self.monos = monos
         self.reduced, self.pivots = reduced, pivots
-        self.leibniz_power, self.live = leibniz_power, live
+        self.dead_divisors = dead_divisors
+        self.live = range(len(monos)) if live is None else live
 
     @property
     def dim(self) -> int:
@@ -311,14 +321,14 @@ class TruncatedSubspace:
         monomial t and entry (t, j) the coefficient of x^t in NF(x^(m_j)),
         read off the ideal's memoised forms.  So S lies in the ideal exactly
         when N vanishes on it, that is when every row of N lies in the row
-        space of the equations.  When the ideal contains `leibniz_power`,
-        the dead columns of N are zero, and only the live ones are read.
+        space of the equations.  When the ideal holds `dead_divisors`, the
+        dead columns of N are zero, and only the live ones are read.
         Only a refuted containment reads the basis, for its witness, and
         only up to it; a basis wholly inside contradicts the equations, an
         arithmetic bug.
         """
         columns = range(len(self.monos))
-        if self.live is not None and is_subideal(self.leibniz_power, ideal):
+        if len(self.live) < len(self.monos) and not any(map(ideal.monomial_form, self.dead_divisors)):
             columns = self.live
         forms: dict[Mono, dict] = {}
         for j in columns:
@@ -351,7 +361,7 @@ def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> TruncatedSub
     if kernel is not None:
         return kernel
     monos, values = ops.on_monomials(D)
-    live = ops._live[D]
+    live = ops.live_columns(D)
     rows: dict[tuple[int, Mono], dict] = {}
     for j in live:
         for i, value in enumerate(values[j]):
@@ -361,8 +371,8 @@ def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> TruncatedSub
                 rows.setdefault((i, out_mono), {})[j] = c
     ordered = [rows[k] for k in sorted(rows, key=lambda k: (k[0], GrevLex().key(k[1])))]
     equations = linalg.rref(ordered, len(monos), last_leading=True)
-    settled = (ops.leibniz_power, live) if len(live) < len(monos) else ()
-    return ops._kernels.setdefault((cond, D), TruncatedSubspace(cond.nvars, D, monos, *equations, *settled))
+    kernel = TruncatedSubspace(cond.nvars, D, monos, *equations, ops.dead_divisors, live)
+    return ops._kernels.setdefault((cond, D), kernel)
 
 
 def first_not_killed(ops: OperatorSet, gens: Sequence[Poly], target: IdealHandle | None = None) -> Poly | None:
@@ -371,8 +381,8 @@ def first_not_killed(ops: OperatorSet, gens: Sequence[Poly], target: IdealHandle
     outside `target` (the set's own modulus when None); None when there is
     none.  Values are reduced once, by that ideal alone, so a `target` must
     contain the set's modulus.  Then op carries h's dead terms into the
-    modulus, so into `target`: only h's live terms are applied, and the
-    whole h is returned.
+    modulus, so into `target`: only h's live terms are applied (none when
+    every term is dead), and the whole h is returned.
 
     None is exact: an operator of order d composed with multiplication by g
     is again an operator of order at most d, hence carries every multiple of
@@ -383,7 +393,7 @@ def first_not_killed(ops: OperatorSet, gens: Sequence[Poly], target: IdealHandle
         for g in gens:
             for beta in monomials_up_to(g.nvars, op.order):
                 h = Poly(g.nvars, {mono_mul(t, beta): c for t, c in g.terms.items()}) if any(beta) else g
-                live = Poly(h.nvars, {t: c for t, c in h.terms.items() if not ops.is_dead(t)}) if ops._dead_divisors else h
-                if ideal.normal_form(op.apply(live)):
+                live = Poly(h.nvars, {t: c for t, c in h.terms.items() if not ops.is_dead(t)}) if ops.dead_divisors else h
+                if live and ideal.normal_form(op.apply(live)):
                     return h
     return None

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import noethops
-from noethops import diffops, linalg, noetherian, uniformity
+from noethops import diffops, groebner, linalg, noetherian, uniformity
 from noethops.configs import load_experiment_config, run_experiment_config
 from noethops.diffops import (
     ArithmeticBugError,
@@ -401,23 +401,38 @@ def test_an_operator_of_order_e_carries_k_to_the_e_plus_1_into_k(nvars, kind):
         assert any(not K.contains(d.apply(f)) for d in tops for f in products), e
 
 
+def _mixed_modulus(nvars: int) -> IdealHandle:
+    """A modulus whose reduced basis has one single-term element, x_last^2,
+    beside a binomial."""
+    x = [Poly.variable(nvars, i) for i in range(nvars)]
+    return IdealHandle(nvars, [x[0] ** 2 - x[-1], x[-1] ** 2])
+
+
 @pytest.mark.parametrize("nvars", [2, 3])
-def test_on_monomials_applies_no_operator_to_a_dead_monomial(nvars, monkeypatch):
-    # the modulus (x0, x_last^2) and operators of order <= 2: M^3's
-    # single-term basis elements mark the dead monomials, whose values are
-    # zero with no operator applied; every value equals a fresh reduction
-    rng = random.Random(1750 + nvars)
-    modulus = _leibniz_ideals(nvars)[0]
+@pytest.mark.parametrize("kind", ["monomial", "mixed"])
+def test_on_monomials_applies_no_operator_to_a_dead_monomial(nvars, kind, monkeypatch):
+    # operators of order <= 2, so the dead divisors are the triple products
+    # of the modulus's single-term basis elements, all in M^3; for a
+    # monomial modulus they are exactly M^3's single-term basis elements.
+    # Dead values are zero with no operator applied; every value equals a
+    # fresh reduction
+    rng = random.Random(1750 + nvars + 10 * (kind == "mixed"))
+    modulus = _leibniz_ideals(nvars)[0] if kind == "monomial" else _mixed_modulus(nvars)
     ops = OperatorSet([_random_operator_of_order(rng, nvars, e) for e in (0, 1, 2)], modulus)
-    assert ops.leibniz_power.gb == ideal_power(modulus, 3).gb
-    assert all(len(g.terms) == 1 for g in ops.leibniz_power.gb)
+    cube = ideal_power(modulus, 3)
+    assert ops.dead_divisors and all(cube.contains(Poly.monomial(nvars, d)) for d in ops.dead_divisors)
+    if kind == "monomial":
+        assert sorted(ops.dead_divisors) == sorted(next(iter(g.terms)) for g in cube.gb)
+    else:
+        assert ops.dead_divisors == ((0,) * (nvars - 1) + (6,),)
     applied = []
     apply = DiffOp.apply
     monkeypatch.setattr(DiffOp, "apply", lambda op, f: applied.append(f) or apply(op, f))
-    monos, values = ops.on_monomials(5)
+    monos, values = ops.on_monomials(6)
     monkeypatch.undo()
     dead = [m for m in monos if ops.is_dead(m)]
-    assert dead and ops._live[5] == [j for j, m in enumerate(monos) if m not in dead]
+    live = ops.live_columns(6)
+    assert dead and live == [j for j, m in enumerate(monos) if m not in dead]
     assert not any(ops.is_dead(m) for f in applied for m in f.terms)
     assert len(applied) == len(ops) * (len(monos) - len(dead))
     for m, per_op in zip(monos, values):
@@ -425,29 +440,34 @@ def test_on_monomials_applies_no_operator_to_a_dead_monomial(nvars, monkeypatch)
         assert per_op == [modulus.normal_form(op.apply(x_m)) for op in ops]
     # the kernel under a condition ideal containing M matches the oracle's
     cond = IdealHandle(nvars, modulus.gens + (random_polynomial(rng, nvars, 2, 3),))
-    S = operator_kernel(ops, cond, 5)
-    assert S.live == ops._live[5] and S.leibniz_power is ops.leibniz_power
-    assert S.basis == colon_oracle(ops, cond, 5, cond)[0]
+    S = operator_kernel(ops, cond, 6)
+    assert S.live is live and S.dead_divisors is ops.dead_divisors
+    assert S.basis == colon_oracle(ops, cond, 6, cond)[0]
 
 
 @pytest.mark.parametrize("nvars", [2, 3])
-def test_a_leibniz_power_without_a_single_term_element_settles_nothing(nvars, monkeypatch):
-    # M^(e+1) of a non-monomial modulus has no single-term basis element:
-    # every operator is applied to every monomial, the kernel keeps no list
-    # of live columns, and `first_outside` reads the form of every column,
+def test_a_modulus_without_a_single_term_element_settles_nothing(nvars, monkeypatch):
+    # neither M's basis nor M^(e+1)'s has a single-term element: no
+    # Groebner basis beyond M's own is built, every operator is applied to
+    # every monomial, and `first_outside` reads the form of every column,
     # even for an ideal that contains M^(e+1)
     rng = random.Random(1760 + nvars)
     modulus = _non_monomial_modulus(nvars)
     ops = OperatorSet([_random_operator_of_order(rng, nvars, e) for e in (0, 1, 2)], modulus)
-    assert ops.leibniz_power.gb and not any(len(g.terms) == 1 for g in ops.leibniz_power.gb)
+    cube = ideal_power(modulus, 3)
+    assert not any(len(g.terms) == 1 for g in modulus.gb + cube.gb)
+    runs = []
+    buchberger = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", lambda *a: runs.append(a) or buchberger(*a))
     applied = []
     apply = DiffOp.apply
     monkeypatch.setattr(DiffOp, "apply", lambda op, f: applied.append(f) or apply(op, f))
     S = operator_kernel(ops, modulus, 3)
     monos = monomials_up_to(nvars, 3)
+    assert runs == [] and ops.dead_divisors == ()
     assert applied == [Poly.monomial(nvars, m) for m in monos for _ in ops]
-    assert S.live is None and ops._live[3] == list(range(len(monos)))
-    target = IdealHandle(nvars, modulus.gens + tuple(ops.leibniz_power.gens))
+    assert S.live is ops.live_columns(3) and list(S.live) == list(range(len(monos)))
+    target = IdealHandle(nvars, modulus.gens + cube.gens)
     asked = []
     form = IdealHandle.monomial_form
     monkeypatch.setattr(IdealHandle, "monomial_form", lambda I, m: (I is target and asked.append(m)) or form(I, m))
@@ -455,7 +475,7 @@ def test_a_leibniz_power_without_a_single_term_element_settles_nothing(nvars, mo
     assert asked[: len(monos)] == monos
 
 
-def test_first_outside_reads_the_live_columns_only_when_the_ideal_contains_the_leibniz_power(ring_x2, monkeypatch):
+def test_first_outside_reads_the_live_columns_only_when_the_ideal_holds_the_dead_divisors(ring_x2, monkeypatch):
     # `1; dx` modulo (x): the dead monomials are the multiples of x^2, which
     # lie in every colon; an ideal holding the colon and x^2 has no form of
     # them read (but x^2's own, to decide that it holds x^2), and (y),
@@ -617,7 +637,7 @@ def test_first_not_killed_with_a_monomial_modulus_matches_scaling_by_one(nvars, 
     rng = random.Random(1780 + nvars)
     modulus = _leibniz_ideals(nvars)[0]
     ops = OperatorSet([identity_op(nvars), partial_op(nvars, mono_unit(nvars, 0)), partial_op(nvars, mono_unit(nvars, nvars - 1))], modulus)
-    assert ops._dead_divisors
+    assert ops.dead_divisors
     applied = []
     apply = DiffOp.apply
     monkeypatch.setattr(DiffOp, "apply", lambda op, f: applied.append(f) or apply(op, f))

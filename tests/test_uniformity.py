@@ -9,7 +9,7 @@ from noethops import groebner, linalg, uniformity
 from noethops.closures import power_schedule, shift_search
 from noethops.configs import ExperimentConfig, load_experiment_config, run_experiment_config
 from noethops.diffops import ArithmeticBugError, DiffOp, OperatorSet
-from noethops.groebner import IdealHandle, RingSpec, ideal_power, is_subideal
+from noethops.groebner import IdealHandle, RingSpec, ideal_equal, ideal_power, is_subideal
 from noethops.poly import Poly, monomials_up_to
 from noethops.uniformity import (
     PsiInconsistencyError,
@@ -151,17 +151,18 @@ def test_every_colon_of_a_config_matches_the_row_reduced_oracle(name):
 
 
 @pytest.mark.parametrize("name", CONFIGS)
-def test_colons_with_settled_columns_match_the_oracle_with_and_without_the_leibniz_power(name):
-    # every config's modulus M is monomial, so M^(e+1) settles columns of
-    # each colon.  J + N holds M^(e+1): only live columns are read.  An
-    # ideal that misses it, (other variables) or 0, reads every column and
-    # finds the oracle's witness; modulo (x) the witness outside (other
-    # variables) is x^(e+1), a dead monomial.  Modulo (x*y), (y) holds
-    # M^2 = (x^2*y^2), and only 0 misses it.
+def test_colons_with_settled_columns_match_the_oracle_with_and_without_the_dead_divisors(name):
+    # every config's modulus M is monomial, so its dead divisors generate
+    # M^(e+1) and settle columns of each colon.  J + N holds M^(e+1): only
+    # live columns are read.  An ideal that misses it, (other variables) or
+    # 0, reads every column and finds the oracle's witness; modulo (x) the
+    # witness outside (other variables) is x^(e+1), a dead monomial.
+    # Modulo (x*y), (y) holds M^2 = (x^2*y^2), and only 0 misses it.
     cfg = load_config(name)
     ring, ops, D = cfg.ring, cfg.operators, cfg.degree
     nvars = ring.nvars
-    power = ops.leibniz_power
+    power = IdealHandle(nvars, [Poly.monomial(nvars, d) for d in ops.dead_divisors])
+    assert ideal_equal(power, ideal_power(ops.modulus, ops.max_order + 1))
     misses = [IdealHandle(nvars, [Poly.variable(nvars, i) for i in range(1, nvars)]), IdealHandle(nvars, [])]
     misses = [I for I in misses if not is_subideal(power, I)]
     x = Poly.variable(nvars, 0)
@@ -171,7 +172,7 @@ def test_colons_with_settled_columns_match_the_oracle_with_and_without_the_leibn
         assert is_subideal(power, ring.plus_N(target))
         cond = schedule(1, 0)
         S = diff_colon_of_ideal(cond, ops, D)
-        assert S.leibniz_power is power and 0 < len(S.live) < len(S.monos)
+        assert S.dead_divisors is ops.dead_divisors and 0 < len(S.live) < len(S.monos)
         _assert_colon_matches_oracle(cond, ops, target, ring, D)
         for I in misses:
             got, want = S.first_outside(I), colon_oracle(ops, cond, D, I)[1]
@@ -394,7 +395,7 @@ def test_find_min_c_applies_each_operator_to_each_monomial_once(ring_x2, ops_pi_
     witnesses = [r.witness for r in rep.rows]
     # the set's modulus is (x) and its order 1, so (x)^2 = (x^2) holds the
     # monomials whose values the Leibniz rule settles
-    assert ops_pi_dx.leibniz_power.gb == [P("x^2")]
+    assert ops_pi_dx.dead_divisors == ((2, 0),)
     expected = Counter()
     for op in ops_pi_dx:
         for m in monomials_up_to(2, D):
