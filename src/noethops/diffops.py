@@ -23,6 +23,13 @@ value of it, and `first_outside` reads no normal form of it once the
 ideal holds the products.  A modulus whose basis has no single-term
 element has no dead monomial, and costs nothing more.
 
+A set keeps its values per monomial, [op(x^m) reduced by M, for each op]
+(`OperatorSet.values_at`), and both its readers take them from there: the
+truncated kernels at every degree bound, and `first_not_killed`, which
+forms op(h) modulo M as the sum of c * op(x^(t+beta)) over the terms of
+h = x^beta * g.  So each operator is applied to each monomial at most
+once per set.
+
 The text syntax writes d<var> for the derivative in that variable, e.g.
 "y*dx*dy + 1" or "dx^2"; juxtaposition with '*' is formal (coefficients to
 the left of derivatives), not composition in the Weyl algebra.
@@ -165,11 +172,15 @@ class DiffOp:
 # operator sets
 
 
+_UNSEEN = object()  # a monomial whose values the set has not computed yet
+
+
 @dataclass(frozen=True)
 class OperatorSet:
     """Operators read modulo one target modulus, which only the set holds,
     and the primary component they were computed from, if any.  Read-only,
-    so what it keeps stays the set's: values per degree bound, and kernels
+    so what it keeps stays the set's: values per monomial (`values_at`),
+    the columns per degree bound read from them (`on_monomials`), kernels
     per (condition ideal handle, degree bound), built by `operator_kernel`,
     and the divisors that mark its dead monomials (see the module
     docstring)."""
@@ -177,7 +188,9 @@ class OperatorSet:
     ops: tuple[DiffOp, ...]
     modulus: IdealHandle
     component: PrimaryComponent | None = None
-    # degree bound -> ((monomials, per monomial [op(x^m) for each op]), live column indices)
+    # monomial -> [op(x^m) reduced by the modulus, for each op], None when dead
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # degree bound -> ((monomials, their values), live column indices)
     _on_monomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -201,15 +214,27 @@ class OperatorSet:
         """x^m lies in M^(e+1), by divisibility by one of `dead_divisors`."""
         return any(mono_divides(d, m) for d in self.dead_divisors)
 
+    def values_at(self, m: Mono) -> list[Poly] | None:
+        """[op(x^m) for op in the set], reduced by the modulus; None when
+        x^m is dead, with no operator applied.  Computed once per monomial
+        and kept: `on_monomials` and `first_not_killed` read the same
+        values."""
+        values = self._values.get(m, _UNSEEN)
+        if values is _UNSEEN:
+            values = None
+            if not self.is_dead(m):
+                x_m = Poly.monomial(self.modulus.nvars, m)
+                values = [self.modulus.normal_form(op.apply(x_m)) for op in self.ops]
+            self._values[m] = values
+        return values
+
     def on_monomials(self, D: int) -> tuple[list[Mono], list[list[Poly]]]:
         """The monomials of degree at most D in ascending order, and for each
-        one the values [op(x^m) for op in the set], reduced by the modulus.
-        A dead monomial's values are zero polynomials, with no operator
-        applied.
+        one the values [op(x^m) for op in the set], reduced by the modulus
+        (`values_at`); a dead monomial's are zero polynomials.
 
-        Computed once per degree bound and kept, with `live_columns`: every
-        truncated kernel of this set at that bound starts from the same
-        values.
+        Kept per degree bound, with `live_columns`: every truncated kernel
+        of this set at that bound starts from the same values.
         """
         return self._columns(D)[0]
 
@@ -218,17 +243,14 @@ class OperatorSet:
         dead: the live columns of every truncated kernel at D."""
         return self._columns(D)[1]
 
-    def _columns(self, D: int) -> tuple[tuple[list[Mono], list[list[Poly]]], Sequence[int]]:
+    def _columns(self, D: int) -> tuple[tuple[list[Mono], list[list[Poly]]], list[int]]:
         cached = self._on_monomials.get(D)
         if cached is None:
-            nvars = self.modulus.nvars
-            monos = monomials_up_to(nvars, D)
-            zero = Poly.zero(nvars)
-            values = [[zero] * len(self.ops) for _ in monos]
-            live = [j for j, m in enumerate(monos) if not self.is_dead(m)] if self.dead_divisors else range(len(monos))
-            for j in live:
-                basis_poly = Poly.monomial(nvars, monos[j])
-                values[j] = [self.modulus.normal_form(op.apply(basis_poly)) for op in self.ops]
+            monos = monomials_up_to(self.modulus.nvars, D)
+            stored = [self.values_at(m) for m in monos]
+            zeros = [Poly.zero(self.modulus.nvars)] * len(self.ops)
+            values = [zeros if v is None else v for v in stored]
+            live = [j for j, v in enumerate(stored) if v is not None]
             cached = self._on_monomials[D] = ((monos, values), live)
         return cached
 
@@ -379,21 +401,31 @@ def first_not_killed(ops: OperatorSet, gens: Sequence[Poly], target: IdealHandle
     """The first h = x^beta * g, iterating operators, then generators g, then
     monomials x^beta of degree at most the operator's order, with op(h)
     outside `target` (the set's own modulus when None); None when there is
-    none.  Values are reduced once, by that ideal alone, so a `target` must
-    contain the set's modulus.  Then op carries h's dead terms into the
-    modulus, so into `target`: only h's live terms are applied (none when
-    every term is dead), and the whole h is returned.
+    none.  A `target` must contain the set's modulus M.
+
+    op(h) modulo M is the sum of c * op(x^(t+beta)) over the terms c*x^t of
+    g, read off the set's kept values (`OperatorSet.values_at`), so each
+    operator meets each monomial at most once per set, however many h
+    share it; a dead monomial adds nothing, as op carries it into M.  That
+    sum is a normal form by M, and NF_target(NF_M(f)) = NF_target(f) for M
+    inside the target, so one normal form by the target decides h.
 
     None is exact: an operator of order d composed with multiplication by g
     is again an operator of order at most d, hence carries every multiple of
     g into `target` once it carries the monomials of degree at most d there.
     """
-    ideal = ops.modulus if target is None else target
-    for op in ops:
+    for i, op in enumerate(ops):
         for g in gens:
             for beta in monomials_up_to(g.nvars, op.order):
-                h = Poly(g.nvars, {mono_mul(t, beta): c for t, c in g.terms.items()}) if any(beta) else g
-                live = Poly(h.nvars, {t: c for t, c in h.terms.items() if not ops.is_dead(t)}) if ops.dead_divisors else h
-                if live and ideal.normal_form(op.apply(live)):
-                    return h
+                sums: dict[Mono, object] = {}
+                for t, c in g.terms.items():
+                    values = ops.values_at(mono_mul(t, beta))
+                    if values is None:
+                        continue
+                    for s, d in values[i].terms.items():
+                        prev = sums.get(s)
+                        sums[s] = c * d if prev is None else prev + c * d
+                value = Poly(g.nvars, sums)
+                if value and (target is None or target.normal_form(value)):
+                    return Poly(g.nvars, {mono_mul(t, beta): c for t, c in g.terms.items()}) if any(beta) else g
     return None

@@ -7,12 +7,15 @@ Pending pairs sit in a heap under that key (Gebauer and Moeller 1988); the
 key is a total order on leads that never change once added, so the heap
 pops the same pairs in the same order as a scan for the least key would.
 The returned basis is the reduced Groebner basis, which is unique for a
-given ideal and order, so output never depends on traversal details.  An
+given ideal and order, so output never depends on traversal details.  A
+monomial ideal, every generator a single term, runs no pair and no
+reduction: its reduced basis is its minimal monomials, made monic.  An
 ideal handle keeps its basis and the basis' leading terms, the basis under
 any other order it was asked for (elimination), and the normal forms of
 the monomials it has reduced: 0 or x^m by divisibility when the basis is
 monomial, and otherwise built from the normal form of one divisor
-x^m / x_j; NF(f) is the sum of its terms' forms.  Buchberger itself keeps
+x^m / x_j.  NF(f) is the sum of its terms' forms; modulo a monomial basis,
+the terms of f whose form is not 0.  Buchberger itself keeps
 the leading terms of its growing basis for every reduction; `ideal_power`
 builds each n-fold product from its (n-1)-fold prefix, and the handle keeps
 those levels of products for its higher powers.  Powers multiply each
@@ -146,8 +149,13 @@ def buchberger(gens: Iterable[Poly], order: MonomialOrder = GrevLex()) -> list[P
     """Reduced Groebner basis of the ideal generated by `gens`.
 
     Zero generators are dropped; the zero ideal yields the empty basis.
+    When every generator left is a single term, the ideal is monomial and
+    its reduced basis is read off at once (`_monomial_basis`).
     """
-    basis = _interreduce(list(gens), order)
+    gens = [g for g in gens if g]
+    if all(len(g.terms) == 1 for g in gens):
+        return _monomial_basis(gens, order)
+    basis = _interreduce(gens, order)
     if not basis:
         return []
     lead_terms = [g.leading(order) for g in basis]
@@ -188,6 +196,21 @@ def buchberger(gens: Iterable[Poly], order: MonomialOrder = GrevLex()) -> list[P
     return _reduce_basis(basis, order, lead_terms)
 
 
+def _monomial_basis(gens: list[Poly], order: MonomialOrder) -> list[Poly]:
+    """The reduced basis of the ideal of the single-term `gens`: the
+    distinct monomials that no other generator divides, ascending in
+    `order`, each with the coefficient c/c of its first generator c*x^m, the
+    one of c's field (a `RationalFunction` over Q(u), an int over Q).
+    Every S-polynomial of two monomials is 0, so they are a Groebner basis
+    already (Cox, Little and O'Shea, ch. 2, sections 4-7)."""
+    first: dict[Mono, object] = {}
+    for g in gens:
+        ((m, c),) = g.terms.items()
+        first.setdefault(m, c)
+    minimal = [m for m in first if not any(d != m and mono_divides(d, m) for d in first)]
+    return [Poly(gens[0].nvars, {m: qdiv(first[m], first[m])}) for m in sorted(minimal, key=order.key)]
+
+
 def _chain_criterion(i: int, j: int, lcm: Mono, leads: list[Mono], pairs: set) -> bool:
     for k in range(len(leads)):
         if k in (i, j) or not mono_divides(leads[k], lcm):
@@ -224,13 +247,14 @@ class IdealHandle:
     (grevlex, any other order asked for once, and over F = Q(u) for
     `noetherian`) and the normal forms of the monomials reduced so far.
 
-    Modulo a monomial basis NF(x^m) is 0 or x^m.  Otherwise it comes from
-    the normal form of one divisor: with x_j the first variable of x^m,
-    NF(x^m) is 0 when NF(x^m / x_j) is, and otherwise the reduction of
-    x_j * NF(x^m / x_j), a few standard terms.  NF(f) is then the sum of
-    c * NF(x^m) over the terms of f.  The basis is fixed and normal forms
-    are unique, so this is the same polynomial a reduction of f gives
-    (Faugere, Gianni, Lazard and Mora 1993)."""
+    Modulo a monomial basis NF(x^m) is 0 or x^m, and NF(f) keeps the terms
+    of f whose form is x^m, with no product and no reduction.  Otherwise
+    NF(x^m) comes from the normal form of one divisor: with x_j the first
+    variable of x^m, NF(x^m) is 0 when NF(x^m / x_j) is, and otherwise the
+    reduction of x_j * NF(x^m / x_j), a few standard terms.  NF(f) is then
+    the sum of c * NF(x^m) over the terms of f.  The basis is fixed and
+    normal forms are unique, so this is the same polynomial a reduction of
+    f gives (Faugere, Gianni, Lazard and Mora 1993)."""
 
     __slots__ = ("nvars", "gens", "_gb", "_leads", "_zero_form", "_bases", "_field_bases", "_forms", "_products")
     ORDER = GrevLex()
@@ -270,6 +294,12 @@ class IdealHandle:
         if not self.gb:
             return f
         out: dict[Mono, object] = {}
+        if self._zero_form is not None:
+            # NF(x^m) is 0 or x^m: keep the terms whose form is x^m
+            for m, c in f.terms.items():
+                if self.monomial_form(m):
+                    out[m] = c
+            return Poly(f.nvars, out)
         for m, c in f.terms.items():
             for t, d in self.monomial_form(m).terms.items():
                 s = out.get(t)

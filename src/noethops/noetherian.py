@@ -32,13 +32,13 @@ from .groebner import (
     IdealHandle,
     NotZeroDimensionalError,
     RingSpec,
+    _reduce,
     _reduce_basis,
     _standard_monomials_from_gb,
     eliminate,
     ideal_equal,
     ideal_intersect,
     is_subideal,
-    normal_form,
     saturate,
 )
 from .poly import (
@@ -251,7 +251,9 @@ def _dual_vectors(gb: list[Poly], colength: int, point: list, one):
     """
     ndep = len(point)
     linears = [Poly(ndep, {mono_unit(ndep, j): one, mono_zero(ndep): -r}) for j, r in enumerate(point)]
-    forms = {mono_zero(ndep): normal_form(Poly.constant(ndep, one), gb, GrevLex())}
+    order = GrevLex()
+    leads = [g.leading(order) for g in gb]
+    forms = {mono_zero(ndep): _reduce(Poly.constant(ndep, one), gb, leads, order)}
     degree, layer = 0, list(forms.values())
     while any(layer):
         if degree == colength:
@@ -261,7 +263,7 @@ def _dual_vectors(gb: list[Poly], colength: int, point: list, one):
         for alpha in monomials_up_to(ndep, degree)[len(forms):]:
             j = next(i for i, e in enumerate(alpha) if e)
             below = forms[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]]
-            form = normal_form(below * linears[j], gb, GrevLex()) if below else below
+            form = _reduce(below * linears[j], gb, leads, order) if below else below
             forms[alpha] = form
             layer.append(form)
     monos = monomials_up_to(ndep, degree - 1)

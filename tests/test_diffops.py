@@ -22,8 +22,8 @@ from noethops.diffops import (
     parse_operator,
     parse_operator_set,
 )
-from noethops.groebner import IdealHandle, ideal_power
-from noethops.poly import Poly, mono_unit, monomials_up_to
+from noethops.groebner import IdealHandle, ideal_power, is_subideal
+from noethops.poly import Poly, mono_mul, mono_unit, monomials_up_to
 
 from conftest import P, ideal, order_lemma_witness, random_polynomial, run_under_python_O, typed_terms
 from oracles import (
@@ -604,54 +604,114 @@ def test_colons_and_verification_decide_containment_by_first_outside(ring_x2, op
     assert calls == [(2, ring_x2.plus_N(J))]
 
 
+def _applied_pairs(ops: OperatorSet, applied: list) -> list:
+    """(operator index, monomial) of each recorded application, each
+    argument checked to be a monomial with the int coefficient 1."""
+    pairs = []
+    for op, f in applied:
+        ((m, c),) = f.terms.items()
+        assert c == 1 and type(c) is int
+        pairs.append((next(i for i, o in enumerate(ops) if o is op), m))
+    return pairs
+
+
 @pytest.mark.parametrize("nvars", range(6))
 def test_first_not_killed_shifts_match_scaling_by_one(nvars, monkeypatch):
     # h = x^beta * g by shifted exponents, and g itself at beta = 0, against
     # g scaled by the coefficient 1 at x^beta: the same h in the same order,
-    # with the same terms, values and coefficient types (an integral
-    # coefficient is an int), and the same witness
+    # with the same terms and coefficient types (an integral coefficient is
+    # an int), and the same witness.  Operators are applied to monomials
+    # only, each operator to each monomial at most once per set
     rng = random.Random(970 + nvars)
     ops = [identity_op(nvars)] + [partial_op(nvars, mono_unit(nvars, i)) for i in range(nvars)]
     ops += [partial_op(nvars, m) for m in monomials_up_to(nvars, 2) if sum(m) == 2][:3]
-    ops = OperatorSet(ops, IdealHandle(nvars, []))
     gens = [random_polynomial(rng, nvars, 2, 3) for _ in range(3)]
     targets = [IdealHandle(nvars, [random_polynomial(rng, nvars, 2, 2) for _ in range(2)]) for _ in range(3)]
-    for target in targets:
-        got, want = first_not_killed(ops, gens, target), first_not_killed_by_scaling(ops, gens, target)
+    wants = [first_not_killed_by_scaling(OperatorSet(ops, IdealHandle(nvars, [])), gens, t) for t in targets + [None]]
+    assert wants[-1] is not None  # the zero modulus kills no nonzero value
+    applied = []
+    apply = DiffOp.apply
+    monkeypatch.setattr(DiffOp, "apply", lambda op, f: applied.append((op, f)) or apply(op, f))
+    shared = OperatorSet(ops, IdealHandle(nvars, []))
+    for target, want in zip(targets + [None], wants):
+        got = first_not_killed(shared, gens, target)
         assert got is want is None or typed_terms(got) == typed_terms(want)
+    pairs = _applied_pairs(ops, applied)
+    assert len(pairs) == len(set(pairs))
 
-    seen = []
-    monkeypatch.setattr(DiffOp, "apply", lambda self, f: seen.append(f) or Poly.zero(nvars))
-    assert first_not_killed(ops, gens) is None
-    shifted, seen[:] = list(seen), []
-    assert first_not_killed_by_scaling(ops, gens) is None
-    assert list(map(typed_terms, shifted)) == list(map(typed_terms, seen))
-    assert len(seen) == sum(len(monomials_up_to(nvars, op.order)) for op in ops) * len(gens)
+    # every h killed: each h is tried, and the operators meet exactly the
+    # monomials x^(t+beta) of the shifted generators, each pair once
+    applied.clear()
+    monkeypatch.setattr(DiffOp, "apply", lambda op, f: applied.append((op, f)) or Poly.zero(nvars))
+    assert first_not_killed(OperatorSet(ops, IdealHandle(nvars, [])), gens) is None
+    pairs = _applied_pairs(ops, applied)
+    touched = {mono_mul(t, beta) for op in ops for g in gens for beta in monomials_up_to(nvars, op.order) for t in g.terms}
+    assert len(pairs) == len(set(pairs)) and set(pairs) == {(i, m) for i in range(len(ops)) for m in touched}
+    assert first_not_killed_by_scaling(OperatorSet(ops, IdealHandle(nvars, [])), gens) is None
 
 
 @pytest.mark.parametrize("nvars", [2, 3])
 def test_first_not_killed_with_a_monomial_modulus_matches_scaling_by_one(nvars, monkeypatch):
     # the modulus (x0, x_last^2) settles the terms of each h in M^(e+1):
     # the same witness as the oracle, which applies every h whole, on
-    # targets holding the modulus, and no dead term is ever applied
+    # targets strictly larger than the modulus, and no dead term is ever
+    # applied; each operator meets each monomial at most once per set,
+    # across all the targets and generator lists it is asked about
     rng = random.Random(1780 + nvars)
     modulus = _leibniz_ideals(nvars)[0]
     ops = OperatorSet([identity_op(nvars), partial_op(nvars, mono_unit(nvars, 0)), partial_op(nvars, mono_unit(nvars, nvars - 1))], modulus)
     assert ops.dead_divisors
     applied = []
     apply = DiffOp.apply
-    monkeypatch.setattr(DiffOp, "apply", lambda op, f: applied.append(f) or apply(op, f))
+    record = lambda op, f: applied.append((op, f)) or apply(op, f)  # noqa: E731
     verdicts = set()
     for k in range(6):
-        target = IdealHandle(nvars, modulus.gens + (random_polynomial(rng, nvars, 2, 2),))
+        extra = Poly.zero(nvars)
+        while not extra:
+            extra = modulus.normal_form(random_polynomial(rng, nvars, 2, 2))
+        target = IdealHandle(nvars, modulus.gens + (extra,))
+        assert is_subideal(modulus, target) and not is_subideal(target, modulus)
         gens = [random_polynomial(rng, nvars, 3, 4) for _ in range(3)]
         if k % 2:  # in the target's square, so killed into it
             gens = [g * a * b for g in gens for a, b in itertools.combinations(target.gens, 2)]
         for t in (target, None):
-            applied.clear()
+            monkeypatch.setattr(DiffOp, "apply", record)
             got = first_not_killed(ops, gens, t)
-            assert not any(ops.is_dead(m) for f in applied for m in f.terms)
+            monkeypatch.undo()
             want = first_not_killed_by_scaling(ops, gens, t)
+            assert got is want is None or typed_terms(got) == typed_terms(want)
+            verdicts.add(got is None)
+    assert verdicts == {True, False}
+    pairs = _applied_pairs(ops, applied)
+    assert not any(ops.is_dead(m) for _, m in pairs)
+    assert pairs and len(pairs) == len(set(pairs))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_first_not_killed_on_bracket_sets_matches_scaling_by_one(seed, monkeypatch):
+    # the sets `_finish_separating` builds: the brackets [delta, x_j] of a
+    # random operator, read modulo the radical (x0^2) or (x0), against a
+    # prime holding it; a bracket of an order-0 term is the zero operator
+    rng = random.Random(1790 + seed)
+    nvars = 2 + seed % 2
+    x = [Poly.variable(nvars, i) for i in range(nvars)]
+    rad = IdealHandle(nvars, [x[0] ** (1 + seed // 2)])
+    p = IdealHandle(nvars, [x[0], x[-1] - Poly.constant(nvars, seed + 1)])
+    applied = []
+    apply = DiffOp.apply
+    verdicts = set()
+    for _ in range(5):
+        delta = _random_operator_of_order(rng, nvars, rng.randint(1, 3))
+        brackets = OperatorSet([delta.bracket(x[j]) for j in range(nvars)], rad)
+        b = [random_polynomial(rng, nvars, 2, 3) * x[0] for _ in range(2)] + [random_polynomial(rng, nvars, 2, 2)]
+        for gens in (b, b[:2], [g * x[0] ** 3 for g in b]):
+            applied.clear()
+            monkeypatch.setattr(DiffOp, "apply", lambda op, f: applied.append((op, f)) or apply(op, f))
+            got = first_not_killed(brackets, gens, target=p)
+            monkeypatch.undo()
+            pairs = _applied_pairs(brackets, applied)
+            assert len(pairs) == len(set(pairs)) and not any(brackets.is_dead(m) for _, m in pairs)
+            want = first_not_killed_by_scaling(brackets, gens, target=p)
             assert got is want is None or typed_terms(got) == typed_terms(want)
             verdicts.add(got is None)
     assert verdicts == {True, False}

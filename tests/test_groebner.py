@@ -22,7 +22,7 @@ from noethops.groebner import (
     saturate,
     standard_monomials,
 )
-from noethops.poly import Block, GrevLex, Poly, RationalFunction, monomials_up_to
+from noethops.poly import Block, GrevLex, Poly, RationalFunction, monomials_up_to, rational
 
 from conftest import P, ideal, random_polynomial, typed_terms
 from oracles import ideal_power_by_reduce, monomial_form_by_chain_walk, scan_buchberger
@@ -372,6 +372,57 @@ def test_a_handle_with_a_non_monomial_basis_takes_the_chain_walk(monkeypatch):
         forms: dict = {}
         want = [monomial_form_by_chain_walk(handle, m, forms) for m in monomials_up_to(3, 5)]
         assert list(map(typed_terms, got)) == list(map(typed_terms, want))
+
+
+def _monomial_generator_lists(rng, nvars, coefficient):
+    """Seeded single-term generator lists: repeated monomials, each scaled
+    by a random coefficient, zero generators among them, and lists holding
+    a constant or nothing but zeros."""
+    gen_monos = monomials_up_to(nvars, 4)[1:]
+    cases = [[Poly.zero(nvars)], [Poly.monomial(nvars, gen_monos[0], coefficient(rng)), Poly.constant(nvars, coefficient(rng))]]
+    for _ in range(8):
+        picks = [gen_monos[rng.randrange(len(gen_monos))] for _ in range(rng.randint(1, 5))]
+        picks += picks[: rng.randint(0, 2)]  # repeats, under a new coefficient
+        gens = [Poly.monomial(nvars, m, coefficient(rng)) for m in picks]
+        gens.insert(rng.randrange(len(gens) + 1), Poly.zero(nvars))
+        cases.append(gens)
+    return cases
+
+
+@pytest.mark.parametrize("coefficient", [_q_coefficient, _qu_coefficient], ids=["q", "q_of_u"])
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_monomial_bases_match_the_scan_buchberger(coefficient, nvars, monkeypatch):
+    # the monomial path against the full algorithm it skips, under grevlex
+    # and a block order: the same bases, term for term and type for type,
+    # with no reduction, interreduction or pair on the monomial path
+    rng = random.Random(1800 + nvars + 10 * (coefficient is _qu_coefficient))
+    cases = _monomial_generator_lists(rng, nvars, coefficient)
+    orders = [GrevLex(), Block((0,))]
+    wants = [[scan_buchberger(gens, order) for order in orders] for gens in cases]
+    for name in ("_reduce", "_interreduce", "_reduce_basis", "_s_polynomial"):
+        monkeypatch.setattr(groebner, name, lambda *args, name=name: pytest.fail(f"{name} ran on a monomial ideal"))
+    for gens, want in zip(cases, wants):
+        got = [buchberger(gens, order) for order in orders]
+        assert [list(map(typed_terms, gb)) for gb in got] == [list(map(typed_terms, gb)) for gb in want]
+    assert wants[0] == [[], []] and [len(gb) for gb in wants[1]] == [1, 1]  # zero, and a constant
+
+
+@pytest.mark.parametrize("coefficient", [_q_coefficient, _qu_coefficient], ids=["q", "q_of_u"])
+def test_normal_forms_modulo_a_monomial_basis_match_a_full_reduction(coefficient, monkeypatch):
+    # a monomial basis keeps the terms of f outside its ideal, each with its
+    # own coefficient, and reduces nothing
+    rng = random.Random(1810 + (coefficient is _qu_coefficient))
+    for nvars in (2, 3):
+        for gens in _monomial_generator_lists(rng, nvars, coefficient):
+            handle = IdealHandle(nvars, gens)
+            queries = [Poly.zero(nvars)] + [_coefficient_poly(rng, nvars, d, coefficient, terms=5) for d in range(6)]
+            queries = [Poly(nvars, {m: rational(c) if type(c) is Fraction else c for m, c in f.terms.items()}) for f in queries]
+            want = [normal_form(f, handle.gb, GrevLex()) for f in queries]
+            monkeypatch.setattr(groebner, "_reduce", lambda *args: pytest.fail("a monomial basis reduced"))
+            got = [handle.normal_form(f) for f in queries]
+            monkeypatch.undo()
+            # a reduction lists the terms by descending order; the form keeps f's
+            assert [sorted(typed_terms(f)) for f in got] == [sorted(typed_terms(f)) for f in want]
 
 
 def test_bases_under_other_orders_are_kept_per_handle(monkeypatch):

@@ -144,15 +144,24 @@ def test_dual_ops_operators_and_certificates_equal_the_fraction_only_ones():
 
 
 def test_reduced_bases_of_the_configs_keep_the_rule():
-    # every reduced Groebner basis the configs compute, over Q and over Q(u)
+    # every reduced Groebner basis the configs compute, over Q and over Q(u):
+    # those of `_reduce_basis`, and `buchberger`'s, whose monomial ideals
+    # never reach `_reduce_basis`
     bases = []
-    reduce_basis = groebner._reduce_basis
 
-    def recording(*args, **kwargs):
-        bases.append(reduce_basis(*args, **kwargs))
-        return bases[-1]
+    def recording(compute):
+        def record(*args, **kwargs):
+            bases.append(compute(*args, **kwargs))
+            return bases[-1]
 
-    with mock.patch.object(groebner, "_reduce_basis", recording), mock.patch.object(noetherian, "_reduce_basis", recording):
+        return record
+
+    reduce_basis = recording(groebner._reduce_basis)
+    with (
+        mock.patch.object(groebner, "_reduce_basis", reduce_basis),
+        mock.patch.object(noetherian, "_reduce_basis", reduce_basis),
+        mock.patch.object(groebner, "buchberger", recording(groebner.buchberger)),
+    ):
         for name in CONFIGS:
             run_experiment_config(load_config(name))
     coefficients = [x for gb in bases for g in gb for c in g.terms.values() for x in _rationals(c)]
