@@ -186,7 +186,7 @@ def cmd_verify_filtration(args) -> int:
     report = verify_filtration(chain, primes, ring)
     lines = []
     for step in report.steps:
-        status = "pass" if step.strictly_increasing and step.module_structure and step.prime_declared else "FAIL"
+        status = "pass" if step.passed else "FAIL"
         detail = []
         if not step.strictly_increasing:
             detail.append("not strictly increasing")

@@ -17,18 +17,18 @@ value on a monomial of M^(e+1) is 0 modulo M.  The set finds such
 monomials without a Groebner basis of M^(e+1): a monomial that an
 (e+1)-fold product of single-term elements of M's reduced basis divides
 is *dead*.  Its column is zero in every truncated kernel, and it lies in
-every ideal that holds those products.  So `on_monomials` and
-`first_not_killed` apply no operator to it, `operator_kernel` reads no
-value of it, and `first_outside` reads no normal form of it once the
-ideal holds the products.  A modulus whose basis has no single-term
-element has no dead monomial, and costs nothing more.
+every ideal that holds those products.  So `values_at` applies no operator
+to it, `operator_kernel` and `first_not_killed` read no value of it, and
+`first_outside` reads no normal form of it once the ideal holds the
+products.  A modulus whose basis has no single-term element has no dead
+monomial, and costs nothing more.
 
 A set keeps its values per monomial, [op(x^m) reduced by M, for each op]
 (`OperatorSet.values_at`), and both its readers take them from there: the
-truncated kernels at every degree bound, and `first_not_killed`, which
-forms op(h) modulo M as the sum of c * op(x^(t+beta)) over the terms of
-h = x^beta * g.  So each operator is applied to each monomial at most
-once per set.
+truncated kernels, over the live columns of their degree bound
+(`OperatorSet.columns`), and `first_not_killed`, which forms op(h) modulo
+M as the sum of c * op(x^(t+beta)) over the terms of h = x^beta * g.  So
+each operator is applied to each monomial at most once per set.
 
 The text syntax writes d<var> for the derivative in that variable, e.g.
 "y*dx*dy + 1" or "dx^2"; juxtaposition with '*' is formal (coefficients to
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from . import linalg
-from .groebner import IdealHandle, ideal_power, split_poly_list
+from .groebner import IdealHandle, ideal_power, is_subideal, split_poly_list
 from .poly import (
     GrevLex,
     Mono,
@@ -180,7 +180,7 @@ class OperatorSet:
     """Operators read modulo one target modulus, which only the set holds,
     and the primary component they were computed from, if any.  Read-only,
     so what it keeps stays the set's: values per monomial (`values_at`),
-    the columns per degree bound read from them (`on_monomials`), kernels
+    the monomials and live columns per degree bound (`columns`), kernels
     per (condition ideal handle, degree bound), built by `operator_kernel`,
     and the divisors that mark its dead monomials (see the module
     docstring)."""
@@ -190,8 +190,8 @@ class OperatorSet:
     component: PrimaryComponent | None = None
     # monomial -> [op(x^m) reduced by the modulus, for each op], None when dead
     _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # degree bound -> ((monomials, their values), live column indices)
-    _on_monomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # degree bound -> (monomials, live column indices)
+    _bounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -217,7 +217,7 @@ class OperatorSet:
     def values_at(self, m: Mono) -> list[Poly] | None:
         """[op(x^m) for op in the set], reduced by the modulus; None when
         x^m is dead, with no operator applied.  Computed once per monomial
-        and kept: `on_monomials` and `first_not_killed` read the same
+        and kept: `operator_kernel` and `first_not_killed` read the same
         values."""
         values = self._values.get(m, _UNSEEN)
         if values is _UNSEEN:
@@ -228,30 +228,15 @@ class OperatorSet:
             self._values[m] = values
         return values
 
-    def on_monomials(self, D: int) -> tuple[list[Mono], list[list[Poly]]]:
-        """The monomials of degree at most D in ascending order, and for each
-        one the values [op(x^m) for op in the set], reduced by the modulus
-        (`values_at`); a dead monomial's are zero polynomials.
-
-        Kept per degree bound, with `live_columns`: every truncated kernel
-        of this set at that bound starts from the same values.
-        """
-        return self._columns(D)[0]
-
-    def live_columns(self, D: int) -> Sequence[int]:
-        """The indices of the monomials of `on_monomials(D)` that are not
-        dead: the live columns of every truncated kernel at D."""
-        return self._columns(D)[1]
-
-    def _columns(self, D: int) -> tuple[tuple[list[Mono], list[list[Poly]]], list[int]]:
-        cached = self._on_monomials.get(D)
+    def columns(self, D: int) -> tuple[list[Mono], list[int]]:
+        """The monomials of degree at most D in ascending order, and the
+        indices of the live ones (`values_at` not None): the columns of
+        every truncated kernel of this set at D.  Kept per degree bound."""
+        cached = self._bounds.get(D)
         if cached is None:
             monos = monomials_up_to(self.modulus.nvars, D)
-            stored = [self.values_at(m) for m in monos]
-            zeros = [Poly.zero(self.modulus.nvars)] * len(self.ops)
-            values = [zeros if v is None else v for v in stored]
-            live = [j for j, v in enumerate(stored) if v is not None]
-            cached = self._on_monomials[D] = ((monos, values), live)
+            live = [j for j, m in enumerate(monos) if self.values_at(m) is not None]
+            cached = self._bounds[D] = (monos, live)
         return cached
 
     def __iter__(self):
@@ -373,20 +358,22 @@ def operator_kernel(ops: OperatorSet, cond: IdealHandle, D: int) -> TruncatedSub
     column is zero).  That one row reduction serves the containment test
     and the basis alike.
 
-    `cond` must contain the set's modulus: the values op(x^m) are shared by
-    every call at this D (`OperatorSet.on_monomials`) and already reduced by
-    the modulus, so only their normal forms by `cond` are taken here.  The
-    kernel depends on nothing else, so the set keeps it, one per (handle of
-    `cond`, D): shifts (n, c) and (n + 1, c - 1) share their colon.
+    `cond` must contain the set's modulus, else a `ValueError`: the values
+    op(x^m) are shared by every call (`OperatorSet.values_at`) and already
+    reduced by the modulus, so only their normal forms by `cond` are taken
+    here.  The kernel depends on nothing else, so the set keeps it, one per
+    (handle of `cond`, D): shifts (n, c) and (n + 1, c - 1) share their
+    colon.
     """
     kernel = ops._kernels.get((cond, D))
     if kernel is not None:
         return kernel
-    monos, values = ops.on_monomials(D)
-    live = ops.live_columns(D)
+    if not is_subideal(ops.modulus, cond):
+        raise ValueError("the condition ideal does not contain the operator set's modulus")
+    monos, live = ops.columns(D)
     rows: dict[tuple[int, Mono], dict] = {}
     for j in live:
-        for i, value in enumerate(values[j]):
+        for i, value in enumerate(ops.values_at(monos[j])):
             if not value:
                 continue
             for out_mono, c in cond.normal_form(value).terms.items():

@@ -386,8 +386,10 @@ def ideal_power(I: IdealHandle, n: int) -> IdealHandle:
 
 
 def is_subideal(I: IdealHandle, J: IdealHandle) -> bool:
-    """I is contained in J (every generator of I reduces to zero mod J)."""
-    return all(J.contains(g) for g in I.gens)
+    """I is contained in J (every generator of I is one of J's or reduces
+    to zero mod J)."""
+    listed = set(J.gens)
+    return all(g in listed or J.contains(g) for g in I.gens)
 
 
 def ideal_equal(I: IdealHandle, J: IdealHandle) -> bool:

@@ -74,24 +74,17 @@ def _require_radical_modulus(ops: OperatorSet, ring: RingSpec) -> None:
         raise ValueError("operator set modulus differs from the ring radical")
 
 
-@dataclass
-class ContainmentResult:
-    contained: bool
-    witness: Poly | None = None
-
-
-def subspace_in_ideal(S: TruncatedSubspace, J: IdealHandle, ring: RingSpec) -> ContainmentResult:
-    """Is every element of S in J (as an ideal of R, so modulo N too)?
+def subspace_in_ideal(S: TruncatedSubspace, J: IdealHandle, ring: RingSpec) -> Poly | None:
+    """The first element of S's basis outside J (as an ideal of R, so
+    modulo N too); None when every element of S lies in J.
 
     Decided on S's equations (`TruncatedSubspace.first_outside`); only a
-    refuted containment reads S's basis, whose first element outside J is
-    the witness.  A witness refutes containment absolutely; `contained`
-    certifies it only for elements of degree <= S.degree_bound.  When J
-    already lists N's generators (`RingSpec.power_plus`), J + N is J's own
-    handle.
+    refuted containment reads S's basis, up to the witness.  A witness
+    refutes containment absolutely; None certifies it only for elements of
+    degree <= S.degree_bound.  When J already lists N's generators
+    (`RingSpec.power_plus`), J + N is J's own handle.
     """
-    witness = S.first_outside(ring.plus_N(J))
-    return ContainmentResult(witness is None, witness)
+    return S.first_outside(ring.plus_N(J))
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +169,15 @@ def find_min_c(
     rows = []
     for n in range(1, n_max + 1):
         target = ring.power_plus(J, n, ring.N)
-        c_min = None
-        last_witness = None
+        c_min = witness = None
         for c in range(c_max + 1):
             S = diff_colon_of_ideal(schedule(n, c), ops, D)
-            res = subspace_in_ideal(S, target, ring)
-            if res.contained:
+            refuting = subspace_in_ideal(S, target, ring)
+            if refuting is None:
                 c_min = c
                 break
-            last_witness = (c, res.witness)
-        witness = None
-        if last_witness is not None:
-            witness_c, witness = last_witness
+            witness_c, witness = c, refuting
+        if witness is not None:
             _assert_exact_witness(witness, schedule(n, witness_c), target, ops)
         rows.append(ConstantRow(n, c_min, c_max, witness))
     return ConstantReport(ideal_name, rows, D, n_max, c_max)
@@ -265,7 +255,7 @@ def separating_operator(
     nvars = ring.nvars
     a_full = ring.plus_N(a)
     b_full = ring.plus_N(b)
-    if not is_subideal(a_full, b_full) or ideal_equal(a_full, b_full):
+    if not is_subideal(a_full, b_full) or is_subideal(b_full, a_full):
         raise ValueError("need a strictly inside b")
     if len(psi) != len(b.gens):
         raise ValueError("psi must list one image per generator of b")
@@ -348,6 +338,10 @@ class FiltrationStep:
     prime_declared: bool
     failure: Poly | None = None
 
+    @property
+    def passed(self) -> bool:
+        return self.strictly_increasing and self.module_structure and self.prime_declared
+
 
 @dataclass
 class FiltrationReport:
@@ -372,19 +366,15 @@ def verify_filtration(chain: Sequence[IdealHandle], primes: Sequence[IdealHandle
         raise ValueError("chain must end at the unit ideal")
 
     steps = []
-    ok = True
     for i in range(1, len(chain)):
         prev, cur, prime = chain[i - 1], chain[i], primes[i - 1]
-        strict = is_subideal(prev, cur) and not ideal_equal(prev, cur)
+        strict = is_subideal(prev, cur) and not is_subideal(cur, prev)
         products = (pg * cg for pg in prime.gens for cg in cur.gens)
         failure = next((f for f in products if not prev.contains(f)), None)
-        module_ok = failure is None
         declared = any(ideal_equal(prime, q) for q in ring.minimal_primes)
-        ok = ok and strict and module_ok and declared
-        steps.append(FiltrationStep(i, strict, module_ok, declared, failure))
+        steps.append(FiltrationStep(i, strict, failure is None, declared, failure))
     last_ok = any(ideal_equal(chain[-2], q) for q in ring.minimal_primes)
-    ok = ok and last_ok
-    return FiltrationReport(steps, last_ok, ok)
+    return FiltrationReport(steps, last_ok, last_ok and all(step.passed for step in steps))
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +432,8 @@ class ExperimentBundle:
     def csv_rows(self, var_names: Sequence[str]) -> list[list[str]]:
         rows = [["J_id", "n", "c_min", "witness", "degree_bound"]]
         for rep in self.reports:
-            for r in rep.rows:
-                witness = r.witness.format(var_names) if r.witness is not None else ""
-                rows.append([rep.ideal_name, str(r.n), r.c_label(), witness, str(rep.degree_bound)])
+            for r in rep.to_dict(var_names)["rows"]:
+                rows.append([rep.ideal_name, str(r["n"]), r["c_min"], r["witness"], str(rep.degree_bound)])
         return rows
 
 

@@ -139,9 +139,7 @@ def test_find_c_false_witness_exit_2(config_file, monkeypatch, capsys):
     # re-verification fails, which is an arithmetic bug, not an input error
     from noethops import uniformity
 
-    monkeypatch.setattr(
-        uniformity, "subspace_in_ideal", lambda S, J, ring: uniformity.ContainmentResult(False, P("1"))
-    )
+    monkeypatch.setattr(uniformity, "subspace_in_ideal", lambda S, J, ring: P("1"))
     rc = main(["find-c", config_file, "--format", "csv"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("arithmetic bug: ")
@@ -518,6 +516,47 @@ def test_sep_op_negative_bound_exits_1(capsys, option, name):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {name} must be at least 0, not -1\n")
+
+
+def _sep_op(lower="0", upper="x^2", prime="x", psi="1") -> list[str]:
+    return ["sep-op", RING_X3, "--lower", lower, "--upper", upper, "--prime", prime, "--psi", psi]
+
+
+_FILTRATION = ["verify-filtration", RING_X2]
+
+
+@pytest.mark.parametrize(
+    "ring, argv, message",
+    [
+        ("foo: 1\nring: Q[x]", None, "unknown ring-file key 'foo'"),
+        ("radical: (x)\n", None, "missing 'ring:' line"),
+        ("ring: R[x]\n", None, "ring must have the form Q[v1,...,vk]"),
+        ("ring: Q[ , ]\n", None, "ring declares no variables"),
+        ("ring: Q[x,y] / (x^2)\nminimal-primes: (x)\n", None, "expected [...], got '(x)'"),
+        (None, _sep_op(lower="x", upper="x"), "need a strictly inside b"),
+        (None, _sep_op(psi="1; 1"), "psi must list one image per generator of b"),
+        (None, _sep_op(prime="x; y"), "p is not among the declared minimal primes"),
+        (None, _FILTRATION + ["--chain", "(x^2)", "--primes", "(x)"], "chain needs at least two terms"),
+        (None, _FILTRATION + ["--chain", "(x^2) | (x) | (1)", "--primes", "(x)"], "need one prime per chain step"),
+        (None, _FILTRATION + ["--chain", "(x) | (1)", "--primes", "(x)"], "chain must start at the defining ideal"),
+        (None, _FILTRATION + ["--chain", "(x^2) | (x)", "--primes", "(x)"], "chain must end at the unit ideal"),
+        (None, ["diff-colon", RING_X2, "--ops", "1", "--ideal", "y", "-m", "1", "--degree", "0"], "degree bound must be at least 1"),
+    ],
+    ids=[
+        "unknown_key", "no_ring_line", "not_Q", "no_variables", "primes_not_a_list",
+        "sep_op_not_strict", "sep_op_psi_length", "sep_op_undeclared_prime",
+        "chain_too_short", "primes_per_step", "chain_start", "chain_end", "diff_colon_degree_0",
+    ],
+)
+def test_each_input_error_exits_1_with_its_line(tmp_path, capsys, ring, argv, message):
+    # a ring file is read from its path; the other inputs are given inline
+    if ring is not None:
+        path = tmp_path / "ring.txt"
+        path.write_text(ring)
+        argv = ["noeth-ops", str(path), "--ideal", "x^2", "--point", "0"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_experiment_refuted_operators_exit_2(tmp_path, capsys):

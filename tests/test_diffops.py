@@ -57,9 +57,10 @@ def test_apply_examples(ring_x2):
     assert op.apply(P("x^2*y")) == P("2*x*y")
     f = P("x^2 + y")
     assert identity_op(2).apply(f) == f
-    # an operator acts on P: reading modulo rad is the operator set's
-    read = dict(zip(*OperatorSet([identity_op(2)], ring_x2.rad).on_monomials(2)))
-    assert read[(2, 0)] == [Poly.zero(2)] and read[(0, 2)] == [P("y^2")]
+    # an operator acts on P: reading modulo rad is the operator set's, and
+    # x^2, zero modulo rad = (x), is a dead monomial of the identity
+    ops = OperatorSet([identity_op(2)], ring_x2.rad)
+    assert ops.values_at((2, 0)) is None and ops.values_at((0, 2)) == [P("y^2")]
     assert not parse_operator("x*dx - y*dy", XY).apply(P("x*y")).terms
 
 
@@ -131,12 +132,18 @@ def test_on_monomials_reads_the_values_modulo_the_set_modulus(nvars):
     rng = random.Random(70 + nvars)
     modulus = _non_monomial_modulus(nvars)
     ops = OperatorSet([_random_operator(rng, nvars) for _ in range(3)], modulus)
-    monos, values = ops.on_monomials(4)
+    monos, live = ops.columns(4)
     assert monos == monomials_up_to(nvars, 4)
-    for m, per_op in zip(monos, values):
+    assert live == [j for j, m in enumerate(monos) if not ops.is_dead(m)]
+    reduced = False
+    for m in monos:
         x_m = Poly.monomial(nvars, m)
-        assert per_op == [modulus.normal_form(op.apply(x_m)) for op in ops]
-    assert any(v != op.apply(Poly.monomial(nvars, m)) for m, per_op in zip(monos, values) for op, v in zip(ops, per_op))
+        want = [modulus.normal_form(op.apply(x_m)) for op in ops]
+        per_op = ops.values_at(m)
+        # a dead monomial keeps no values, and every value of it is zero
+        assert per_op == want if per_op is not None else not any(want)
+        reduced = reduced or want != [op.apply(x_m) for op in ops]
+    assert reduced
 
 
 CONFIG_PATHS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
@@ -146,11 +153,15 @@ CONFIG_PATHS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
 def test_apply_matches_the_derivative_sum_on_shipped_operator_sets(path):
     cfg = load_experiment_config(str(path))
     ops = cfg.operators
-    monos, values = ops.on_monomials(cfg.degree)
+    monos, live = ops.columns(cfg.degree)
     assert len(monos) == len(monomials_up_to(cfg.ring.nvars, cfg.degree))
-    for m, per_op in zip(monos, values):
+    for j, m in enumerate(monos):
         f = Poly.monomial(cfg.ring.nvars, m)
-        assert per_op == [ops.modulus.normal_form(apply_by_derivatives(op, f)) for op in ops]
+        want = [ops.modulus.normal_form(apply_by_derivatives(op, f)) for op in ops]
+        per_op = ops.values_at(m)
+        # a dead monomial keeps no values: every operator carries it into the modulus
+        assert (per_op is None) == (j not in live) == ops.is_dead(m)
+        assert per_op == want if per_op is not None else not any(want)
 
 
 # --- bracket ----------------------------------------------------------------
@@ -204,18 +215,19 @@ def test_order_examples(ring_x2):
 
 
 def test_an_operator_set_cannot_be_changed_after_it_is_built():
-    # appending to the operators would leave the values cached per degree
-    # bound (`on_monomials`) stale, and a loaded config shares its set
+    # appending to the operators would leave the values cached per monomial
+    # (`values_at`) and the columns per degree bound (`columns`) stale, and
+    # a loaded config shares its set
     cfg = load_experiment_config(str(Path(__file__).parents[1] / "configs" / "artin_rees_x2.json"))
     ops = cfg.operators
-    values = ops.on_monomials(2)
+    columns, values = ops.columns(2), ops.values_at((0, 1))
     assert isinstance(ops.ops, tuple) and len(ops) == 2
     with pytest.raises(AttributeError):
         ops.ops.append(dx())
     for name, value in (("ops", [dx()]), ("modulus", ideal("y")), ("component", None)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(ops, name, value)
-    assert len(ops) == 2 and ops.on_monomials(2) is values
+    assert len(ops) == 2 and ops.columns(2) is columns and ops.values_at((0, 1)) is values
     # a set, or any iterable of operators, builds a set, as the benchmark does
     again = OperatorSet(ops, ops.modulus)
     assert again.ops == ops.ops and again.component is None
@@ -414,8 +426,9 @@ def test_on_monomials_applies_no_operator_to_a_dead_monomial(nvars, kind, monkey
     # operators of order <= 2, so the dead divisors are the triple products
     # of the modulus's single-term basis elements, all in M^3; for a
     # monomial modulus they are exactly M^3's single-term basis elements.
-    # Dead values are zero with no operator applied; every value equals a
-    # fresh reduction
+    # A dead monomial keeps no values, with no operator applied, and a
+    # fresh reduction of each of its values is zero; every live value
+    # equals a fresh reduction
     rng = random.Random(1750 + nvars + 10 * (kind == "mixed"))
     modulus = _leibniz_ideals(nvars)[0] if kind == "monomial" else _mixed_modulus(nvars)
     ops = OperatorSet([_random_operator_of_order(rng, nvars, e) for e in (0, 1, 2)], modulus)
@@ -428,16 +441,19 @@ def test_on_monomials_applies_no_operator_to_a_dead_monomial(nvars, kind, monkey
     applied = []
     apply = DiffOp.apply
     monkeypatch.setattr(DiffOp, "apply", lambda op, f: applied.append(f) or apply(op, f))
-    monos, values = ops.on_monomials(6)
+    monos, live = ops.columns(6)
     monkeypatch.undo()
     dead = [m for m in monos if ops.is_dead(m)]
-    live = ops.live_columns(6)
     assert dead and live == [j for j, m in enumerate(monos) if m not in dead]
     assert not any(ops.is_dead(m) for f in applied for m in f.terms)
     assert len(applied) == len(ops) * (len(monos) - len(dead))
-    for m, per_op in zip(monos, values):
+    for m in monos:
         x_m = Poly.monomial(nvars, m)
-        assert per_op == [modulus.normal_form(op.apply(x_m)) for op in ops]
+        want = [modulus.normal_form(op.apply(x_m)) for op in ops]
+        if m in dead:
+            assert ops.values_at(m) is None and not any(want)
+        else:
+            assert ops.values_at(m) == want
     # the kernel under a condition ideal containing M matches the oracle's
     cond = IdealHandle(nvars, modulus.gens + (random_polynomial(rng, nvars, 2, 3),))
     S = operator_kernel(ops, cond, 6)
@@ -466,7 +482,8 @@ def test_a_modulus_without_a_single_term_element_settles_nothing(nvars, monkeypa
     monos = monomials_up_to(nvars, 3)
     assert runs == [] and ops.dead_divisors == ()
     assert applied == [Poly.monomial(nvars, m) for m in monos for _ in ops]
-    assert S.live is ops.live_columns(3) and list(S.live) == list(range(len(monos)))
+    assert (S.monos, S.live) == ops.columns(3) and S.live is ops.columns(3)[1]
+    assert list(S.live) == list(range(len(monos)))
     target = IdealHandle(nvars, modulus.gens + cube.gens)
     asked = []
     form = IdealHandle.monomial_form
@@ -498,6 +515,21 @@ def test_first_outside_reads_the_live_columns_only_when_the_ideal_holds_the_dead
     assert S.first_outside(ideal("y")) == P("x^2")
     assert set(monos) <= set(asked)
     assert colon_oracle(ops, cond, 4, ideal("y"))[1] == P("x^2")
+
+
+def test_a_condition_ideal_that_misses_the_modulus_is_refused(ring_x2):
+    # `1; dx` modulo rad = (x) under (y): the values, reduced by (x), would
+    # put x^2 in the colon (the basis y, y^2, x*y, x^2), yet 1 * x^2 = x^2
+    # lies outside (y).  A refused ideal keeps no kernel; one that holds
+    # the modulus is read as before
+    ops = OperatorSet([identity_op(2), dx()], ring_x2.rad)
+    cond = ideal("y")
+    assert not cond.contains(identity_op(2).apply(P("x^2")))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^the condition ideal does not contain the operator set's modulus$"):
+            operator_kernel(ops, cond, 2)
+    holding = ideal("x", "y")
+    assert operator_kernel(ops, holding, 2).basis == colon_oracle(ops, holding, 2, holding)[0]
 
 
 # --- containment of a truncated kernel ------------------------------------------
@@ -600,7 +632,7 @@ def test_colons_and_verification_decide_containment_by_first_outside(ring_x2, op
     assert calls == [(5, a)]
     calls.clear()
     J = ideal("x - y")
-    assert not uniformity.subspace_in_ideal(subspace_from_polynomials(2, 2, [P("y")]), J, ring_x2).contained
+    assert uniformity.subspace_in_ideal(subspace_from_polynomials(2, 2, [P("y")]), J, ring_x2) == P("y")
     assert calls == [(2, ring_x2.plus_N(J))]
 
 

@@ -570,6 +570,16 @@ def test_intersect_contained_in_both_and_equal_is_equivalence():
     assert ideal_equal(I, ideal("y", "x^2")) == ideal_equal(ideal("y", "x^2"), I)
 
 
+def test_generators_listed_in_the_larger_ideal_need_no_normal_form(monkeypatch):
+    # J + rad lists rad's generators, as every condition ideal of a colon does
+    rad, J = ideal("x", "y^2"), ideal("x - y")
+    J_rad = IdealHandle(2, J.gens + rad.gens)
+    monkeypatch.setattr(IdealHandle, "normal_form", lambda self, f: pytest.fail("a listed generator was reduced"))
+    assert is_subideal(rad, J_rad)
+    monkeypatch.undo()
+    assert not is_subideal(J_rad, rad) and is_subideal(ideal("x + y^2"), J_rad)
+
+
 # --- standard monomials -----------------------------------------------------
 
 

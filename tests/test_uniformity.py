@@ -100,19 +100,18 @@ def test_diff_colon_absorbs_defining_ideal(ring_x2, ops_pi_dx):
 
 def test_subspace_in_ideal_witness(ring_x2):
     S = subspace_from_polynomials(2, 2, [P("y")])
-    res = subspace_in_ideal(S, ideal("x - y"), ring_x2)
-    assert not res.contained and res.witness == P("y")
+    assert subspace_in_ideal(S, ideal("x - y"), ring_x2) == P("y")
 
 
 def test_subspace_in_ideal_contained(ring_x2):
     for n in (1, 2, 3):
         S = subspace_from_polynomials(2, n + 1, [P("x") * P("y") ** n])
-        assert subspace_in_ideal(S, ideal_power(ideal("x - y"), n), ring_x2).contained
+        assert subspace_in_ideal(S, ideal_power(ideal("x - y"), n), ring_x2) is None
 
 
 def test_subspace_in_ideal_empty(ring_x2):
     S = subspace_from_polynomials(2, 2, [])
-    assert subspace_in_ideal(S, ideal("x - y"), ring_x2).contained
+    assert subspace_in_ideal(S, ideal("x - y"), ring_x2) is None
 
 
 # --- containment on the colon's equations, against the row-reduced basis --------
@@ -124,12 +123,12 @@ def _assert_colon_matches_oracle(cond, ops, target, ring, D):
     the row-reduced basis of the kernel vectors and a full reduction of each
     basis element.  Returns the verdict."""
     S = diff_colon_of_ideal(cond, ops, D)
-    res = subspace_in_ideal(S, target, ring)
+    witness = subspace_in_ideal(S, target, ring)
     want_basis, want_witness = colon_oracle(ops, cond, D, ring.plus_N(target))
-    assert (res.contained, res.witness) == (want_witness is None, want_witness)
+    assert witness == want_witness
     assert S.dim == len(want_basis)
     assert S.basis == want_basis
-    return res.contained
+    return witness is None
 
 
 def test_shipped_and_workload_configs_are_all_covered():
@@ -233,19 +232,32 @@ def test_edge_colons_match_the_row_reduced_oracle():
         zero, unit = IdealHandle(nvars, []), IdealHandle(nvars, [Poly.one(nvars)])
         identity = OperatorSet([identity_op(nvars)], ring.rad)
         y = IdealHandle(nvars, [Poly.variable(nvars, 1)])
-        for cond, J in [(zero, zero), (unit, zero), (unit, unit), (unit, y), (ring.plus_rad(y), zero), (ring.rad, unit)]:
+        for cond, J in [(unit, zero), (unit, unit), (unit, y), (ring.plus_rad(y), zero), (ring.rad, unit)]:
             _assert_colon_matches_oracle(cond, identity, J, ring, 3)
-        # the zero colon: in a polynomial ring only 0 is carried into (0)
+        # the zero colon: in a polynomial ring only 0 is carried into (0);
+        # modulo rad = (x), (0) misses the set's modulus, which is refused
         if ring.rad.is_zero():
+            _assert_colon_matches_oracle(zero, identity, zero, ring, 3)
             S = diff_colon_of_ideal(zero, identity, 3)
             assert S.dim == 0 and S.basis == []
-            assert subspace_in_ideal(S, zero, ring).contained
+            assert subspace_in_ideal(S, zero, ring) is None
+        else:
+            with pytest.raises(ValueError, match="^the condition ideal does not contain the operator set's modulus$"):
+                diff_colon_of_ideal(zero, identity, 3)
         # the full space: refuted by 1 unless the target is the unit ideal
         S = diff_colon_of_ideal(unit, identity, 3)
         assert S.dim == len(monos)
         assert S.basis == [Poly.monomial(nvars, m) for m in monos]
-        assert subspace_in_ideal(S, unit, ring).contained
-        assert subspace_in_ideal(S, y, ring).witness == Poly.one(nvars)
+        assert subspace_in_ideal(S, unit, ring) is None
+        assert subspace_in_ideal(S, y, ring) == Poly.one(nvars)
+
+
+def test_a_schedule_that_leaves_out_rad_is_refused(ring_x2, ops_pi_dx):
+    # (y)^(n+c) misses rad = (x), which the colons' shared values are read
+    # modulo: the search would test wrong colons, so it raises instead
+    J = ideal("y")
+    with pytest.raises(ValueError, match="^the condition ideal does not contain the operator set's modulus$"):
+        uniformity.find_min_c(J, ops_pi_dx, ring_x2, 1, 1, 4, lambda n, c: ideal_power(J, n + c))
 
 
 def test_every_monomial_column_counts_in_the_inclusion():
@@ -254,9 +266,9 @@ def test_every_monomial_column_counts_in_the_inclusion():
     ring = next(r for r in _random_rings() if r.nvars == 2 and r.rad.is_zero())
     for m in monomials_up_to(2, 4):
         S = subspace_from_polynomials(2, 4, [Poly.monomial(2, m)])
-        res = subspace_in_ideal(S, ideal("y"), ring)
-        assert res.contained == (m[1] > 0), m
-        assert res.witness == (None if m[1] else Poly.monomial(2, m))
+        witness = subspace_in_ideal(S, ideal("y"), ring)
+        assert (witness is None) == (m[1] > 0), m
+        assert witness == (None if m[1] else Poly.monomial(2, m))
 
 
 def test_from_polynomials_keeps_the_annihilator_of_the_span():
@@ -287,7 +299,7 @@ def test_a_contained_colon_costs_one_row_reduction(ring_x2, ops_pi_dx, monkeypat
     for c, contained in ((1, True), (0, False)):
         calls.clear()
         S = diff_colon_of_ideal(ring_x2.power_plus(I, 1 + c, ring_x2.rad), ops_pi_dx, 8)
-        assert subspace_in_ideal(S, target, ring_x2).contained == contained
+        assert (subspace_in_ideal(S, target, ring_x2) is None) == contained
         assert len(calls) == 1  # a witness is read off the same echelon form
 
 
@@ -307,19 +319,19 @@ def test_a_kernel_refuted_for_two_shifts_is_row_reduced_once(ring_x3, monkeypatc
     monkeypatch.setattr(linalg, "rref", counted)
     shifts = [(2, 1), (3, 0)]
     targets = [ring_x3.power_plus(J, n, ring_x3.N) for n, _ in shifts]
-    results = [subspace_in_ideal(diff_colon(I, n + c, ops, ring_x3, 8), t, ring_x3) for (n, c), t in zip(shifts, targets)]
+    witnesses = [subspace_in_ideal(diff_colon(I, n + c, ops, ring_x3, 8), t, ring_x3) for (n, c), t in zip(shifts, targets)]
     assert calls == [{"last_leading": True}]
     monkeypatch.undo()
     cond = ring_x3.power_plus(I, 3, ring_x3.rad)
-    for result, target in zip(results, targets):
-        assert not result.contained
-        assert result.witness == colon_oracle(ops, cond, 8, target)[1] == P("y^3")
+    for witness, target in zip(witnesses, targets):
+        assert witness is not None
+        assert witness == colon_oracle(ops, cond, 8, target)[1] == P("y^3")
 
 
 def test_inclusion_refuted_with_every_basis_element_inside_is_an_arithmetic_bug(ring_x2, ops_pi_dx, monkeypatch):
     J = ideal("x - y")
     S = diff_colon_of_ideal(ring_x2.power_plus(ring_x2.image_in_reduced(J), 2, ring_x2.rad), ops_pi_dx, 8)
-    assert subspace_in_ideal(S, J, ring_x2).contained
+    assert subspace_in_ideal(S, J, ring_x2) is None
     monkeypatch.setattr(linalg, "in_row_space", lambda reduced, pivots, v: False)
     with pytest.raises(ArithmeticBugError):
         subspace_in_ideal(S, J, ring_x2)
