@@ -19,6 +19,7 @@ from .diffops import (
     ArithmeticBugError,
     DiffOp,
     OperatorSet,
+    RefutedError,
     TruncatedSubspace,
     parse_operator,
     parse_operator_set,
@@ -36,7 +37,6 @@ from .groebner import (
     standard_monomials,
 )
 from .noetherian import (
-    ComponentMismatchError,
     NoetherianCertificate,
     NonRationalPointError,
     PrimaryComponent,
@@ -55,7 +55,6 @@ from .poly import (
 )
 from .uniformity import (
     ConstantReport,
-    OperatorSetRefutedError,
     check_reverse,
     diff_colon,
     find_min_c,

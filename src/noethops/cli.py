@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 input error (usage errors included), 2 refutation
-(or a failed theorem-backed check, an arithmetic bug: one `arithmetic bug:
-...` line on stderr and no report), 3 search exhaustion.  Output is
+(a refuted certificate or filtration prints its report; a refuted input
+claim, `RefutedError`, prints one `refuted: ...` line on stderr and no
+report, and a failed theorem-backed check, an arithmetic bug, one
+`arithmetic bug: ...` line), 3 search exhaustion.  Output is
 deterministic for a fixed config and seed; report ordering follows the
 config, never completion order.
 """
@@ -24,17 +26,10 @@ from .configs import (
     primary_component,
     run_experiment_config,
 )
-from .diffops import ArithmeticBugError, parse_operator_set
-from .noetherian import (
-    ComponentMismatchError,
-    dual_space,
-    noetherian_ops_primary,
-    verify_noetherian_ops,
-)
+from .diffops import ArithmeticBugError, RefutedError, parse_operator_set
+from .noetherian import dual_space, noetherian_ops_primary, verify_noetherian_ops
 from .poly import rational
 from .uniformity import (
-    OperatorSetRefutedError,
-    PsiInconsistencyError,
     check_reverse,
     diff_colon,
     separating_operator,
@@ -107,9 +102,8 @@ def cmd_noeth_ops(args) -> int:
 def cmd_verify_ops(args) -> int:
     ring = load_ring(args.ring)
     a = ring.plus_N(ring.ideal(parse_ideal_list(args.ideal, ring.var_names)))
-    modulus = (
-        ring.ideal(parse_ideal_list(args.modulus, ring.var_names)) if args.modulus else ring.rad
-    )
+    # an empty --modulus lists no generator: the zero ideal, as "0" is
+    modulus = ring.ideal(parse_ideal_list(args.modulus, ring.var_names)) if args.modulus is not None else ring.rad
     ops = parse_operator_set(args.ops, ring.var_names, modulus)
     cert = verify_noetherian_ops(a, ops, args.degree)
     return _emit_certificate(args, ring, cert, [])
@@ -167,12 +161,12 @@ def cmd_sep_op(args) -> int:
     p = ring.ideal(parse_ideal_list(args.prime, ring.var_names))
     psi = parse_ideal_list(args.psi, ring.var_names)
     result = separating_operator(a, b, ring, p, psi, args.t_max, args.coeff_deg)
-    if not result.found:
-        _emit(result.message + "\n", args.out)
+    if result is None:
+        _emit(f"no operator up to order {args.t_max} with coefficient degree {args.coeff_deg}\n", args.out)
         return EXIT_EXHAUSTED
     lines = [
         result.delta.format(ring.var_names),
-        f"order: {result.order}",
+        f"order: {result.delta.order}",
         f"d: {result.d_value.format(ring.var_names)}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
@@ -187,14 +181,7 @@ def cmd_verify_filtration(args) -> int:
     lines = []
     for step in report.steps:
         status = "pass" if step.passed else "FAIL"
-        detail = []
-        if not step.strictly_increasing:
-            detail.append("not strictly increasing")
-        if not step.module_structure:
-            detail.append("prime does not multiply the step into the previous term")
-        if not step.prime_declared:
-            detail.append("prime not among the declared minimal primes")
-        lines.append(f"step {step.index}: {status}" + (f" ({'; '.join(detail)})" if detail else ""))
+        lines.append(f"step {step.index}: {status}" + (f" ({'; '.join(step.problems)})" if step.problems else ""))
     lines.append(f"last proper term is a minimal prime: {'yes' if report.last_term_is_minimal_prime else 'NO'}")
     lines.append(f"note: {report.note}")
     lines.append(f"result: {'pass' if report.passed else 'FAIL'}")
@@ -306,7 +293,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ComponentMismatchError, PsiInconsistencyError, OperatorSetRefutedError) as exc:
+    except RefutedError as exc:
         sys.stderr.write(f"refuted: {exc}\n")
         return EXIT_REFUTED
     except ArithmeticBugError as exc:

@@ -43,7 +43,6 @@ class NewtonPolyhedron:
     every facet.
     """
 
-    points: tuple[tuple[int, ...], ...]
     facets: tuple[tuple[tuple[int | Fraction, ...], int | Fraction], ...]
 
     @classmethod
@@ -72,7 +71,7 @@ class NewtonPolyhedron:
                 if min(normal) >= 0:
                     candidates.add((normal, _dot(normal, p)))
         valid = [(n, offset) for n, offset in sorted(candidates) if all(_dot(n, q) >= offset for q in pts)]
-        return cls(pts, tuple(valid))
+        return cls(tuple(valid))
 
     def contains(self, e: Sequence[int], dilation: int = 1) -> bool:
         if any(x < 0 for x in e):

@@ -67,6 +67,16 @@ class ArithmeticBugError(RuntimeError):
     fault.  Raised explicitly, so it survives `python -O`."""
 
 
+class RefutedError(ValueError):
+    """An input claim is refuted: a component, a set of components, an
+    embedding psi, or an operator set against the defining ideal.  `witness`
+    is the polynomial that refutes it, when there is one."""
+
+    def __init__(self, message: str, witness: Poly | None = None):
+        super().__init__(message)
+        self.witness = witness
+
+
 class DiffOp:
     """Sum of (polynomial coefficient, derivative multi-index) terms: an
     operator on P."""

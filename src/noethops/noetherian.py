@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
-from .diffops import ArithmeticBugError, DiffOp, OperatorSet, first_not_killed, operator_kernel
+from .diffops import ArithmeticBugError, DiffOp, OperatorSet, RefutedError, first_not_killed, operator_kernel
 from .groebner import (
     IdealHandle,
     NotZeroDimensionalError,
@@ -63,12 +63,6 @@ class NonRationalPointError(ValueError):
     the declared independent variables."""
 
 
-class ComponentMismatchError(ValueError):
-    def __init__(self, message: str, witness: Poly | None = None):
-        super().__init__(message)
-        self.witness = witness
-
-
 # ---------------------------------------------------------------------------
 # components and certificates
 
@@ -78,7 +72,9 @@ class PrimaryComponent:
     """A claimed p-primary ideal Q together with a declared independent
     variable set (p meets the subring on those variables in 0).  Q is
     checked, once, to equal its contraction from F = Q(independent
-    variables), so what holds for Q over F holds for Q itself."""
+    variables), so what holds for Q over F holds for Q itself.  A Q not
+    inside p (with a generator outside as the witness) or a declared set
+    that is not independent for p is a `RefutedError`."""
 
     Q: IdealHandle
     p: IdealHandle
@@ -90,11 +86,11 @@ class PrimaryComponent:
             raise ValueError(f"independent variables must be distinct variables of the ring, not indices {self.independent}")
         for g in self.Q.gens:
             if not self.p.contains(g):
-                raise ComponentMismatchError("claimed primary ideal is not inside its prime", g)
+                raise RefutedError("claimed primary ideal is not inside its prime", g)
         if self.independent:
             dep = self.dependent
             if not eliminate(self.p, dep).is_zero():
-                raise ComponentMismatchError("declared independent variables are not independent for the prime")
+                raise RefutedError("declared independent variables are not independent for the prime")
             if not _is_contracted(self.Q, dep, self.independent):
                 raise ValueError("claimed primary ideal is not primary to its prime")
 
@@ -349,20 +345,23 @@ def combine_components(
 ) -> OperatorSet:
     """Union of per-component operator sets, re-targeted to R_red.
 
-    Checks that the components intersect to `target` first.  When R has
+    Checks that the components intersect to `target` first: no components,
+    or an intersection that differs from it, is a `RefutedError`, with a
+    generator in one ideal and not the other as its witness.  When R has
     several minimal primes, each component's operators are multiplied by a
     separator that vanishes on every other minimal prime but not on the
-    component's own; this keeps the common kernel equal to the intersection
-    once all outputs are read modulo rad.
+    component's own (a `RefutedError` when there is none); this keeps the
+    common kernel equal to the intersection once all outputs are read
+    modulo rad.
     """
     if not comps:
-        raise ComponentMismatchError("no components supplied")
+        raise RefutedError("no components supplied")
     inter = functools.reduce(ideal_intersect, [comp.Q for comp, _ in comps])
     if not ideal_equal(inter, target):
         witness = next((g for g in inter.gens if not target.contains(g)), None)
         if witness is None:
             witness = next((g for g in target.gens if not inter.contains(g)), None)
-        raise ComponentMismatchError("components do not intersect to the target ideal", witness)
+        raise RefutedError("components do not intersect to the target ideal", witness)
 
     merged: list[DiffOp] = []
     for comp, ops in comps:
@@ -385,7 +384,7 @@ def _prime_separator(p: IdealHandle, ring: RingSpec) -> Poly | None:
     for g in inter.gb:
         if not p.contains(g):
             return g
-    raise ComponentMismatchError("no separator for the component prime among the minimal primes")
+    raise RefutedError("no separator for the component prime among the minimal primes")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ A theorem-backed check that fails (a recorded witness re-verified, the
 reverse containment J^(n+e) inside the colon of I^n, the restricted
 linearity of a separating operator) raises `ArithmeticBugError`: the
 arithmetic, not the input, is at fault, so no report carries the failure.
+A refuted input claim (an embedding psi no d fits, an operator set that
+fails against the defining ideal) raises `RefutedError`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .diffops import (
     ArithmeticBugError,
     DiffOp,
     OperatorSet,
+    RefutedError,
     TruncatedSubspace,
     first_not_killed,
     operator_kernel,
@@ -94,12 +97,15 @@ def subspace_in_ideal(S: TruncatedSubspace, J: IdealHandle, ring: RingSpec) -> P
 @dataclass
 class ConstantRow:
     n: int
-    c_min: int | None  # None: no c <= c_max worked
-    c_searched: int
+    c_min: int | None  # None: no c <= its report's c_max worked
     witness: Poly | None = None
 
-    def c_label(self) -> str:
-        return str(self.c_min) if self.c_min is not None else f"NOT_FOUND(<={self.c_searched})"
+
+def _max_shift(shifts) -> int | None:
+    """The largest of the shifts, 0 for none; None when some search ran out
+    (its shift is None)."""
+    shifts = list(shifts)
+    return None if None in shifts else max(shifts, default=0)
 
 
 @dataclass
@@ -117,9 +123,7 @@ class ConstantReport:
 
     @property
     def max_c(self) -> int | None:
-        if any(r.c_min is None for r in self.rows):
-            return None
-        return max((r.c_min for r in self.rows), default=0)
+        return _max_shift(r.c_min for r in self.rows)
 
     def to_dict(self, var_names: Sequence[str]) -> dict:
         out = {
@@ -131,7 +135,7 @@ class ConstantReport:
             "rows": [
                 {
                     "n": r.n,
-                    "c_min": r.c_label(),
+                    "c_min": str(r.c_min) if r.c_min is not None else f"NOT_FOUND(<={self.c_max})",
                     "witness": r.witness.format(var_names) if r.witness is not None else "",
                 }
                 for r in self.rows
@@ -179,7 +183,7 @@ def find_min_c(
             witness_c, witness = c, refuting
         if witness is not None:
             _assert_exact_witness(witness, schedule(n, witness_c), target, ops)
-        rows.append(ConstantRow(n, c_min, c_max, witness))
+        rows.append(ConstantRow(n, c_min, witness))
     return ConstantReport(ideal_name, rows, D, n_max, c_max)
 
 
@@ -219,15 +223,8 @@ def check_reverse(J: IdealHandle, ops: OperatorSet, ring: RingSpec, n: int, *, i
 
 @dataclass
 class SeparatingOperatorResult:
-    found: bool
-    delta: DiffOp | None = None
-    order: int | None = None
-    d_value: RationalFunction | None = None
-    message: str = ""
-
-
-class PsiInconsistencyError(ValueError):
-    pass
+    delta: DiffOp
+    d_value: RationalFunction
 
 
 def separating_operator(
@@ -238,16 +235,18 @@ def separating_operator(
     psi: Sequence[Poly],
     t_max: int,
     coeff_deg: int,
-) -> SeparatingOperatorResult:
+) -> SeparatingOperatorResult | None:
     """Search, by increasing order t then the fixed unknown enumeration, for
     an operator killing a (exactly, via the monomial-multiples check) whose
-    value on some generator of b is nonzero mod p.
+    value on some generator of b is nonzero mod p; None when no operator of
+    order <= t_max with coefficient degree <= coeff_deg does.
 
     psi lists the claimed images in R/p of b's generators under an R-linear
     embedding of b/a; the returned d satisfies delta(g) = psi(g) * d mod p
     for every generator, and the restricted linearity identity
     delta(f*g) = f*delta(g) mod p is checked exactly (`_finish_separating`).
-    A negative t_max or coeff_deg searches nothing: a `ValueError`.
+    A psi that no d fits is refuted: a `RefutedError`.  A negative t_max or
+    coeff_deg searches nothing: a `ValueError`.
     """
     for name, bound in (("t_max", t_max), ("coeff_deg", coeff_deg)):
         if bound < 0:
@@ -291,7 +290,7 @@ def separating_operator(
                     continue  # operators of lower order were covered at their own t
                 if any(p.normal_form(delta.apply(h)) for h in b.gens):
                     return _finish_separating(delta, b, ring, p, list(psi))
-    return SeparatingOperatorResult(False, message=f"no operator up to order {t_max} with coefficient degree {coeff_deg}")
+    return None
 
 
 def _finish_separating(
@@ -313,17 +312,13 @@ def _finish_separating(
         raise ArithmeticBugError("restricted linearity failed; separating operator search is buggy")
 
     values = [(p.normal_form(delta.apply(h)), p.normal_form(psi_h)) for h, psi_h in zip(b.gens, psi)]
-    for d_num, d_den in values:
-        if d_num and not d_den:
-            raise PsiInconsistencyError("operator separates a generator whose claimed image is zero")
-        if d_num and d_den:
-            break
-    else:
-        raise PsiInconsistencyError("no generator with nonzero image to normalize d against")
+    # the search returned delta for a generator it separates
+    d_num, d_den = next((dh, ph) for dh, ph in values if dh)
+    if not d_den:
+        raise RefutedError("operator separates a generator whose claimed image is zero")
     if any(p.normal_form(dh * d_den - ph * d_num) for dh, ph in values):
-        raise PsiInconsistencyError("d is not consistent across the generators; psi is not the claimed embedding")
-    d_value = RationalFunction(d_num, d_den)
-    return SeparatingOperatorResult(True, delta=delta, order=delta.order, d_value=d_value)
+        raise RefutedError("d is not consistent across the generators; psi is not the claimed embedding")
+    return SeparatingOperatorResult(delta, RationalFunction(d_num, d_den))
 
 
 # ---------------------------------------------------------------------------
@@ -332,30 +327,35 @@ def _finish_separating(
 
 @dataclass
 class FiltrationStep:
+    """Step i of a chain: the texts of the checks it fails, in the order
+    they are made, and, when p_i * a_i misses a_(i-1), a product outside."""
+
     index: int
-    strictly_increasing: bool
-    module_structure: bool
-    prime_declared: bool
+    problems: list[str]
     failure: Poly | None = None
 
     @property
     def passed(self) -> bool:
-        return self.strictly_increasing and self.module_structure and self.prime_declared
+        return not self.problems
 
 
 @dataclass
 class FiltrationReport:
     steps: list[FiltrationStep]
     last_term_is_minimal_prime: bool
-    passed: bool
     note: ClassVar[str] = "associated-prime condition on the quotients is user-asserted, not checked"
+
+    @property
+    def passed(self) -> bool:
+        return self.last_term_is_minimal_prime and all(step.passed for step in self.steps)
 
 
 def verify_filtration(chain: Sequence[IdealHandle], primes: Sequence[IdealHandle], ring: RingSpec) -> FiltrationReport:
     """Structural checks for a chain N = a_0 < a_1 < ... < a_k = (1) with a
     declared prime per step: strictness, p_i * a_i inside a_(i-1) (so each
     quotient is a module over R/p_i), each p_i among the declared minimal
-    primes, and a_(k-1) itself a declared minimal prime."""
+    primes, and a_(k-1) itself a declared minimal prime.  A chain that fails
+    a check is reported, not raised: each step lists the checks it fails."""
     if len(chain) < 2:
         raise ValueError("chain needs at least two terms")
     if len(primes) != len(chain) - 1:
@@ -368,26 +368,21 @@ def verify_filtration(chain: Sequence[IdealHandle], primes: Sequence[IdealHandle
     steps = []
     for i in range(1, len(chain)):
         prev, cur, prime = chain[i - 1], chain[i], primes[i - 1]
-        strict = is_subideal(prev, cur) and not is_subideal(cur, prev)
+        problems = []
+        if not is_subideal(prev, cur) or is_subideal(cur, prev):
+            problems.append("not strictly increasing")
         products = (pg * cg for pg in prime.gens for cg in cur.gens)
         failure = next((f for f in products if not prev.contains(f)), None)
-        declared = any(ideal_equal(prime, q) for q in ring.minimal_primes)
-        steps.append(FiltrationStep(i, strict, failure is None, declared, failure))
-    last_ok = any(ideal_equal(chain[-2], q) for q in ring.minimal_primes)
-    return FiltrationReport(steps, last_ok, last_ok and all(step.passed for step in steps))
+        if failure is not None:
+            problems.append("prime does not multiply the step into the previous term")
+        if not any(ideal_equal(prime, q) for q in ring.minimal_primes):
+            problems.append("prime not among the declared minimal primes")
+        steps.append(FiltrationStep(i, problems, failure))
+    return FiltrationReport(steps, any(ideal_equal(chain[-2], q) for q in ring.minimal_primes))
 
 
 # ---------------------------------------------------------------------------
 # experiment orchestration
-
-
-class OperatorSetRefutedError(ValueError):
-    """The operator set fails its check against the defining ideal; the
-    refuting certificate (with its witness) is kept on the error."""
-
-    def __init__(self, certificate: NoetherianCertificate):
-        super().__init__("operator set refuted against the defining ideal; not a Noetherian set for R")
-        self.certificate = certificate
 
 
 @dataclass
@@ -404,8 +399,7 @@ class ExperimentBundle:
     @property
     def aggregate_c(self) -> int | None:
         """The max shift over the family; None when some row exhausted."""
-        shifts = [rep.max_c for rep in self.reports]
-        return None if None in shifts else max(shifts, default=0)
+        return _max_shift(rep.max_c for rep in self.reports)
 
     @property
     def verdict(self) -> str:
@@ -438,8 +432,8 @@ class ExperimentBundle:
 
 
 def run_constant_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
-    """Verify the config's operator set against the ring's defining ideal,
-    run the minimal-shift search under the power schedule of `cfg.mode` for
+    """Verify the config's operator set against the ring's defining ideal
+    (a refuted set raises `RefutedError`), run the minimal-shift search under the power schedule of `cfg.mode` for
     each of its ideals in input order (plus the reverse containment checks
     for "artin_rees", which raise `ArithmeticBugError` on failure), and
     bundle the reports with `cfg`.
@@ -453,7 +447,7 @@ def run_constant_experiment(cfg: ExperimentConfig) -> ExperimentBundle:
     ring, ops, D = cfg.ring, cfg.operators, cfg.degree
     cert = verify_noetherian_ops(ring.N, ops, D)
     if not cert.ok:
-        raise OperatorSetRefutedError(cert)
+        raise RefutedError("operator set refuted against the defining ideal; not a Noetherian set for R", cert.witness)
     reports: list[ConstantReport] = []
     for name, J in cfg.ideals:
         witness = cfg.witnesses.get(name)

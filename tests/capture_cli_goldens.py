@@ -137,6 +137,7 @@ VERIFY_OPS = [
     [R2, "--ideal", "(x-1)^2; y", "--ops", "1; dx", "--modulus", "x - 1; y", "--degree", "4"],
     [R2, "--ideal", "x^2; y", "--ops", "1; dx", "--modulus", "1", "--degree", "4"],
     [R2, "--ideal", "x^2; y", "--ops", "0", "--modulus", "x; y", "--degree", "4"],
+    [RING_X2, "--ideal", "x^2", "--ops", "1; dx", "--modulus", "0"],
     [RING_X2, "--ideal", "x^2", "--ops", "1; dx", "--degree", "1"],
     [RING_X2, "--ideal", "x^2", "--ops", "1; dz"],
 ]
@@ -149,6 +150,7 @@ OTHER = [
     ["sep-op", RING_X3, "--lower", "0", "--upper", "x^2", "--prime", "x", "--psi", "1"],
     ["sep-op", RING_X3, "--lower", "0", "--upper", "x^2", "--prime", "x", "--psi", "1", "--t-max", "1"],
     ["sep-op", RING_X2, "--lower", "x*y", "--upper", "x", "--prime", "x", "--psi", "1"],
+    ["sep-op", RING_X2, "--lower", "0", "--upper", "x", "--prime", "x", "--psi", "0"],
     ["verify-filtration", RING_X2, "--chain", "(x^2) | (x) | (1)", "--primes", "(x) | (x)"],
     ["verify-filtration", RING_X2, "--chain", "(x^2) | (x^2) | (1)", "--primes", "(x) | (x)"],
 ]

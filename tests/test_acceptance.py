@@ -129,12 +129,12 @@ def test_criterion_06_separating_operators(ring_x2, linearity_checks):
     start = time.monotonic()
     b1 = ideal("x")
     res1 = separating_operator(IdealHandle(2, []), b1, ring_x2, ring_x2.rad, [Poly.one(2)], 3, 2)
-    ok = res1.found and res1.order == 1 and res1.d_value == 1
+    ok = res1.delta.order == 1 and res1.d_value == 1
     rad = ideal("x")
     ring_x3 = RingSpec(tuple(XY), ideal("x^3"), rad, (rad,))
     b2 = ideal("x^2")
     res2 = separating_operator(IdealHandle(2, []), b2, ring_x3, rad, [Poly.one(2)], 3, 2)
-    ok = ok and res2.found and res2.order == 2 and res2.d_value == 2
+    ok = ok and res2.delta.order == 2 and res2.d_value == 2
     # linearity was decided exactly: on [delta, x] and [delta, y], over b's generators, into p
     ok = ok and linearity_checks == [
         ([res.delta.bracket(P(v)) for v in XY], list(b.gens), p)

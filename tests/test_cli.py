@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shlex
@@ -507,6 +508,8 @@ def test_sep_op_exhaustion_exit_3(tmp_path, capsys):
     path.write_text(RING_X3)
     rc = main(["sep-op", str(path), "--lower", "0", "--upper", "x^2", "--prime", "x", "--psi", "1", "--t-max", "1"])
     assert rc == 3
+    # the line names the bounds the command searched
+    assert capsys.readouterr().out == "no operator up to order 1 with coefficient degree 2\n"
 
 
 @pytest.mark.parametrize("option, name", [("--t-max", "t_max"), ("--coeff-deg", "coeff_deg")])
@@ -557,6 +560,86 @@ def test_each_input_error_exits_1_with_its_line(tmp_path, capsys, ring, argv, me
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+RING_TWO_PRIMES = "ring: Q[x,y] / (x^2)\nradical: (x)\nminimal-primes: [(x); (x; y)]"
+
+
+def _with_operators(operators, ring=CONFIG["ring"]) -> dict:
+    return {**CONFIG, "ring": ring, "operators": operators}
+
+
+REFUTATIONS = [
+    (
+        ["noeth-ops", "ring: Q[x,y]", "--ideal", "x - 1", "--prime", "x", "--independent", "y"],
+        "claimed primary ideal is not inside its prime",
+    ),
+    (
+        ["noeth-ops", "ring: Q[x,y]", "--ideal", "x; y", "--prime", "x; y", "--independent", "y"],
+        "declared independent variables are not independent for the prime",
+    ),
+    (_with_operators({"compute": []}), "no components supplied"),
+    (
+        _with_operators({"compute": [{"ideal": "x^2", "prime": "x", "independent": ["y"]}], "target": "x"}),
+        "components do not intersect to the target ideal",
+    ),
+    (
+        _with_operators({"compute": [{"ideal": "x^2; y", "prime": "x; y"}], "target": "x^2; y"}, RING_TWO_PRIMES),
+        "no separator for the component prime among the minimal primes",
+    ),
+    (
+        ["sep-op", RING_X2, "--lower", "0", "--upper", "x", "--prime", "x", "--psi", "0"],
+        "operator separates a generator whose claimed image is zero",
+    ),
+    (
+        _sep_op(upper="x^2; x^2*y", psi="1; 1"),
+        "d is not consistent across the generators; psi is not the claimed embedding",
+    ),
+    (_with_operators("1"), "operator set refuted against the defining ideal; not a Noetherian set for R"),
+]
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    REFUTATIONS,
+    ids=[
+        "component_outside_prime", "dependent_declaration", "no_components", "components_miss_target",
+        "no_separator", "psi_zero_on_separated", "psi_inconsistent", "operators_refuted",
+    ],
+)
+def test_each_refutation_exits_2_with_its_line(tmp_path, capsys, run, message):
+    # a config (a dict) is read from its path; the other inputs are given inline
+    argv = run
+    if isinstance(run, dict):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(run))
+        argv = ["experiment", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"refuted: {message}\n")
+
+
+def test_the_refutation_cases_cover_every_refuted_error_the_package_raises():
+    raised = {
+        node.args[0].value
+        for path in Path(noethops.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "RefutedError"
+    }
+    assert raised == {message for _, message in REFUTATIONS}
+
+
+def test_an_empty_modulus_is_the_zero_ideal(capsys):
+    argv = ["verify-ops", RING_X2, "--ideal", "x^2", "--ops", "1; dx"]
+    runs = []
+    for modulus in ("0", "(0)", ""):
+        code = main(argv + ["--modulus", modulus])
+        runs.append((code, capsys.readouterr()))
+    assert runs[0] == (2, ("status: refuted\nwitness: x^2 (in_ideal_not_killed)\n", ""))
+    assert runs[1] == runs[2] == runs[0]
+    # with no --modulus, the set is read modulo rad = (x)
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("status: verified_up_to_degree\n", "")
 
 
 def test_experiment_refuted_operators_exit_2(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """The package has no runtime dependencies: every module it imports is in
 the standard library or is noethops itself.  Its checks are explicit
 raises, never `assert` statements, so they survive `python -O`.  It ships
-no code that only the tests call."""
+no code, and stores no attribute, that only the tests call or read."""
 
 import ast
 import sys
@@ -67,27 +67,52 @@ def test_modules_use_every_name_they_import():
     assert not unused
 
 
-# Methods a library calls by name, which the package itself never reads.
+# Methods a library calls by name, and attributes only a library caller
+# reads, which the package itself never reads.
 CALLED_BY_LIBRARIES = {
     "cli._Parser.error",  # argparse reports usage errors through it
+    "poly.PolyParseError.position",  # where in the text a caller's parse failed
+    "uniformity.FiltrationStep.failure",  # the product p_i * g outside a_(i-1), for a caller to inspect
 }
 
 
+def _stored_attributes(cls: ast.ClassDef) -> list[str]:
+    """The fields of a dataclass and the attributes `__init__` assigns on
+    `self`, in order of first appearance."""
+    dataclass = any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass" for d in cls.decorator_list)
+    names = []
+    for node in cls.body:
+        if dataclass and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            names += [
+                sub.attr
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+            ]
+    return list(dict.fromkeys(names))
+
+
 def _unread_definitions(package: Path = PACKAGE) -> list[str]:
-    """Functions, classes and methods defined in the package that it never
-    reads.  A module-level definition is read when its module reads its
-    name, another module imports it (and so reads it, by the test above, or
-    re-exports it from `__init__`), or some module reads it as an attribute
-    of its module.  A method is read when some module reads an attribute of
-    that name; special methods are Python's to call."""
+    """Functions, classes, methods and stored attributes defined in the
+    package that it never reads.  A module-level definition is read when
+    its module reads its name, another module imports it (and so reads it,
+    by the test above, or re-exports it from `__init__`), or some module
+    reads it as an attribute of its module.  A method is read when some
+    module reads an attribute of that name; special methods are Python's to
+    call.  A stored attribute (`_stored_attributes`) is read when some
+    module loads an attribute of that name."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
-    read, attributes = set(), set()  # (module, name) pairs; attribute names
+    read, attributes, loaded = set(), set(), set()  # (module, name) pairs; attribute names; those loaded
     for stem, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add((stem, node.id))
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
                 if isinstance(node.value, ast.Name):
                     read.add((node.value.id, node.attr))
             elif isinstance(node, ast.ImportFrom) and node.level:
@@ -100,16 +125,18 @@ def _unread_definitions(package: Path = PACKAGE) -> list[str]:
                 continue
             if (stem, node.name) not in read:
                 unread.append(f"{stem}.{node.name}")
-            methods = [m.name for m in node.body if isinstance(m, defs)] if isinstance(node, ast.ClassDef) else []
-            for name in methods:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for name in (m.name for m in node.body if isinstance(m, defs)):
                 special = name.startswith("__") and name.endswith("__")
                 if not special and name not in attributes:
                     unread.append(f"{stem}.{node.name}.{name}")
+            unread += [f"{stem}.{node.name}.{name}" for name in _stored_attributes(node) if name not in loaded]
     return sorted(unread)
 
 
 def test_the_package_reads_everything_it_defines():
-    # and every allowlisted method is still there, unread
+    # and every allowlisted method and attribute is still there, unread
     assert _unread_definitions() == sorted(CALLED_BY_LIBRARIES)
 
 
@@ -122,6 +149,19 @@ def test_the_unread_check_reports_a_function_and_a_method_nothing_reads(tmp_path
             text = text.replace("    def scale(self, factor)", "    def order_one(self):\n        return self\n\n    def scale(self, factor)")
         (tmp_path / path.name).write_text(text, encoding="utf-8")
     assert _unread_definitions(tmp_path) == sorted({"diffops.DiffOp.order_one", "linalg.rank", *CALLED_BY_LIBRARIES})
+
+
+def test_the_unread_check_reports_stored_attributes_nothing_reads(tmp_path):
+    # a dataclass field and an attribute `__init__` assigns, each stored and never loaded
+    for path in PACKAGE.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "uniformity.py":
+            text = text.replace("    c_min: int | None", "    c_tried: int\n    c_min: int | None")
+        if path.name == "diffops.py":
+            text = text.replace("        self.nvars = nvars\n", "        self.nvars = nvars\n        self.arity = nvars\n", 1)
+        (tmp_path / path.name).write_text(text, encoding="utf-8")
+    expected = {"diffops.DiffOp.arity", "uniformity.ConstantRow.c_tried", *CALLED_BY_LIBRARIES}
+    assert _unread_definitions(tmp_path) == sorted(expected)
 
 
 # Where a true division may stand: the one coefficient-division helper, and

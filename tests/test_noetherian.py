@@ -15,10 +15,9 @@ import noethops
 
 from noethops import groebner, noetherian, poly
 from noethops.configs import load_experiment_config, load_ring, run_experiment_config
-from noethops.diffops import DiffOp, OperatorSet, first_not_killed, operator_kernel, parse_operator_set
+from noethops.diffops import DiffOp, OperatorSet, RefutedError, first_not_killed, operator_kernel, parse_operator_set
 from noethops.groebner import IdealHandle, RingSpec, standard_monomials
 from noethops.noetherian import (
-    ComponentMismatchError,
     NonRationalPointError,
     PrimaryComponent,
     combine_components,
@@ -158,10 +157,11 @@ def test_a_component_is_read_only_and_its_operator_set_holds_it():
 
 
 def test_component_rejects_dependent_declaration():
-    with pytest.raises(ComponentMismatchError):
+    with pytest.raises(RefutedError, match="^declared independent variables are not independent for the prime$"):
         PrimaryComponent(ideal("x^2"), ideal("x"), independent=(0,))
-    with pytest.raises(ComponentMismatchError):
+    with pytest.raises(RefutedError, match="^claimed primary ideal is not inside its prime$") as err:
         PrimaryComponent(ideal("y"), ideal("x"), independent=(1,))
+    assert err.value.witness == P("y")
 
 
 @pytest.mark.parametrize("independent", [(1, 1), (5,), (-1,)])
@@ -224,7 +224,7 @@ def test_combine_mismatch_reports_witness():
     ring = _ring_x2y()
     c1 = PrimaryComponent(ideal("x^2"), ideal("x"), independent=(1,))
     c2 = PrimaryComponent(ideal("y"), ideal("y"), independent=(0,))
-    with pytest.raises(ComponentMismatchError) as err:
+    with pytest.raises(RefutedError, match="^components do not intersect to the target ideal$") as err:
         combine_components(
             ideal("x^2"), [(c1, noetherian_ops_primary(c1)), (c2, noetherian_ops_primary(c2))], ring
         )

@@ -8,11 +8,10 @@ import pytest
 from noethops import groebner, linalg, uniformity
 from noethops.closures import power_schedule, shift_search
 from noethops.configs import ExperimentConfig, load_experiment_config, run_experiment_config
-from noethops.diffops import ArithmeticBugError, DiffOp, OperatorSet
+from noethops.diffops import ArithmeticBugError, DiffOp, OperatorSet, RefutedError
 from noethops.groebner import IdealHandle, RingSpec, ideal_equal, ideal_power, is_subideal
 from noethops.poly import Poly, monomials_up_to
 from noethops.uniformity import (
-    PsiInconsistencyError,
     check_reverse,
     diff_colon,
     diff_colon_of_ideal,
@@ -422,7 +421,7 @@ def test_find_min_c_applies_each_operator_to_each_monomial_once(ring_x2, ops_pi_
 def test_find_min_c_exhaustion(ring_x2, ops_pi_dx):
     rep = shift_search("artin_rees", ideal("x - y"), ops_pi_dx, ring_x2, 1, 0, 12)
     assert rep.rows[0].c_min is None
-    assert rep.rows[0].c_label() == "NOT_FOUND(<=0)"
+    assert rep.to_dict(XY)["rows"][0]["c_min"] == "NOT_FOUND(<=0)"
     assert rep.rows[0].witness == P("y")
     assert rep.max_c is None
 
@@ -540,7 +539,7 @@ def test_groebner_inputs_of_a_power_search_stay_small(monkeypatch):
 def test_separating_operator_x2(ring_x2, linearity_checks):
     b = ideal("x")
     res = separating_operator(IdealHandle(2, []), b, ring_x2, ring_x2.rad, [Poly.one(2)], 3, 2)
-    assert res.found and res.order == 1
+    assert res.delta.order == 1
     assert res.delta.format(XY) == "dx"
     assert res.d_value == 1
     # linearity was decided on [delta, x] and [delta, y], over b's generators, into p
@@ -590,14 +589,14 @@ def test_separating_operator_projection(ring_x2):
     res = separating_operator(
         ideal("x"), IdealHandle(2, [Poly.one(2)]), ring_x2, ring_x2.rad, [Poly.one(2)], 3, 2
     )
-    assert res.found and res.order == 0 and res.d_value == 1
+    assert res.delta.order == 0 and res.d_value == 1
 
 
 def test_separating_operator_x3(ring_x3):
     res = separating_operator(
         IdealHandle(2, []), ideal("x^2"), ring_x3, ring_x3.rad, [Poly.one(2)], 3, 2
     )
-    assert res.found and res.order == 2
+    assert res.delta.order == 2
     assert res.delta.format(XY) == "dx^2"
     assert res.d_value == 2
 
@@ -614,7 +613,7 @@ def test_separating_operator_exhaustion(ring_x3):
     res = separating_operator(
         IdealHandle(2, []), ideal("x^2"), ring_x3, ring_x3.rad, [Poly.one(2)], 1, 2
     )
-    assert not res.found
+    assert res is None
 
 
 def test_separating_operator_on_a_torsion_quotient_exhausts_its_search(ring_x2, monkeypatch):
@@ -630,14 +629,23 @@ def test_separating_operator_on_a_torsion_quotient_exhausts_its_search(ring_x2, 
 
     monkeypatch.setattr(linalg, "kernel_basis", recording)
     res = separating_operator(ideal("x*y"), ideal("x"), ring_x2, ring_x2.rad, [Poly.one(2)], 3, 2)
-    assert not res.found
-    assert res.message == "no operator up to order 3 with coefficient degree 2"
+    assert res is None
     assert sum(row_counts) == 204
+
+
+def test_separating_operator_reads_d_off_the_first_generator_it_separates(ring_x3):
+    # dx^2 carries x^3 to 6x, zero mod p: d = dx^2(x^2) / psi(x^2) = 2
+    b = ideal("x^3", "x^2")
+    res = separating_operator(IdealHandle(2, []), b, ring_x3, ring_x3.rad, [P("0"), P("1")], 3, 2)
+    assert res.delta.format(XY) == "dx^2" and res.d_value == 2
+    # a nonzero claimed image of x^3 = 0 in R fits no d
+    with pytest.raises(RefutedError, match="^d is not consistent"):
+        separating_operator(IdealHandle(2, []), b, ring_x3, ring_x3.rad, [P("1"), P("1")], 3, 2)
 
 
 def test_separating_operator_refutes_bad_psi(ring_x3):
     b = ideal("x^2", "x^2*y")
-    with pytest.raises(PsiInconsistencyError):
+    with pytest.raises(RefutedError, match="^d is not consistent across the generators; psi is not the claimed embedding$"):
         separating_operator(
             IdealHandle(2, []), b, ring_x3, ring_x3.rad, [Poly.one(2), Poly.one(2)], 3, 2
         )
@@ -663,7 +671,7 @@ def test_filtration_rejects_nonstrict(ring_x2):
     chain = [ideal("x^2"), ideal("x^2"), IdealHandle(2, [Poly.one(2)])]
     report = verify_filtration(chain, [ideal("x"), ideal("x")], ring_x2)
     assert not report.passed
-    assert not report.steps[0].strictly_increasing
+    assert report.steps[0].problems == ["not strictly increasing"]
 
 
 def test_filtration_rejects_bad_module_step(ring_x3):
@@ -671,7 +679,7 @@ def test_filtration_rejects_bad_module_step(ring_x3):
     chain = [ideal("x^3"), IdealHandle(2, [Poly.one(2)])]
     report = verify_filtration(chain, [ideal("x")], ring_x3)
     assert not report.passed
-    assert not report.steps[0].module_structure
+    assert report.steps[0].problems == ["prime does not multiply the step into the previous term"]
     assert report.steps[0].failure is not None
 
 
@@ -703,6 +711,14 @@ def test_experiment_bundle(ring_x2, ops_pi_dx):
     assert data["aggregate_c"] == 1
     assert data["seed"] == 0
     assert data["verdict"] == bundle.verdict == "aggregate c = 1 over 3 ideal(s), degree bound 12"
+
+
+def test_an_experiment_whose_operator_set_is_refuted_raises_with_its_witness(ring_x2):
+    # 1 alone kills (x), which is larger than N = (x^2)
+    ops = OperatorSet([identity_op(2)], ring_x2.rad)
+    with pytest.raises(RefutedError, match="^operator set refuted against the defining ideal") as err:
+        run_constant_experiment(_config(ring_x2, ops, _family(), 1, 0, 4))
+    assert err.value.witness == P("x")
 
 
 def test_the_bundle_derives_its_aggregate_and_verdict(ring_x2, ops_pi_dx):
