@@ -167,8 +167,11 @@ def _build_operators(spec, ring: RingSpec) -> OperatorSet:
     if isinstance(spec, str):
         return parse_operator_set(spec, ring.var_names, ring.rad)
     if isinstance(spec, dict) and "compute" in spec:
+        entries = _typed(spec["compute"], list, "operators.compute")
+        if not entries:
+            raise ConfigError("operators.compute must list at least one component")
         comps = []
-        for entry in _typed(spec["compute"], list, "operators.compute"):
+        for entry in entries:
             entry = _typed(entry, dict, "an operators.compute entry")
             comp = primary_component(ring, entry["ideal"], entry["prime"], entry.get("independent", []))
             comps.append((comp, noetherian_ops_primary(comp)))

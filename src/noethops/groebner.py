@@ -2,10 +2,17 @@
 
 The pair strategy is the normal one (no sugar): pick the pair whose lcm has
 minimal total degree, ties broken by the active order on the lcm and then by
-pair indices.  New pairs pass through the usual product and chain filters.
-Pending pairs sit in a heap under that key (Gebauer and Moeller 1988); the
-key is a total order on leads that never change once added, so the heap
-pops the same pairs in the same order as a scan for the least key would.
+pair indices.  Pending pairs sit in a heap under that key.  Which pairs are
+formed is decided once, when an element enters the basis, by the update of
+Gebauer and Moeller (1988; Becker and Weispfenning, Groebner Bases, 5.5):
+of the new element's pairs, criterion M drops those whose lcm another of
+their lcms properly divides, criterion F keeps one pair per lcm (the least
+index), and the product criterion then drops every lcm one of whose pairs
+has coprime leads; criterion B deletes each pending pair whose lcm the new
+lead divides when both of its lcms with the new element differ from it.  A
+deleted pair stays in the heap and is skipped when popped.  The input
+enters in one pass, in ascending lead order, each generator reduced by the
+elements before it.
 The returned basis is the reduced Groebner basis, which is unique for a
 given ideal and order, so output never depends on traversal details.  A
 monomial ideal, every generator a single term, runs no pair and no
@@ -124,25 +131,25 @@ def _reduce(f: Poly, basis: Sequence[Poly], leads: Sequence[tuple[Mono, object]]
 
 
 def _s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
+    """lcm/lt(f) * f - lcm/lt(g) * g, built in one dict; the leading terms,
+    which cancel, are skipped."""
     fm, fc = f.leading(order)
     gm, gc = g.leading(order)
     lcm = mono_lcm(fm, gm)
-    return f.scale_term(mono_div(lcm, fm), qdiv(1, fc)) - g.scale_term(mono_div(lcm, gm), qdiv(1, gc))
-
-
-def _interreduce(polys: list[Poly], order: MonomialOrder) -> list[Poly]:
-    current = [p for p in polys if p]
-    while True:
-        nxt, leads = [], []
-        for p in current:
-            r = _reduce(p, nxt, leads, order)
-            if r:
-                g, lead = _monic_and_lead(r, order)
-                nxt.append(g)
-                leads.append(lead)
-        if nxt == current:
-            return nxt
-        current = nxt
+    fshift, gshift = mono_div(lcm, fm), mono_div(lcm, gm)
+    fa, ga = qdiv(1, fc), qdiv(1, gc)
+    out = {mono_mul(t, fshift): c * fa for t, c in f.terms.items() if t != fm}
+    for t, c in g.terms.items():
+        if t == gm:
+            continue
+        m = mono_mul(t, gshift)
+        s = out.get(m)
+        s = -(c * ga) if s is None else s - c * ga
+        if s:
+            out[m] = s
+        elif m in out:
+            del out[m]
+    return Poly(f.nvars, out)
 
 
 def buchberger(gens: Iterable[Poly], order: MonomialOrder = GrevLex()) -> list[Poly]:
@@ -150,48 +157,72 @@ def buchberger(gens: Iterable[Poly], order: MonomialOrder = GrevLex()) -> list[P
 
     Zero generators are dropped; the zero ideal yields the empty basis.
     When every generator left is a single term, the ideal is monomial and
-    its reduced basis is read off at once (`_monomial_basis`).
+    its reduced basis is read off at once (`_monomial_basis`).  Otherwise
+    the generators enter the basis in ascending lead order, each reduced
+    by the basis so far, and then the pending pair of least (deg lcm, order
+    key of lcm, i, j) is reduced until none is left.  Every element that
+    enters, a generator or a nonzero remainder, goes through the
+    Gebauer-Moeller update (`insert`), which keeps some of its pairs and
+    deletes some pending ones, so no criterion is tested when a pair is
+    popped.  The basis then left is reduced (`_reduce_basis`).
     """
     gens = [g for g in gens if g]
     if all(len(g.terms) == 1 for g in gens):
         return _monomial_basis(gens, order)
-    basis = _interreduce(gens, order)
-    if not basis:
-        return []
-    lead_terms = [g.leading(order) for g in basis]
-    leads = [m for m, _ in lead_terms]
-    # `pairs` holds the pending pairs, which the chain criterion reads, and
-    # `queue` the same pairs keyed by (deg lcm, order key of lcm, i, j): a
-    # total order on leads that never change, so the heap pops exactly the
-    # pair a scan for the least key would pick
-    pairs: set[tuple[int, int]] = set()
+    key = order.key
+    basis: list[Poly] = []
+    lead_terms: list[tuple[Mono, object]] = []
+    leads: list[Mono] = []
+    # `pending` maps each live pair to its lcm; `queue` holds the pairs keyed
+    # by (deg lcm, order key of lcm, i, j), and a pair that criterion B
+    # deleted stays in the heap until it is popped and skipped
+    pending: dict[tuple[int, int], Mono] = {}
     queue: list = []
 
-    def add_pairs(k: int) -> None:
-        for i in range(k):
-            lcm = mono_lcm(leads[i], leads[k])
-            pairs.add((i, k))
-            heapq.heappush(queue, (mono_degree(lcm), order.key(lcm), i, k))
-
-    for k in range(1, len(basis)):
-        add_pairs(k)
-    while queue:
-        _, _, i, j = heapq.heappop(queue)
-        pairs.discard((i, j))
-        lcm = mono_lcm(leads[i], leads[j])
-        if lcm == mono_mul(leads[i], leads[j]):
-            continue  # product criterion
-        if _chain_criterion(i, j, lcm, leads, pairs):
-            continue
-        s = _s_polynomial(basis[i], basis[j], order)
-        r = _reduce(s, basis, lead_terms, order)
-        if not r:
-            continue
+    def insert(r: Poly) -> None:
         g, lead = _monic_and_lead(r, order)
+        m, t = lead[0], len(basis)
+        # criterion B: (i, j) goes when m divides its lcm and both lcms with
+        # t differ from it, so the pairs (i, t) and (t, j) stand in for it
+        for pair, lcm in list(pending.items()):
+            if mono_divides(m, lcm) and mono_lcm(leads[pair[0]], m) != lcm and mono_lcm(leads[pair[1]], m) != lcm:
+                del pending[pair]
+        # criterion F: one pair per lcm, the least index; a group holding a
+        # pair with coprime leads goes whole (product criterion)
+        first: dict[Mono, int] = {}
+        coprime: set[Mono] = set()
+        for i, lead_i in enumerate(leads):
+            lcm = mono_lcm(lead_i, m)
+            first.setdefault(lcm, i)
+            if lcm == mono_mul(lead_i, m):
+                coprime.add(lcm)
+        # criterion M: drop an lcm that another one properly divides; each
+        # such divisor is a multiple of a minimal lcm of lower degree, so in
+        # ascending degree the minimal lcms found so far are enough to test
+        minimal: list[Mono] = []
+        for lcm in sorted(first, key=mono_degree):
+            if any(mono_divides(d, lcm) for d in minimal):
+                continue
+            minimal.append(lcm)
+            if lcm not in coprime:
+                i = first[lcm]
+                pending[i, t] = lcm
+                heapq.heappush(queue, (mono_degree(lcm), key(lcm), i, t))
         basis.append(g)
         lead_terms.append(lead)
-        leads.append(lead[0])
-        add_pairs(len(basis) - 1)
+        leads.append(m)
+
+    for p in sorted(gens, key=lambda p: key(p.leading(order)[0])):
+        r = _reduce(p, basis, lead_terms, order)
+        if r:
+            insert(r)
+    while queue:
+        _, _, i, j = heapq.heappop(queue)
+        if pending.pop((i, j), None) is None:
+            continue  # deleted by criterion B
+        r = _reduce(_s_polynomial(basis[i], basis[j], order), basis, lead_terms, order)
+        if r:
+            insert(r)
 
     return _reduce_basis(basis, order, lead_terms)
 
@@ -209,18 +240,6 @@ def _monomial_basis(gens: list[Poly], order: MonomialOrder) -> list[Poly]:
         first.setdefault(m, c)
     minimal = [m for m in first if not any(d != m and mono_divides(d, m) for d in first)]
     return [Poly(gens[0].nvars, {m: qdiv(first[m], first[m])}) for m in sorted(minimal, key=order.key)]
-
-
-def _chain_criterion(i: int, j: int, lcm: Mono, leads: list[Mono], pairs: set) -> bool:
-    for k in range(len(leads)):
-        if k in (i, j) or not mono_divides(leads[k], lcm):
-            continue
-        if (min(i, k), max(i, k)) in pairs or (min(j, k), max(j, k)) in pairs:
-            continue
-        if mono_lcm(leads[i], leads[k]) == lcm or mono_lcm(leads[j], leads[k]) == lcm:
-            continue  # guard against circular skips among equal lcms
-        return True
-    return False
 
 
 def _reduce_basis(basis: list[Poly], order: MonomialOrder, lead_terms: list | None = None) -> list[Poly]:
@@ -487,9 +506,10 @@ class RingSpec:
     `minimal_primes` the user-asserted associated primes of R.  Construction
     checks that N is not the unit ideal (R is not the zero ring), N inside
     rad, rad inside the radical of N (each generator nilpotent modulo N),
-    and that rad equals the intersection of the claimed minimal primes when
-    they are given; that rad is itself radical, and the primality of the
-    primes, are taken on trust.
+    that no claimed minimal prime contains another, and that rad equals the
+    intersection of the claimed minimal primes when they are given; that
+    rad is itself radical, and the primality of the primes, are taken on
+    trust.
 
     The ring keeps one handle per generator tuple (`ideal`), so an ideal that
     several steps of a search test against has its basis computed once, and
@@ -516,6 +536,9 @@ class RingSpec:
             # Rabinowitsch: g lies in the radical of N iff N : g^infinity = (1)
             if not saturate(self.N, g).contains_one():
                 raise ValueError(f"radical generator not nilpotent modulo the defining ideal: {g.format(names)}")
+        for p, q in itertools.permutations(self.minimal_primes, 2):
+            if is_subideal(p, q):
+                raise ValueError(f"claimed minimal prime {self._format_ideal(q)} contains the claimed minimal prime {self._format_ideal(p)}")
         if self.minimal_primes:
             if not ideal_equal(functools.reduce(ideal_intersect, self.minimal_primes), self.rad):
                 raise ValueError("claimed radical differs from the intersection of the minimal primes")
@@ -580,3 +603,6 @@ class RingSpec:
 
     def format(self, f: Poly) -> str:
         return f.format(self.var_names)
+
+    def _format_ideal(self, I: IdealHandle) -> str:
+        return "(" + "; ".join(map(self.format, I.gens)) + ")"

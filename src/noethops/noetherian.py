@@ -345,9 +345,10 @@ def combine_components(
 ) -> OperatorSet:
     """Union of per-component operator sets, re-targeted to R_red.
 
-    Checks that the components intersect to `target` first: no components,
-    or an intersection that differs from it, is a `RefutedError`, with a
-    generator in one ideal and not the other as its witness.  When R has
+    Checks that the components intersect to `target` first: an
+    intersection that differs from it is a `RefutedError`, with a generator
+    in one ideal and not the other as its witness; an empty list of
+    components claims nothing and is a `ValueError`.  When R has
     several minimal primes, each component's operators are multiplied by a
     separator that vanishes on every other minimal prime but not on the
     component's own (a `RefutedError` when there is none); this keeps the
@@ -355,7 +356,7 @@ def combine_components(
     modulo rad.
     """
     if not comps:
-        raise RefutedError("no components supplied")
+        raise ValueError("no components supplied")
     inter = functools.reduce(ideal_intersect, [comp.Q for comp, _ in comps])
     if not ideal_equal(inter, target):
         witness = next((g for g in inter.gens if not target.contains(g)), None)

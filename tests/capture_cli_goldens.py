@@ -35,6 +35,7 @@ R4 = "ring: Q[x,y,u,v]"
 RING_X2 = "ring: Q[x,y] / (x^2)\nradical: (x)\nminimal-primes: [(x)]\n"
 RING_X3 = "ring: Q[x,y] / (x^3)\nradical: (x)\nminimal-primes: [(x)]\n"
 RING_X2Y = "ring: Q[x,y] / (x^2*y)\nradical: (x*y)\nminimal-primes: [(x); (y)]\n"
+RING_NESTED = "ring: Q[x,y] / (x^2)\nradical: (x)\nminimal-primes: [(x); (x; y)]\n"  # (x; y) is not minimal
 
 
 def _config_runs() -> list[list[str]]:
@@ -153,6 +154,7 @@ OTHER = [
     ["sep-op", RING_X2, "--lower", "0", "--upper", "x", "--prime", "x", "--psi", "0"],
     ["verify-filtration", RING_X2, "--chain", "(x^2) | (x) | (1)", "--primes", "(x) | (x)"],
     ["verify-filtration", RING_X2, "--chain", "(x^2) | (x^2) | (1)", "--primes", "(x) | (x)"],
+    ["noeth-ops", RING_NESTED, "--ideal", "x^2", "--prime", "x", "--independent", "y"],
 ]
 
 

@@ -143,16 +143,47 @@ def symbolic_power(p: IdealHandle, n: int, witness: Poly) -> IdealHandle:
 
 
 # ---------------------------------------------------------------------------
-# Buchberger with the pair picked by a scan: the loop the heap pair queue
-# replaced, kept as the reference it is tested against.  It reads
+# Buchberger with the pair picked by a scan, after interreducing its input to
+# a fixed point, and with the product and chain criteria tested when a pair
+# is picked: the loop the heap pair queue and the Gebauer-Moeller update
+# replaced, kept as the reference they are tested against.  It reads
 # `groebner._s_polynomial` through the module, so a test can record the
 # pairs it reduces.
+
+
+def interreduce(polys: list[Poly], order: MonomialOrder) -> list[Poly]:
+    """Reduce each polynomial by the monic remainders before it, until a
+    round changes nothing."""
+    current = [p for p in polys if p]
+    while True:
+        nxt = []
+        for p in current:
+            r = groebner.normal_form(p, nxt, order)
+            if r:
+                nxt.append(groebner._monic(r, order))
+        if nxt == current:
+            return nxt
+        current = nxt
+
+
+def chain_criterion(i: int, j: int, lcm: Mono, leads: list[Mono], pairs: set) -> bool:
+    """Some k, with leads[k] dividing lcm and neither (i, k) nor (j, k)
+    pending, whose lcms with i and j both differ from lcm."""
+    for k in range(len(leads)):
+        if k in (i, j) or not mono_divides(leads[k], lcm):
+            continue
+        if (min(i, k), max(i, k)) in pairs or (min(j, k), max(j, k)) in pairs:
+            continue
+        if mono_lcm(leads[i], leads[k]) == lcm or mono_lcm(leads[j], leads[k]) == lcm:
+            continue  # guard against circular skips among equal lcms
+        return True
+    return False
 
 
 def scan_buchberger(gens, order: MonomialOrder = GrevLex()) -> list[Poly]:
     """Reduced Groebner basis, each step reducing the pending pair of least
     (deg lcm, order key of lcm, i, j), found by a scan of every pair."""
-    basis = groebner._interreduce(list(gens), order)
+    basis = interreduce(list(gens), order)
     if not basis:
         return []
     leads = [g.leading(order)[0] for g in basis]
@@ -169,7 +200,7 @@ def scan_buchberger(gens, order: MonomialOrder = GrevLex()) -> list[Poly]:
         lcm = mono_lcm(leads[i], leads[j])
         if lcm == mono_mul(leads[i], leads[j]):
             continue  # product criterion
-        if groebner._chain_criterion(i, j, lcm, leads, pairs):
+        if chain_criterion(i, j, lcm, leads, pairs):
             continue
         s = groebner._s_polynomial(basis[i], basis[j], order)
         r = groebner.normal_form(s, basis, order)

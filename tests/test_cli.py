@@ -562,9 +562,6 @@ def test_each_input_error_exits_1_with_its_line(tmp_path, capsys, ring, argv, me
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
-RING_TWO_PRIMES = "ring: Q[x,y] / (x^2)\nradical: (x)\nminimal-primes: [(x); (x; y)]"
-
-
 def _with_operators(operators, ring=CONFIG["ring"]) -> dict:
     return {**CONFIG, "ring": ring, "operators": operators}
 
@@ -578,13 +575,12 @@ REFUTATIONS = [
         ["noeth-ops", "ring: Q[x,y]", "--ideal", "x; y", "--prime", "x; y", "--independent", "y"],
         "declared independent variables are not independent for the prime",
     ),
-    (_with_operators({"compute": []}), "no components supplied"),
     (
         _with_operators({"compute": [{"ideal": "x^2", "prime": "x", "independent": ["y"]}], "target": "x"}),
         "components do not intersect to the target ideal",
     ),
     (
-        _with_operators({"compute": [{"ideal": "x^2; y", "prime": "x; y"}], "target": "x^2; y"}, RING_TWO_PRIMES),
+        _with_operators({"compute": [{"ideal": "x^2; y", "prime": "x; y"}], "target": "x^2; y"}),
         "no separator for the component prime among the minimal primes",
     ),
     (
@@ -603,7 +599,7 @@ REFUTATIONS = [
     "run, message",
     REFUTATIONS,
     ids=[
-        "component_outside_prime", "dependent_declaration", "no_components", "components_miss_target",
+        "component_outside_prime", "dependent_declaration", "components_miss_target",
         "no_separator", "psi_zero_on_separated", "psi_inconsistent", "operators_refuted",
     ],
 )
@@ -617,6 +613,26 @@ def test_each_refutation_exits_2_with_its_line(tmp_path, capsys, run, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"refuted: {message}\n")
+
+
+def test_an_empty_compute_list_is_an_input_error(tmp_path, capsys):
+    # a config that lists no component claims nothing, so nothing is refuted
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_with_operators({"compute": []})))
+    assert main(["experiment", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: operators.compute must list at least one component\n")
+
+
+def test_nested_minimal_primes_are_an_input_error(tmp_path, capsys):
+    # (x; y) contains (x), so it is not minimal: the ring file is at fault,
+    # whatever is run on it
+    ring = "ring: Q[x,y] / (x^2)\nradical: (x)\nminimal-primes: [(x); (x; y)]"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_with_operators({"compute": [{"ideal": "x^2; y", "prime": "x; y"}], "target": "x^2; y"}, ring)))
+    runs = [["experiment", str(path)], ["noeth-ops", ring, "--ideal", "x^2", "--prime", "x", "--independent", "y"]]
+    for argv in runs:
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: claimed minimal prime (x; y) contains the claimed minimal prime (x)\n")
 
 
 def test_the_refutation_cases_cover_every_refuted_error_the_package_raises():

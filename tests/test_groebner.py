@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from noethops import groebner
-from noethops.configs import load_experiment_config
+from noethops.configs import load_experiment_config, run_experiment_config
 from noethops.groebner import (
     IdealHandle,
     NotZeroDimensionalError,
@@ -22,10 +22,10 @@ from noethops.groebner import (
     saturate,
     standard_monomials,
 )
-from noethops.poly import Block, GrevLex, Poly, RationalFunction, monomials_up_to, rational
+from noethops.poly import Block, GrevLex, Poly, RationalFunction, mono_degree, mono_lcm, monomials_up_to, rational
 
 from conftest import P, ideal, random_polynomial, typed_terms
-from oracles import ideal_power_by_reduce, monomial_form_by_chain_walk, scan_buchberger
+from oracles import ideal_power_by_reduce, interreduce, monomial_form_by_chain_walk, scan_buchberger
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -72,9 +72,9 @@ def test_gb_byte_stable_across_runs():
 def _naive_groebner(gens, order):
     """Criterion-free Buchberger; the reduced basis is unique, so this is an
     independent oracle for the optimized implementation."""
-    from noethops.groebner import _interreduce, _monic, _reduce_basis, _s_polynomial
+    from noethops.groebner import _monic, _reduce_basis, _s_polynomial
 
-    basis = _interreduce(list(gens), order)
+    basis = interreduce(list(gens), order)
     if not basis:
         return []
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
@@ -127,34 +127,112 @@ def test_gb_agrees_with_scan_oracle_under_every_order():
             assert buchberger(gens, order) == scan_buchberger(gens, order)
 
 
-def test_heap_queue_reduces_the_scan_pairs_in_scan_order(monkeypatch):
-    # the pair key is a total order on fixed leads, so the heap must pop the
-    # very pairs the scan picks, in the same order
-    s_polynomial = groebner._s_polynomial
-    reduced = []
+def _seeded_powers_plus(seed, count):
+    """J^n + M in 3 variables as `RingSpec.power_plus` feeds it to
+    Buchberger: the n-fold products of 2 or 3 random generators of 2 or 3
+    terms of degree 1 or 2, reduced modulo a monomial ideal M of 1 or 2
+    random monomials of degree 2 or 3 and made monic, then M's generators;
+    n is 2 or 3."""
+    rng = random.Random(seed)
+    high = monomials_up_to(3, 3)[4:]
+    jmonos = monomials_up_to(3, 2)[1:]
+    out = []
+    for k in range(count):
+        J = IdealHandle(3, [
+            Poly(3, {m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in rng.sample(jmonos, rng.randint(2, 3))})
+            for _ in range(rng.randint(2, 3))
+        ])
+        M = IdealHandle(3, [Poly.monomial(3, rng.choice(high)) for _ in range(rng.randint(1, 2))])
+        products = (M.normal_form(p) for p in ideal_power(J, 2 + k % 2).gens)
+        out.append([groebner._monic(p, GrevLex()) for p in products if p] + list(M.gens))
+    return out
+
+
+def test_gb_agrees_with_scan_oracle_on_powers_plus_a_monomial_modulus():
+    cases = _seeded_powers_plus(75, 8)
+    assert all(any(len(g.terms) > 1 for g in gens) for gens in cases)  # no monomial ideal
+    for gens in cases:
+        for order in ORDERS:
+            assert buchberger(gens, order) == scan_buchberger(gens, order)
+
+
+def test_heap_queue_reduces_fewer_pairs_than_the_scan_in_key_order(monkeypatch):
+    # on every seeded input: the scan oracle's basis; with the basis
+    # unchanged, the reduced pairs' keys (deg lcm, order key of lcm, i, j)
+    # never decrease (an element that enters can bring pairs of lower
+    # degree); and no more S-polynomials than the oracle, which reduces 536,
+    # and fewer in all
+    s_polynomial, monic_and_lead = groebner._s_polynomial, groebner._monic_and_lead
+    basis, events = [], []
+
+    def entering(r, order):
+        g, lead = monic_and_lead(r, order)
+        basis.append(g)
+        events.append(None)
+        return g, lead
 
     def recording(f, g, order):
-        reduced.append((f, g))
+        events.append((f, g, order))
         return s_polynomial(f, g, order)
 
     monkeypatch.setattr(groebner, "_s_polynomial", recording)
-    total = 0
-    for gens in _seeded_ideals(72, 16):
+    total = oracle_total = 0
+    for gens in _seeded_ideals(71, 16) + _seeded_ideals(72, 16) + _seeded_ideals(73, 16):
         for order in ORDERS:
-            reduced.clear()
-            buchberger(gens, order)
-            heap_pairs = list(reduced)
-            reduced.clear()
-            scan_buchberger(gens, order)
-            assert heap_pairs == reduced
-            total += len(heap_pairs)
-    assert total > 100
+            monkeypatch.setattr(groebner, "_monic_and_lead", entering)
+            basis.clear(), events.clear()
+            got = buchberger(gens, order)
+            monkeypatch.setattr(groebner, "_monic_and_lead", monic_and_lead)
+            pairs = [event for event in events if event]
+            last = None
+            for event in events:
+                if event is None:
+                    last = None
+                    continue
+                f, g, _ = event
+                lcm = mono_lcm(f.leading(order)[0], g.leading(order)[0])
+                index = [next(k for k, b in enumerate(basis) if b is h) for h in (f, g)]
+                key = (mono_degree(lcm), order.key(lcm), *index)
+                assert index[0] < index[1] and (last is None or last < key), (last, key)
+                last = key
+            events.clear()
+            assert got == scan_buchberger(gens, order)
+            assert len(pairs) <= len(events), (len(pairs), len(events))
+            total += len(pairs)
+            oracle_total += len(events)
+    assert oracle_total == 536 and total < oracle_total
+
+
+def test_s_polynomials_per_groebner_powers_pass(monkeypatch):
+    # one run of the groebner_powers benchmark config at seed 0: the
+    # Gebauer-Moeller update keeps 79 of the S-polynomials; the scan of
+    # pairs with the product and chain criteria, after interreducing the
+    # input, reduced 119 (and 3 more while the ring loads)
+    cfg = load_experiment_config(
+        {
+            "ring": "ring: Q[x,y,z] / (x^2)\nradical: (x)\nminimal-primes: [(x)]",
+            "ideals": {"G1": "y^2 - x*z; z^2 - y; x*y - z"},
+            "operators": "1; dx",
+            "mode": "artin_rees",
+            "parameters": {"n_max": 4, "c_max": 3, "degree": 6, "seed": 0},
+        }
+    )
+    s_polynomial = groebner._s_polynomial
+    calls = []
+
+    def recording(f, g, order):
+        calls.append(order)
+        return s_polynomial(f, g, order)
+
+    monkeypatch.setattr(groebner, "_s_polynomial", recording)
+    run_experiment_config(cfg)
+    assert len(calls) == 79
 
 
 def test_buchberger_reads_leading_terms_a_bounded_number_of_times(monkeypatch):
     # Buchberger keeps its basis' leading terms and hands them to every
-    # reduction, so Poly.leading runs a few times per generator and per
-    # reduced pair (interreduction takes two rounds on these inputs), not
+    # reduction, so Poly.leading runs a few times per generator (once to
+    # sort the input, once as it enters the basis) and per reduced pair, not
     # once per basis element on every reduction
     leading, s_polynomial = Poly.leading, groebner._s_polynomial
     counts = Counter()
@@ -394,12 +472,13 @@ def _monomial_generator_lists(rng, nvars, coefficient):
 def test_monomial_bases_match_the_scan_buchberger(coefficient, nvars, monkeypatch):
     # the monomial path against the full algorithm it skips, under grevlex
     # and a block order: the same bases, term for term and type for type,
-    # with no reduction, interreduction or pair on the monomial path
+    # with no reduction, no element entering the pair update and no pair on
+    # the monomial path
     rng = random.Random(1800 + nvars + 10 * (coefficient is _qu_coefficient))
     cases = _monomial_generator_lists(rng, nvars, coefficient)
     orders = [GrevLex(), Block((0,))]
     wants = [[scan_buchberger(gens, order) for order in orders] for gens in cases]
-    for name in ("_reduce", "_interreduce", "_reduce_basis", "_s_polynomial"):
+    for name in ("_reduce", "_monic_and_lead", "_reduce_basis", "_s_polynomial"):
         monkeypatch.setattr(groebner, name, lambda *args, name=name: pytest.fail(f"{name} ran on a monomial ideal"))
     for gens, want in zip(cases, wants):
         got = [buchberger(gens, order) for order in orders]
@@ -622,6 +701,15 @@ def test_ringspec_validation():
         RingSpec(tuple(XY), ideal("y"), rad, (rad,))
     with pytest.raises(ValueError):
         RingSpec(tuple(XY), ideal("x^2*y^2"), ideal("x*y"), (ideal("x"),))
+
+
+@pytest.mark.parametrize("primes", [("x", "x; y"), ("x; y", "x"), ("x", "x")])
+def test_ringspec_rejects_nested_minimal_primes(primes):
+    # with radical (x), (x) meet (x; y) is (x) again: only comparing the
+    # primes pair by pair finds that one is not minimal
+    outer, inner = sorted(primes, key=len, reverse=True)
+    with pytest.raises(ValueError, match=rf"^claimed minimal prime \({outer}\) contains the claimed minimal prime \({inner}\)$"):
+        RingSpec(tuple(XY), ideal("x^2"), ideal("x"), tuple(ideal(*p.split("; ")) for p in primes))
 
 
 @pytest.mark.parametrize(
