@@ -538,7 +538,8 @@ class RingSpec:
                 raise ValueError(f"radical generator not nilpotent modulo the defining ideal: {g.format(names)}")
         for p, q in itertools.permutations(self.minimal_primes, 2):
             if is_subideal(p, q):
-                raise ValueError(f"claimed minimal prime {self._format_ideal(q)} contains the claimed minimal prime {self._format_ideal(p)}")
+                inner, outer = ("(" + "; ".join(g.format(names) for g in I.gens) + ")" for I in (p, q))
+                raise ValueError(f"claimed minimal prime {outer} contains the claimed minimal prime {inner}")
         if self.minimal_primes:
             if not ideal_equal(functools.reduce(ideal_intersect, self.minimal_primes), self.rad):
                 raise ValueError("claimed radical differs from the intersection of the minimal primes")
@@ -603,6 +604,3 @@ class RingSpec:
 
     def format(self, f: Poly) -> str:
         return f.format(self.var_names)
-
-    def _format_ideal(self, I: IdealHandle) -> str:
-        return "(" + "; ".join(map(self.format, I.gens)) + ")"

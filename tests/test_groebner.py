@@ -157,13 +157,12 @@ def test_gb_agrees_with_scan_oracle_on_powers_plus_a_monomial_modulus():
 
 
 def test_heap_queue_reduces_fewer_pairs_than_the_scan_in_key_order(monkeypatch):
-    # on every seeded input: the scan oracle's basis; with the basis
-    # unchanged, the reduced pairs' keys (deg lcm, order key of lcm, i, j)
-    # never decrease (an element that enters can bring pairs of lower
-    # degree); and no more S-polynomials than the oracle, which reduces 536,
-    # and fewer in all
+    # on every seeded input: the scan oracle's basis; while no element
+    # enters, the reduced pairs' keys (deg lcm, order key of lcm, i, j)
+    # increase (one that enters can bring pairs of lower degree); and no
+    # more S-polynomials than the oracle, which reduces 536, and fewer in all
     s_polynomial, monic_and_lead = groebner._s_polynomial, groebner._monic_and_lead
-    basis, events = [], []
+    basis, events = [], []  # events: None when an element enters, else the pair reduced
 
     def entering(r, order):
         g, lead = monic_and_lead(r, order)
@@ -172,33 +171,32 @@ def test_heap_queue_reduces_fewer_pairs_than_the_scan_in_key_order(monkeypatch):
         return g, lead
 
     def recording(f, g, order):
-        events.append((f, g, order))
+        events.append((f, g))
         return s_polynomial(f, g, order)
 
     monkeypatch.setattr(groebner, "_s_polynomial", recording)
     total = oracle_total = 0
     for gens in _seeded_ideals(71, 16) + _seeded_ideals(72, 16) + _seeded_ideals(73, 16):
         for order in ORDERS:
+            basis.clear()
+            events.clear()
             monkeypatch.setattr(groebner, "_monic_and_lead", entering)
-            basis.clear(), events.clear()
             got = buchberger(gens, order)
             monkeypatch.setattr(groebner, "_monic_and_lead", monic_and_lead)
-            pairs = [event for event in events if event]
-            last = None
+            last, pairs = None, 0
             for event in events:
                 if event is None:
                     last = None
                     continue
-                f, g, _ = event
-                lcm = mono_lcm(f.leading(order)[0], g.leading(order)[0])
-                index = [next(k for k, b in enumerate(basis) if b is h) for h in (f, g)]
-                key = (mono_degree(lcm), order.key(lcm), *index)
-                assert index[0] < index[1] and (last is None or last < key), (last, key)
-                last = key
+                lcm = mono_lcm(*(h.leading(order)[0] for h in event))
+                i, j = (next(k for k, b in enumerate(basis) if b is h) for h in event)
+                key = (mono_degree(lcm), order.key(lcm), i, j)
+                assert i < j and (last is None or last < key), (last, key)
+                last, pairs = key, pairs + 1
             events.clear()
             assert got == scan_buchberger(gens, order)
-            assert len(pairs) <= len(events), (len(pairs), len(events))
-            total += len(pairs)
+            assert pairs <= len(events), (pairs, len(events))
+            total += pairs
             oracle_total += len(events)
     assert oracle_total == 536 and total < oracle_total
 

@@ -235,7 +235,6 @@ def test_combine_mismatch_reports_witness():
     assert bool(inter.normal_form(w)) != bool(ideal("x^2").normal_form(w))
 
 
-
 def test_combine_rejects_an_empty_component_list():
     # no component claims nothing: a malformed input, not a refuted claim
     with pytest.raises(ValueError, match="^no components supplied$") as err:
